@@ -93,7 +93,6 @@ class BlowupNode:
     children: list = dataclass_field(default_factory=list)
     constant_added: bool = False
     reductions: int = 0
-    precision_used: int = 0
 
     def total(self):
         return self.term + sum(c.total() for c in self.children)
@@ -120,7 +119,6 @@ class RunStats:
     used_truncation: bool = False
     off_origin_nonclean: bool = False
     nonroot_repair: bool = False
-    clean_probes: int = 0
 
 
 @dataclass
@@ -224,7 +222,7 @@ def _build_node(poly, branches, path, depth, config, budget, stats, is_root=Fals
     node = BlowupNode(path=path, branches=branches, staircase=stair,
                       drop=drop, term=blowup_term(drop, branches),
                       clean=clean, constant_added=rep.constant_added,
-                      reductions=rep.reductions, precision_used=budget)
+                      reductions=rep.reductions)
     if clean:
         if node.term != 0:
             raise CrossCheckError(f"clean node {path} with nonzero term")
@@ -243,9 +241,7 @@ def _build_node(poly, branches, path, depth, config, budget, stats, is_root=Fals
             moved = translate(first.embed_into(ctx), embed(point, ctx), budget)
             child = _build_node(moved, 1, path + f"/A@v={point}", depth + 1,
                                 config, budget, stats)
-            if child.clean:
-                stats.clean_probes += 1
-            else:
+            if not child.clean:
                 stats.off_origin_nonclean = True
                 children.append(child)
     except DepthCapError as err:

@@ -7,6 +7,17 @@ degree k whose non-leading coefficient vector (c_0, ..., c_{k-1}) minimizes
 sum(c_i * p**i), so a given (p, k) names the same field in every run
 without external tables.
 
+Multiplication.  A field of order at most ``_EXHAUSTIVE_LIMIT`` (4096)
+multiplies through exp/log tables: ``exp[i]`` is the coefficient tuple of
+w^i for the primitive element w of smallest encoding, and ``log`` maps each
+nonzero tuple back to i.  The tables are built on the first product or
+power in the context, never at construction.  Products, powers, inverses
+and p-th roots are then index arithmetic mod (order - 1), with zero handled
+apart.  Elements keep their coefficient tuples either way, so printing,
+parsing and encodings do not depend on the path.  The dense polynomial
+arithmetic over F_p (a product followed by reduction against the modulus)
+builds the tables, and it remains the multiplication of larger fields.
+
 Cross-field coercion is never implicit: operations on elements of
 different contexts raise, and :func:`embed` moves an element along a fixed
 embedding F_{p^k} -> F_{p^(k*m)}.  The embedding for a context pair sends
@@ -180,7 +191,7 @@ def _least_irreducible(p, degree):
 class FieldContext:
     """The field F_{p^k} presented as F_p[x] / (modulus)."""
 
-    __slots__ = ("p", "degree", "modulus")
+    __slots__ = ("p", "degree", "modulus", "_exp", "_log")
 
     def __init__(self, p, degree, modulus=None):
         if not _is_prime(p):
@@ -197,12 +208,44 @@ class FieldContext:
         self.p = p
         self.degree = degree
         self.modulus = modulus
+        self._exp = None
+        self._log = None
 
     @property
     def order(self):
         return self.p ** self.degree
 
+    def _tables(self):
+        """(exp, log) for a field within the table cap, built on first use;
+        None above the cap.  exp has 2 * (order - 1) entries, so the sum of
+        two logarithms indexes it without a reduction."""
+        if self._exp is None:
+            order = self.order
+            if order > _EXHAUSTIVE_LIMIT:
+                self._exp = False
+            else:
+                self._exp, self._log = self._build_tables(order)
+        return (self._exp, self._log) if self._exp else None
+
+    def _build_tables(self, order):
+        p, modulus, degree = self.p, self.modulus, self.degree
+        group = order - 1
+        maximal = [group // ell for ell in _prime_divisors(group)]
+        for enc in range(1, order):
+            w = _trim(self.from_encoding(enc).coeffs)
+            if all(_ppowmod(w, e, modulus, p) != (1,) for e in maximal):
+                break
+        exp = []
+        power = (1,)
+        for _ in range(group):
+            exp.append(power + (0,) * (degree - len(power)))
+            power = _pmod(_pmul(power, w, p), modulus, p)
+        log = {coeffs: i for i, coeffs in enumerate(exp)}
+        return exp + exp, log
+
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FieldContext)
                 and (self.p, self.degree, self.modulus)
                 == (other.p, other.degree, other.modulus))
@@ -268,7 +311,7 @@ class FieldElement:
     def _check(self, other):
         if not isinstance(other, FieldElement):
             raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx and self.ctx != other.ctx:
             raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
 
     def __add__(self, other):
@@ -291,10 +334,18 @@ class FieldElement:
         if isinstance(other, int):
             other = self.ctx.element(other)
         self._check(other)
-        prod = _pmod(_pmul(_trim(self.coeffs), _trim(other.coeffs), self.ctx.p),
-                     self.ctx.modulus, self.ctx.p)
-        vec = tuple(prod) + (0,) * (self.ctx.degree - len(prod))
-        return FieldElement(self.ctx, vec)
+        ctx = self.ctx
+        tables = ctx._tables()
+        if tables is not None:
+            exp, log = tables
+            a = log.get(self.coeffs)
+            b = log.get(other.coeffs)
+            if a is None or b is None:
+                return ctx.zero()
+            return FieldElement(ctx, exp[a + b])
+        prod = _pmod(_pmul(_trim(self.coeffs), _trim(other.coeffs), ctx.p),
+                     ctx.modulus, ctx.p)
+        return FieldElement(ctx, prod + (0,) * (ctx.degree - len(prod)))
 
     __rmul__ = __mul__
 
@@ -305,6 +356,13 @@ class FieldElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
+        tables = self.ctx._tables()
+        if tables is not None:
+            exp, log = tables
+            a = log.get(self.coeffs)
+            if a is None:
+                return self.ctx.one() if n == 0 else self
+            return FieldElement(self.ctx, exp[a * n % (self.ctx.order - 1)])
         result = self.ctx.one()
         base = self
         while n:

@@ -25,6 +25,7 @@ of a negative power.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 from .fields import ContextMismatchError, embed, join_context
@@ -49,10 +50,20 @@ def _dominates(lo, hi):
 
 
 def _min_antichain(points):
-    """Minimal elements of a finite set under the componentwise order."""
+    """Minimal elements of a finite set under the componentwise order.
+
+    After sorting by (m, n), only earlier points can dominate a point, so
+    it is minimal iff its n is below every earlier n.  The result is built
+    in the iteration order of the input set, which fixes its own order.
+    """
     pts = set(points)
-    return frozenset(q for q in pts
-                     if not any(r != q and _dominates(r, q) for r in pts))
+    keep = set()
+    low = math.inf
+    for m, n in sorted(pts):
+        if n < low:
+            keep.add((m, n))
+            low = n
+    return frozenset(q for q in pts if q in keep)
 
 
 class LaurentPolynomial:
@@ -64,7 +75,7 @@ class LaurentPolynomial:
         self.ctx = ctx
         clean = {}
         for (m, n), c in (terms or {}).items():
-            if c.ctx != ctx:
+            if c.ctx is not ctx and c.ctx != ctx:
                 raise ContextMismatchError("coefficient from a foreign context")
             if c:
                 clean[(int(m), int(n))] = c
@@ -103,9 +114,22 @@ class LaurentPolynomial:
         return any(_dominates(u, (m, n)) for u in self.unknown)
 
     def exact_terms(self):
-        """Stored terms whose coefficients are certified exact."""
-        return {e: c for e, c in self.terms.items()
-                if not self.in_unknown_region(*e)}
+        """Stored terms whose coefficients are certified exact.
+
+        The unknown corners form an antichain: sorted by m, their n
+        strictly decreases, so the last corner with a <= m is the only one
+        that can dominate (m, n).
+        """
+        if not self.unknown:
+            return dict(self.terms)
+        corners = sorted(self.unknown)
+        firsts = [a for a, _ in corners]
+        out = {}
+        for (m, n), c in self.terms.items():
+            i = bisect.bisect_right(firsts, m)
+            if i == 0 or n < corners[i - 1][1]:
+                out[(m, n)] = c
+        return out
 
     def coefficient(self, m, n):
         if self.in_unknown_region(m, n):
@@ -310,6 +334,10 @@ def translate(poly, shift, budget):
     cut after `budget` terms; the cut is recorded as an unknown corner at
     (m, budget) for the term's t1-exponent m.  Coefficients are embedded
     into the shift's context if needed (degrees must divide).
+
+    The powers shift^k and shift^(-j) are built once per call, one product
+    per step, and shared by all terms; each term's coefficients are added
+    in ascending t2-order.
     """
     if not shift:
         raise ValueError("translation by zero; the origin needs no shift")
@@ -321,8 +349,17 @@ def translate(poly, shift, budget):
     p = ctx.p
     terms = {}
     unknown = {(m, 0) for m, _ in poly.unknown}
+    powers = [ctx.one(), shift]     # shift^k, extended on demand
+    inv_powers = None               # shift^(-j), built on the first pole
 
-    def put(m, n, c):
+    def power(table, k):
+        while len(table) <= k:
+            table.append(table[-1] * table[1])
+        return table[k]
+
+    def put(m, n, c, binom):
+        if binom != 1:
+            c = c * binom
         if not c:
             return
         s = terms.get((m, n))
@@ -337,14 +374,15 @@ def translate(poly, shift, budget):
             for j in range(n + 1):
                 binom = math.comb(n, j) % p
                 if binom:
-                    put(m, j, c * binom * shift ** (n - j))
+                    put(m, j, c * power(powers, n - j), binom)
         else:
             unknown.add((m, budget))
-            inv = shift.inverse()
-            lead = c * shift ** n
+            if inv_powers is None:
+                inv_powers = [ctx.one(), shift.inverse()]
+            lead = c * power(inv_powers, -n)
             for j in range(budget):
                 binom = math.comb(-n - 1 + j, j) % p
                 if binom:
-                    coeff = lead * binom * inv ** j
-                    put(m, j, -coeff if j % 2 else coeff)
+                    coeff = lead * power(inv_powers, j)
+                    put(m, j, -coeff if j % 2 else coeff, binom)
     return LaurentPolynomial(ctx, terms, unknown)

@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 
-from wildram.fields import (ContextMismatchError, FieldContext, embed, field,
-                            find_roots, join_context, minimal_form, poly_eval,
-                            roots_in_field, subfield_preimage)
+from wildram.fields import (_EXHAUSTIVE_LIMIT, ContextMismatchError,
+                            FieldContext, _pmod, _pmul, _ppowmod, _trim,
+                            embed, field, find_roots, join_context,
+                            minimal_form, poly_eval, roots_in_field,
+                            subfield_preimage)
 
 
 def test_char2_addition():
@@ -217,3 +219,37 @@ def test_roots_in_field_large_field_path():
     roots = roots_in_field(coeffs, ctx)
     assert sorted(r.encoding() for r, _ in roots) == sorted(
         {a.encoding(), b.encoding()})
+
+
+TABLE_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13)
+                for k in range(1, 13) if p ** k <= _EXHAUSTIVE_LIMIT]
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_tables_match_polynomial_arithmetic(p, k):
+    # oracle: the dense product over F_p reduced by the modulus; every
+    # unordered product pair up to order 256, every element against four
+    # fixed factors above that, and every inverse, p-th power and p-th root
+    ctx = field(p, k)
+
+    def pad(coeffs):
+        return coeffs + (0,) * (k - len(coeffs))
+
+    def reference(a, b):
+        return pad(_pmod(_pmul(_trim(a.coeffs), _trim(b.coeffs), p), ctx.modulus, p))
+
+    def reference_frobenius(a):
+        return pad(_ppowmod(_trim(a.coeffs), p, ctx.modulus, p))
+
+    elems = list(ctx.elements())
+    assert len(ctx._tables()[1]) == ctx.order - 1
+    if ctx.order > 256:
+        fixed = [ctx.gen()] + [ctx.from_encoding(e % ctx.order)
+                               for e in (ctx.order - 1, ctx.order // 3, 12345)]
+    for i, a in enumerate(elems):
+        for b in elems[i:] if ctx.order <= 256 else fixed:
+            assert (a * b).coeffs == reference(a, b)
+        assert (a ** p).coeffs == reference_frobenius(a)
+        assert reference_frobenius(a.pth_root()) == a.coeffs
+        if a:
+            assert reference(a, a.inverse()) == ctx.one().coeffs

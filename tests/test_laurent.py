@@ -1,11 +1,14 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wildram.fields import field
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
-                             blowup_substitute, pole_staircase, translate,
-                             transpose, undominated_unknowns, valuation)
+                             _min_antichain, blowup_substitute,
+                             pole_staircase, translate, transpose,
+                             undominated_unknowns, valuation)
 from wildram.parsing import parse_polynomial
 from wildram.staircase import Staircase
 
@@ -67,6 +70,23 @@ def test_corners_against_brute_force():
         # the corner set is an antichain and dominates the support
         for s in support:
             assert any(c[0] <= s[0] and c[1] <= s[1] for c in corners)
+
+
+points = st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=12)
+
+
+@given(points)
+def test_min_antichain_matches_quadratic_definition(pts):
+    expected = {q for q in pts
+                if not any(r != q and r[0] <= q[0] and r[1] <= q[1] for r in pts)}
+    assert _min_antichain(pts) == expected
+
+
+@given(points, points)
+def test_exact_terms_excludes_exactly_the_unknown_region(support, unknown):
+    f = LaurentPolynomial(F3, {e: F3.one() for e in support}, unknown)
+    assert f.exact_terms() == {e: c for e, c in f.terms.items()
+                               if not f.in_unknown_region(*e)}
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +166,34 @@ def test_translate_round_trip_up_to_valid_order():
     for (m, n), c in back.terms.items():
         if n < cut and n >= 0:
             assert f.terms.get((m, n), F3.zero()) == c
+
+
+def test_translate_matches_termwise_expansion():
+    # oracle: every coefficient from its own powers of the shift, as in the
+    # binomial formulas of the docstring; insertion order is kept too
+    rng = random.Random(7)
+    for ctx in (field(2, 2), field(3, 2), F5):
+        for _ in range(20):
+            terms = {(rng.randint(-4, 4), rng.randint(-5, 5)):
+                     ctx.from_encoding(rng.randrange(1, ctx.order))
+                     for _ in range(rng.randint(1, 5))}
+            shift = ctx.from_encoding(rng.randrange(1, ctx.order))
+            budget = rng.randint(1, 9)
+            expected = {}
+            for (m, n), c in terms.items():
+                count = n + 1 if n >= 0 else budget
+                for j in range(count):
+                    if n >= 0:
+                        coeff = c * math.comb(n, j) * shift ** (n - j)
+                    else:
+                        coeff = (c * math.comb(-n - 1 + j, j) * (-1) ** j
+                                 * shift ** n * shift.inverse() ** j)
+                    s = expected.get((m, j), ctx.zero()) + coeff
+                    expected[(m, j)] = s
+                    if not s:
+                        del expected[(m, j)]
+            got = translate(LaurentPolynomial(ctx, terms), shift, budget)
+            assert list(got.terms.items()) == list(expected.items())
 
 
 def test_translate_embeds_into_shift_field():
