@@ -27,12 +27,21 @@ with no formula.  Two policies are implemented:
   F_{p^(k*sweep_degree)} directly.  Authoritative on its field but
   expensive; the test suite pins candidates == sweep on the corpus.
 
+Both policies feed one child enumeration: chart B's origin, chart A's
+origin, then every off-origin point.  Each off-origin point is probed by
+the full node build, drop cross-check included, and dropped when clean.
+
 Translations at off-origin points can truncate series (see the laurent
 module).  ``resolve`` therefore reruns the whole simulation with a
 doubled series budget until two consecutive runs produce identical trees,
 and raises after ``max_escalations`` doublings.  Every acceptance path
 re-derives from the exact pre-translation polynomial, so a stable answer
 is also a correct one for every quantity that became stable.
+
+The run flags of a result (``good_regime`` and the flags behind it) are
+read from the finished tree, so they depend only on the input, never on
+the policy.  A dropped clean probe affects only the escalation: when its
+verdict was read from a truncated series, the run counts as truncated.
 """
 
 from __future__ import annotations
@@ -92,6 +101,7 @@ class BlowupNode:
     clean: bool
     children: list = dataclass_field(default_factory=list)
     constant_added: bool = False
+    repair: bool = False          # reduced staircase != raw input staircase
     reductions: int = 0
 
     def total(self):
@@ -114,28 +124,38 @@ class BlowupNode:
 
 @dataclass
 class RunStats:
-    constant_added_anywhere: bool = False
+    """What one simulation run learns that its tree cannot show."""
     partial_roots: bool = False
     used_truncation: bool = False
-    off_origin_nonclean: bool = False
-    nonroot_repair: bool = False
 
 
 @dataclass
 class ResolutionResult:
     total: int
     root: BlowupNode
-    constant_added_anywhere: bool
     partial_roots: bool
     precision_escalations: int
-    off_origin_nonclean: bool
-    nonroot_repair: bool
+
+    @property
+    def constant_added_anywhere(self):
+        return any(n.constant_added for n in self.root.nodes())
+
+    @property
+    def off_origin_nonclean(self):
+        # the tree keeps an off-origin point only when it is non-clean
+        return any("@v=" in n.path for n in self.root.nodes())
+
+    @property
+    def nonroot_repair(self):
+        return any(n.repair for n in self.root.nodes() if n is not self.root)
 
     @property
     def good_regime(self):
         """Whether the run stayed inside what the staircase recursion
         models: no off-origin non-clean points, and below the root every
-        reduced staircase equal to its raw chart image."""
+        reduced staircase equal to its raw chart image.  Read from the
+        finished tree only; off-origin probes that were dropped as clean
+        do not count."""
         return not (self.off_origin_nonclean or self.nonroot_repair)
 
     @property
@@ -161,16 +181,16 @@ def resolve(f, branches, config=None):
     while True:
         stats = RunStats()
         try:
-            root = _build_node(f, branches, "x", 0, config, budget, stats,
-                               is_root=True)
+            root = _build_node(f, branches, "x", 0, config, budget, stats)
         except PrecisionLossError:
             root = None
         if root is not None:
-            if not stats.used_truncation:
-                return _finish(root, stats, escalations)
-            signature = root.signature()
-            if previous is not None and signature == previous:
-                return _finish(root, stats, escalations)
+            signature = root.signature() if stats.used_truncation else None
+            if signature is None or signature == previous:
+                return ResolutionResult(
+                    total=root.total(), root=root,
+                    partial_roots=stats.partial_roots,
+                    precision_escalations=escalations)
             previous = signature
         if escalations >= config.max_escalations:
             raise EscalationError(
@@ -179,34 +199,16 @@ def resolve(f, branches, config=None):
         escalations += 1
 
 
-def _finish(root, stats, escalations):
-    return ResolutionResult(
-        total=root.total(),
-        root=root,
-        constant_added_anywhere=stats.constant_added_anywhere,
-        partial_roots=stats.partial_roots,
-        precision_escalations=escalations,
-        off_origin_nonclean=stats.off_origin_nonclean,
-        nonroot_repair=stats.nonroot_repair,
-    )
-
-
-def _build_node(poly, branches, path, depth, config, budget, stats, is_root=False):
+def _build_node(poly, branches, path, depth, config, budget, stats):
     if depth > config.depth_cap:
         raise DepthCapError(path, None)
     if not poly.is_exact:
         stats.used_truncation = True
     rep = good_representative(poly)
-    stats.constant_added_anywhere |= rep.constant_added
-    if not is_root:
-        try:
-            raw_stair = pole_staircase(poly)
-        except PrecisionLossError:
-            raw_stair = None
-        if rep.staircase != raw_stair:
-            # the chart image alone no longer describes this node, so the
-            # staircase recursion stops being an exact model here
-            stats.nonroot_repair = True
+    try:
+        raw_stair = pole_staircase(poly)
+    except PrecisionLossError:
+        raw_stair = None
     stair = rep.staircase
     clean = is_clean_shape(stair, branches)
     drop = swan_drop(stair) if len(stair) else 0
@@ -219,30 +221,25 @@ def _build_node(poly, branches, path, depth, config, budget, stats, is_root=Fals
             f"at {path}: staircase gives drop {drop}, conductors give "
             f"{sw1} + {sw2} - {swe}")
 
+    # below the root, a repair means the chart image alone no longer
+    # describes the node, so the staircase recursion stops being exact
     node = BlowupNode(path=path, branches=branches, staircase=stair,
                       drop=drop, term=blowup_term(drop, branches),
                       clean=clean, constant_added=rep.constant_added,
-                      reductions=rep.reductions)
+                      repair=stair != raw_stair, reductions=rep.reductions)
     if clean:
         if node.term != 0:
             raise CrossCheckError(f"clean node {path} with nonzero term")
         return node
 
+    children = []
     try:
-        children = []
-        second = blowup_substitute(rep.g, "B")
-        children.append(_build_node(second, 2, path + "/B", depth + 1,
-                                    config, budget, stats))
-        first = blowup_substitute(rep.g, "A")
-        children.append(_build_node(first, branches, path + "/A", depth + 1,
-                                    config, budget, stats))
-        for point in _off_origin_points(first, config, stats):
-            ctx = join_context(first.ctx, point.ctx)
-            moved = translate(first.embed_into(ctx), embed(point, ctx), budget)
-            child = _build_node(moved, 1, path + f"/A@v={point}", depth + 1,
-                                config, budget, stats)
-            if not child.clean:
-                stats.off_origin_nonclean = True
+        for child_poly, child_branches, label in _blowup_children(
+                rep.g, branches, config, budget, stats):
+            child = _build_node(child_poly, child_branches, f"{path}/{label}",
+                                depth + 1, config, budget, stats)
+            # the chart origins stay in the tree even when clean
+            if not child.clean or "@v=" not in label:
                 children.append(child)
     except DepthCapError as err:
         if err.partial is None:
@@ -250,6 +247,21 @@ def _build_node(poly, branches, path, depth, config, budget, stats, is_root=Fals
         raise
     node.children = children
     return node
+
+
+def _blowup_children(g, branches, config, budget, stats):
+    """Every point that one blow-up of the reduced g can leave non-clean,
+    as (local polynomial, branch count, label): the origin of chart B,
+    the origin of chart A, then each off-origin point of the exceptional
+    curve, translated to the origin of chart A.  Lazy, so that a failure
+    while the caller handles one child stops the enumeration there."""
+    yield blowup_substitute(g, "B"), 2, "B"
+    first = blowup_substitute(g, "A")
+    yield first, branches, "A"
+    for point in _off_origin_points(first, config, stats):
+        ctx = join_context(first.ctx, point.ctx)
+        moved = translate(first.embed_into(ctx), embed(point, ctx), budget)
+        yield moved, 1, f"A@v={point}"
 
 
 # ---------------------------------------------------------------------------
@@ -328,40 +340,16 @@ def _off_origin_points(chart_first, config, stats):
     return [points[key] for key in sorted(points)]
 
 
-def certified_nonclean_points(chart_first, config, budget=None):
-    """Points of the exceptional curve (besides the chart origins) where
-    the cover is certified non-clean by the full local test."""
-    stats = RunStats()
-    budget = budget or config.series_terms
-    out = []
-    for point in _off_origin_points(chart_first, config, stats):
-        ctx = join_context(chart_first.ctx, point.ctx)
-        moved = translate(chart_first.embed_into(ctx), embed(point, ctx), budget)
-        rep = good_representative(moved)
-        if not is_clean_shape(rep.staircase, 1):
-            out.append(point)
-    return out
-
-
 def nonclean_children(f, branches, config=None):
     """The non-clean points produced by one blow-up: local polynomial,
     branch count and label for each, in deterministic order.  The input
     must itself be non-clean for the list to be meaningful."""
     config = config or SimulationConfig()
-    rep = good_representative(f)
-    out = []
-    second = blowup_substitute(rep.g, "B")
-    if not is_clean(second, 2):
-        out.append((second, 2, "B"))
-    first = blowup_substitute(rep.g, "A")
-    if not is_clean(first, branches):
-        out.append((first, branches, "A"))
-    for point in certified_nonclean_points(first, config):
-        ctx = join_context(first.ctx, point.ctx)
-        moved = translate(first.embed_into(ctx), embed(point, ctx),
-                          config.series_terms)
-        out.append((moved, 1, f"A@v={point}"))
-    return out
+    g = good_representative(f).g
+    return [(child, child_branches, label)
+            for child, child_branches, label in _blowup_children(
+                g, branches, config, config.series_terms, RunStats())
+            if not is_clean(child, child_branches)]
 
 
 # ---------------------------------------------------------------------------

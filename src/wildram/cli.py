@@ -131,6 +131,8 @@ def _dispatch(args):
             "r_x": result.total,
             "depth": result.depth,
             "good_regime": result.good_regime,
+            "off_origin_nonclean": result.off_origin_nonclean,
+            "nonroot_repair": result.nonroot_repair,
             "constant_added_anywhere": result.constant_added_anywhere,
             "partial_roots": result.partial_roots,
             "precision_escalations": result.precision_escalations,

@@ -176,7 +176,6 @@ def good_representative(f, corner_order="outermost", rng=None):
         witness = witness + piece
         reductions += 1
 
-    stair = pole_staircase(g)
     if g and not _quadrant_hit(stair):
         one = LaurentPolynomial.constant(ctx.one())
         g = g + one

@@ -21,6 +21,8 @@ from wildram.staircase import (Staircase, essential_vertices,
                                ramification_recursive, swan_drop)
 
 FIELDS = (field(2), field(3), field(5))
+RUN_FLAGS = ("good_regime", "off_origin_nonclean", "nonroot_repair",
+             "constant_added_anywhere")
 
 
 def _line(number, description, ok, detail=""):
@@ -200,10 +202,12 @@ def test_criterion_9_candidates_and_sweep_agree():
         direct = resolve(f, 2, SimulationConfig(mode="candidates"))
         swept = resolve(f, 2, SimulationConfig(mode="sweep",
                                                sweep_degree=sweep_degree))
-        if direct.root.signature() != swept.root.signature():
+        if (direct.root.signature() != swept.root.signature()
+                or any(getattr(direct, flag) != getattr(swept, flag)
+                       for flag in RUN_FLAGS)):
             failures.append(format_polynomial(f))
-    assert _line(9, "candidate and sweep modes certify identical trees",
-                 not failures), failures[:3]
+    assert _line(9, "candidate and sweep modes certify identical trees "
+                    "and run flags", not failures), failures[:3]
 
 
 def test_criterion_10_euler_formula():

@@ -3,9 +3,8 @@ import random
 import pytest
 
 from wildram.blowup import (DepthCapError, SimulationConfig,
-                            certified_nonclean_points, exceptional_candidates,
-                            nonclean_children, resolve, tree_as_dict,
-                            tree_as_dot)
+                            exceptional_candidates, nonclean_children,
+                            resolve, tree_as_dict, tree_as_dot)
 from wildram.corpus import random_polynomial
 from wildram.fields import field
 from wildram.laurent import LaurentPolynomial, blowup_substitute, pole_staircase
@@ -17,6 +16,9 @@ from wildram.staircase import (crossing_child, continuation_child,
 F2 = field(2)
 F3 = field(3)
 F5 = field(5)
+
+RUN_FLAGS = ("good_regime", "off_origin_nonclean", "nonroot_repair",
+             "constant_added_anywhere")
 
 
 def poly(text, ctx):
@@ -71,14 +73,19 @@ def test_crossing_child_detected_despite_unramified_exceptional():
     assert result.total == 2 and result.good_regime
 
 
+def _off_origin_labels(f):
+    return [label for _, _, label in nonclean_children(f, 2)
+            if "@v=" in label]
+
+
 def test_candidate_points_from_leading_coefficient():
     # leading coefficient along the exceptional curve is v^2 + v
-    chart = blowup_substitute(
-        good_representative(poly("t1^-2*t2 + t1^-3*t2^2", F2)).g, "A")
+    f = poly("t1^-2*t2 + t1^-3*t2^2", F2)
+    chart = blowup_substitute(good_representative(f).g, "A")
     candidates = exceptional_candidates(chart, SimulationConfig())
     assert [c.encoding() for c in candidates] == [1]
     # the candidate certifies clean, so it is not a child
-    assert certified_nonclean_points(chart, SimulationConfig()) == []
+    assert _off_origin_labels(f) == []
 
 
 def test_off_origin_nonclean_point():
@@ -123,16 +130,30 @@ def test_chart_consistency_with_index_transforms():
         assert first == continuation_child(rep.staircase)
 
 
+def _resolve_in_both_modes(f):
+    swept = resolve(f, 2, SimulationConfig(
+        mode="sweep", sweep_degree=3 if f.ctx.p == 2 else 2))
+    direct = resolve(f, 2, SimulationConfig())
+    assert direct.total == swept.total
+    assert direct.root.signature() == swept.root.signature()
+    for flag in RUN_FLAGS:
+        assert getattr(direct, flag) == getattr(swept, flag), flag
+    return direct, swept
+
+
 def test_modes_agree():
+    # sweep mode probes off-origin points that come out clean; their
+    # repairs must not leak into the run flags
+    f = poly("t1^-9*t2^2 + t1^-2*t2^-7 + t1^-4*t2^-1", F3)
+    direct, swept = _resolve_in_both_modes(f)
+    recursive = ramification_recursive(good_representative(f).staircase, 2)
+    assert direct.total == recursive.total == 63
+    assert direct.good_regime and swept.good_regime
     rng = random.Random(12)
     for idx in range(60):
         ctx = [F2, F3][idx % 2]
-        f = random_polynomial(rng, ctx, max_terms=3, exp_bound=3)
-        swept = resolve(f, 2, SimulationConfig(
-            mode="sweep", sweep_degree=3 if ctx.p == 2 else 2))
-        direct = resolve(f, 2, SimulationConfig())
-        assert direct.total == swept.total
-        assert direct.root.signature() == swept.root.signature()
+        _resolve_in_both_modes(
+            random_polynomial(rng, ctx, max_terms=3, exp_bound=3))
 
 
 def test_truncation_escalates_and_stabilizes():
@@ -181,8 +202,8 @@ def test_derivative_rule_finds_cascade_point():
     chart = blowup_substitute(good_representative(f).g, "A")
     candidates = exceptional_candidates(chart, SimulationConfig())
     assert sorted(c.encoding() for c in candidates) == [1, 2]
-    certified = certified_nonclean_points(chart, SimulationConfig())
-    assert [c.encoding() for c in certified] == [1]
+    # only v = 1 certifies non-clean
+    assert _off_origin_labels(f) == ["A@v=1"]
     direct = resolve(f, 2, SimulationConfig())
     swept = resolve(f, 2, SimulationConfig(mode="sweep", sweep_degree=1))
     assert direct.total == swept.total == 9

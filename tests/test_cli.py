@@ -186,6 +186,20 @@ def test_cli_simulate_with_dot(tmp_path, capsys):
     assert "r_x = 2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("expr, good, off_origin, repair", [
+    ("t1^-2*t2", True, False, False),
+    ("t1^-2*t2 + t1^-4*t2^3", False, True, False),
+    ("t1^2*t2^-3 + t2^-1", False, True, True),
+])
+def test_cli_simulate_json_flags(capsys, expr, good, off_origin, repair):
+    code = main(["simulate", expr, "--field", "2", "--type", "II", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert payload["good_regime"] is good
+    assert payload["off_origin_nonclean"] is off_origin
+    assert payload["nonroot_repair"] is repair
+
+
 def test_cli_corpus(capsys):
     code = main(["corpus", "--seed", "1", "--count", "40", "--json"])
     payload = json.loads(capsys.readouterr().out)
