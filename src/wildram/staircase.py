@@ -193,37 +193,52 @@ def child_index_sets(stair, rule="minimal"):
         raise ValueError(f"unknown index rule {rule!r}")
     pts = stair.points
     k = len(pts) - 1
-    first = []
-    for j in range(k + 1):
-        tail = [pts[i][1] - pts[i][0] for i in range(j + 1, k + 1)]
+    # one pass from the right: `tail` is the min (resp. max) of b_i - a_i
+    # over i > j; the last index has an empty tail
+    tail = pts[k][1] - pts[k][0]
+    first = [k] if rule == "minimal" else []
+    for j in range(k - 1, -1, -1):
         here = pts[j][1] - pts[j][0]
         if rule == "minimal":
-            if not tail or here < min(tail):
+            if here < tail:
                 first.append(j)
+                tail = here
         else:
-            if tail and here < max(tail):
+            if here < tail:
                 first.append(j)
-    second = []
-    for j in range(k + 1):
-        head = [pts[i][0] - pts[i][1] for i in range(j)]
-        if not head or pts[j][0] - pts[j][1] > max(head):
+            else:
+                tail = here
+    first.reverse()
+    # one pass from the left: `head` is the max of a_i - b_i over i < j
+    head = pts[0][0] - pts[0][1]
+    second = [0]
+    for j in range(1, k + 1):
+        here = pts[j][0] - pts[j][1]
+        if here > head:
             second.append(j)
+            head = here
     return tuple(first), tuple(second)
+
+
+def _children(stair, first, second):
+    """The crossing and continuation children over index sets already
+    computed by child_index_sets."""
+    pts = stair.points
+    return (Staircase([(pts[j][0], pts[j][1] - pts[j][0]) for j in first]),
+            Staircase([(pts[j][0] - pts[j][1], pts[j][1]) for j in second]))
 
 
 def crossing_child(stair, rule="minimal"):
     """Corner profile at the crossing of the exceptional curve with the
     strict transform of the first branch: (a_j, b_j - a_j) over the first
     index set."""
-    first, _ = child_index_sets(stair, rule)
-    return Staircase([(stair[j][0], stair[j][1] - stair[j][0]) for j in first])
+    return _children(stair, *child_index_sets(stair, rule))[0]
 
 
 def continuation_child(stair):
     """Corner profile at the crossing with the strict transform of the
     second branch: (a_j - b_j, b_j) over the second index set."""
-    _, second = child_index_sets(stair)
-    return Staircase([(stair[j][0] - stair[j][1], stair[j][1]) for j in second])
+    return _children(stair, *child_index_sets(stair))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -254,6 +269,8 @@ def ramification_recursive(stair, branches, rule="minimal"):
     branches, the continuation child inherits the branch count.  Single
     points (and the empty staircase) contribute 0.  Termination is by the
     strict lexicographic descent of (length, depth), which is asserted.
+    The steps run on an explicit stack, so the number of steps is not
+    limited by Python's recursion limit.
     """
     _check_branches(branches)
     trace = RecursionTrace()
@@ -262,24 +279,27 @@ def ramification_recursive(stair, branches, rule="minimal"):
 
 
 def _recurse(stair, branches, trace, rule):
-    if len(stair) <= 1:
-        return
-    drop = swan_drop(stair)
-    term = blowup_term(drop, branches)
-    first, second = child_index_sets(stair, rule)
-    trace.total += term
-    trace.steps.append(RecursionStep(stair, branches, drop, term, first, second))
-    measure = (len(stair), depth(stair))
-    for child, child_branches in (
-            (crossing_child(stair, rule), 2),
-            (continuation_child(stair), branches)):
-        if len(child) == 0:
+    # an explicit depth-first stack: the continuation child is pushed
+    # first, so the crossing child's subtree is traced before it, as in
+    # the recursive definition
+    stack = [(stair, branches)]
+    while stack:
+        stair, branches = stack.pop()
+        if len(stair) <= 1:
             continue
-        child_measure = (len(child), depth(child))
-        if not child_measure < measure:
-            raise StaircaseError(
-                f"recursion measure failed to decrease: {stair!r} -> {child!r}")
-        _recurse(child, child_branches, trace, rule)
+        drop = swan_drop(stair)
+        term = blowup_term(drop, branches)
+        first, second = child_index_sets(stair, rule)
+        trace.total += term
+        trace.steps.append(RecursionStep(stair, branches, drop, term, first, second))
+        crossing, continuation = _children(stair, first, second)
+        measure = (len(stair), depth(stair))
+        for child in (crossing, continuation):
+            if len(child) and not (len(child), depth(child)) < measure:
+                raise StaircaseError(
+                    f"recursion measure failed to decrease: {stair!r} -> {child!r}")
+        stack.append((continuation, branches))
+        stack.append((crossing, 2))
 
 
 def ramification_closed_form(stair, branches):

@@ -156,15 +156,20 @@ def test_criterion_7_blowup_oracle_matches_recursion():
         result = resolve(f, 2, SimulationConfig())
         recursive = ramification_recursive(
             good_representative(f).staircase, 2).total
+        # the non-good regime, read off the tree here: an off-origin
+        # non-clean point, or a repaired staircase below the root
+        below = list(result.root.nodes())[1:]
+        nongood = (any("@v=" in node.path for node in below)
+                   or any(node.repair for node in below))
+        assert nongood == (not result.good_regime), format_polynomial(f)
         if result.good_regime:
             if result.total == recursive:
                 good_matches += 1
             else:
                 failures.append((format_polynomial(f), result.total, recursive))
         else:
-            # a discrepancy is allowed here but must be classified
+            # a discrepancy is allowed here; it is classified above
             classified += 1
-            assert result.off_origin_nonclean or result.nonroot_repair
     ok = not failures and good_matches >= 100
     assert _line(7, "blow-up total equals recursion on the good regime",
                  ok, f"{good_matches} good matches, {classified} "

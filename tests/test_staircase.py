@@ -1,9 +1,12 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from wildram.staircase import (Staircase, StaircaseError, area,
-                               blowup_term, child_index_sets,
-                               continuation_child, crossing_child, depth,
+from wildram.staircase import (RecursionStep, RecursionTrace, Staircase,
+                               StaircaseError, area, blowup_term,
+                               child_index_sets, continuation_child,
+                               crossing_child, depth,
                                essential_vertices, is_clean_shape,
                                max_diagonal, quadrant_shape,
                                ramification_bound, ramification_closed_form,
@@ -253,3 +256,116 @@ def test_children_shrink_the_measure(stair):
     measure = (len(stair), depth(stair))
     for child in (crossing_child(stair), continuation_child(stair)):
         assert (len(child), depth(child)) < measure
+
+
+# ---------------------------------------------------------------------------
+# the linear-time index sets and the stack-driven recursion against the
+# quadratic filters and the recursive definition
+# ---------------------------------------------------------------------------
+
+def _reference_index_sets(stair, rule):
+    """The filters of child_index_sets, written out as their definition:
+    every tail and head range rebuilt for each index."""
+    pts = stair.points
+    k = len(pts) - 1
+    first = []
+    for j in range(k + 1):
+        tail = [pts[i][1] - pts[i][0] for i in range(j + 1, k + 1)]
+        here = pts[j][1] - pts[j][0]
+        if rule == "minimal":
+            if not tail or here < min(tail):
+                first.append(j)
+        else:
+            if tail and here < max(tail):
+                first.append(j)
+    second = []
+    for j in range(k + 1):
+        head = [pts[i][0] - pts[i][1] for i in range(j)]
+        if not head or pts[j][0] - pts[j][1] > max(head):
+            second.append(j)
+    return tuple(first), tuple(second)
+
+
+def _reference_recurse(stair, branches, trace, rule):
+    """One Python call per step, children from the reference filters."""
+    if len(stair) <= 1:
+        return
+    drop = swan_drop(stair)
+    term = blowup_term(drop, branches)
+    first, second = _reference_index_sets(stair, rule)
+    trace.total += term
+    trace.steps.append(RecursionStep(stair, branches, drop, term, first, second))
+    measure = (len(stair), depth(stair))
+    pts = stair.points
+    for child, child_branches in (
+            (Staircase([(pts[j][0], pts[j][1] - pts[j][0]) for j in first]), 2),
+            (Staircase([(pts[j][0] - pts[j][1], pts[j][1]) for j in second]),
+             branches)):
+        if len(child) == 0:
+            continue
+        assert (len(child), depth(child)) < measure
+        _reference_recurse(child, child_branches, trace, rule)
+
+
+@st.composite
+def long_staircases(draw, max_points=80, spread=400):
+    count = draw(st.integers(1, max_points))
+    aa = sorted(draw(st.sets(st.integers(-spread, spread), min_size=count,
+                             max_size=count)))
+    bb = sorted(draw(st.sets(st.integers(-spread, spread), min_size=count,
+                             max_size=count)))
+    return Staircase(list(zip(aa, bb)))
+
+
+@given(long_staircases())
+def test_index_sets_match_quadratic_filters(stair):
+    for rule in ("minimal", "max_tail"):
+        assert child_index_sets(stair, rule) == _reference_index_sets(stair, rule)
+
+
+def _step_record(trace):
+    return (trace.total,
+            [(s.staircase, s.branches, s.drop, s.term, s.first_indices,
+              s.second_indices) for s in trace.steps])
+
+
+@given(long_staircases(max_points=6, spread=12))
+def test_recursion_steps_match_recursive_definition(stair):
+    # the max_tail mutant can build an invalid child; then both routes
+    # must fail on the same child
+    for rule in ("minimal", "max_tail"):
+        for branches in (1, 2):
+            expected = RecursionTrace()
+            try:
+                _reference_recurse(stair, branches, expected, rule)
+            except StaircaseError as exc:
+                with pytest.raises(StaircaseError) as raised:
+                    ramification_recursive(stair, branches, rule)
+                assert str(raised.value) == str(exc)
+                continue
+            trace = ramification_recursive(stair, branches, rule)
+            assert _step_record(trace) == _step_record(expected)
+
+
+@pytest.fixture
+def default_recursion_limit():
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    yield
+    sys.setrecursionlimit(old)
+
+
+def test_deep_reproducer(default_recursion_limit):
+    # the staircase of t1^-2001*t2^2000 + 1 on one branch: one step per
+    # unit of a_k, far beyond Python's default recursion limit
+    stair = S((0, 0), (2001, 2000))
+    trace = ramification_recursive(stair, 1)
+    assert trace.total == 3_999_999 == ramification_closed_form(stair, 1)
+    assert len(trace.steps) == 2001
+
+
+def test_coordinates_of_ten_to_the_fifth(default_recursion_limit):
+    stair = S((0, 0), (1, 100_000))
+    trace = ramification_recursive(stair, 1)
+    assert len(trace.steps) == 100_000
+    assert trace.total == ramification_closed_form(stair, 1) == 99_999
