@@ -7,16 +7,26 @@ degree k whose non-leading coefficient vector (c_0, ..., c_{k-1}) minimizes
 sum(c_i * p**i), so a given (p, k) names the same field in every run
 without external tables.
 
-Multiplication.  A field of order at most ``_EXHAUSTIVE_LIMIT`` (4096)
-multiplies through exp/log tables: ``exp[i]`` is the coefficient tuple of
-w^i for the primitive element w of smallest encoding, and ``log`` maps each
-nonzero tuple back to i.  The tables are built on the first product or
-power in the context, never at construction.  Products, powers, inverses
-and p-th roots are then index arithmetic mod (order - 1), with zero handled
-apart.  Elements keep their coefficient tuples either way, so printing,
-parsing and encodings do not depend on the path.  The dense polynomial
-arithmetic over F_p (a product followed by reduction against the modulus)
-builds the tables, and it remains the multiplication of larger fields.
+Arithmetic.  A field of order at most ``_EXHAUSTIVE_LIMIT`` (4096) is
+tabulated on first use: the first element asked of the context (through
+``element``, ``from_encoding``, ``elements``, ``zero``, ``one`` or ``gen``),
+never at construction, interns one ``FieldElement`` per field element, in
+encoding order.  Each element carries its discrete log to the primitive
+element w of smallest encoding, and zero a marker past every sum of two
+logs.  Three tables complete the context: exp (log to element, doubled
+and padded with zero so that the sum of any two logs indexes a product),
+the Zech logarithms Z with 1 + w^k = w^Z(k) (Huber, IEEE Trans. IT 36(4),
+1990), and the log of -1.  Then +, -, unary -, *, **, inverse and p-th
+root are index arithmetic and one list lookup that returns an interned
+element: w^i + w^j = w^(i + Z(j - i)).  No tuple is built, and truth is a
+comparison of the log.  Equality and hashing stay by value, so a context
+built directly mixes with the canonical one of the same field.  The tables
+of F_4096 hold about 1.1 MB (the interned elements with their coefficient
+tuples, and the three lists); the exp table comes from the dense
+polynomial arithmetic over F_p (a product followed by reduction against
+the modulus), which stays the arithmetic of larger fields, whose elements
+carry no log.  Elements keep their coefficient tuples on either path, so
+printing, parsing and encodings do not depend on it.
 
 Cross-field coercion is never implicit: operations on elements of
 different contexts raise, and :func:`embed` moves an element along a fixed
@@ -188,10 +198,27 @@ def _least_irreducible(p, degree):
 # contexts and elements
 # ---------------------------------------------------------------------------
 
+def _digits(enc, p, degree):
+    """The coefficient tuple (low degree first) of an encoding."""
+    vec = []
+    for _ in range(degree):
+        vec.append(enc % p)
+        enc //= p
+    return tuple(vec)
+
+
+def _encode(coeffs, p):
+    enc = 0
+    for c in reversed(coeffs):
+        enc = enc * p + c
+    return enc
+
+
 class FieldContext:
     """The field F_{p^k} presented as F_p[x] / (modulus)."""
 
-    __slots__ = ("p", "degree", "modulus", "_exp", "_log")
+    __slots__ = ("p", "degree", "modulus", "_elems", "_exp", "_zech", "_neg",
+                 "_zero_log")
 
     def __init__(self, p, degree, modulus=None):
         if not _is_prime(p):
@@ -208,40 +235,58 @@ class FieldContext:
         self.p = p
         self.degree = degree
         self.modulus = modulus
-        self._exp = None
-        self._log = None
+        self._elems = None
 
     @property
     def order(self):
         return self.p ** self.degree
 
     def _tables(self):
-        """(exp, log) for a field within the table cap, built on first use;
-        None above the cap.  exp has 2 * (order - 1) entries, so the sum of
-        two logarithms indexes it without a reduction."""
-        if self._exp is None:
+        """The interned elements in encoding order for a field within the
+        table cap, built on first use together with the log tables; None
+        above the cap."""
+        if self._elems is None:
             order = self.order
-            if order > _EXHAUSTIVE_LIMIT:
-                self._exp = False
-            else:
-                self._exp, self._log = self._build_tables(order)
-        return (self._exp, self._log) if self._exp else None
+            self._elems = (self._build_tables(order)
+                           if order <= _EXHAUSTIVE_LIMIT else False)
+        return self._elems or None
 
     def _build_tables(self, order):
+        """Intern every element and fill the log tables.
+
+        With N = order - 1 and w the primitive element of smallest
+        encoding, a nonzero element w^i carries the log i and zero the log
+        2N.  ``_exp[i]`` is w^(i mod N) for i < 2N and zero from 2N to 4N,
+        so the sum of any two logs indexes a product.  ``_zech[k]`` is the
+        log of 1 + w^(k mod N) (2N where that sum vanishes), over 2N
+        entries so that k may run from -N to 2N - 1, and ``_neg`` is the
+        log of -1.
+        """
         p, modulus, degree = self.p, self.modulus, self.degree
         group = order - 1
         maximal = [group // ell for ell in _prime_divisors(group)]
         for enc in range(1, order):
-            w = _trim(self.from_encoding(enc).coeffs)
+            w = _trim(_digits(enc, p, degree))
             if all(_ppowmod(w, e, modulus, p) != (1,) for e in maximal):
                 break
-        exp = []
+        exp_enc = []
         power = (1,)
         for _ in range(group):
-            exp.append(power + (0,) * (degree - len(power)))
+            exp_enc.append(_encode(power, p))
             power = _pmod(_pmul(power, w, p), modulus, p)
-        log = {coeffs: i for i, coeffs in enumerate(exp)}
-        return exp + exp, log
+        log = [2 * group] * order
+        for i, enc in enumerate(exp_enc):
+            log[enc] = i
+        elems = [FieldElement(self, _digits(enc, p, degree), log[enc])
+                 for enc in range(order)]
+        by_log = [elems[enc] for enc in exp_enc]
+        self._exp = by_log + by_log + [elems[0]] * (2 * group + 1)
+        # 1 + w^k: raise the constant coefficient of w^k by one
+        zech = [log[enc - enc % p + (enc + 1) % p] for enc in exp_enc]
+        self._zech = zech + zech
+        self._neg = group // 2 if p != 2 else 0
+        self._zero_log = 2 * group
+        return elems
 
     def __eq__(self, other):
         if self is other:
@@ -258,39 +303,46 @@ class FieldContext:
 
     def element(self, coeffs):
         """Element from an iterable of residues (low degree first)."""
+        p = self.p
+        elems = self._tables()
         if isinstance(coeffs, int):
+            if elems:
+                return elems[coeffs % p]
             coeffs = (coeffs,)
         vec = list(coeffs)
         if len(vec) > self.degree:
             raise ValueError("coefficient vector longer than the degree")
-        vec = [c % self.p for c in vec] + [0] * (self.degree - len(vec))
+        vec = [c % p for c in vec] + [0] * (self.degree - len(vec))
+        if elems:
+            return elems[_encode(vec, p)]
         return FieldElement(self, tuple(vec))
 
     def from_encoding(self, enc):
-        vec = []
-        for _ in range(self.degree):
-            vec.append(enc % self.p)
-            enc //= self.p
-        if enc:
+        if not 0 <= enc < self.order:
             raise ValueError("encoding out of range")
-        return FieldElement(self, tuple(vec))
+        elems = self._tables()
+        if elems:
+            return elems[enc]
+        return FieldElement(self, _digits(enc, self.p, self.degree))
 
     def zero(self):
-        return self.element(0)
+        return self.from_encoding(0)
 
     def one(self):
-        return self.element(1)
+        return self.from_encoding(1)
 
     def gen(self):
         """The polynomial-basis generator (the class of x)."""
         if self.degree == 1:
             raise ValueError("prime field has no extension generator")
-        return self.element((0, 1))
+        return self.from_encoding(self.p)
 
     def elements(self):
         """All field elements, in encoding order."""
-        for enc in range(self.order):
-            yield self.from_encoding(enc)
+        elems = self._tables()
+        if elems:
+            return iter(elems)
+        return (self.from_encoding(enc) for enc in range(self.order))
 
 
 @functools.lru_cache(maxsize=None)
@@ -300,13 +352,20 @@ def field(p, degree=1):
 
 
 class FieldElement:
-    """An element of F_{p^k} in the polynomial basis of its context."""
+    """An element of F_{p^k} in the polynomial basis of its context.
 
-    __slots__ = ("ctx", "coeffs")
+    Elements come from their context (``element``, ``from_encoding`` and
+    the like), which hands out its interned elements within the table cap.
+    ``_log`` is then the element's log in the context's tables (2(q - 1)
+    for zero); above the cap it is None.
+    """
 
-    def __init__(self, ctx, coeffs):
+    __slots__ = ("ctx", "coeffs", "_log")
+
+    def __init__(self, ctx, coeffs, log=None):
         self.ctx = ctx
         self.coeffs = coeffs
+        self._log = log
 
     def _check(self, other):
         if not isinstance(other, FieldElement):
@@ -315,37 +374,60 @@ class FieldElement:
             raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
 
     def __add__(self, other):
-        self._check(other)
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((a + b) % p
-                                            for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not FieldElement or other.ctx is not self.ctx:
+            self._check(other)
+        i = self._log
+        if i is None:
+            p = self.ctx.p
+            return FieldElement(self.ctx, tuple(
+                (a + b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        ctx = self.ctx
+        j = other._log
+        zero = ctx._zero_log
+        if j >= zero:
+            return self
+        if i >= zero:
+            return ctx._exp[j]
+        # w^i + w^j = w^i * (1 + w^(j - i))
+        return ctx._exp[i + ctx._zech[j - i]]
 
     def __sub__(self, other):
-        self._check(other)
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((a - b) % p
-                                            for a, b in zip(self.coeffs, other.coeffs)))
+        if other.__class__ is not FieldElement or other.ctx is not self.ctx:
+            self._check(other)
+        i = self._log
+        if i is None:
+            p = self.ctx.p
+            return FieldElement(self.ctx, tuple(
+                (a - b) % p for a, b in zip(self.coeffs, other.coeffs)))
+        ctx = self.ctx
+        j = other._log + ctx._neg       # the log of -other
+        zero = ctx._zero_log
+        if j >= zero:
+            return self
+        if i >= zero:
+            return ctx._exp[j]
+        return ctx._exp[i + ctx._zech[j - i]]
 
     def __neg__(self):
-        p = self.ctx.p
-        return FieldElement(self.ctx, tuple((-a) % p for a in self.coeffs))
+        i = self._log
+        if i is None:
+            p = self.ctx.p
+            return FieldElement(self.ctx, tuple((-a) % p for a in self.coeffs))
+        ctx = self.ctx
+        return ctx._exp[i + ctx._neg]
 
     def __mul__(self, other):
         if isinstance(other, int):
             other = self.ctx.element(other)
-        self._check(other)
-        ctx = self.ctx
-        tables = ctx._tables()
-        if tables is not None:
-            exp, log = tables
-            a = log.get(self.coeffs)
-            b = log.get(other.coeffs)
-            if a is None or b is None:
-                return ctx.zero()
-            return FieldElement(ctx, exp[a + b])
-        prod = _pmod(_pmul(_trim(self.coeffs), _trim(other.coeffs), ctx.p),
-                     ctx.modulus, ctx.p)
-        return FieldElement(ctx, prod + (0,) * (ctx.degree - len(prod)))
+        elif other.__class__ is not FieldElement or other.ctx is not self.ctx:
+            self._check(other)
+        i = self._log
+        if i is None:
+            ctx = self.ctx
+            prod = _pmod(_pmul(_trim(self.coeffs), _trim(other.coeffs), ctx.p),
+                         ctx.modulus, ctx.p)
+            return FieldElement(ctx, prod + (0,) * (ctx.degree - len(prod)))
+        return self.ctx._exp[i + other._log]
 
     __rmul__ = __mul__
 
@@ -356,13 +438,12 @@ class FieldElement:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        tables = self.ctx._tables()
-        if tables is not None:
-            exp, log = tables
-            a = log.get(self.coeffs)
-            if a is None:
-                return self.ctx.one() if n == 0 else self
-            return FieldElement(self.ctx, exp[a * n % (self.ctx.order - 1)])
+        i = self._log
+        if i is not None:
+            ctx = self.ctx
+            if i == ctx._zero_log:
+                return ctx._exp[0] if n == 0 else self
+            return ctx._exp[i * n % (ctx._zero_log // 2)]
         result = self.ctx.one()
         base = self
         while n:
@@ -375,22 +456,28 @@ class FieldElement:
     def inverse(self):
         if not self:
             raise ZeroDivisionError("inverse of zero field element")
-        return self ** (self.ctx.order - 2)
+        i = self._log
+        if i is None:
+            return self ** (self.ctx.order - 2)
+        ctx = self.ctx
+        return ctx._exp[ctx._zero_log // 2 - i]
 
     def pth_root(self):
         """The unique c with c**p == self (Frobenius is bijective)."""
         return self ** (self.ctx.p ** (self.ctx.degree - 1))
 
     def encoding(self):
-        enc = 0
-        for c in reversed(self.coeffs):
-            enc = enc * self.ctx.p + c
-        return enc
+        return _encode(self.coeffs, self.ctx.p)
 
     def __bool__(self):
-        return any(self.coeffs)
+        i = self._log
+        if i is None:
+            return any(self.coeffs)
+        return i < self.ctx._zero_log
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, FieldElement)
                 and self.ctx == other.ctx and self.coeffs == other.coeffs)
 

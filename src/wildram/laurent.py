@@ -5,6 +5,10 @@ field elements, m the exponent of the first coordinate t1 and n of the
 second coordinate t2.  Supports are tiny but exponents may be large and
 negative, so the representation is a dict, kept canonical (no stored
 zeros).  Values are immutable; every operation returns a new polynomial.
+The public constructor checks and canonicalizes its input; operations
+whose results are canonical by construction build them through a private
+constructor that checks nothing.  A polynomial computes its exact terms
+and its staircase at most once.
 
 Pole staircases read the support in (a, b) = (-m, n) coordinates: a is the
 pole order along {t1 = 0} and b the t2-exponent.  The staircase of f is
@@ -27,6 +31,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from types import MappingProxyType
 
 from .fields import ContextMismatchError, embed, join_context
 from .staircase import Staircase
@@ -57,6 +62,8 @@ def _min_antichain(points):
     in the iteration order of the input set, which fixes its own order.
     """
     pts = set(points)
+    if len(pts) < 2:
+        return frozenset(pts)
     keep = set()
     low = math.inf
     for m, n in sorted(pts):
@@ -69,18 +76,33 @@ def _min_antichain(points):
 class LaurentPolynomial:
     """Canonical sparse Laurent polynomial with truncation bookkeeping."""
 
-    __slots__ = ("ctx", "terms", "unknown")
+    __slots__ = ("ctx", "terms", "unknown", "_exact", "_staircase")
 
     def __init__(self, ctx, terms=None, unknown=frozenset()):
-        self.ctx = ctx
         clean = {}
         for (m, n), c in (terms or {}).items():
             if c.ctx is not ctx and c.ctx != ctx:
                 raise ContextMismatchError("coefficient from a foreign context")
             if c:
                 clean[(int(m), int(n))] = c
+        self.ctx = ctx
         self.terms = clean
         self.unknown = _min_antichain(unknown)
+        self._exact = None          # exact_terms(), once asked for
+        self._staircase = None      # pole_staircase(), once it succeeded
+
+    @classmethod
+    def _trusted(cls, ctx, terms, unknown):
+        """A polynomial from data that is canonical by construction: int
+        exponent pairs mapped to nonzero coefficients of ctx, and the
+        unknown corners as a frozenset antichain.  Nothing is checked."""
+        poly = cls.__new__(cls)
+        poly.ctx = ctx
+        poly.terms = terms
+        poly.unknown = unknown
+        poly._exact = None
+        poly._staircase = None
+        return poly
 
     # -- constructors -------------------------------------------------------
 
@@ -118,10 +140,14 @@ class LaurentPolynomial:
 
         The unknown corners form an antichain: sorted by m, their n
         strictly decreases, so the last corner with a <= m is the only one
-        that can dominate (m, n).
+        that can dominate (m, n).  Computed once per polynomial and
+        returned as a read-only mapping.
         """
+        if self._exact is not None:
+            return self._exact
         if not self.unknown:
-            return dict(self.terms)
+            self._exact = MappingProxyType(self.terms)
+            return self._exact
         corners = sorted(self.unknown)
         firsts = [a for a, _ in corners]
         out = {}
@@ -129,7 +155,8 @@ class LaurentPolynomial:
             i = bisect.bisect_right(firsts, m)
             if i == 0 or n < corners[i - 1][1]:
                 out[(m, n)] = c
-        return out
+        self._exact = MappingProxyType(out)
+        return self._exact
 
     def coefficient(self, m, n):
         if self.in_unknown_region(m, n):
@@ -175,15 +202,23 @@ class LaurentPolynomial:
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e)
-            terms[e] = c if s is None else s + c
-        return LaurentPolynomial(self.ctx, terms, self.unknown | other.unknown)
+            if s is None:
+                terms[e] = c
+            else:
+                s = s + c
+                if s:
+                    terms[e] = s
+                else:
+                    del terms[e]
+        return LaurentPolynomial._trusted(
+            self.ctx, terms, _min_antichain(self.unknown | other.unknown))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return LaurentPolynomial(self.ctx, {e: -c for e, c in self.terms.items()},
-                                 self.unknown)
+        return LaurentPolynomial._trusted(
+            self.ctx, {e: -c for e, c in self.terms.items()}, self.unknown)
 
     def __mul__(self, other):
         self._check(other)
@@ -208,26 +243,25 @@ class LaurentPolynomial:
 
     def scale(self, coeff):
         if not coeff:
-            return LaurentPolynomial(self.ctx, {}, self.unknown)
-        return LaurentPolynomial(self.ctx,
-                                 {e: c * coeff for e, c in self.terms.items()},
-                                 self.unknown)
+            return LaurentPolynomial._trusted(self.ctx, {}, self.unknown)
+        return LaurentPolynomial._trusted(
+            self.ctx, {e: c * coeff for e, c in self.terms.items()},
+            self.unknown)
 
     def frobenius_power(self):
         """The p-th power: coefficients through Frobenius, exponents scaled
         by p (the characteristic collapses all cross terms)."""
         p = self.ctx.p
-        return LaurentPolynomial(
+        return LaurentPolynomial._trusted(
             self.ctx,
             {(p * m, p * n): c ** p for (m, n), c in self.terms.items()},
-            {(p * u[0], p * u[1]) for u in self.unknown})
+            frozenset((p * m, p * n) for m, n in self.unknown))
 
     def embed_into(self, target):
         if target == self.ctx:
             return self
-        return LaurentPolynomial(
-            target,
-            {e: embed(c, target) for e, c in self.terms.items()},
+        return LaurentPolynomial._trusted(
+            target, {e: embed(c, target) for e, c in self.terms.items()},
             self.unknown)
 
 
@@ -249,14 +283,17 @@ def pole_staircase(poly):
 
     Only coefficients outside the unknown region can witness a corner, and
     every unknown corner must be dominated by a certified one; otherwise a
-    truncated tail could hide a corner and the call raises.
+    truncated tail could hide a corner and the call raises, on every call.
+    A staircase once found is kept on the polynomial.
     """
-    exact = poly.exact_terms()
-    corners = _min_antichain(exact)
+    if poly._staircase is not None:
+        return poly._staircase
+    corners = _min_antichain(poly.exact_terms())
     for u in poly.unknown:
         if not any(_dominates(c, u) for c in corners):
             raise PrecisionLossError(u, "a truncated region may hide a corner")
-    return Staircase(sorted(((-m, n) for m, n in corners)))
+    poly._staircase = Staircase(sorted(((-m, n) for m, n in corners)))
+    return poly._staircase
 
 
 def valuation(poly, axis):
@@ -285,9 +322,9 @@ def _axis_index(axis):
 
 def transpose(poly):
     """Swap the two coordinates."""
-    return LaurentPolynomial(poly.ctx,
-                             {(n, m): c for (m, n), c in poly.terms.items()},
-                             {(n, m) for m, n in poly.unknown})
+    return LaurentPolynomial._trusted(
+        poly.ctx, {(n, m): c for (m, n), c in poly.terms.items()},
+        frozenset((n, m) for m, n in poly.unknown))
 
 
 # ---------------------------------------------------------------------------
@@ -301,27 +338,54 @@ def blowup_substitute(poly, chart):
     exceptional curve is {u = 0} and the strict transform of {t2 = 0} is
     {v = 0}.  Chart "B" is (t1, t2) = (u*v, v), so (m, n) -> (m, m + n);
     the exceptional curve is {v = 0} and the strict transform of {t1 = 0}
-    is {u = 0}.  Both maps are unimodular, but coefficients landing on the
-    same exponent are summed anyway.
+    is {u = 0}.  Both maps are unimodular, so no two terms meet and the
+    terms stay canonical.  The unknown corners need a new antichain: chart
+    A maps the antichain {(0, 1), (1, 0)} to {(1, 1), (1, 0)}.
     """
     if chart == CHART_FIRST:
-        remap = lambda m, n: (m + n, n)
+        terms = {(m + n, n): c for (m, n), c in poly.terms.items()}
+        unknown = [(m + n, n) for m, n in poly.unknown]
     elif chart == CHART_SECOND:
-        remap = lambda m, n: (m, m + n)
+        terms = {(m, m + n): c for (m, n), c in poly.terms.items()}
+        unknown = [(m, m + n) for m, n in poly.unknown]
     else:
         raise ValueError(f"chart must be 'A' or 'B', got {chart!r}")
-    terms = {}
-    for (m, n), c in poly.terms.items():
-        e = remap(m, n)
-        s = terms.get(e)
-        terms[e] = c if s is None else s + c
-    return LaurentPolynomial(poly.ctx, terms,
-                             {remap(*u) for u in poly.unknown})
+    return LaurentPolynomial._trusted(poly.ctx, terms, _min_antichain(unknown))
 
 
 # ---------------------------------------------------------------------------
 # origin translation in the second coordinate
 # ---------------------------------------------------------------------------
+
+def _binomial_row(n, p):
+    """(j, C(n, j) mod p) for every j in 0..n whose binomial is nonzero mod
+    p, ascending in j.  By Lucas' theorem these are the j whose base-p
+    digits are all at most those of n; they are built digit by digit, the
+    new (higher) digit varying slowest."""
+    row = [(0, 1)]
+    place = 1
+    while n:
+        n, digit = divmod(n, p)
+        row = [(j + i * place, b * math.comb(digit, i) % p)
+               for i in range(digit + 1) for j, b in row]
+        place *= p
+    return row
+
+
+def _series_binomials(n, budget, p):
+    """(j, C(-n-1+j, j) mod p) for every j < budget whose binomial is
+    nonzero mod p, ascending in j, for a pole order n < 0.
+
+    In characteristic p, (1 + x)^q = 1 + x^q for every power q of p, so
+    below x^q the series (1 + x)^n equals the polynomial (1 + x)^(n mod q).
+    Its coefficient C(-n-1+j, j) * (-1)^j is therefore C(n mod q, j) mod p
+    for every j < budget <= q."""
+    q = p
+    while q < budget:
+        q *= p
+    return [(j, b if j % 2 == 0 else -b % p)
+            for j, b in _binomial_row(n % q, p) if j < budget]
+
 
 def translate(poly, shift, budget):
     """Substitute t2 -> t2 + shift for a nonzero field element shift.
@@ -337,7 +401,8 @@ def translate(poly, shift, budget):
 
     The powers shift^k and shift^(-j) are built once per call, one product
     per step, and shared by all terms; each term's coefficients are added
-    in ascending t2-order.
+    in ascending t2-order.  Binomials come from Lucas' theorem, and a
+    binomial other than 1 multiplies as an element of the prime field.
     """
     if not shift:
         raise ValueError("translation by zero; the origin needs no shift")
@@ -347,6 +412,7 @@ def translate(poly, shift, budget):
     poly = poly.embed_into(ctx)
     shift = embed(shift, ctx)
     p = ctx.p
+    prime_field = [ctx.element(b) for b in range(p)]
     terms = {}
     unknown = {(m, 0) for m, _ in poly.unknown}
     powers = [ctx.one(), shift]     # shift^k, extended on demand
@@ -358,31 +424,26 @@ def translate(poly, shift, budget):
         return table[k]
 
     def put(m, n, c, binom):
+        # c and binom are nonzero, so only a sum can cancel
         if binom != 1:
-            c = c * binom
-        if not c:
-            return
+            c = c * prime_field[binom]
         s = terms.get((m, n))
         total = c if s is None else s + c
         if total:
             terms[(m, n)] = total
-        elif s is not None:
+        else:
             del terms[(m, n)]
 
     for (m, n), c in poly.terms.items():
         if n >= 0:
-            for j in range(n + 1):
-                binom = math.comb(n, j) % p
-                if binom:
-                    put(m, j, c * power(powers, n - j), binom)
+            for j, binom in _binomial_row(n, p):
+                put(m, j, c * power(powers, n - j), binom)
         else:
             unknown.add((m, budget))
             if inv_powers is None:
                 inv_powers = [ctx.one(), shift.inverse()]
             lead = c * power(inv_powers, -n)
-            for j in range(budget):
-                binom = math.comb(-n - 1 + j, j) % p
-                if binom:
-                    coeff = lead * power(inv_powers, j)
-                    put(m, j, -coeff if j % 2 else coeff, binom)
-    return LaurentPolynomial(ctx, terms, unknown)
+            for j, binom in _series_binomials(n, budget, p):
+                coeff = lead * power(inv_powers, j)
+                put(m, j, -coeff if j % 2 else coeff, binom)
+    return LaurentPolynomial._trusted(ctx, terms, _min_antichain(unknown))

@@ -1,12 +1,13 @@
 import itertools
+import random
 
 import pytest
 
 from wildram.fields import (_EXHAUSTIVE_LIMIT, ContextMismatchError,
-                            FieldContext, _pmod, _pmul, _ppowmod, _trim,
-                            embed, field, find_roots, join_context,
-                            minimal_form, poly_eval, roots_in_field,
-                            subfield_preimage)
+                            FieldContext, FieldElement, _padd, _pmod, _pmul,
+                            _ppowmod, _psub, _trim, embed, field, find_roots,
+                            join_context, minimal_form, poly_eval,
+                            roots_in_field, subfield_preimage)
 
 
 def test_char2_addition():
@@ -225,31 +226,130 @@ TABLE_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13)
                 for k in range(1, 13) if p ** k <= _EXHAUSTIVE_LIMIT]
 
 
-@pytest.mark.parametrize("p,k", TABLE_FIELDS)
-def test_tables_match_polynomial_arithmetic(p, k):
-    # oracle: the dense product over F_p reduced by the modulus; every
-    # unordered product pair up to order 256, every element against four
-    # fixed factors above that, and every inverse, p-th power and p-th root
-    ctx = field(p, k)
+def _oracle(ctx):
+    """The dense polynomial arithmetic over F_p behind the tables: sum,
+    difference, product and Frobenius of coefficient tuples, reduced by
+    the modulus and padded to the degree."""
+    p, k = ctx.p, ctx.degree
 
     def pad(coeffs):
         return coeffs + (0,) * (k - len(coeffs))
 
-    def reference(a, b):
-        return pad(_pmod(_pmul(_trim(a.coeffs), _trim(b.coeffs), p), ctx.modulus, p))
+    def add(a, b):
+        return pad(_padd(_trim(a.coeffs), _trim(b.coeffs), p))
 
-    def reference_frobenius(a):
+    def sub(a, b):
+        return pad(_psub(_trim(a.coeffs), _trim(b.coeffs), p))
+
+    def mul(a, b):
+        return pad(_pmod(_pmul(_trim(a.coeffs), _trim(b.coeffs), p),
+                         ctx.modulus, p))
+
+    def frobenius(a):
         return pad(_ppowmod(_trim(a.coeffs), p, ctx.modulus, p))
 
+    return add, sub, mul, frobenius
+
+
+def _operand_pairs(elems, ctx):
+    """Every unordered pair up to order 256; above that, every element
+    against four fixed ones."""
+    if ctx.order <= 256:
+        for i, a in enumerate(elems):
+            for b in elems[i:]:
+                yield a, b
+        return
+    fixed = [ctx.gen()] + [ctx.from_encoding(e % ctx.order)
+                           for e in (ctx.order - 1, ctx.order // 3, 12345)]
+    for a in elems:
+        for b in fixed:
+            yield a, b
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_tables_match_polynomial_arithmetic(p, k):
+    # oracle: the dense polynomial arithmetic over F_p, for +, -, * (both
+    # operand orders), unary -, ==, hash and bool on the operand pairs, and
+    # every inverse, p-th power and p-th root
+    ctx = field(p, k)
+    add, sub, mul, frobenius = _oracle(ctx)
+    zero = (0,) * k
     elems = list(ctx.elements())
-    assert len(ctx._tables()[1]) == ctx.order - 1
-    if ctx.order > 256:
-        fixed = [ctx.gen()] + [ctx.from_encoding(e % ctx.order)
-                               for e in (ctx.order - 1, ctx.order // 3, 12345)]
-    for i, a in enumerate(elems):
-        for b in elems[i:] if ctx.order <= 256 else fixed:
-            assert (a * b).coeffs == reference(a, b)
-        assert (a ** p).coeffs == reference_frobenius(a)
-        assert reference_frobenius(a.pth_root()) == a.coeffs
+    assert [a.coeffs for a in elems] == [
+        tuple((e // p ** i) % p for i in range(k)) for e in range(ctx.order)]
+    # every nonzero element has its own log in range(order - 1)
+    assert sorted(a._log for a in elems if a) == list(range(ctx.order - 1))
+    for a, b in _operand_pairs(elems, ctx):
+        assert (a + b).coeffs == (b + a).coeffs == add(a, b)
+        assert (a - b).coeffs == sub(a, b)
+        assert (b - a).coeffs == sub(b, a)
+        assert (a * b).coeffs == (b * a).coeffs == mul(a, b)
+        assert (a == b) == (a.coeffs == b.coeffs)
+    for a in elems:
+        assert (-a).coeffs == sub(ctx.zero(), a)
+        assert bool(a) == (a.coeffs != zero)
+        assert hash(a) == hash(FieldElement(ctx, a.coeffs))
+        assert a == FieldElement(ctx, a.coeffs)
+        assert (a ** p).coeffs == frobenius(a)
+        assert frobenius(a.pth_root()) == a.coeffs
         if a:
-            assert reference(a, a.inverse()) == ctx.one().coeffs
+            assert mul(a, a.inverse()) == ctx.one().coeffs
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS)
+def test_elements_are_interned(p, k):
+    ctx = field(p, k)
+    for a in ctx.elements():
+        enc = a.encoding()
+        assert ctx.from_encoding(enc) is a
+        assert ctx.element(a.coeffs) is a
+        assert ctx.element(list(_trim(a.coeffs))) is a
+    for c in range(-p, 2 * p):
+        assert ctx.element(c) is ctx.element(c)
+        assert ctx.element(c) is ctx.element(c + p) is ctx.element((c,))
+    assert ctx.zero() is ctx.element(0) and ctx.one() is ctx.element(1)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 2), (5, 1), (7, 2),
+                                 (2, 12), (2, 13)])
+def test_directly_built_context_mixes_with_field(p, k):
+    # a second context object for the same field keeps its own elements,
+    # which compare, hash and compute like the canonical ones
+    direct, canonical = FieldContext(p, k), field(p, k)
+    assert direct is not canonical and direct == canonical
+    rng = random.Random(p * 100 + k)
+    encodings = [0, 1, direct.order - 1] + [rng.randrange(direct.order)
+                                            for _ in range(20)]
+    for e in encodings:
+        a, a0 = direct.from_encoding(e), canonical.from_encoding(e)
+        assert a == a0 and a0 == a and hash(a) == hash(a0)
+        assert bool(a) == bool(a0)
+        assert -a == -a0
+        for f in encodings[:8]:
+            b, b0 = direct.from_encoding(f), canonical.from_encoding(f)
+            assert a + b0 == a0 + b == a0 + b0
+            assert a - b0 == a0 - b == a0 - b0
+            assert a * b0 == b0 * a == a0 * b0
+            if f:
+                assert a / b0 == a0 / b == a0 / b0
+
+
+def test_field_above_the_cap_keeps_the_polynomial_path():
+    ctx = field(2, 13)
+    assert ctx.order > _EXHAUSTIVE_LIMIT and ctx._tables() is None
+    add, sub, mul, frobenius = _oracle(ctx)
+    rng = random.Random(13)
+    elems = [ctx.zero(), ctx.one(), ctx.gen()] + [
+        ctx.from_encoding(rng.randrange(ctx.order)) for _ in range(40)]
+    assert all(a._log is None for a in elems)
+    for a in elems:
+        for b in elems[:10]:
+            assert (a + b).coeffs == add(a, b)
+            assert (a - b).coeffs == sub(a, b)
+            assert (a * b).coeffs == mul(a, b)
+        assert (-a).coeffs == sub(ctx.zero(), a)
+        assert bool(a) == any(a.coeffs)
+        assert (a ** 2).coeffs == frobenius(a)
+        assert frobenius(a.pth_root()) == a.coeffs
+        if a:
+            assert mul(a, a.inverse()) == ctx.one().coeffs

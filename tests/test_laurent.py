@@ -4,11 +4,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from wildram.fields import field
+from wildram.fields import embed, field
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
-                             _min_antichain, blowup_substitute,
-                             pole_staircase, translate, transpose,
-                             undominated_unknowns, valuation)
+                             _binomial_row, _min_antichain,
+                             _series_binomials,
+                             blowup_substitute, pole_staircase, translate,
+                             transpose, undominated_unknowns, valuation)
 from wildram.parsing import parse_polynomial
 from wildram.staircase import Staircase
 
@@ -224,8 +225,10 @@ def test_staircase_raises_when_corner_hidden():
     visible = LaurentPolynomial(F2, dict(t.terms))
     blinded = t - visible
     assert undominated_unknowns(blinded)
-    with pytest.raises(PrecisionLossError):
-        pole_staircase(blinded)
+    # a failure is not kept: every call raises again
+    for _ in range(2):
+        with pytest.raises(PrecisionLossError):
+            pole_staircase(blinded)
 
 
 def test_staircase_tolerates_dominated_unknowns():
@@ -310,3 +313,217 @@ def test_translated_inverse_multiplies_back_to_one():
 def test_axis_validation():
     with pytest.raises(ValueError):
         valuation(poly("t1", F2), "t3")
+
+
+# ---------------------------------------------------------------------------
+# binomials mod p
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_binomial_row_is_lucas(p):
+    # oracle: Pascal's rule mod p for every n < p^4, and math.comb(n, j) % p
+    # itself for n < p^3 (over all n < 7^4 it takes minutes)
+    row = [1]
+    for n in range(p ** 4):
+        if n:
+            row = [1] + [(a + b) % p for a, b in zip(row, row[1:])] + [1]
+        if n < p ** 3:
+            assert row == [math.comb(n, j) % p for j in range(n + 1)]
+        assert _binomial_row(n, p) == [(j, b) for j, b in enumerate(row) if b]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_series_binomials_match_comb(p):
+    for n in range(-1, -3 * p ** 2, -1):
+        for budget in (1, p - 1, p, p + 1, p ** 2, 40, 64):
+            if budget < 1:
+                continue
+            expected = [(j, math.comb(-n - 1 + j, j) % p)
+                        for j in range(budget)]
+            assert _series_binomials(n, budget, p) == [
+                (j, b) for j, b in expected if b]
+
+
+def test_translate_long_series_matches_binomials():
+    # the cut series of a negative power against C(-n-1+j, j) * (-1)^j,
+    # for budgets past p, p^2 and p^3 and poles up to 40
+    for ctx in (F2, F3, F5, field(2, 2)):
+        shift = ctx.from_encoding(ctx.order - 1)
+        for n in (-1, -2, -7, -25, -40):
+            for budget in (16, 27, 64):
+                got = translate(LaurentPolynomial.monomial(ctx.one(), 0, n),
+                                shift, budget)
+                expected = {}
+                for j in range(budget):
+                    c = (math.comb(-n - 1 + j, j) * (-1) ** j
+                         * shift ** n * shift.inverse() ** j)
+                    if c:
+                        expected[(0, j)] = c
+                assert list(got.terms.items()) == list(expected.items())
+                assert got.unknown == {(0, budget)}
+
+
+# ---------------------------------------------------------------------------
+# the trusted constructor and the memoized views
+# ---------------------------------------------------------------------------
+
+EXTENDED = {F3: field(3, 2), field(2, 2): field(2, 4), F5: field(5, 2)}
+
+
+@st.composite
+def truncated_polys(draw, ctx):
+    """A polynomial over ctx with up to eight terms and, usually, unknown
+    corners, built by the validating constructor."""
+    terms = draw(st.dictionaries(
+        st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+        st.integers(1, ctx.order - 1), max_size=8))
+    unknown = draw(points)
+    return LaurentPolynomial(
+        ctx, {e: ctx.from_encoding(v) for e, v in terms.items()}, unknown)
+
+
+@st.composite
+def poly_pairs(draw):
+    ctx = draw(st.sampled_from(list(EXTENDED)))
+    return draw(truncated_polys(ctx)), draw(truncated_polys(ctx))
+
+
+def assert_same(got, expected):
+    assert got.ctx == expected.ctx
+    assert list(got.terms.items()) == list(expected.terms.items())
+    assert all(c for c in got.terms.values())
+    assert isinstance(got.unknown, frozenset)
+    assert got.unknown == expected.unknown
+
+
+def _summed(ctx, pairs):
+    """The validating constructor over (exponent, coefficient) pairs,
+    summing coefficients that land on one exponent."""
+    terms = {}
+    for e, c in pairs:
+        s = terms.get(e)
+        terms[e] = c if s is None else s + c
+    return terms
+
+
+@given(poly_pairs(), st.integers(0, 24), st.integers(1, 9))
+def test_trusted_results_match_the_validating_constructor(pair, enc, budget):
+    # each reference is the operation's definition fed through the
+    # validating constructor, which checks and canonicalizes everything
+    f, g = pair
+    ctx, p = f.ctx, f.ctx.p
+    coeff = ctx.from_encoding(enc % ctx.order)
+    assert_same(-f, LaurentPolynomial(
+        ctx, {e: -c for e, c in f.terms.items()}, f.unknown))
+    assert_same(f.scale(coeff), LaurentPolynomial(
+        ctx, {e: c * coeff for e, c in f.terms.items()}, f.unknown))
+    assert_same(f.frobenius_power(), LaurentPolynomial(
+        ctx, {(p * m, p * n): c ** p for (m, n), c in f.terms.items()},
+        {(p * m, p * n) for m, n in f.unknown}))
+    assert_same(transpose(f), LaurentPolynomial(
+        ctx, {(n, m): c for (m, n), c in f.terms.items()},
+        {(n, m) for m, n in f.unknown}))
+    assert_same(blowup_substitute(f, "A"), LaurentPolynomial(
+        ctx, _summed(ctx, (((m + n, n), c) for (m, n), c in f.terms.items())),
+        {(m + n, n) for m, n in f.unknown}))
+    assert_same(blowup_substitute(f, "B"), LaurentPolynomial(
+        ctx, _summed(ctx, (((m, m + n), c) for (m, n), c in f.terms.items())),
+        {(m, m + n) for m, n in f.unknown}))
+    assert_same(f + g, LaurentPolynomial(
+        ctx, _summed(ctx, list(f.terms.items()) + list(g.terms.items())),
+        f.unknown | g.unknown))
+    target = EXTENDED[ctx]
+    assert_same(f.embed_into(target), LaurentPolynomial(
+        target, {e: embed(c, target) for e, c in f.terms.items()}, f.unknown))
+    shift = coeff or ctx.one()
+    moved = translate(f, shift, budget)
+    assert_same(moved, LaurentPolynomial(
+        ctx, moved.terms,
+        {(m, 0) for m, _ in f.unknown}
+        | {(m, budget) for m, n in f.terms if n < 0}))
+
+
+def test_charts_can_break_the_unknown_antichain():
+    # (0, 1) and (1, 0) are incomparable, but their chart-A images (1, 1)
+    # and (1, 0) are not (nor are the chart-B images (0, 1) and (1, 1)):
+    # the substitution must re-minimize the corners
+    f = LaurentPolynomial(F3, {(-2, 0): F3.one()}, {(0, 1), (1, 0)})
+    assert f.unknown == {(0, 1), (1, 0)}
+    assert blowup_substitute(f, "A").unknown == {(1, 0)}
+    assert blowup_substitute(f, "B").unknown == {(0, 1)}
+
+
+def test_exact_terms_is_read_only_and_kept():
+    exact = poly("t1^-1 + 2*t2", F3)
+    truncated = translate(poly("t1^-1*t2^-1 + t2", F3), F3.one(), 4)
+    for f in (exact, truncated):
+        view = f.exact_terms()
+        before = dict(view)
+        assert f.exact_terms() is view
+        with pytest.raises(TypeError):
+            view[(9, 9)] = F3.one()
+        with pytest.raises(TypeError):
+            del view[next(iter(view))]
+        with pytest.raises(AttributeError):
+            view.clear()
+        assert dict(f.exact_terms()) == before
+        assert pole_staircase(f) is pole_staircase(f)
+
+
+def _reference_exact(f):
+    return {e: c for e, c in f.terms.items() if not f.in_unknown_region(*e)}
+
+
+def _reference_corners(f):
+    support = _reference_exact(f)
+    return {s for s in support
+            if not any(t != s and t[0] <= s[0] and t[1] <= s[1]
+                       for t in support)}
+
+
+def _reference_undominated(f):
+    corners = _reference_corners(f)
+    return [u for u in f.unknown
+            if not any(c[0] <= u[0] and c[1] <= u[1] for c in corners)]
+
+
+def _reference_staircase(f):
+    blind = _reference_undominated(f)
+    if blind:
+        raise PrecisionLossError(blind[0])
+    return Staircase(sorted((-m, n) for m, n in _reference_corners(f)))
+
+
+def _reference_valuation(f, axis):
+    idx = 0 if axis == "t1" else 1
+    exact = _reference_exact(f)
+    if not exact:
+        if f.unknown or f.terms:
+            raise PrecisionLossError(min(f.unknown | set(f.terms)))
+        return math.inf
+    v = min(e[idx] for e in exact)
+    bad = [u for u in f.unknown if u[idx] < v]
+    if bad:
+        raise PrecisionLossError(bad[0])
+    return v
+
+
+def _outcome(fn, *args):
+    try:
+        return "value", fn(*args)
+    except PrecisionLossError as err:
+        return "raises", err.position
+
+
+@given(poly_pairs())
+def test_memoized_views_match_their_definitions(pair):
+    # twice each: the second call reads what the first one kept
+    for f in pair:
+        for _ in range(2):
+            assert dict(f.exact_terms()) == _reference_exact(f)
+            assert undominated_unknowns(f) == _reference_undominated(f)
+            assert (_outcome(pole_staircase, f)
+                    == _outcome(_reference_staircase, f))
+            for axis in ("t1", "t2"):
+                assert (_outcome(valuation, f, axis)
+                        == _outcome(_reference_valuation, f, axis))
