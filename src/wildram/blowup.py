@@ -268,7 +268,7 @@ def _blowup_children(g, branches, config, budget, stats):
 # locating points on the exceptional curve
 # ---------------------------------------------------------------------------
 
-def leading_exceptional_column(chart_first, require_exact=True):
+def leading_exceptional_column(chart_first):
     """The leading coefficient of the exceptional pole as a map n -> coeff,
     together with the pole order.  Returns (pole, column); pole <= 0 means
     the cover is unramified along the exceptional curve."""
@@ -276,10 +276,9 @@ def leading_exceptional_column(chart_first, require_exact=True):
     if v >= 0:
         return (0 if v == float("inf") else -v), {}
     column = {n: c for (m, n), c in chart_first.terms.items() if m == v}
-    if require_exact:
-        cut = min((u[1] for u in chart_first.unknown if u[0] <= v), default=None)
-        if cut is not None:
-            raise PrecisionLossError((v, cut), "leading column truncated")
+    cut = min((u[1] for u in chart_first.unknown if u[0] <= v), default=None)
+    if cut is not None:
+        raise PrecisionLossError((v, cut), "leading column truncated")
     return -v, column
 
 
@@ -367,6 +366,22 @@ def tree_as_dict(node):
         "constant_added": node.constant_added,
         "reductions": node.reductions,
         "children": [tree_as_dict(c) for c in node.children],
+    }
+
+
+def simulation_as_dict(result):
+    """The JSON form of a ResolutionResult: the run's total, depth and
+    flags, and its tree."""
+    return {
+        "r_x": result.total,
+        "depth": result.depth,
+        "good_regime": result.good_regime,
+        "constant_added_anywhere": result.constant_added_anywhere,
+        "partial_roots": result.partial_roots,
+        "precision_escalations": result.precision_escalations,
+        "off_origin_nonclean": result.off_origin_nonclean,
+        "nonroot_repair": result.nonroot_repair,
+        "tree": tree_as_dict(result.root),
     }
 
 

@@ -12,7 +12,8 @@ import argparse
 import json
 import sys
 
-from .blowup import CrossCheckError, tree_as_dict, tree_as_dot, resolve
+from .blowup import (CrossCheckError, resolve, simulation_as_dict,
+                     tree_as_dot)
 from .corpus import run_corpus
 from .euler import SurfaceConfig, euler_delta
 from .parsing import ParseError, parse_field, parse_polynomial
@@ -127,19 +128,9 @@ def _dispatch(args):
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as handle:
                 handle.write(tree_as_dot(result.root))
-        payload = {
-            "r_x": result.total,
-            "depth": result.depth,
-            "good_regime": result.good_regime,
-            "off_origin_nonclean": result.off_origin_nonclean,
-            "nonroot_repair": result.nonroot_repair,
-            "constant_added_anywhere": result.constant_added_anywhere,
-            "partial_roots": result.partial_roots,
-            "precision_escalations": result.precision_escalations,
-            "tree": tree_as_dict(result.root),
-        }
         if args.json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
+            print(json.dumps(simulation_as_dict(result), indent=2,
+                             sort_keys=True))
         else:
             print(f"r_x = {result.total}  depth = {result.depth}  "
                   f"good regime = {result.good_regime}")

@@ -22,11 +22,16 @@ element: w^i + w^j = w^(i + Z(j - i)).  No tuple is built, and truth is a
 comparison of the log.  Equality and hashing stay by value, so a context
 built directly mixes with the canonical one of the same field.  The tables
 of F_4096 hold about 1.1 MB (the interned elements with their coefficient
-tuples, and the three lists); the exp table comes from the dense
-polynomial arithmetic over F_p (a product followed by reduction against
-the modulus), which stays the arithmetic of larger fields, whose elements
-carry no log.  Elements keep their coefficient tuples on either path, so
-printing, parsing and encodings do not depend on it.
+tuples, and the three lists).  Larger fields, whose elements carry no
+log, add and negate coefficient tuples componentwise and multiply them by
+``_pmulmod`` (a product followed by reduction against the modulus); the
+table build itself runs on that path, walking the powers of w with
+ordinary element arithmetic.  Elements keep their coefficient tuples on
+either path, so printing, parsing and encodings do not depend on it.
+
+Polynomials over a field are dense lists of its elements (the ``_f*``
+functions); Rabin's irreducibility test for a modulus runs on them over
+the prime field.
 
 Cross-field coercion is never implicit: operations on elements of
 different contexts raise, and :func:`embed` moves an element along a fixed
@@ -54,7 +59,7 @@ class ContextMismatchError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# dense polynomial arithmetic over the prime field (tuples of ints mod p)
+# prime-field helpers
 # ---------------------------------------------------------------------------
 
 def _trim(coeffs):
@@ -64,69 +69,24 @@ def _trim(coeffs):
     return tuple(coeffs[:n])
 
 
-def _padd(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
-def _psub(a, b, p):
-    n = max(len(a), len(b))
-    return _trim([((a[i] if i < len(a) else 0) - (b[i] if i < len(b) else 0)) % p
-                  for i in range(n)])
-
-
-def _pmul(a, b, p):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
+def _pmulmod(a, b, modulus, p):
+    """The product of two coefficient tuples reduced by a monic modulus of
+    degree k, as a length-k tuple of residues mod p: a schoolbook product,
+    then top-down reduction."""
+    k = len(modulus) - 1
+    prod = [0] * max(len(a) + len(b) - 1, k)
+    b_terms = [(j, bj) for j, bj in enumerate(b) if bj]
     for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            out[i + j] = (out[i + j] + ai * bj) % p
-    return _trim(out)
-
-
-def _pdivmod(a, b, p):
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    a = list(a)
-    inv_lead = pow(b[-1], p - 2, p)
-    deg_b = len(b) - 1
-    quot = [0] * max(len(a) - deg_b, 0)
-    for i in range(len(a) - 1, deg_b - 1, -1):
-        c = (a[i] * inv_lead) % p
+        if ai:
+            for j, bj in b_terms:
+                prod[i + j] += ai * bj
+    tail = [(j - k, mj) for j, mj in enumerate(modulus[:k]) if mj]
+    for i in range(len(prod) - 1, k - 1, -1):
+        c = prod[i] % p
         if c:
-            quot[i - deg_b] = c
-            for j, bj in enumerate(b):
-                a[i - deg_b + j] = (a[i - deg_b + j] - c * bj) % p
-    return _trim(quot), _trim(a)
-
-
-def _pmod(a, b, p):
-    return _pdivmod(a, b, p)[1]
-
-
-def _pgcd(a, b, p):
-    a, b = _trim(a), _trim(b)
-    while b:
-        a, b = b, _pmod(a, b, p)
-    if a:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple((c * inv) % p for c in a)
-    return a
-
-
-def _ppowmod(base, exponent, modulus, p):
-    result = (1,)
-    base = _pmod(base, modulus, p)
-    while exponent:
-        if exponent & 1:
-            result = _pmod(_pmul(result, base, p), modulus, p)
-        base = _pmod(_pmul(base, base, p), modulus, p)
-        exponent >>= 1
-    return result
+            for j, mj in tail:
+                prod[i + j] -= c * mj
+    return tuple([c % p for c in prod[:k]])
 
 
 def _is_prime(n):
@@ -166,22 +126,24 @@ def _monic_polys(p, degree):
 
 
 def _is_irreducible(poly, p):
-    """Rabin's criterion: X^(p^n) == X mod f and, for every prime l | n,
-    gcd(X^(p^(n/l)) - X, f) is constant."""
+    """Rabin's criterion, on polynomials over field(p): X^(p^n) == X mod f
+    and, for every prime l | n, gcd(X^(p^(n/l)) - X, f) is constant."""
     deg = len(poly) - 1
     if deg < 1:
         return False
     if deg == 1:
         return True
-    x = (0, 1)
-    frobenius = {0: _pmod(x, poly, p)}
-    for j in range(1, deg + 1):
-        frobenius[j] = _ppowmod(frobenius[j - 1], p, poly, p)
-    if frobenius[deg] != _pmod(x, poly, p):
+    fp = field(p)
+    f = [fp.element(c) for c in poly]
+    x = [fp.zero(), fp.one()]
+    frobenius = [x]
+    for _ in range(deg):
+        frobenius.append(_fpowmod(frobenius[-1], p, f, fp))
+    if frobenius[deg] != x:
         return False
     for ell in _prime_divisors(deg):
-        shifted = _psub(frobenius[deg // ell], x, p)
-        if len(_pgcd(shifted, poly, p)) > 1:
+        shifted = _fsub(frobenius[deg // ell], x, fp)
+        if poly_degree(_fgcd(shifted, f, fp)) > 0:
             return False
     return True
 
@@ -246,12 +208,14 @@ class FieldContext:
         table cap, built on first use together with the log tables; None
         above the cap."""
         if self._elems is None:
-            order = self.order
-            self._elems = (self._build_tables(order)
-                           if order <= _EXHAUSTIVE_LIMIT else False)
+            # untabulated while the build runs, so that the elements it
+            # computes with take the polynomial path
+            self._elems = False
+            if self.order <= _EXHAUSTIVE_LIMIT:
+                self._elems = self._build_tables()
         return self._elems or None
 
-    def _build_tables(self, order):
+    def _build_tables(self):
         """Intern every element and fill the log tables.
 
         With N = order - 1 and w the primitive element of smallest
@@ -262,18 +226,19 @@ class FieldContext:
         entries so that k may run from -N to 2N - 1, and ``_neg`` is the
         log of -1.
         """
-        p, modulus, degree = self.p, self.modulus, self.degree
+        p, degree, order = self.p, self.degree, self.order
         group = order - 1
         maximal = [group // ell for ell in _prime_divisors(group)]
+        one = self.one()
         for enc in range(1, order):
-            w = _trim(_digits(enc, p, degree))
-            if all(_ppowmod(w, e, modulus, p) != (1,) for e in maximal):
+            w = self.from_encoding(enc)
+            if all(w ** e != one for e in maximal):
                 break
         exp_enc = []
-        power = (1,)
+        power = one
         for _ in range(group):
-            exp_enc.append(_encode(power, p))
-            power = _pmod(_pmul(power, w, p), modulus, p)
+            exp_enc.append(power.encoding())
+            power = power * w
         log = [2 * group] * order
         for i, enc in enumerate(exp_enc):
             log[enc] = i
@@ -424,9 +389,8 @@ class FieldElement:
         i = self._log
         if i is None:
             ctx = self.ctx
-            prod = _pmod(_pmul(_trim(self.coeffs), _trim(other.coeffs), ctx.p),
-                         ctx.modulus, ctx.p)
-            return FieldElement(ctx, prod + (0,) * (ctx.degree - len(prod)))
+            return FieldElement(ctx, _pmulmod(self.coeffs, other.coeffs,
+                                              ctx.modulus, ctx.p))
         return self.ctx._exp[i + other._log]
 
     __rmul__ = __mul__
@@ -615,10 +579,7 @@ def minimal_form(a, base_degree=1):
     rel = k // base_degree
     for d in sorted(_divisors(rel)):
         sub_deg = base_degree * d
-        frob = a
-        for _ in range(sub_deg):
-            frob = frob ** a.ctx.p
-        if frob == a:
+        if a ** (a.ctx.p ** sub_deg) == a:
             if sub_deg == k:
                 return a
             pre = subfield_preimage(a, field(a.ctx.p, sub_deg))
@@ -775,10 +736,9 @@ def _split_linear_part(coeffs, ctx):
     monic = [c * coeffs[-1].inverse() for c in coeffs]
     if len(monic) == 2:
         return [-monic[0]]
-    frob = [ctx.zero(), ctx.one()]
-    for _ in range(ctx.degree):
-        frob = _fpowmod(frob, ctx.p, monic, ctx)
-    linear = _fgcd(_fsub(frob, [ctx.zero(), ctx.one()], ctx), monic, ctx)
+    x = [ctx.zero(), ctx.one()]
+    frob = _fpowmod(x, ctx.order, monic, ctx)
+    linear = _fgcd(_fsub(frob, x, ctx), monic, ctx)
     roots = []
     stack = [linear]
     while stack:
@@ -868,15 +828,7 @@ def find_roots(coeffs, ext_cap=6):
         lifted = [embed(c, ext) for c in coeffs]
         proper = [dd for dd in _divisors(d) if dd < d]
         for x, mult in _roots_in_field(lifted, ext):
-            minimal = True
-            for dd in proper:
-                frob = x
-                for _ in range(base.degree * dd):
-                    frob = frob ** base.p
-                if frob == x:
-                    minimal = False
-                    break
-            if not minimal:
+            if any(x ** (base.p ** (base.degree * dd)) == x for dd in proper):
                 continue
             found.append((x, mult))
             mult_total += mult

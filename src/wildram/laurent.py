@@ -163,12 +163,6 @@ class LaurentPolynomial:
             raise PrecisionLossError((m, n))
         return self.terms.get((m, n), self.ctx.zero())
 
-    def has_no_stored_terms(self):
-        """True when every stored coefficient cancelled.  For exact
-        polynomials this is equality with zero; for truncated ones it says
-        the identity holds on all computed data."""
-        return not self.terms
-
     def __bool__(self):
         return bool(self.terms) or bool(self.unknown)
 

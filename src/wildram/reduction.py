@@ -35,7 +35,7 @@ from .fields import _solve_mod_p, embed, field, join_context
 from .laurent import (LaurentPolynomial, PrecisionLossError, blowup_substitute,
                       pole_staircase, transpose, undominated_unknowns,
                       valuation)
-from .staircase import Staircase, is_clean_shape
+from .staircase import Staircase, is_clean_shape, quadrant_shape
 
 
 def artin_schreier_map(h):
@@ -120,10 +120,6 @@ class GoodRepresentative:
             raise RuntimeError("witness identity f - g = h^p - h failed")
 
 
-def _quadrant_hit(stair):
-    return any(a >= 0 and b <= 0 for a, b in stair)
-
-
 def good_representative(f, corner_order="outermost", rng=None):
     """Reduce f to a good representative of its class.
 
@@ -176,7 +172,7 @@ def good_representative(f, corner_order="outermost", rng=None):
         witness = witness + piece
         reductions += 1
 
-    if g and not _quadrant_hit(stair):
+    if g and not quadrant_shape(stair):
         one = LaurentPolynomial.constant(ctx.one())
         g = g + one
         constant_delta = constant_delta - ctx.one()
@@ -188,7 +184,7 @@ def good_representative(f, corner_order="outermost", rng=None):
         witness=witness,
         constant_delta=constant_delta,
         staircase=stair,
-        quadrant_ok=bool(g) and _quadrant_hit(stair),
+        quadrant_ok=bool(g) and quadrant_shape(stair),
         constant_added=constant_added,
         reductions=reductions,
     )

@@ -22,8 +22,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .blowup import SimulationConfig, resolve, tree_as_dict
-from .laurent import LaurentPolynomial
+from .blowup import SimulationConfig, resolve, simulation_as_dict
+from .corpus import random_polynomial
 from .parsing import (format_polynomial, parse_field, parse_polynomial,
                       polynomial_as_triples)
 from .reduction import (artin_schreier_map, exceptional_swan,
@@ -128,16 +128,6 @@ def _comparable(inv):
     }
 
 
-def _random_perturbation(ctx, rng, branches, max_exp=2):
-    terms = {}
-    for _ in range(rng.randint(1, 2)):
-        m = rng.randint(-max_exp, max_exp)
-        n = rng.randint(0 if branches == 1 else -max_exp, max_exp)
-        enc = rng.randrange(1, ctx.order)
-        terms[(m, n)] = ctx.from_encoding(enc)
-    return LaurentPolynomial(ctx, terms)
-
-
 def build_report(spec):
     with _stage("parse"):
         ctx = parse_field(spec.field)
@@ -153,7 +143,7 @@ def build_report(spec):
 
     with _stage("perturbed-rerun"):
         rng = random.Random(spec.seed)
-        h = _random_perturbation(ctx, rng, spec.branches)
+        h = random_polynomial(rng, ctx, 2, 2, nonneg_t2=spec.branches == 1)
         perturbed = _invariants(f + artin_schreier_map(h), spec.branches,
                                 config)
 
@@ -240,16 +230,6 @@ def build_report(spec):
             for s in inv["recursive"].steps],
         "closed_form": inv["closed"],
         "bound": inv["bound"],
-        "simulation": {
-            "r_x": sim.total,
-            "depth": sim.depth,
-            "good_regime": sim.good_regime,
-            "constant_added_anywhere": sim.constant_added_anywhere,
-            "partial_roots": sim.partial_roots,
-            "precision_escalations": sim.precision_escalations,
-            "off_origin_nonclean": sim.off_origin_nonclean,
-            "nonroot_repair": sim.nonroot_repair,
-            "tree": tree_as_dict(sim.root),
-        },
+        "simulation": simulation_as_dict(sim),
     }
     return Report(data=data, verdicts=verdicts)

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wildram import reduction
 from wildram.cli import main
 from wildram.corpus import run_corpus
 from wildram.fields import field
@@ -147,6 +148,18 @@ def test_corpus_deterministic():
     a = json.dumps(run_corpus(1, 50, "staircase"), sort_keys=True)
     b = json.dumps(run_corpus(1, 50, "staircase"), sort_keys=True)
     assert a == b
+
+
+def test_corpus_witness_identity_uses_the_constant_root(monkeypatch):
+    # the check materializes the Artin-Schreier root of the constant part,
+    # which GoodRepresentative.verify never sees: a wrong root must fail it
+    summary = run_corpus(1, 30, "laurent")
+    assert summary["checks"]["witness_identity"]["fail"] == 0
+    monkeypatch.setattr(reduction, "artin_schreier_root",
+                        lambda value: value.ctx.zero())
+    summary = run_corpus(1, 30, "laurent")
+    assert summary["checks"]["witness_identity"]["fail"] > 0
+    assert summary["checks"]["no_exception"]["fail"] == 0
 
 
 def test_corpus_mutant_finds_the_counterexample():

@@ -4,10 +4,10 @@ import random
 import pytest
 
 from wildram.fields import (_EXHAUSTIVE_LIMIT, ContextMismatchError,
-                            FieldContext, FieldElement, _padd, _pmod, _pmul,
-                            _ppowmod, _psub, _trim, embed, field, find_roots,
-                            join_context, minimal_form, poly_eval,
-                            roots_in_field, subfield_preimage)
+                            FieldContext, FieldElement, _is_irreducible,
+                            _trim, embed, field, find_roots, join_context,
+                            minimal_form, poly_eval, roots_in_field,
+                            subfield_preimage)
 
 
 def test_char2_addition():
@@ -226,27 +226,56 @@ TABLE_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13)
                 for k in range(1, 13) if p ** k <= _EXHAUSTIVE_LIMIT]
 
 
+def _ref_mul(a, b, p):
+    """Schoolbook product of coefficient tuples mod p (not trimmed)."""
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] = (out[i + j] + ai * bj) % p
+    return tuple(out)
+
+
+def _ref_rem(a, b, p):
+    """Remainder of long division of a by a nonzero coefficient tuple b
+    mod p, trimmed."""
+    a, b = list(a), list(_trim(b))
+    inv_lead = pow(b[-1], p - 2, p)
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        c = a[i] * inv_lead % p
+        for j, bj in enumerate(b):
+            a[i - len(b) + 1 + j] = (a[i - len(b) + 1 + j] - c * bj) % p
+    return _trim(a[:len(b) - 1])
+
+
 def _oracle(ctx):
-    """The dense polynomial arithmetic over F_p behind the tables: sum,
-    difference, product and Frobenius of coefficient tuples, reduced by
-    the modulus and padded to the degree."""
+    """A reference for the arithmetic of coefficient tuples, independent of
+    the field module: sum and difference componentwise mod p, product as
+    a schoolbook product followed by long division by the modulus, and
+    Frobenius as p - 1 such products, padded to the degree."""
     p, k = ctx.p, ctx.degree
 
     def pad(coeffs):
-        return coeffs + (0,) * (k - len(coeffs))
+        return tuple(coeffs) + (0,) * (k - len(coeffs))
 
     def add(a, b):
-        return pad(_padd(_trim(a.coeffs), _trim(b.coeffs), p))
+        return tuple((x + y) % p for x, y in zip(a.coeffs, b.coeffs))
 
     def sub(a, b):
-        return pad(_psub(_trim(a.coeffs), _trim(b.coeffs), p))
+        return tuple((x - y) % p for x, y in zip(a.coeffs, b.coeffs))
+
+    def mul_coeffs(a, b):
+        return pad(_ref_rem(_ref_mul(a, b, p), ctx.modulus, p))
 
     def mul(a, b):
-        return pad(_pmod(_pmul(_trim(a.coeffs), _trim(b.coeffs), p),
-                         ctx.modulus, p))
+        return mul_coeffs(a.coeffs, b.coeffs)
 
     def frobenius(a):
-        return pad(_ppowmod(_trim(a.coeffs), p, ctx.modulus, p))
+        out = a.coeffs
+        for _ in range(p - 1):
+            out = mul_coeffs(out, a.coeffs)
+        return out
 
     return add, sub, mul, frobenius
 
@@ -353,3 +382,43 @@ def test_field_above_the_cap_keeps_the_polynomial_path():
         assert frobenius(a.pth_root()) == a.coeffs
         if a:
             assert mul(a, a.inverse()) == ctx.one().coeffs
+
+
+def _monic(p, degree):
+    for enc in range(p ** degree):
+        yield tuple((enc // p ** i) % p for i in range(degree)) + (1,)
+
+
+@pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 3)])
+def test_rabin_matches_trial_division(p, top):
+    # oracle: a monic polynomial of degree n >= 1 is irreducible exactly
+    # when no monic polynomial of degree 1 .. n // 2 divides it; from
+    # degree 5 on, a product of irreducible factors of degrees 2 and 3
+    # also needs the test X^(p^n) == X mod f
+    for degree in range(top + 1):
+        for poly in _monic(p, degree):
+            irreducible = degree >= 1 and all(
+                _ref_rem(poly, d, p) for e in range(1, degree // 2 + 1)
+                for d in _monic(p, e))
+            assert _is_irreducible(poly, p) == irreducible, poly
+            if degree >= 1 and not irreducible:
+                with pytest.raises(ValueError):
+                    FieldContext(p, degree, modulus=poly)
+
+
+def test_tables_with_a_non_primitive_generator():
+    # modulus x^2 + 1 over F_3: x has order 4, so the tables rest on
+    # another primitive element w; every log must give back its element as
+    # w^log, with powers taken by the reference product
+    ctx = FieldContext(3, 2, modulus=(1, 0, 1))
+    _, _, mul, _ = _oracle(ctx)
+    x = ctx.gen()
+    assert mul(x, x) == (2, 0) and x._log % 2 == 0
+    w = ctx._exp[1]
+    powers = [ctx.one().coeffs]
+    for _ in range(ctx.order - 2):
+        powers.append(mul(FieldElement(ctx, powers[-1]), w))
+    assert len(set(powers)) == ctx.order - 1
+    for a in ctx.elements():
+        if a:
+            assert powers[a._log] == a.coeffs
