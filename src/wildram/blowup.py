@@ -34,7 +34,7 @@ the full node build, drop cross-check included, and dropped when clean.
 Translations at off-origin points can truncate series (see the laurent
 module).  ``resolve`` therefore reruns the whole simulation with a
 doubled series budget until two consecutive runs produce identical trees,
-and raises after ``max_escalations`` doublings.  Every acceptance path
+and raises after ``MAX_ESCALATIONS`` doublings.  Every acceptance path
 re-derives from the exact pre-translation polynomial, so a stable answer
 is also a correct one for every quantity that became stable.
 
@@ -54,6 +54,10 @@ from .laurent import (PrecisionLossError, blowup_substitute,
 from .reduction import (exceptional_swan, good_representative, is_clean,
                         swan_conductor)
 from .staircase import blowup_term, is_clean_shape, swan_drop
+
+
+# series-budget doublings before resolve gives up
+MAX_ESCALATIONS = 6
 
 
 class CrossCheckError(RuntimeError):
@@ -80,14 +84,13 @@ class SimulationConfig:
     sweep_degree: int = 1
     depth_cap: int = 32
     series_terms: int = 16
-    max_escalations: int = 6
 
     def __post_init__(self):
         if self.mode not in ("candidates", "sweep"):
             raise ValueError(f"unknown mode {self.mode!r}")
         if self.depth_cap < 1 or self.sweep_degree < 1 or self.ext_cap < 1:
             raise ValueError("caps and degrees must be >= 1")
-        if self.series_terms < 1 or self.max_escalations < 0:
+        if self.series_terms < 1:
             raise ValueError("series budget must be positive")
 
 
@@ -118,7 +121,7 @@ class BlowupNode:
             yield from c.nodes()
 
     def signature(self):
-        return (self.path, self.branches, self.staircase.points, self.drop,
+        return (self.path, self.branches, self.staircase, self.drop,
                 self.clean, tuple(c.signature() for c in self.children))
 
 
@@ -192,7 +195,7 @@ def resolve(f, branches, config=None):
                     partial_roots=stats.partial_roots,
                     precision_escalations=escalations)
             previous = signature
-        if escalations >= config.max_escalations:
+        if escalations >= MAX_ESCALATIONS:
             raise EscalationError(
                 f"series budget still unstable after {escalations} doublings")
         budget *= 2
@@ -311,7 +314,7 @@ def exceptional_candidates(chart_first, config, stats=None):
             stats.partial_roots = True
         for root, _mult in search.roots:
             if root:
-                small = minimal_form(root, base_degree=1)
+                small = minimal_form(root)
                 points[(small.ctx.degree, small.encoding())] = small
 
     collect(column)
@@ -334,7 +337,7 @@ def _off_origin_points(chart_first, config, stats):
     for x in sweep_ctx.elements():
         if not x:
             continue
-        small = minimal_form(x, base_degree=1)
+        small = minimal_form(x)
         points[(small.ctx.degree, small.encoding())] = small
     return [points[key] for key in sorted(points)]
 

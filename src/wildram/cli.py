@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .blowup import (CrossCheckError, resolve, simulation_as_dict,
-                     tree_as_dot)
+from .blowup import (CrossCheckError, SimulationConfig, resolve,
+                     simulation_as_dict, tree_as_dot)
 from .corpus import run_corpus
 from .euler import SurfaceConfig, euler_delta
 from .parsing import ParseError, parse_field, parse_polynomial
@@ -36,11 +36,13 @@ def _add_input_args(sub):
 
 
 def _spec_from_args(args):
+    config = SimulationConfig(mode=args.mode, ext_cap=args.ext_cap,
+                              sweep_degree=args.sweep_degree,
+                              depth_cap=args.depth_cap,
+                              series_terms=args.series_terms)
     return InputSpec(field=args.field,
                      branches=1 if args.type == "I" else 2,
-                     expr=args.expr, mode=args.mode, ext_cap=args.ext_cap,
-                     sweep_degree=args.sweep_degree, depth_cap=args.depth_cap,
-                     series_terms=args.series_terms, seed=args.seed)
+                     expr=args.expr, seed=args.seed, config=config)
 
 
 def _print_report(report):
@@ -124,7 +126,7 @@ def _dispatch(args):
         spec = _spec_from_args(args)
         ctx = parse_field(spec.field)
         f = parse_polynomial(spec.expr, ctx)
-        result = resolve(f, spec.branches, spec.simulation_config())
+        result = resolve(f, spec.branches, spec.config)
         if args.dot:
             with open(args.dot, "w", encoding="utf-8") as handle:
                 handle.write(tree_as_dot(result.root))

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import random
 
-from .blowup import SimulationConfig, resolve
+from .blowup import resolve
 from .laurent import LaurentPolynomial
 from .parsing import format_polynomial, parse_field
 from .reduction import (artin_schreier_map, exceptional_swan,
@@ -19,6 +19,9 @@ from .reduction import (artin_schreier_map, exceptional_swan,
 from .staircase import (Staircase, essential_vertices, max_diagonal,
                         ramification_bound, ramification_closed_form,
                         ramification_recursive, swan_drop)
+
+# the coefficient fields of the laurent corpus, used in turn
+LAURENT_FIELDS = ("2^1", "3^1", "5^1")
 
 
 def random_staircase(rng, max_segments=6, coord_bound=40, shape="crossing"):
@@ -98,7 +101,7 @@ def _staircase_checks(stair, rule, branches):
 
 def _minimize_staircase(stair, failing):
     """Greedy: drop interior points while the check still fails."""
-    points = list(stair.points)
+    points = list(stair)
     changed = True
     while changed and len(points) > 1:
         changed = False
@@ -154,13 +157,13 @@ def _poly_checks(f, rng):
     return out
 
 
-def _simulation_checks(f, config):
+def _simulation_checks(f):
     out = {}
     rep = good_representative(f)
     stair = rep.staircase
     recursive = ramification_recursive(stair, 2).total
     bound = ramification_bound(stair, 2)
-    sim = resolve(f, 2, config)
+    sim = resolve(f, 2)
     out["bound_r_x"] = sim.total <= bound
     out["bound_recursive"] = recursive <= bound
     if sim.good_regime:
@@ -172,8 +175,7 @@ def _simulation_checks(f, config):
 # the runner
 # ---------------------------------------------------------------------------
 
-def run_corpus(seed, count, mode, rule="minimal", fields=("2^1", "3^1", "5^1"),
-               simulate=False, config=None):
+def run_corpus(seed, count, mode, rule="minimal", simulate=False):
     """Run the differential suite over `count` random inputs.
 
     mode "staircase" exercises the pure combinatorics; mode "laurent" the
@@ -183,7 +185,6 @@ def run_corpus(seed, count, mode, rule="minimal", fields=("2^1", "3^1", "5^1"),
     if mode not in ("staircase", "laurent"):
         raise ValueError(f"unknown corpus mode {mode!r}")
     rng = random.Random(seed)
-    config = config or SimulationConfig()
     checks = {}
     counterexamples = {}
 
@@ -209,15 +210,15 @@ def run_corpus(seed, count, mode, rule="minimal", fields=("2^1", "3^1", "5^1"),
                     small = _minimize_staircase(
                         stair, {"check": name, "rule": rule,
                                 "branches": branches})
-                    witness = list(small.points)
+                    witness = list(small)
                 record(name, ok, witness)
         else:
-            ctx = parse_field(fields[index % len(fields)])
+            ctx = parse_field(LAURENT_FIELDS[index % len(LAURENT_FIELDS)])
             f = random_polynomial(rng, ctx)
             try:
                 results = _poly_checks(f, rng)
                 if simulate:
-                    sim_results, _ = _simulation_checks(f, config)
+                    sim_results, _ = _simulation_checks(f)
                     results.update(sim_results)
             except Exception as err:
                 record("no_exception", False,

@@ -189,11 +189,12 @@ class FieldContext:
             raise ValueError("extension degree must be >= 1")
         if modulus is None:
             modulus = _least_irreducible(p, degree)
-        modulus = _trim(tuple(c % p for c in modulus))
-        if len(modulus) - 1 != degree or modulus[-1] != 1:
-            raise ValueError("modulus must be monic of the context degree")
-        if not _is_irreducible(modulus, p):
-            raise ValueError(f"modulus {modulus} is reducible over F_{p}")
+        else:
+            modulus = _trim(tuple(c % p for c in modulus))
+            if len(modulus) - 1 != degree or modulus[-1] != 1:
+                raise ValueError("modulus must be monic of the context degree")
+            if not _is_irreducible(modulus, p):
+                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.degree = degree
         self.modulus = modulus
@@ -570,19 +571,15 @@ def subfield_preimage(a, sub):
     return sub.element(solution)
 
 
-def minimal_form(a, base_degree=1):
-    """Rewrite an element in the smallest subfield (over F_{p^base_degree})
-    that contains it, using the canonical contexts and embeddings."""
+def minimal_form(a):
+    """Rewrite an element in the smallest subfield that contains it, using
+    the canonical contexts and embeddings."""
     k = a.ctx.degree
-    if k % base_degree != 0:
-        raise ValueError("base degree does not divide the context degree")
-    rel = k // base_degree
-    for d in sorted(_divisors(rel)):
-        sub_deg = base_degree * d
-        if a ** (a.ctx.p ** sub_deg) == a:
-            if sub_deg == k:
+    for d in _divisors(k):
+        if a ** (a.ctx.p ** d) == a:
+            if d == k:
                 return a
-            pre = subfield_preimage(a, field(a.ctx.p, sub_deg))
+            pre = subfield_preimage(a, field(a.ctx.p, d))
             if pre is None:
                 raise RuntimeError("element fixed by Frobenius but not "
                                    "matched in the canonical subfield")
@@ -688,16 +685,6 @@ def _fsub(a, b, ctx):
     return _ftrim(out)
 
 
-def _fadd(a, b, ctx):
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        ai = a[i] if i < len(a) else ctx.zero()
-        bi = b[i] if i < len(b) else ctx.zero()
-        out.append(ai + bi)
-    return _ftrim(out)
-
-
 _EXHAUSTIVE_LIMIT = 4096
 
 
@@ -761,12 +748,12 @@ def _equal_degree_split(part, ctx):
             continue
         if ctx.p == 2:
             # trace of shift*X separates roots by nondegeneracy of the
-            # trace form
+            # trace form; in characteristic 2 a sum is a difference
             acc = _fdivmod([ctx.zero(), shift], part, ctx)[1]
             trace = acc
             for _ in range(ctx.degree - 1):
                 acc = _fdivmod(_fmul(acc, acc, ctx), part, ctx)[1]
-                trace = _fadd(trace, acc, ctx)
+                trace = _fsub(trace, acc, ctx)
             candidate = trace
         else:
             # quadratic character of X + shift separates roots

@@ -20,7 +20,7 @@ outcome and does not fail the report.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .blowup import SimulationConfig, resolve, simulation_as_dict
 from .corpus import random_polynomial
@@ -38,18 +38,8 @@ class InputSpec:
     field: str
     branches: int
     expr: str
-    mode: str = "candidates"
-    ext_cap: int = 6
-    sweep_degree: int = 1
-    depth_cap: int = 32
-    series_terms: int = 16
     seed: int = 0
-
-    def simulation_config(self):
-        return SimulationConfig(mode=self.mode, ext_cap=self.ext_cap,
-                                sweep_degree=self.sweep_degree,
-                                depth_cap=self.depth_cap,
-                                series_terms=self.series_terms)
+    config: SimulationConfig = dataclass_field(default_factory=SimulationConfig)
 
 
 @dataclass
@@ -117,11 +107,9 @@ def _invariants(f, branches, config):
 def _comparable(inv):
     # a lone (0, 0) corner and an empty staircase are the two normal forms
     # of a function regular at the point; every invariant agrees on them
-    points = inv["staircase"].points
-    if points == ((0, 0),):
-        points = ()
+    stair = inv["staircase"]
     return {
-        "staircase": points,
+        "staircase": () if stair == ((0, 0),) else stair,
         "swans": inv["swans"],
         "recursive": inv["recursive"].total,
         "r_x": inv["sim"].total,
@@ -136,16 +124,15 @@ def build_report(spec):
             raise ValueError("type must be I or II")
         if spec.branches == 1 and any(n < 0 for _, n in f.terms):
             raise ValueError("a type I input admits no poles along t2")
-        config = spec.simulation_config()
 
-    inv = _invariants(f, spec.branches, config)
+    inv = _invariants(f, spec.branches, spec.config)
     rep, stair, sim = inv["rep"], inv["staircase"], inv["sim"]
 
     with _stage("perturbed-rerun"):
         rng = random.Random(spec.seed)
         h = random_polynomial(rng, ctx, 2, 2, nonneg_t2=spec.branches == 1)
         perturbed = _invariants(f + artin_schreier_map(h), spec.branches,
-                                config)
+                                spec.config)
 
     verdicts = {}
     verdicts["recursion_equals_closed_form"] = {
@@ -205,14 +192,15 @@ def build_report(spec):
         "perturbation": format_polynomial(h),
     }
 
+    witness = rep.full_witness()
     data = {
         "input": {"field": spec.field, "type": "I" if spec.branches == 1 else "II",
-                  "expr": spec.expr, "mode": spec.mode},
+                  "expr": spec.expr, "mode": spec.config.mode},
         "parsed": polynomial_as_triples(f),
         "good_representative": {
             "g": format_polynomial(rep.g),
-            "witness": format_polynomial(rep.full_witness()),
-            "witness_field": repr(rep.full_witness().ctx),
+            "witness": format_polynomial(witness),
+            "witness_field": repr(witness.ctx),
             "constant_added": rep.constant_added,
             "reductions": rep.reductions,
             "quadrant_ok": rep.quadrant_ok,

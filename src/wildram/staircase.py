@@ -4,8 +4,10 @@ A staircase is a finite sequence of lattice points (a_0,b_0),...,(a_k,b_k)
 with both coordinates strictly increasing.  For a defining function f of a
 degree-p cover, a records the pole order along the first boundary branch
 and b the exponent of the second coordinate, so the staircase is the
-minimal-corner profile of the poles of f.  Everything in this module is
-pure integer arithmetic; no field elements enter.
+minimal-corner profile of the poles of f.  ``Staircase`` is the tuple of
+these points, checked once when it is built; every function here reads it
+as a plain sequence of (a, b) pairs.  Everything in this module is pure
+integer arithmetic; no field elements enter.
 
 The central quantity is a recursively defined local ramification total.
 One step of the recursion mirrors one blow-up of the origin: the staircase
@@ -32,39 +34,26 @@ class StaircaseError(ValueError):
     """Invalid staircase input for an operation."""
 
 
-class Staircase:
-    """A strictly increasing sequence of lattice points.
+class Staircase(tuple):
+    """A strictly increasing sequence of lattice points: a tuple of
+    (a, b) pairs, validated once when it is built.
 
-    Immutable.  May be empty (trivial cover) or a single point.
+    Immutable.  May be empty (trivial cover) or a single point.  It
+    compares and hashes as the tuple of its points.
     """
 
-    __slots__ = ("points",)
+    __slots__ = ()
 
-    def __init__(self, points=()):
+    def __new__(cls, points=()):
         pts = tuple((int(a), int(b)) for a, b in points)
         for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
             if not (a0 < a1 and b0 < b1):
                 raise StaircaseError(
                     f"coordinates must strictly increase: {(a0, b0)} !< {(a1, b1)}")
-        self.points = pts
-
-    def __len__(self):
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-    def __getitem__(self, i):
-        return self.points[i]
-
-    def __eq__(self, other):
-        return isinstance(other, Staircase) and self.points == other.points
-
-    def __hash__(self):
-        return hash(self.points)
+        return super().__new__(cls, pts)
 
     def __repr__(self):
-        return f"Staircase({list(self.points)})"
+        return f"Staircase({list(self)})"
 
 
 def _require_nonempty(stair, op):
@@ -91,19 +80,18 @@ def essential_vertices(stair):
     increase; the operation is idempotent.
     """
     _require_nonempty(stair, "essential_vertices")
-    pts = stair.points
-    k = len(pts) - 1
-    out = [pts[0]]
+    k = len(stair) - 1
+    out = [stair[0]]
     i = 0
     while i < k:
         best = i + 1
         for j in range(i + 2, k + 1):
             # slope(i->j) <= slope(i->best), exactly; denominators positive
-            lhs = (pts[j][1] - pts[i][1]) * (pts[best][0] - pts[i][0])
-            rhs = (pts[best][1] - pts[i][1]) * (pts[j][0] - pts[i][0])
+            lhs = (stair[j][1] - stair[i][1]) * (stair[best][0] - stair[i][0])
+            rhs = (stair[best][1] - stair[i][1]) * (stair[j][0] - stair[i][0])
             if lhs <= rhs:
                 best = j
-        out.append(pts[best])
+        out.append(stair[best])
         i = best
     return Staircase(out)
 
@@ -115,18 +103,17 @@ def area(stair):
     is a nonnegative integer for any valid staircase.  Empty and singleton
     staircases have area 0.
     """
-    pts = stair.points
-    if len(pts) <= 1:
+    if len(stair) <= 1:
         return 0
-    b0 = pts[0][1]
+    b0 = stair[0][1]
     return sum((a1 - a0) * (b1 + b0_ - 2 * b0)
-               for (a0, b0_), (a1, b1) in zip(pts, pts[1:]))
+               for (a0, b0_), (a1, b1) in zip(stair, stair[1:]))
 
 
 def depth(stair):
     """Coordinate spread a_k - a_0 + b_k - b_0, the recursion's measure."""
     _require_nonempty(stair, "depth")
-    (a0, b0), (ak, bk) = stair.points[0], stair.points[-1]
+    (a0, b0), (ak, bk) = stair[0], stair[-1]
     return ak - a0 + bk - b0
 
 
@@ -144,10 +131,9 @@ def swan_drop(stair):
     raises.
     """
     _require_nonempty(stair, "swan_drop")
-    pts = stair.points
-    ak = pts[-1][0]
-    b0 = pts[0][1]
-    diag = max(a - b for a, b in pts)
+    ak = stair[-1][0]
+    b0 = stair[0][1]
+    diag = max(a - b for a, b in stair)
     value = max(ak, 0) + max(-b0, 0) - max(diag, 0)
     if value < 0:
         raise StaircaseError(f"negative conductor drop {value} for {stair!r}")
@@ -191,14 +177,13 @@ def child_index_sets(stair, rule="minimal"):
     _require_nonempty(stair, "child_index_sets")
     if rule not in ("minimal", "max_tail"):
         raise ValueError(f"unknown index rule {rule!r}")
-    pts = stair.points
-    k = len(pts) - 1
+    k = len(stair) - 1
     # one pass from the right: `tail` is the min (resp. max) of b_i - a_i
     # over i > j; the last index has an empty tail
-    tail = pts[k][1] - pts[k][0]
+    tail = stair[k][1] - stair[k][0]
     first = [k] if rule == "minimal" else []
     for j in range(k - 1, -1, -1):
-        here = pts[j][1] - pts[j][0]
+        here = stair[j][1] - stair[j][0]
         if rule == "minimal":
             if here < tail:
                 first.append(j)
@@ -210,10 +195,10 @@ def child_index_sets(stair, rule="minimal"):
                 tail = here
     first.reverse()
     # one pass from the left: `head` is the max of a_i - b_i over i < j
-    head = pts[0][0] - pts[0][1]
+    head = stair[0][0] - stair[0][1]
     second = [0]
     for j in range(1, k + 1):
-        here = pts[j][0] - pts[j][1]
+        here = stair[j][0] - stair[j][1]
         if here > head:
             second.append(j)
             head = here
@@ -223,9 +208,8 @@ def child_index_sets(stair, rule="minimal"):
 def _children(stair, first, second):
     """The crossing and continuation children over index sets already
     computed by child_index_sets."""
-    pts = stair.points
-    return (Staircase([(pts[j][0], pts[j][1] - pts[j][0]) for j in first]),
-            Staircase([(pts[j][0] - pts[j][1], pts[j][1]) for j in second]))
+    return (Staircase([(stair[j][0], stair[j][1] - stair[j][0]) for j in first]),
+            Staircase([(stair[j][0] - stair[j][1], stair[j][1]) for j in second]))
 
 
 def crossing_child(stair, rule="minimal"):
@@ -270,11 +254,12 @@ def ramification_recursive(stair, branches, rule="minimal"):
     points (and the empty staircase) contribute 0.  Termination is by the
     strict lexicographic descent of (length, depth), which is asserted.
     The steps run on an explicit stack, so the number of steps is not
-    limited by Python's recursion limit.
+    limited by Python's recursion limit.  `stair` may be any sequence of
+    pairs; it is validated as a Staircase first.
     """
     _check_branches(branches)
     trace = RecursionTrace()
-    _recurse(Staircase(stair.points), branches, trace, rule)
+    _recurse(Staircase(stair), branches, trace, rule)
     return trace
 
 
@@ -332,12 +317,11 @@ def is_clean_shape(stair, branches):
     needed: a single point at a crossing; a single point or a one-step
     rise ((a_0,b_0),(a_1,b_0+1)) on one branch.  Empty is clean."""
     _check_branches(branches)
-    pts = stair.points
-    if len(pts) <= 1:
+    if len(stair) <= 1:
         return True
     if branches == 2:
         return False
-    return len(pts) == 2 and pts[1][1] == pts[0][1] + 1
+    return len(stair) == 2 and stair[1][1] == stair[0][1] + 1
 
 
 def max_diagonal(stair):
@@ -346,11 +330,11 @@ def max_diagonal(stair):
     preserved when passing to essential vertices (for every valid
     staircase, not only good ones)."""
     _require_nonempty(stair, "max_diagonal")
-    return max(a - b for a, b in stair.points)
+    return max(a - b for a, b in stair)
 
 
 def quadrant_shape(stair):
     """Whether some point has a >= 0 and b <= 0, the shape condition a
     reduced representative always satisfies.  The recursion's closed form
     and the upper bound are theorems only on this domain."""
-    return any(a >= 0 and b <= 0 for a, b in stair.points)
+    return any(a >= 0 and b <= 0 for a, b in stair)

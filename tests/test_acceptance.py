@@ -47,7 +47,7 @@ def test_criterion_1_closed_form():
     corpus = _staircase_corpus(101, 10000)
     started = time.time()
     mismatches = [
-        (stair.points, branches) for stair, branches in corpus
+        (stair, branches) for stair, branches in corpus
         if ramification_recursive(stair, branches).total
         != ramification_closed_form(stair, branches)]
     elapsed = time.time() - started
@@ -59,7 +59,7 @@ def test_criterion_1_closed_form():
 def test_criterion_2_hull_invariance():
     corpus = _staircase_corpus(101, 10000)
     mismatches = [
-        (stair.points, branches) for stair, branches in corpus
+        (stair, branches) for stair, branches in corpus
         if ramification_recursive(stair, branches).total
         != ramification_recursive(essential_vertices(stair), branches).total]
     assert _line(2, "recursion depends only on essential vertices",

@@ -133,6 +133,21 @@ def test_report_nongood_is_classified_not_failed():
     assert not verdict["good_regime"]
 
 
+def test_report_materializes_the_witness_once(monkeypatch):
+    calls = []
+    original = reduction.artin_schreier_root
+
+    def counted(value):
+        calls.append(value)
+        return original(value)
+
+    monkeypatch.setattr(reduction, "artin_schreier_root", counted)
+    report = build_report(InputSpec(field="2^1", branches=2, expr="t1^-2*t2"))
+    assert len(calls) == 1
+    rep = report.data["good_representative"]
+    assert (rep["witness"], rep["witness_field"]) == ("g", "GF(2^2)")
+
+
 def test_reports_are_deterministic():
     spec = InputSpec(field="3^1", branches=2, expr="t1^-2*t2 + t2^-1", seed=5)
     a = json.dumps(build_report(spec).to_dict(), sort_keys=True)

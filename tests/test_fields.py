@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from wildram import fields
 from wildram.fields import (_EXHAUSTIVE_LIMIT, ContextMismatchError,
                             FieldContext, FieldElement, _is_irreducible,
                             _trim, embed, field, find_roots, join_context,
@@ -222,6 +223,18 @@ def test_roots_in_field_large_field_path():
         {a.encoding(), b.encoding()})
 
 
+def test_roots_in_field_large_field_path_char_2():
+    # over F_2^13 (order > 4096) the equal-degree split takes the trace
+    # branch of characteristic 2
+    ctx = field(2, 13)
+    a, b, c = (ctx.from_encoding(e) for e in (1234, 4321, 7777))
+    # (x - a)(x - b)(x - c)
+    coeffs = [-(a * b * c), a * b + a * c + b * c, -(a + b + c), ctx.one()]
+    roots = roots_in_field(coeffs, ctx)
+    assert [(r.encoding(), mult) for r, mult in roots] == [
+        (1234, 1), (4321, 1), (7777, 1)]
+
+
 TABLE_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13)
                 for k in range(1, 13) if p ** k <= _EXHAUSTIVE_LIMIT]
 
@@ -404,6 +417,24 @@ def test_rabin_matches_trial_division(p, top):
             if degree >= 1 and not irreducible:
                 with pytest.raises(ValueError):
                     FieldContext(p, degree, modulus=poly)
+
+
+def test_canonical_context_skips_the_repeated_rabin_test(monkeypatch):
+    # the default modulus comes from _least_irreducible, which has already
+    # found it irreducible by the same test
+    fields._least_irreducible(2, 8)
+    calls = []
+    original = fields._is_irreducible
+
+    def counted(poly, p):
+        calls.append(poly)
+        return original(poly, p)
+
+    monkeypatch.setattr(fields, "_is_irreducible", counted)
+    assert FieldContext(2, 8) == field(2, 8)
+    assert calls == []
+    FieldContext(2, 8, modulus=field(2, 8).modulus)
+    assert len(calls) == 1
 
 
 def test_tables_with_a_non_primitive_generator():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import sys
 
 import pytest
@@ -24,6 +26,34 @@ def test_validation():
         Staircase([(0, 0), (1, 0)])
     assert len(Staircase()) == 0
     assert len(S((5, 7))) == 1
+
+
+def test_staircase_is_immutable():
+    stair = S((0, 0), (1, 2))
+    with pytest.raises(AttributeError):
+        stair.points = ((9, 9),)
+    assert stair == S((0, 0), (1, 2))
+    assert repr(stair) == "Staircase([(0, 0), (1, 2)])"
+
+
+def test_staircase_is_its_tuple_of_points():
+    stair = S((0, 0), (1, 2))
+    assert stair == ((0, 0), (1, 2))
+    assert hash(stair) == hash(((0, 0), (1, 2)))
+    assert Staircase([("3", 4.0)]) == ((3, 4),)
+    for copied in [copy.copy(stair), copy.deepcopy(stair)] + [
+            pickle.loads(pickle.dumps(stair, protocol))
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
+        assert type(copied) is Staircase
+        assert copied == stair
+
+
+def test_recursion_validates_a_plain_sequence():
+    with pytest.raises(StaircaseError):
+        ramification_recursive(((0, 0), (0, 1)), 2)
+    plain = ramification_recursive([(0, 0), (1, 2)], 2)
+    assert plain.total == ramification_recursive(S((0, 0), (1, 2)), 2).total
+    assert type(plain.steps[0].staircase) is Staircase
 
 
 # ---------------------------------------------------------------------------
@@ -214,10 +244,9 @@ def test_recursion_depends_only_on_hull(stair):
 def test_hull_is_idempotent_with_increasing_slopes(stair):
     hull = essential_vertices(stair)
     assert essential_vertices(hull) == hull
-    pts = hull.points
-    for i in range(len(pts) - 2):
-        lhs = (pts[i + 1][1] - pts[i][1]) * (pts[i + 2][0] - pts[i + 1][0])
-        rhs = (pts[i + 2][1] - pts[i + 1][1]) * (pts[i + 1][0] - pts[i][0])
+    for i in range(len(hull) - 2):
+        lhs = (hull[i + 1][1] - hull[i][1]) * (hull[i + 2][0] - hull[i + 1][0])
+        rhs = (hull[i + 2][1] - hull[i + 1][1]) * (hull[i + 1][0] - hull[i][0])
         assert lhs < rhs
 
 
@@ -266,12 +295,11 @@ def test_children_shrink_the_measure(stair):
 def _reference_index_sets(stair, rule):
     """The filters of child_index_sets, written out as their definition:
     every tail and head range rebuilt for each index."""
-    pts = stair.points
-    k = len(pts) - 1
+    k = len(stair) - 1
     first = []
     for j in range(k + 1):
-        tail = [pts[i][1] - pts[i][0] for i in range(j + 1, k + 1)]
-        here = pts[j][1] - pts[j][0]
+        tail = [stair[i][1] - stair[i][0] for i in range(j + 1, k + 1)]
+        here = stair[j][1] - stair[j][0]
         if rule == "minimal":
             if not tail or here < min(tail):
                 first.append(j)
@@ -280,8 +308,8 @@ def _reference_index_sets(stair, rule):
                 first.append(j)
     second = []
     for j in range(k + 1):
-        head = [pts[i][0] - pts[i][1] for i in range(j)]
-        if not head or pts[j][0] - pts[j][1] > max(head):
+        head = [stair[i][0] - stair[i][1] for i in range(j)]
+        if not head or stair[j][0] - stair[j][1] > max(head):
             second.append(j)
     return tuple(first), tuple(second)
 
@@ -296,11 +324,11 @@ def _reference_recurse(stair, branches, trace, rule):
     trace.total += term
     trace.steps.append(RecursionStep(stair, branches, drop, term, first, second))
     measure = (len(stair), depth(stair))
-    pts = stair.points
     for child, child_branches in (
-            (Staircase([(pts[j][0], pts[j][1] - pts[j][0]) for j in first]), 2),
-            (Staircase([(pts[j][0] - pts[j][1], pts[j][1]) for j in second]),
-             branches)):
+            (Staircase([(stair[j][0], stair[j][1] - stair[j][0])
+                        for j in first]), 2),
+            (Staircase([(stair[j][0] - stair[j][1], stair[j][1])
+                        for j in second]), branches)):
         if len(child) == 0:
             continue
         assert (len(child), depth(child)) < measure
