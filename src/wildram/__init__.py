@@ -4,15 +4,13 @@ covers of surfaces in positive characteristic."""
 from .fields import FieldContext, FieldElement, embed, field, find_roots
 from .laurent import (LaurentPolynomial, PrecisionLossError,
                       blowup_substitute, pole_staircase, translate, valuation)
-from .staircase import (Staircase, area, depth, essential_vertices,
-                        is_clean_shape, ramification_bound,
+from .staircase import (Staircase, area, depth, end_conductors,
+                        essential_vertices, is_clean_shape, ramification_bound,
                         ramification_closed_form, ramification_recursive,
                         blowup_term, swan_drop)
-from .reduction import (GoodRepresentative, SwanReport, artin_schreier_map,
-                        exceptional_swan, good_representative, is_clean,
-                        swan_conductor)
-from .blowup import (BlowupNode, ResolutionResult, SimulationConfig,
-                     nonclean_children, resolve)
+from .reduction import (GoodRepresentative, artin_schreier_map, conductors,
+                        exceptional_swan, good_representative, swan_conductor)
+from .blowup import BlowupNode, ResolutionResult, SimulationConfig, resolve
 from .euler import EulerReport, SurfaceConfig, euler_delta, preset
 from .report import InputSpec, build_report
 

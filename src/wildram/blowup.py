@@ -51,8 +51,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .fields import embed, field, find_roots, join_context, minimal_form
 from .laurent import (PrecisionLossError, blowup_substitute,
                       pole_staircase, translate, valuation)
-from .reduction import (exceptional_swan, good_representative, is_clean,
-                        swan_conductor)
+from .reduction import conductors, good_representative
 from .staircase import blowup_term, is_clean_shape, swan_drop
 
 
@@ -214,11 +213,8 @@ def _build_node(poly, branches, path, depth, config, budget, stats):
         raw_stair = None
     stair = rep.staircase
     clean = is_clean_shape(stair, branches)
-    drop = swan_drop(stair) if len(stair) else 0
-
-    sw1 = swan_conductor(rep.g, "t1").value
-    sw2 = swan_conductor(rep.g, "t2").value if branches == 2 else 0
-    swe = exceptional_swan(rep.g).value
+    drop = swan_drop(stair)
+    sw1, sw2, swe = conductors(rep.g, branches)
     if drop != sw1 + sw2 - swe:
         raise CrossCheckError(
             f"at {path}: staircase gives drop {drop}, conductors give "
@@ -340,18 +336,6 @@ def _off_origin_points(chart_first, config, stats):
         small = minimal_form(x)
         points[(small.ctx.degree, small.encoding())] = small
     return [points[key] for key in sorted(points)]
-
-
-def nonclean_children(f, branches, config=None):
-    """The non-clean points produced by one blow-up: local polynomial,
-    branch count and label for each, in deterministic order.  The input
-    must itself be non-clean for the list to be meaningful."""
-    config = config or SimulationConfig()
-    g = good_representative(f).g
-    return [(child, child_branches, label)
-            for child, child_branches, label in _blowup_children(
-                g, branches, config, config.series_terms, RunStats())
-            if not is_clean(child, child_branches)]
 
 
 # ---------------------------------------------------------------------------

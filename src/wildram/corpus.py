@@ -14,11 +14,11 @@ import random
 from .blowup import resolve
 from .laurent import LaurentPolynomial
 from .parsing import format_polynomial, parse_field
-from .reduction import (artin_schreier_map, exceptional_swan,
-                        good_representative, swan_conductor)
-from .staircase import (Staircase, essential_vertices, max_diagonal,
-                        ramification_bound, ramification_closed_form,
-                        ramification_recursive, swan_drop)
+from .reduction import artin_schreier_map, conductors, good_representative
+from .staircase import (Staircase, end_conductors, essential_vertices,
+                        max_diagonal, ramification_bound,
+                        ramification_closed_form, ramification_recursive,
+                        swan_drop)
 
 # the coefficient fields of the laurent corpus, used in turn
 LAURENT_FIELDS = ("2^1", "3^1", "5^1")
@@ -137,23 +137,17 @@ def _poly_checks(f, rng):
 
     h = random_polynomial(rng, ctx, max_terms=2, exp_bound=2)
     g2 = f + artin_schreier_map(h)
-    for axis in ("t1", "t2"):
-        out[f"swan_invariance_{axis}"] = (
-            swan_conductor(f, axis).value == swan_conductor(g2, axis).value)
-    out["swan_invariance_E"] = (
-        exceptional_swan(f).value == exceptional_swan(g2).value)
+    for axis, before, after in zip(("t1", "t2", "E"), conductors(f, 2),
+                                   conductors(g2, 2)):
+        out[f"swan_invariance_{axis}"] = before == after
 
     stair = rep.staircase
     if len(stair):
-        out["swan_from_staircase_t1"] = (
-            swan_conductor(rep.g, "t1").value == max(stair[-1][0], 0))
-        out["swan_from_staircase_t2"] = (
-            swan_conductor(rep.g, "t2").value == max(-stair[0][1], 0))
-        drop = swan_drop(stair)
-        out["drop_identity"] = drop == (
-            swan_conductor(rep.g, "t1").value
-            + swan_conductor(rep.g, "t2").value
-            - exceptional_swan(rep.g).value)
+        sw1, sw2, swe = conductors(rep.g, 2)
+        end1, end2 = end_conductors(stair)
+        out["swan_from_staircase_t1"] = sw1 == end1
+        out["swan_from_staircase_t2"] = sw2 == end2
+        out["drop_identity"] = swan_drop(stair) == sw1 + sw2 - swe
     return out
 
 
@@ -168,7 +162,7 @@ def _simulation_checks(f):
     out["bound_recursive"] = recursive <= bound
     if sim.good_regime:
         out["oracle_good_regime"] = sim.total == recursive
-    return out, sim
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +212,7 @@ def run_corpus(seed, count, mode, rule="minimal", simulate=False):
             try:
                 results = _poly_checks(f, rng)
                 if simulate:
-                    sim_results, _ = _simulation_checks(f)
-                    results.update(sim_results)
+                    results.update(_simulation_checks(f))
             except Exception as err:
                 record("no_exception", False,
                        f"{format_polynomial(f)}: {type(err).__name__}: {err}")

@@ -14,17 +14,21 @@ reducing f to a normal form inside its class:
   part may live in a small extension field and is materialized lazily,
   but the identity itself is verified exactly on construction.
 
-* ``swan_conductor`` computes the minimal pole order along a coordinate
-  axis over the whole class, by the valuation-ring loop: while the pole
-  order A is divisible by p and every t2-exponent of the leading
-  coefficient is divisible by p, the leading part is a p-th power and one
-  reduction strips it.  The loop is the second, independent route to the
-  conductors; for a good representative they can also be read off the
-  staircase ends, and tests pin the two routes together.
+* ``swan_conductor`` computes, as an int, the minimal pole order along
+  a coordinate axis over the whole class, by the valuation-ring loop:
+  while the pole order A is divisible by p and every t2-exponent of the
+  leading coefficient is divisible by p, the leading part is a p-th power
+  and one reduction strips it.  The loop is the second, independent route
+  to the conductors; for a good representative they can also be read off
+  the staircase ends (``staircase.end_conductors``), and the simulator,
+  the report and the corpus pin the two routes together.
 
 * ``exceptional_swan`` is the conductor along the exceptional curve of
   one blow-up, computed in the first chart; by symmetry the second chart
   gives the same value, which tests assert.
+
+* ``conductors`` is the triple (Sw(t1), Sw(t2), Sw(E)) by the loops, as
+  the simulator, the report and the corpus read it.
 """
 
 from __future__ import annotations
@@ -35,7 +39,7 @@ from .fields import _solve_mod_p, embed, field, join_context
 from .laurent import (LaurentPolynomial, PrecisionLossError, blowup_substitute,
                       pole_staircase, transpose, undominated_unknowns,
                       valuation)
-from .staircase import Staircase, is_clean_shape, quadrant_shape
+from .staircase import Staircase, quadrant_shape
 
 
 def artin_schreier_map(h):
@@ -192,21 +196,9 @@ def good_representative(f, corner_order="outermost", rng=None):
     return rep
 
 
-def is_clean(f, branches):
-    """Cleanness of the cover at the origin, via the reduced staircase."""
-    return is_clean_shape(good_representative(f).staircase, branches)
-
-
 # ---------------------------------------------------------------------------
 # Swan conductors
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SwanReport:
-    divisor: str           # "t1", "t2" or "E"
-    value: int
-    reductions: int
-
 
 def swan_conductor(f, axis):
     """Minimal pole order along the axis over the class of f.
@@ -215,26 +207,25 @@ def swan_conductor(f, axis):
     leading coefficient, a one-variable Laurent polynomial in the other
     coordinate, has all exponents divisible by p; then the leading part is
     the p-th power of an explicit half-order part, whose Artin-Schreier
-    image is subtracted.  The final max(A, 0) is the conductor.
+    image is subtracted.  The final max(A, 0) is the conductor, an int.
     """
     if axis not in ("t1", "t2"):
         raise ValueError(f"axis must be 't1' or 't2', got {axis!r}")
     work = f if axis == "t1" else transpose(f)
     p = work.ctx.p
-    reductions = 0
     while True:
         v = valuation(work, "t1")
         if v >= 0:
-            return SwanReport(axis, 0, reductions)
+            return 0
         pole = -v
         if pole % p != 0:
-            return SwanReport(axis, pole, reductions)
+            return pole
         column = {n: c for (m, n), c in work.terms.items() if m == v}
         cutoff = min((u[1] for u in work.unknown if u[0] <= v), default=None)
         exact_column = {n: c for n, c in column.items()
                         if cutoff is None or n < cutoff}
         if any(n % p != 0 for n in exact_column):
-            return SwanReport(axis, pole, reductions)
+            return pole
         if cutoff is not None:
             raise PrecisionLossError((v, cutoff),
                                      "leading column truncated before the "
@@ -243,11 +234,18 @@ def swan_conductor(f, axis):
             work.ctx,
             {(v // p, n // p): c.pth_root() for n, c in column.items()})
         work = work - artin_schreier_map(half)
-        reductions += 1
 
 
 def exceptional_swan(f):
     """Swan conductor along the exceptional curve of the blow-up at the
     origin: substitute the first chart and measure along the new axis."""
-    report = swan_conductor(blowup_substitute(f, "A"), "t1")
-    return SwanReport("E", report.value, report.reductions)
+    return swan_conductor(blowup_substitute(f, "A"), "t1")
+
+
+def conductors(f, branches):
+    """(Sw(t1), Sw(t2), Sw(E)) of f by the valuation loops.  On one
+    branch there is no second boundary curve: Sw(t2) is 0 and its loop
+    does not run."""
+    sw1 = swan_conductor(f, "t1")
+    sw2 = swan_conductor(f, "t2") if branches == 2 else 0
+    return sw1, sw2, exceptional_swan(f)

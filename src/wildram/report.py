@@ -26,9 +26,8 @@ from .blowup import SimulationConfig, resolve, simulation_as_dict
 from .corpus import random_polynomial
 from .parsing import (format_polynomial, parse_field, parse_polynomial,
                       polynomial_as_triples)
-from .reduction import (artin_schreier_map, exceptional_swan,
-                        good_representative, swan_conductor)
-from .staircase import (essential_vertices, is_clean_shape,
+from .reduction import artin_schreier_map, conductors, good_representative
+from .staircase import (end_conductors, essential_vertices, is_clean_shape,
                         ramification_bound, ramification_closed_form,
                         ramification_recursive, swan_drop)
 
@@ -85,8 +84,8 @@ def _invariants(f, branches, config):
         rep = good_representative(f)
         stair = rep.staircase
     with _stage("conductors"):
-        swans = {axis: swan_conductor(f, axis).value for axis in ("t1", "t2")}
-        swans["E"] = exceptional_swan(f).value
+        # a type I input has no t2-poles: its t2 loop runs and shows 0
+        swans = dict(zip(("t1", "t2", "E"), conductors(f, 2)))
     with _stage("recursion"):
         trace = ramification_recursive(stair, branches)
         closed = ramification_closed_form(stair, branches)
@@ -141,26 +140,20 @@ def build_report(spec):
         "closed_form": inv["closed"],
     }
 
-    drop = swan_drop(stair) if len(stair) else 0
-    swan_route = (inv["swans"]["t1"]
-                  + (inv["swans"]["t2"] if spec.branches == 2 else 0)
-                  - inv["swans"]["E"])
+    swans = inv["swans"]
+    drop = swan_drop(stair)
+    swan_route = swans["t1"] + swans["t2"] - swans["E"]
     verdicts["drop_identity"] = {
         "pass": drop == swan_route,
         "staircase_drop": drop,
         "conductor_drop": swan_route,
     }
 
-    if len(stair):
-        expected_t1 = max(stair[-1][0], 0)
-        expected_t2 = max(-stair[0][1], 0)
-    else:
-        expected_t1 = expected_t2 = 0
+    expected_t1, expected_t2 = end_conductors(stair)
     verdicts["swan_matches_staircase_ends"] = {
-        "pass": (inv["swans"]["t1"] == expected_t1
-                 and inv["swans"]["t2"] == expected_t2),
-        "swan_t1": inv["swans"]["t1"], "expected_t1": expected_t1,
-        "swan_t2": inv["swans"]["t2"], "expected_t2": expected_t2,
+        "pass": swans["t1"] == expected_t1 and swans["t2"] == expected_t2,
+        "swan_t1": swans["t1"], "expected_t1": expected_t1,
+        "swan_t2": swans["t2"], "expected_t2": expected_t2,
     }
 
     agreement = sim.total == inv["recursive"].total

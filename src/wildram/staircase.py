@@ -121,20 +121,28 @@ def depth(stair):
 # the per-blow-up drop and its contribution
 # ---------------------------------------------------------------------------
 
+def end_conductors(stair):
+    """The Swan conductors along the two boundary branches, read off the
+    staircase ends: (max(a_k, 0), max(-b_0, 0)).  The empty staircase,
+    a function regular at the point, gives (0, 0)."""
+    if not stair:
+        return 0, 0
+    return max(stair[-1][0], 0), max(-stair[0][1], 0)
+
+
 def swan_drop(stair):
     """Drop of the Swan conductor sum across one blow-up, read off the
-    staircase: max(a_k, 0) + max(-b_0, 0) - max(max_i(a_i - b_i), 0).
+    staircase: the two end_conductors minus max(max_diagonal, 0), the
+    conductor along the exceptional curve.
 
-    The three terms are the conductors along the two boundary branches and
-    along the exceptional curve.  The value is >= 0 for every valid
+    The value is 0 for the empty staircase and >= 0 for every valid
     staircase; a negative result would indicate corrupted input and
     raises.
     """
-    _require_nonempty(stair, "swan_drop")
-    ak = stair[-1][0]
-    b0 = stair[0][1]
-    diag = max(a - b for a, b in stair)
-    value = max(ak, 0) + max(-b0, 0) - max(diag, 0)
+    if not stair:
+        return 0
+    sw1, sw2 = end_conductors(stair)
+    value = sw1 + sw2 - max(max_diagonal(stair), 0)
     if value < 0:
         raise StaircaseError(f"negative conductor drop {value} for {stair!r}")
     return value

@@ -87,9 +87,9 @@ def test_criterion_4_swan_class_invariance():
         h = random_polynomial(rng, ctx, max_terms=2, exp_bound=3)
         g = f + artin_schreier_map(h)
         for axis in ("t1", "t2"):
-            if swan_conductor(f, axis).value != swan_conductor(g, axis).value:
+            if swan_conductor(f, axis) != swan_conductor(g, axis):
                 failures.append((format_polynomial(f), axis))
-        if exceptional_swan(f).value != exceptional_swan(g).value:
+        if exceptional_swan(f) != exceptional_swan(g):
             failures.append((format_polynomial(f), "E"))
     assert _line(4, "Swan conductors are class invariants (1000 pairs, "
                     "divisors t1/t2/E)", not failures), failures[:3]
@@ -107,9 +107,8 @@ def test_criterion_5_drop_identity_bridge():
             continue
         checked += 1
         drop = swan_drop(rep.staircase)
-        via_swans = (swan_conductor(f, "t1").value
-                     + swan_conductor(f, "t2").value
-                     - exceptional_swan(f).value)
+        via_swans = (swan_conductor(f, "t1") + swan_conductor(f, "t2")
+                     - exceptional_swan(f))
         if drop != via_swans:
             failures.append(format_polynomial(f))
     ok = not failures and checked >= 500

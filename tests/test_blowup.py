@@ -3,8 +3,8 @@ import random
 import pytest
 
 from wildram.blowup import (DepthCapError, SimulationConfig,
-                            exceptional_candidates, nonclean_children,
-                            resolve, tree_as_dict, tree_as_dot)
+                            exceptional_candidates, resolve, tree_as_dict,
+                            tree_as_dot)
 from wildram.corpus import random_polynomial
 from wildram.fields import field
 from wildram.laurent import LaurentPolynomial, blowup_substitute, pole_staircase
@@ -53,29 +53,35 @@ def test_one_branch_input_rejects_t2_poles():
         resolve(poly("t2^-1", F3), 1)
 
 
+def _nonclean_children(f):
+    """(label, branches) of each non-clean point that the first blow-up
+    of f leaves, read off the first level of its resolution tree."""
+    return [(c.path.rsplit("/", 1)[-1], c.branches)
+            for c in resolve(f, 2).root.children if not c.clean]
+
+
 def test_children_only_first_chart_origin():
-    children = nonclean_children(poly("1 + t1^-2*t2", F3), 2)
-    assert [(label, branches) for _, branches, label in children] == [("A", 2)]
+    children = _nonclean_children(poly("1 + t1^-2*t2", F3))
+    assert children == [("A", 2)]
 
 
 def test_children_empty_when_chart_images_clean():
     # one blow-up of this non-clean point leaves only clean points
-    children = nonclean_children(poly("1 + t1^-1*t2", F3), 2)
+    children = _nonclean_children(poly("1 + t1^-1*t2", F3))
     assert children == []
 
 
 def test_crossing_child_detected_despite_unramified_exceptional():
     # the exceptional curve itself is unramified here, but the crossing
     # with the old first branch still needs one more blow-up
-    children = nonclean_children(poly("1 + t1^-1*t2^2", F3), 2)
-    assert [(label, branches) for _, branches, label in children] == [("B", 2)]
+    children = _nonclean_children(poly("1 + t1^-1*t2^2", F3))
+    assert children == [("B", 2)]
     result = resolve(poly("1 + t1^-1*t2^2", F3), 2)
     assert result.total == 2 and result.good_regime
 
 
 def _off_origin_labels(f):
-    return [label for _, _, label in nonclean_children(f, 2)
-            if "@v=" in label]
+    return [label for label, _ in _nonclean_children(f) if "@v=" in label]
 
 
 def test_candidate_points_from_leading_coefficient():

@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from wildram import reduction
+from wildram import blowup, reduction, report
+from wildram.blowup import CrossCheckError, resolve
 from wildram.cli import main
 from wildram.corpus import run_corpus
 from wildram.fields import field
@@ -195,6 +196,37 @@ def test_cli_report_exit_zero(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "blow-up r_x  2" in out
+
+
+def _conductors_off_by_one(monkeypatch, module):
+    """Make `module` read Sw(t1) one too high."""
+    real = module.conductors
+
+    def off_by_one(f, branches):
+        sw1, sw2, swe = real(f, branches)
+        return sw1 + 1, sw2, swe
+
+    monkeypatch.setattr(module, "conductors", off_by_one)
+
+
+def test_failed_cross_check_raises_and_exits_two(monkeypatch, capsys):
+    _conductors_off_by_one(monkeypatch, blowup)
+    with pytest.raises(CrossCheckError, match=r"conductors give 3 \+ 0 - 1"):
+        resolve(parse_polynomial("t1^-2*t2", F3), 2)
+    code = main(["report", "t1^-2*t2", "--field", "3"])
+    assert code == 2
+    assert "in stage simulation" in capsys.readouterr().err
+
+
+def test_report_verdicts_fail_when_the_conductors_disagree(monkeypatch,
+                                                            capsys):
+    _conductors_off_by_one(monkeypatch, report)
+    result = build_report(InputSpec(field="3^1", branches=2, expr="t1^-2*t2"))
+    assert not result.verdicts["drop_identity"]["pass"]
+    assert not result.verdicts["swan_matches_staircase_ends"]["pass"]
+    assert not result.passed
+    assert main(["report", "t1^-2*t2", "--field", "3"]) == 2
+    assert "FAIL  drop_identity" in capsys.readouterr().out
 
 
 def test_cli_report_json(capsys):

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 from wildram.staircase import (RecursionStep, RecursionTrace, Staircase,
                                StaircaseError, area, blowup_term,
                                child_index_sets, continuation_child,
-                               crossing_child, depth,
+                               crossing_child, depth, end_conductors,
                                essential_vertices, is_clean_shape,
                                max_diagonal, quadrant_shape,
                                ramification_bound, ramification_closed_form,
@@ -103,6 +103,16 @@ def test_swan_drop_values():
     assert swan_drop(S((0, 0), (2, 1))) == 1
     assert swan_drop(S((1, -2), (3, -1))) == 1
     assert swan_drop(S((0, 0))) == 0
+
+
+def test_swan_drop_of_empty_staircase_is_zero():
+    assert swan_drop(Staircase()) == 0
+
+
+def test_end_conductors():
+    assert end_conductors(Staircase()) == (0, 0)
+    assert end_conductors(S((-3, -2), (-1, 4))) == (0, 2)
+    assert end_conductors(S((0, 0), (2, 1))) == (2, 0)
 
 
 def test_blowup_term():
