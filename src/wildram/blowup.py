@@ -38,6 +38,17 @@ and raises after ``MAX_ESCALATIONS`` doublings.  Every acceptance path
 re-derives from the exact pre-translation polynomial, so a stable answer
 is also a correct one for every quantity that became stable.
 
+What a round recomputes.  A node whose polynomial is exact does not
+depend on the budget, so one ``resolve`` call analyses it once and every
+later round reuses that analysis: the reduced representative's node
+fields (drop cross-check passed), its two chart images, and, once the
+enumeration first reaches them, its off-origin points with the flag of a
+partial root search.  Each round still builds fresh nodes, translates
+every off-origin point at its own budget and analyses every truncated
+polynomial anew, so the tree, the probes and the run flags are those of
+a run from scratch.  The reuse lasts one call: two calls on the same
+input compute everything twice.
+
 The run flags of a result (``good_regime`` and the flags behind it) are
 read from the finished tree, so they depend only on the input, never on
 the policy.  A dropped clean probe affects only the escalation: when its
@@ -180,10 +191,12 @@ def resolve(f, branches, config=None):
     budget = config.series_terms
     previous = None
     escalations = 0
+    seen = {}       # (exact polynomial, branches) -> its _NodeAnalysis
     while True:
         stats = RunStats()
         try:
-            root = _build_node(f, branches, "x", 0, config, budget, stats)
+            root = _build_node(f, branches, "x", 0, config, budget, stats,
+                               seen)
         except PrecisionLossError:
             root = None
         if root is not None:
@@ -201,11 +214,49 @@ def resolve(f, branches, config=None):
         escalations += 1
 
 
-def _build_node(poly, branches, path, depth, config, budget, stats):
+@dataclass
+class _NodeAnalysis:
+    """What a node's polynomial determines at every series budget: the
+    node's fields but its path, the chart B and chart A images of the
+    reduced representative when the node is not clean, and the off-origin
+    points with the flag of a partial root search, once searched."""
+    fields: dict
+    charts: tuple = ()
+    points: tuple = None
+
+
+def _build_node(poly, branches, path, depth, config, budget, stats, seen):
     if depth > config.depth_cap:
         raise DepthCapError(path, None)
-    if not poly.is_exact:
+    if poly.is_exact:
+        info = seen.get((poly, branches))
+        if info is None:
+            info = seen[(poly, branches)] = _analyse(poly, branches, path)
+    else:
         stats.used_truncation = True
+        info = _analyse(poly, branches, path)
+    node = BlowupNode(path=path, **info.fields)
+    if node.clean:
+        return node
+
+    children = []
+    try:
+        for child_poly, child_branches, label in _blowup_children(
+                info, config, budget, stats):
+            child = _build_node(child_poly, child_branches, f"{path}/{label}",
+                                depth + 1, config, budget, stats, seen)
+            # the chart origins stay in the tree even when clean
+            if not child.clean or "@v=" not in label:
+                children.append(child)
+    except DepthCapError as err:
+        if err.partial is None:
+            err.partial = node
+        raise
+    node.children = children
+    return node
+
+
+def _analyse(poly, branches, path):
     rep = good_representative(poly)
     try:
         raw_stair = pole_staircase(poly)
@@ -219,45 +270,38 @@ def _build_node(poly, branches, path, depth, config, budget, stats):
         raise CrossCheckError(
             f"at {path}: staircase gives drop {drop}, conductors give "
             f"{sw1} + {sw2} - {swe}")
+    term = blowup_term(drop, branches)
+    if clean and term != 0:
+        raise CrossCheckError(f"clean node {path} with nonzero term")
 
     # below the root, a repair means the chart image alone no longer
     # describes the node, so the staircase recursion stops being exact
-    node = BlowupNode(path=path, branches=branches, staircase=stair,
-                      drop=drop, term=blowup_term(drop, branches),
-                      clean=clean, constant_added=rep.constant_added,
-                      repair=stair != raw_stair, reductions=rep.reductions)
-    if clean:
-        if node.term != 0:
-            raise CrossCheckError(f"clean node {path} with nonzero term")
-        return node
-
-    children = []
-    try:
-        for child_poly, child_branches, label in _blowup_children(
-                rep.g, branches, config, budget, stats):
-            child = _build_node(child_poly, child_branches, f"{path}/{label}",
-                                depth + 1, config, budget, stats)
-            # the chart origins stay in the tree even when clean
-            if not child.clean or "@v=" not in label:
-                children.append(child)
-    except DepthCapError as err:
-        if err.partial is None:
-            err.partial = node
-        raise
-    node.children = children
-    return node
+    info = _NodeAnalysis(dict(
+        branches=branches, staircase=stair, drop=drop, term=term,
+        clean=clean, constant_added=rep.constant_added,
+        repair=stair != raw_stair, reductions=rep.reductions))
+    if not clean:
+        info.charts = (blowup_substitute(rep.g, "B"),
+                       blowup_substitute(rep.g, "A"))
+    return info
 
 
-def _blowup_children(g, branches, config, budget, stats):
-    """Every point that one blow-up of the reduced g can leave non-clean,
-    as (local polynomial, branch count, label): the origin of chart B,
-    the origin of chart A, then each off-origin point of the exceptional
-    curve, translated to the origin of chart A.  Lazy, so that a failure
-    while the caller handles one child stops the enumeration there."""
-    yield blowup_substitute(g, "B"), 2, "B"
-    first = blowup_substitute(g, "A")
-    yield first, branches, "A"
-    for point in _off_origin_points(first, config, stats):
+def _blowup_children(info, config, budget, stats):
+    """Every point that one blow-up of a non-clean node can leave
+    non-clean, as (local polynomial, branch count, label): the origin of
+    chart B, the origin of chart A, then each off-origin point of the
+    exceptional curve, translated to the origin of chart A.  Lazy, so that
+    a failure while the caller handles one child stops the enumeration
+    there; the points are searched for once per analysis."""
+    second, first = info.charts
+    yield second, 2, "B"
+    yield first, info.fields["branches"], "A"
+    if info.points is None:
+        info.points = _off_origin_points(first, config)
+    points, partial = info.points
+    if partial:
+        stats.partial_roots = True
+    for point in points:
         ctx = join_context(first.ctx, point.ctx)
         moved = translate(first.embed_into(ctx), embed(point, ctx), budget)
         yield moved, 1, f"A@v={point}"
@@ -324,9 +368,13 @@ def exceptional_candidates(chart_first, config, stats=None):
     return [points[key] for key in sorted(points)]
 
 
-def _off_origin_points(chart_first, config, stats):
+def _off_origin_points(chart_first, config):
+    """The off-origin points to probe, and whether a root search behind
+    them was partial."""
     if config.mode == "candidates":
-        return exceptional_candidates(chart_first, config, stats)
+        search = RunStats()
+        points = exceptional_candidates(chart_first, config, search)
+        return points, search.partial_roots
     base = chart_first.ctx
     sweep_ctx = field(base.p, base.degree * config.sweep_degree)
     points = {}
@@ -335,7 +383,7 @@ def _off_origin_points(chart_first, config, stats):
             continue
         small = minimal_form(x)
         points[(small.ctx.degree, small.encoding())] = small
-    return [points[key] for key in sorted(points)]
+    return [points[key] for key in sorted(points)], False
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,10 @@ different contexts raise, and :func:`embed` moves an element along a fixed
 embedding F_{p^k} -> F_{p^(k*m)}.  The embedding for a context pair sends
 the source generator to the root of the source modulus with the smallest
 encoding in the target field, which makes it deterministic across runs.
+Between two tabulated fields it is a lookup: the image of w^i is the
+image of w to the i-th power, and the log of the image of w is kept per
+context pair.  An untabulated field evaluates the coefficient polynomial
+at the image of the generator.
 
 Root finding over extension towers visits each extension degree up to a
 cap (never past the polynomial degree, since a root's minimal degree
@@ -483,8 +487,20 @@ def _generator_image(src, dst):
     return roots[0][0]
 
 
+@functools.lru_cache(maxsize=None)
+def _primitive_image_log(src, dst):
+    """The log in dst's tables of the image of src's primitive element, for
+    two tabulated contexts."""
+    return _evaluate_embedding(src._exp[1], dst)._log
+
+
 def embed(a, target):
-    """Map an element along the fixed embedding into a larger context."""
+    """Map an element along the fixed embedding into a larger context.
+
+    Between two tabulated fields the embedding is a group map, so
+    embed(w^i) = embed(w)^i for the primitive element w of the source: one
+    product of logs and one table lookup.  Otherwise the coefficient
+    polynomial is evaluated at the image of the source generator."""
     src = a.ctx
     if src == target:
         return a
@@ -494,7 +510,17 @@ def embed(a, target):
         raise ContextMismatchError(
             f"no embedding {src} -> {target}: degree {src.degree} "
             f"does not divide {target.degree}")
-    img = _generator_image(src, target)
+    i = a._log
+    if i is None or not target._tables():
+        return _evaluate_embedding(a, target)
+    if i == src._zero_log:
+        return target._exp[target._zero_log]
+    return target._exp[i * _primitive_image_log(src, target)
+                       % (target._zero_log // 2)]
+
+
+def _evaluate_embedding(a, target):
+    img = _generator_image(a.ctx, target)
     acc = target.zero()
     for c in reversed(a.coeffs):
         acc = acc * img + target.element(c)

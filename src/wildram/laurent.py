@@ -30,6 +30,7 @@ of a negative power.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from types import MappingProxyType
 
@@ -191,24 +192,34 @@ class LaurentPolynomial:
             raise ContextMismatchError("polynomials from different contexts; "
                                        "embed explicitly first")
 
-    def __add__(self, other):
+    def _merge(self, other, negate):
+        """self + other, or self - other when negate is set.  A corner
+        set that meets an empty one is already an antichain and is kept."""
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
             s = terms.get(e)
             if s is None:
-                terms[e] = c
+                terms[e] = -c if negate else c
             else:
-                s = s + c
+                s = s - c if negate else s + c
                 if s:
                     terms[e] = s
                 else:
                     del terms[e]
-        return LaurentPolynomial._trusted(
-            self.ctx, terms, _min_antichain(self.unknown | other.unknown))
+        if not other.unknown:
+            unknown = self.unknown
+        elif not self.unknown:
+            unknown = other.unknown
+        else:
+            unknown = _min_antichain(self.unknown | other.unknown)
+        return LaurentPolynomial._trusted(self.ctx, terms, unknown)
+
+    def __add__(self, other):
+        return self._merge(other, False)
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._merge(other, True)
 
     def __neg__(self):
         return LaurentPolynomial._trusted(
@@ -351,11 +362,13 @@ def blowup_substitute(poly, chart):
 # origin translation in the second coordinate
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=1024)
 def _binomial_row(n, p):
     """(j, C(n, j) mod p) for every j in 0..n whose binomial is nonzero mod
     p, ascending in j.  By Lucas' theorem these are the j whose base-p
     digits are all at most those of n; they are built digit by digit, the
-    new (higher) digit varying slowest."""
+    new (higher) digit varying slowest.  Cached, and a tuple, so that no
+    caller can change a cached row."""
     row = [(0, 1)]
     place = 1
     while n:
@@ -363,22 +376,24 @@ def _binomial_row(n, p):
         row = [(j + i * place, b * math.comb(digit, i) % p)
                for i in range(digit + 1) for j, b in row]
         place *= p
-    return row
+    return tuple(row)
 
 
+@functools.lru_cache(maxsize=1024)
 def _series_binomials(n, budget, p):
-    """(j, C(-n-1+j, j) mod p) for every j < budget whose binomial is
-    nonzero mod p, ascending in j, for a pole order n < 0.
+    """The coefficients of x^j in the series (1 + x)^n for a pole order
+    n < 0, as (j, coefficient mod p) for every j < budget where it is
+    nonzero mod p, ascending in j; cached as a tuple.
 
     In characteristic p, (1 + x)^q = 1 + x^q for every power q of p, so
     below x^q the series (1 + x)^n equals the polynomial (1 + x)^(n mod q).
-    Its coefficient C(-n-1+j, j) * (-1)^j is therefore C(n mod q, j) mod p
-    for every j < budget <= q."""
+    Its coefficient (-1)^j * C(-n-1+j, j) is therefore C(n mod q, j) mod p
+    for every j < budget <= q, sign included."""
     q = p
     while q < budget:
         q *= p
-    return [(j, b if j % 2 == 0 else -b % p)
-            for j, b in _binomial_row(n % q, p) if j < budget]
+    row = _binomial_row(n % q, p)
+    return row[:bisect.bisect_left(row, (budget,))]
 
 
 def translate(poly, shift, budget):
@@ -393,10 +408,13 @@ def translate(poly, shift, budget):
     (m, budget) for the term's t1-exponent m.  Coefficients are embedded
     into the shift's context if needed (degrees must divide).
 
-    The powers shift^k and shift^(-j) are built once per call, one product
-    per step, and shared by all terms; each term's coefficients are added
-    in ascending t2-order.  Binomials come from Lucas' theorem, and a
-    binomial other than 1 multiplies as an element of the prime field.
+    Each term's row of binomials mod p comes from Lucas' theorem, cached
+    per exponent; the row of a negative power already carries the sign
+    (-1)^j, so no sign is flipped here.  The powers shift^k and shift^(-j)
+    are built once per call, one product per step, up to the largest index
+    a row uses, and shared by all terms; each term's coefficients are added
+    in ascending t2-order.  A binomial of -1 negates, and any other
+    binomial but 1 multiplies as an element of the prime field.
     """
     if not shift:
         raise ValueError("translation by zero; the origin needs no shift")
@@ -407,37 +425,45 @@ def translate(poly, shift, budget):
     shift = embed(shift, ctx)
     p = ctx.p
     prime_field = [ctx.element(b) for b in range(p)]
-    terms = {}
+    minus_one = p - 1
     unknown = {(m, 0) for m, _ in poly.unknown}
-    powers = [ctx.one(), shift]     # shift^k, extended on demand
-    inv_powers = None               # shift^(-j), built on the first pole
-
-    def power(table, k):
-        while len(table) <= k:
-            table.append(table[-1] * table[1])
-        return table[k]
-
-    def put(m, n, c, binom):
-        # c and binom are nonzero, so only a sum can cancel
-        if binom != 1:
-            c = c * prime_field[binom]
-        s = terms.get((m, n))
-        total = c if s is None else s + c
-        if total:
-            terms[(m, n)] = total
-        else:
-            del terms[(m, n)]
-
+    rows = []
+    top = 0                 # the largest power of shift a row uses
+    inv_top = 0             # the same for shift^-1; 0 without poles
     for (m, n), c in poly.terms.items():
         if n >= 0:
-            for j, binom in _binomial_row(n, p):
-                put(m, j, c * power(powers, n - j), binom)
+            row = _binomial_row(n, p)
+            top = max(top, n)
         else:
             unknown.add((m, budget))
-            if inv_powers is None:
-                inv_powers = [ctx.one(), shift.inverse()]
-            lead = c * power(inv_powers, -n)
-            for j, binom in _series_binomials(n, budget, p):
-                coeff = lead * power(inv_powers, j)
-                put(m, j, -coeff if j % 2 else coeff, binom)
+            row = _series_binomials(n, budget, p)
+            inv_top = max(inv_top, -n, row[-1][0])
+        rows.append((m, n, c, row))
+    powers = [ctx.one(), shift]
+    while len(powers) <= top:
+        powers.append(powers[-1] * shift)
+    if inv_top:
+        inv_powers = [ctx.one(), shift.inverse()]
+        while len(inv_powers) <= inv_top:
+            inv_powers.append(inv_powers[-1] * inv_powers[1])
+
+    terms = {}
+    for m, n, c, row in rows:
+        if n < 0:
+            lead = c * inv_powers[-n]
+        for j, binom in row:
+            coeff = c * powers[n - j] if n >= 0 else lead * inv_powers[j]
+            if binom != 1:
+                coeff = (-coeff if binom == minus_one
+                         else coeff * prime_field[binom])
+            # coeff is nonzero, so only a sum can cancel
+            s = terms.get((m, j))
+            if s is None:
+                terms[(m, j)] = coeff
+            else:
+                s = s + coeff
+                if s:
+                    terms[(m, j)] = s
+                else:
+                    del terms[(m, j)]
     return LaurentPolynomial._trusted(ctx, terms, _min_antichain(unknown))

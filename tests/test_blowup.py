@@ -1,12 +1,14 @@
 import random
+from collections import Counter
 
 import pytest
 
+from wildram import blowup
 from wildram.blowup import (DepthCapError, SimulationConfig,
                             exceptional_candidates, resolve, tree_as_dict,
                             tree_as_dot)
 from wildram.corpus import random_polynomial
-from wildram.fields import field
+from wildram.fields import RootSearch, field
 from wildram.laurent import LaurentPolynomial, blowup_substitute, pole_staircase
 from wildram.parsing import parse_polynomial
 from wildram.reduction import good_representative
@@ -172,6 +174,53 @@ def test_truncation_escalates_and_stabilizes():
         other = resolve(f, 2, SimulationConfig(series_terms=terms))
         assert other.root.signature() == result.root.signature()
         assert other.total == result.total
+
+
+ESCALATING = "t1*t2^-4 + 1 + t1^-1*t2^-4 + t1^-3*t2^-2"
+
+
+def test_escalation_rounds_reduce_each_exact_polynomial_once(monkeypatch):
+    reduced = []
+    original = blowup.good_representative
+
+    def recorded(g):
+        reduced.append(g)
+        return original(g)
+
+    monkeypatch.setattr(blowup, "good_representative", recorded)
+    f = poly(ESCALATING, F2)
+    result = resolve(f, 2)
+    assert result.precision_escalations >= 1
+    first = [g for g in reduced if g.is_exact]
+    assert f in first
+    assert len(first) == len(set(first))
+    # truncated polynomials are not kept: they are reduced each time
+    assert len(first) < len(reduced)
+    # a second call shares nothing with the first
+    del reduced[:]
+    again = resolve(f, 2)
+    assert again.root.signature() == result.root.signature()
+    assert Counter(g for g in reduced if g.is_exact) == Counter(first)
+
+
+@pytest.mark.parametrize("partial_calls", [None, 1])
+def test_reused_points_still_report_a_partial_search(monkeypatch,
+                                                     partial_calls):
+    # every search reports partial, or only the first one: the root's,
+    # which runs in the first round alone and is reused by the later ones
+    original = blowup.find_roots
+    calls = []
+
+    def partial(coeffs, ext_cap=6):
+        calls.append(coeffs)
+        return RootSearch(roots=original(coeffs, ext_cap).roots,
+                          partial=partial_calls is None
+                          or len(calls) <= partial_calls)
+
+    monkeypatch.setattr(blowup, "find_roots", partial)
+    result = resolve(poly(ESCALATING, F2), 2)
+    assert result.precision_escalations >= 1
+    assert result.partial_roots
 
 
 def test_exports():

@@ -108,6 +108,21 @@ def test_embed_is_multiplicative_and_injective():
     assert len(images) == src.order
 
 
+@pytest.mark.parametrize("src, dst", [((2, 2), (2, 4)), ((2, 3), (2, 6)),
+                                      ((3, 2), (3, 4)), ((3, 1), (3, 3))])
+def test_embed_by_table_lookup_matches_evaluation(src, dst):
+    # oracle: the coefficient polynomial evaluated at the generator image
+    src, dst = field(*src), field(*dst)
+    img = fields._generator_image(src, dst)
+    for a in src.elements():
+        assert a._log is not None
+        expected = dst.zero()
+        for c in reversed(a.coeffs):
+            expected = expected * img + dst.element(c)
+        got = embed(a, dst)
+        assert got == expected and got is expected
+
+
 def test_embed_requires_divisible_degree():
     with pytest.raises(ContextMismatchError):
         embed(field(2, 2).gen(), field(2, 3))

@@ -197,6 +197,51 @@ def test_translate_matches_termwise_expansion():
             assert list(got.terms.items()) == list(expected.items())
 
 
+def _naive_translate(poly_, shift, budget):
+    """The binomial formulas of the translate docstring with math.comb and
+    one power of the shift per coefficient, in the shift's field."""
+    ctx = shift.ctx
+    expected = {}
+    for (m, n), c in poly_.terms.items():
+        c = embed(c, ctx)
+        count = n + 1 if n >= 0 else budget
+        for j in range(count):
+            if n >= 0:
+                coeff = c * math.comb(n, j) * shift ** (n - j)
+            else:
+                coeff = (c * ((-1) ** j * math.comb(-n - 1 + j, j))
+                         * shift ** n * shift.inverse() ** j)
+            s = expected.get((m, j), ctx.zero()) + coeff
+            expected[(m, j)] = s
+            if not s:
+                del expected[(m, j)]
+    return expected
+
+
+@pytest.mark.parametrize("base, shift_field", [
+    (F2, field(2, 3)), (F3, field(3, 2)), (field(2, 2), field(2, 4)),
+    (field(3, 2), field(3, 4))])
+def test_translate_matches_math_comb(base, shift_field):
+    # several terms, poles and positive powers in both coordinates, and a
+    # shift from an extension of the coefficient field
+    rng = random.Random(base.order)
+    for budget in (1, base.p, 16, 40):
+        for _ in range(6):
+            terms = {(rng.randint(-4, 4), rng.randint(-12, 12)):
+                     base.from_encoding(rng.randrange(1, base.order))
+                     for _ in range(rng.randint(2, 6))}
+            f = LaurentPolynomial(base, terms)
+            for shift in (shift_field.gen(),
+                          shift_field.from_encoding(
+                              rng.randrange(1, shift_field.order))):
+                got = translate(f, shift, budget)
+                assert got.ctx == shift_field
+                assert list(got.terms.items()) == list(
+                    _naive_translate(f, shift, budget).items())
+                assert got.unknown == _min_antichain(
+                    (m, budget) for m, n in f.terms if n < 0)
+
+
 def test_translate_embeds_into_shift_field():
     f = poly("t2^2", F2)
     g4 = field(2, 2).gen()
@@ -329,7 +374,8 @@ def test_binomial_row_is_lucas(p):
             row = [1] + [(a + b) % p for a, b in zip(row, row[1:])] + [1]
         if n < p ** 3:
             assert row == [math.comb(n, j) % p for j in range(n + 1)]
-        assert _binomial_row(n, p) == [(j, b) for j, b in enumerate(row) if b]
+        assert _binomial_row(n, p) == tuple(
+            (j, b) for j, b in enumerate(row) if b)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -338,10 +384,11 @@ def test_series_binomials_match_comb(p):
         for budget in (1, p - 1, p, p + 1, p ** 2, 40, 64):
             if budget < 1:
                 continue
-            expected = [(j, math.comb(-n - 1 + j, j) % p)
+            # the coefficient of x^j in (1 + x)^n, sign included
+            expected = [(j, (-1) ** j * math.comb(-n - 1 + j, j) % p)
                         for j in range(budget)]
-            assert _series_binomials(n, budget, p) == [
-                (j, b) for j, b in expected if b]
+            assert _series_binomials(n, budget, p) == tuple(
+                (j, b) for j, b in expected if b)
 
 
 def test_translate_long_series_matches_binomials():
