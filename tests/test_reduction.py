@@ -1,10 +1,13 @@
+import dataclasses
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from wildram.corpus import random_polynomial
 from wildram.fields import field
-from wildram.laurent import LaurentPolynomial, blowup_substitute
+from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
+                             blowup_substitute, translate)
 from wildram.parsing import parse_polynomial
 from wildram.reduction import (artin_schreier_map, artin_schreier_root,
                                exceptional_swan, good_representative,
@@ -121,6 +124,141 @@ def test_no_reducible_corners_remain():
             assert (a, b) == (0, 0) or a % p or b % p
         if rep.g:
             assert rep.quadrant_ok
+
+
+# ---------------------------------------------------------------------------
+# the witness identity check
+# ---------------------------------------------------------------------------
+
+def _accepts(rep, f):
+    try:
+        rep.verify(f)
+    except RuntimeError:
+        return False
+    return True
+
+
+def _residual_accepts(rep, f):
+    """The witness identity by its definition: the residual
+    f - g - (h^p - h) is exactly the recorded constant at (0, 0).  Unknown
+    corners are not compared."""
+    residual = f - rep.g - artin_schreier_map(rep.witness)
+    expected = {(0, 0): rep.constant_delta} if rep.constant_delta else {}
+    return residual.terms == expected
+
+
+def _with_terms(poly, terms, unknown=None):
+    return LaurentPolynomial(poly.ctx, terms,
+                             poly.unknown if unknown is None else unknown)
+
+
+def _bump_g(rep, exponent, coeff):
+    terms = dict(rep.g.terms)
+    terms[exponent] = terms.get(exponent, rep.g.ctx.zero()) + coeff
+    return dataclasses.replace(rep, g=_with_terms(rep.g, terms))
+
+
+def _drop_witness_term(rep, exponent):
+    terms = {e: c for e, c in rep.witness.terms.items() if e != exponent}
+    return dataclasses.replace(rep, witness=_with_terms(rep.witness, terms))
+
+
+def _shift_delta(rep, coeff):
+    return dataclasses.replace(rep, constant_delta=rep.constant_delta + coeff)
+
+
+def _move_into_witness(rep, piece):
+    """g - (x^p - x) with witness + x: the same class, so still a valid
+    witness identity, though neither the g nor the witness recorded."""
+    return dataclasses.replace(rep, g=rep.g - artin_schreier_map(piece),
+                               witness=rep.witness + piece)
+
+
+WITNESS_CASES = [
+    # exact, one corner reduction and a constant
+    (F3, "t1^-3*t2^-3 + t1^-1 + 1", None),
+    # truncated by a translation, three corner reductions and a constant
+    (F2, "t1^-4*t2^2 + t1^-1*t2^-1", 4),
+]
+
+
+def _witness_case(ctx, text, budget):
+    f = poly(text, ctx)
+    if budget is not None:
+        f = translate(f, ctx.one(), budget)
+    rep = good_representative(f)
+    assert rep.reductions >= 1 and rep.witness and rep.constant_delta
+    assert f.is_exact == (budget is None)
+    return f, rep
+
+
+@pytest.mark.parametrize("ctx, text, budget", WITNESS_CASES)
+def test_verify_raises_on_a_tampered_representative(ctx, text, budget):
+    f, rep = _witness_case(ctx, text, budget)
+    rep.verify(f)
+    exponent = sorted(rep.g.exact_terms())[0]
+    tampered = [_bump_g(rep, exponent, ctx.one()),
+                _drop_witness_term(rep, sorted(rep.witness.terms)[0]),
+                _shift_delta(rep, ctx.one())]
+    for bad in tampered:
+        with pytest.raises(RuntimeError, match="witness identity"):
+            bad.verify(f)
+    # another witness of the same class passes, and so do other unknown
+    # corners on g: they are not part of the identity
+    moved = _move_into_witness(rep, LaurentPolynomial.monomial(ctx.one(), -1, 2))
+    assert moved.g != rep.g
+    moved.verify(f)
+    dataclasses.replace(rep, g=_with_terms(rep.g, rep.g.terms,
+                                           {(5, 5)})).verify(f)
+
+
+WITNESS_FIELDS = [F2, F3, F5, field(2, 2)]
+
+
+@st.composite
+def witness_inputs(draw):
+    ctx = draw(st.sampled_from(WITNESS_FIELDS))
+    exps = st.tuples(st.integers(-6, 4), st.integers(-6, 4))
+    terms = draw(st.dictionaries(exps, st.integers(1, ctx.order - 1),
+                                 max_size=5))
+    f = LaurentPolynomial(ctx, {e: ctx.from_encoding(v)
+                                for e, v in terms.items()})
+    budget = draw(st.one_of(st.none(), st.integers(1, 6)))
+    if budget is not None:
+        shift = ctx.from_encoding(draw(st.integers(1, ctx.order - 1)))
+        f = translate(f, shift, budget)
+    return f, draw(exps), draw(st.integers(1, ctx.order - 1)), draw(
+        st.sampled_from(["none", "g", "witness", "delta", "moved", "unknown"]))
+
+
+@given(witness_inputs())
+def test_verify_accepts_what_the_residual_definition_accepts(case):
+    f, exponent, enc, tamper = case
+    try:
+        rep = good_representative(f)
+    except PrecisionLossError:
+        return
+    coeff = f.ctx.from_encoding(enc)
+    # whether the tampering leaves f - g - (h^p - h) as it was
+    same_class = tamper in ("none", "moved", "unknown")
+    if tamper == "g":
+        rep = _bump_g(rep, exponent, coeff)
+    elif tamper == "witness" and rep.witness:
+        rep = _drop_witness_term(rep, sorted(rep.witness.terms)[0])
+    elif tamper == "witness":
+        # a constant of the prime field is its own p-th power
+        same_class = exponent == (0, 0) and coeff ** f.ctx.p == coeff
+        rep = dataclasses.replace(
+            rep, witness=LaurentPolynomial.monomial(coeff, *exponent))
+    elif tamper == "delta":
+        rep = _shift_delta(rep, coeff)
+    elif tamper == "moved":
+        rep = _move_into_witness(rep, LaurentPolynomial.monomial(
+            coeff, *exponent))
+    elif tamper == "unknown":
+        rep = dataclasses.replace(rep, g=_with_terms(rep.g, rep.g.terms,
+                                                     {exponent}))
+    assert _accepts(rep, f) == _residual_accepts(rep, f) == same_class
 
 
 # ---------------------------------------------------------------------------
