@@ -813,9 +813,6 @@ class RootSearch:
     roots: list
     partial: bool
 
-    def values(self):
-        return [r for r, _ in self.roots]
-
 
 def find_roots(coeffs, ext_cap=6):
     """All roots of a nonzero polynomial in F_{p^(k*d)} for d <= ext_cap.

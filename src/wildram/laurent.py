@@ -7,8 +7,9 @@ negative, so the representation is a dict, kept canonical (no stored
 zeros).  Values are immutable; every operation returns a new polynomial.
 The public constructor checks and canonicalizes its input; operations
 whose results are canonical by construction build them through a private
-constructor that checks nothing.  A polynomial computes its exact terms
-and its staircase at most once.
+constructor that checks nothing.  A polynomial computes its exact terms,
+the minimal corners of those terms, its staircase and its hash at most
+once.
 
 Pole staircases read the support in (a, b) = (-m, n) coordinates: a is the
 pole order along {t1 = 0} and b the t2-exponent.  The staircase of f is
@@ -77,7 +78,8 @@ def _min_antichain(points):
 class LaurentPolynomial:
     """Canonical sparse Laurent polynomial with truncation bookkeeping."""
 
-    __slots__ = ("ctx", "terms", "unknown", "_exact", "_staircase")
+    __slots__ = ("ctx", "terms", "unknown", "_exact", "_corners",
+                 "_staircase", "_hash")
 
     def __init__(self, ctx, terms=None, unknown=frozenset()):
         clean = {}
@@ -90,7 +92,9 @@ class LaurentPolynomial:
         self.terms = clean
         self.unknown = _min_antichain(unknown)
         self._exact = None          # exact_terms(), once asked for
+        self._corners = None        # _certified_corners(), once asked for
         self._staircase = None      # pole_staircase(), once it succeeded
+        self._hash = None           # hash(self), once asked for
 
     @classmethod
     def _trusted(cls, ctx, terms, unknown):
@@ -102,7 +106,9 @@ class LaurentPolynomial:
         poly.terms = terms
         poly.unknown = unknown
         poly._exact = None
+        poly._corners = None
         poly._staircase = None
+        poly._hash = None
         return poly
 
     # -- constructors -------------------------------------------------------
@@ -174,7 +180,10 @@ class LaurentPolynomial:
                 and self.unknown == other.unknown)
 
     def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items()), self.unknown))
+        if self._hash is None:
+            self._hash = hash((self.ctx, frozenset(self.terms.items()),
+                               self.unknown))
+        return self._hash
 
     def __repr__(self):
         from .parsing import format_polynomial
@@ -274,11 +283,21 @@ class LaurentPolynomial:
 # staircase extraction and valuations
 # ---------------------------------------------------------------------------
 
+def _certified_corners(poly):
+    """The minimal points of the certified support, kept on the
+    polynomial."""
+    if poly._corners is None:
+        poly._corners = _min_antichain(poly.exact_terms())
+    return poly._corners
+
+
 def undominated_unknowns(poly):
     """Unknown corners not dominated by any certified support corner.
     These are the positions where a truncated tail could still hide a
     staircase corner."""
-    corners = _min_antichain(poly.exact_terms())
+    if not poly.unknown:
+        return []
+    corners = _certified_corners(poly)
     return [u for u in poly.unknown
             if not any(_dominates(c, u) for c in corners)]
 
@@ -293,7 +312,7 @@ def pole_staircase(poly):
     """
     if poly._staircase is not None:
         return poly._staircase
-    corners = _min_antichain(poly.exact_terms())
+    corners = _certified_corners(poly)
     for u in poly.unknown:
         if not any(_dominates(c, u) for c in corners):
             raise PrecisionLossError(u, "a truncated region may hide a corner")

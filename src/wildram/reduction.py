@@ -91,8 +91,11 @@ class GoodRepresentative:
     part of h is kept explicitly; the constant part (an Artin-Schreier
     root of `constant_delta`, which may live in the degree-p extension)
     is only materialized on demand, since the identity can be verified
-    without it: f - g - (witness^p - witness) must equal the recorded
-    constant exactly, which is checked on construction.
+    without it.  `verify`, run on construction, rebuilds f as
+    g + (witness^p - witness) + constant_delta and requires exactly f's
+    terms, which is the identity f - g - (witness^p - witness) ==
+    constant_delta; the sum walks only the terms of witness^p - witness.
+    Unknown corners are not compared.
 
     No staircase corner of g lies in p*Z x p*Z except possibly (0, 0),
     and unless g is zero some corner has a >= 0 and b <= 0.
@@ -116,11 +119,10 @@ class GoodRepresentative:
                 + LaurentPolynomial.constant(embed(root, ctx)))
 
     def verify(self, f):
-        residual = f - self.g - artin_schreier_map(self.witness)
-        expected = {}
+        rebuilt = self.g + artin_schreier_map(self.witness)
         if self.constant_delta:
-            expected[(0, 0)] = self.constant_delta
-        if residual.terms != expected:
+            rebuilt = rebuilt + LaurentPolynomial.constant(self.constant_delta)
+        if rebuilt.ctx != f.ctx or rebuilt.terms != f.terms:
             raise RuntimeError("witness identity f - g = h^p - h failed")
 
 

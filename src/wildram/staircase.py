@@ -45,12 +45,17 @@ class Staircase(tuple):
     __slots__ = ()
 
     def __new__(cls, points=()):
-        pts = tuple((int(a), int(b)) for a, b in points)
+        return cls._from_ints(tuple((int(a), int(b)) for a, b in points))
+
+    @classmethod
+    def _from_ints(cls, pts):
+        """A staircase from a sequence of (int, int) tuples: the order is
+        checked, the points are taken as they are."""
         for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
             if not (a0 < a1 and b0 < b1):
                 raise StaircaseError(
                     f"coordinates must strictly increase: {(a0, b0)} !< {(a1, b1)}")
-        return super().__new__(cls, pts)
+        return tuple.__new__(cls, pts)
 
     def __repr__(self):
         return f"Staircase({list(self)})"
@@ -215,9 +220,12 @@ def child_index_sets(stair, rule="minimal"):
 
 def _children(stair, first, second):
     """The crossing and continuation children over index sets already
-    computed by child_index_sets."""
-    return (Staircase([(stair[j][0], stair[j][1] - stair[j][0]) for j in first]),
-            Staircase([(stair[j][0] - stair[j][1], stair[j][1]) for j in second]))
+    computed by child_index_sets.  Their coordinates are ints already, so
+    only their order is checked."""
+    return (Staircase._from_ints(
+                [(stair[j][0], stair[j][1] - stair[j][0]) for j in first]),
+            Staircase._from_ints(
+                [(stair[j][0] - stair[j][1], stair[j][1]) for j in second]))
 
 
 def crossing_child(stair, rule="minimal"):

@@ -26,6 +26,11 @@ def test_validation():
         Staircase([(0, 0), (1, 0)])
     assert len(Staircase()) == 0
     assert len(S((5, 7))) == 1
+    # the recursion's children skip only the int conversion
+    with pytest.raises(StaircaseError):
+        Staircase._from_ints(((0, 0), (0, 1)))
+    child = Staircase._from_ints(((0, 0), (1, 2)))
+    assert type(child) is Staircase and child == S((0, 0), (1, 2))
 
 
 def test_staircase_is_immutable():
