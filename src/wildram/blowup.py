@@ -46,8 +46,10 @@ enumeration first reaches them, its off-origin points with the flag of a
 partial root search.  Each round still builds fresh nodes, translates
 every off-origin point at its own budget and analyses every truncated
 polynomial anew, so the tree, the probes and the run flags are those of
-a run from scratch.  The reuse lasts one call: two calls on the same
-input compute everything twice.
+a run from scratch.  One enumeration of a node's children embeds chart A
+once per field its points lie in, and keeps the images only while it
+runs.  The reuse lasts one call: two calls on the same input compute
+everything twice.
 
 The run flags of a result (``good_regime`` and the flags behind it) are
 read from the finished tree, so they depend only on the input, never on
@@ -292,7 +294,8 @@ def _blowup_children(info, config, budget, stats):
     chart B, the origin of chart A, then each off-origin point of the
     exceptional curve, translated to the origin of chart A.  Lazy, so that
     a failure while the caller handles one child stops the enumeration
-    there; the points are searched for once per analysis."""
+    there; the points are searched for once per analysis, and chart A is
+    embedded once per point field and enumeration."""
     second, first = info.charts
     yield second, 2, "B"
     yield first, info.fields["branches"], "A"
@@ -301,9 +304,13 @@ def _blowup_children(info, config, budget, stats):
     points, partial = info.points
     if partial:
         stats.partial_roots = True
+    images = {}
     for point in points:
         ctx = join_context(first.ctx, point.ctx)
-        moved = translate(first.embed_into(ctx), embed(point, ctx), budget)
+        image = images.get(ctx)
+        if image is None:
+            image = images[ctx] = first.embed_into(ctx)
+        moved = translate(image, embed(point, ctx), budget)
         yield moved, 1, f"A@v={point}"
 
 

@@ -183,8 +183,8 @@ def _encode(coeffs, p):
 class FieldContext:
     """The field F_{p^k} presented as F_p[x] / (modulus)."""
 
-    __slots__ = ("p", "degree", "modulus", "_elems", "_exp", "_zech", "_neg",
-                 "_zero_log")
+    __slots__ = ("p", "degree", "modulus", "_hash", "_elems", "_exp",
+                 "_zech", "_neg", "_zero_log")
 
     def __init__(self, p, degree, modulus=None):
         if not _is_prime(p):
@@ -202,6 +202,7 @@ class FieldContext:
         self.p = p
         self.degree = degree
         self.modulus = modulus
+        self._hash = hash((p, degree, modulus))
         self._elems = None
 
     @property
@@ -266,7 +267,7 @@ class FieldContext:
                 == (other.p, other.degree, other.modulus))
 
     def __hash__(self):
-        return hash((self.p, self.degree, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"GF({self.p}^{self.degree})"

@@ -25,7 +25,9 @@ the corners conservatively, and any consumer that would have to trust a
 coefficient inside the unknown region raises PrecisionLossError instead of
 silently truncating.  Exact polynomials have an empty corner set, and
 operations on exact data never lose exactness except for the translation
-of a negative power.
+of a negative power.  The translation of an exact polynomial has at most
+one corner (u, v), and with one corner a term (m, n) is exact iff m < u or
+n < v.
 """
 
 from __future__ import annotations
@@ -63,6 +65,8 @@ def _min_antichain(points):
     it is minimal iff its n is below every earlier n.  The result is built
     in the iteration order of the input set, which fixes its own order.
     """
+    if not points:
+        return frozenset()
     pts = set(points)
     if len(pts) < 2:
         return frozenset(pts)
@@ -131,11 +135,6 @@ class LaurentPolynomial:
     def is_exact(self):
         return not self.unknown
 
-    @property
-    def valid_order(self):
-        """Smallest t2-order at which a coefficient may be unknown."""
-        return min((n for _, n in self.unknown), default=None)
-
     def support(self):
         return set(self.terms)
 
@@ -143,17 +142,25 @@ class LaurentPolynomial:
         return any(_dominates(u, (m, n)) for u in self.unknown)
 
     def exact_terms(self):
-        """Stored terms whose coefficients are certified exact.
+        """Stored terms whose coefficients are certified exact, in the
+        order of ``terms``.
 
-        The unknown corners form an antichain: sorted by m, their n
-        strictly decreases, so the last corner with a <= m is the only one
-        that can dominate (m, n).  Computed once per polynomial and
-        returned as a read-only mapping.
+        With one unknown corner (u, v), the usual case after a
+        translation, a term (m, n) is exact iff m < u or n < v.  Otherwise
+        the corners form an antichain: sorted by m, their n strictly
+        decreases, so the last corner with a <= m is the only one that can
+        dominate (m, n).  Computed once per polynomial and returned as a
+        read-only mapping.
         """
         if self._exact is not None:
             return self._exact
         if not self.unknown:
             self._exact = MappingProxyType(self.terms)
+            return self._exact
+        if len(self.unknown) == 1:
+            (u, v), = self.unknown
+            self._exact = MappingProxyType(
+                {e: c for e, c in self.terms.items() if e[0] < u or e[1] < v})
             return self._exact
         corners = sorted(self.unknown)
         firsts = [a for a, _ in corners]
@@ -255,13 +262,6 @@ class LaurentPolynomial:
                     unknown.add((u[0] + v[0], u[1] + v[1]))
         return LaurentPolynomial(self.ctx, terms, unknown)
 
-    def scale(self, coeff):
-        if not coeff:
-            return LaurentPolynomial._trusted(self.ctx, {}, self.unknown)
-        return LaurentPolynomial._trusted(
-            self.ctx, {e: c * coeff for e, c in self.terms.items()},
-            self.unknown)
-
     def frobenius_power(self):
         """The p-th power: coefficients through Frobenius, exponents scaled
         by p (the characteristic collapses all cross terms)."""
@@ -308,7 +308,8 @@ def pole_staircase(poly):
     Only coefficients outside the unknown region can witness a corner, and
     every unknown corner must be dominated by a certified one; otherwise a
     truncated tail could hide a corner and the call raises, on every call.
-    A staircase once found is kept on the polynomial.
+    A staircase once found is kept on the polynomial.  Exponents are ints,
+    so only the order of the sorted corners is checked.
     """
     if poly._staircase is not None:
         return poly._staircase
@@ -316,7 +317,7 @@ def pole_staircase(poly):
     for u in poly.unknown:
         if not any(_dominates(c, u) for c in corners):
             raise PrecisionLossError(u, "a truncated region may hide a corner")
-    poly._staircase = Staircase(sorted(((-m, n) for m, n in corners)))
+    poly._staircase = Staircase._from_ints(sorted((-m, n) for m, n in corners))
     return poly._staircase
 
 

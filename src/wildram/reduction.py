@@ -95,7 +95,9 @@ class GoodRepresentative:
     g + (witness^p - witness) + constant_delta and requires exactly f's
     terms, which is the identity f - g - (witness^p - witness) ==
     constant_delta; the sum walks only the terms of witness^p - witness.
-    Unknown corners are not compared.
+    A zero witness adds nothing, so its sum is skipped and g itself is
+    compared, with constant_delta added when it is nonzero.  Unknown
+    corners are not compared.
 
     No staircase corner of g lies in p*Z x p*Z except possibly (0, 0),
     and unless g is zero some corner has a >= 0 and b <= 0.
@@ -119,7 +121,9 @@ class GoodRepresentative:
                 + LaurentPolynomial.constant(embed(root, ctx)))
 
     def verify(self, f):
-        rebuilt = self.g + artin_schreier_map(self.witness)
+        rebuilt = self.g
+        if self.witness:
+            rebuilt = rebuilt + artin_schreier_map(self.witness)
         if self.constant_delta:
             rebuilt = rebuilt + LaurentPolynomial.constant(self.constant_delta)
         if rebuilt.ctx != f.ctx or rebuilt.terms != f.terms:

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 from collections import Counter
 
@@ -5,8 +7,8 @@ import pytest
 
 from wildram import blowup
 from wildram.blowup import (DepthCapError, SimulationConfig,
-                            exceptional_candidates, resolve, tree_as_dict,
-                            tree_as_dot)
+                            exceptional_candidates, resolve,
+                            simulation_as_dict, tree_as_dict, tree_as_dot)
 from wildram.corpus import random_polynomial
 from wildram.fields import RootSearch, field
 from wildram.laurent import LaurentPolynomial, blowup_substitute, pole_staircase
@@ -221,6 +223,41 @@ def test_reused_points_still_report_a_partial_search(monkeypatch,
     result = resolve(poly(ESCALATING, F2), 2)
     assert result.precision_escalations >= 1
     assert result.partial_roots
+
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+
+
+def test_sweep_embeds_chart_a_once_per_point_field(monkeypatch):
+    # with sweep_degree=2 over F_3 the points lie in F_3 and in F_9; an
+    # enumeration of a node's children embeds its chart A image at most once
+    # into each field, and the tree is the golden one of sweep_degree=1
+    embeddings = Counter()      # (source, target field) -> real embeddings
+    enumerations = Counter()    # chart A image -> enumerations of it
+    kept = []                   # keeps every counted id alive
+    original_embed = LaurentPolynomial.embed_into
+    original_children = blowup._blowup_children
+
+    def counted_embed(self, target):
+        if target != self.ctx:
+            kept.append(self)
+            embeddings[(id(self), target)] += 1
+        return original_embed(self, target)
+
+    def counted_children(info, config, budget, stats):
+        kept.append(info.charts[1])
+        enumerations[id(info.charts[1])] += 1
+        return original_children(info, config, budget, stats)
+
+    monkeypatch.setattr(LaurentPolynomial, "embed_into", counted_embed)
+    monkeypatch.setattr(blowup, "_blowup_children", counted_children)
+    result = resolve(poly("t1^-4*t2 + t1^-5*t2^2", F3), 2,
+                     SimulationConfig(mode="sweep", sweep_degree=2))
+    assert {target for _, target in embeddings} == {field(3, 2)}
+    for (source, _), count in embeddings.items():
+        assert count <= enumerations[source]
+    golden = (GOLDEN / "simulate_f3_sweep.txt").read_text(encoding="utf-8")
+    assert simulation_as_dict(result) == json.loads(golden.split("\n", 1)[1])
 
 
 def test_exports():

@@ -452,6 +452,17 @@ def test_canonical_context_skips_the_repeated_rabin_test(monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 2), (5, 1), (2, 13)])
+def test_context_with_the_canonical_modulus_hashes_like_field(p, k):
+    # the kept hash is taken from the reduced modulus, so a context built
+    # from the canonical modulus in any form is the same dict key
+    canonical = field(p, k)
+    direct = FieldContext(p, k, modulus=[c + p for c in canonical.modulus])
+    assert direct is not canonical
+    assert direct == canonical and hash(direct) == hash(canonical)
+    assert {canonical: "found"}[direct] == "found"
+
+
 def test_tables_with_a_non_primitive_generator():
     # modulus x^2 + 1 over F_3: x has order 4, so the tables rest on
     # another primitive element w; every log must give back its element as

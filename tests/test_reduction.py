@@ -212,6 +212,34 @@ def test_verify_raises_on_a_tampered_representative(ctx, text, budget):
                                            {(5, 5)})).verify(f)
 
 
+ZERO_WITNESS_CASES = [
+    # exact, no corner reduction, a constant
+    (F3, "t1^-1*t2^-2 + 2", None),
+    # truncated by a translation, no corner reduction, a constant
+    (F5, "t1^-3*t2^-1 + t1^-1 + 3", 4),
+]
+
+
+@pytest.mark.parametrize("ctx, text, budget", ZERO_WITNESS_CASES)
+def test_verify_without_a_witness_still_checks_g_and_the_constant(
+        ctx, text, budget):
+    # a zero witness skips only the sum of its Artin-Schreier image: every
+    # coefficient of g and the constant are still compared with f
+    f = poly(text, ctx)
+    if budget is not None:
+        f = translate(f, ctx.one(), budget)
+    rep = good_representative(f)
+    assert not rep.witness and rep.reductions == 0 and rep.constant_delta
+    rep.verify(f)
+    tampered = [_bump_g(rep, exponent, ctx.one())
+                for exponent in sorted(rep.g.exact_terms())]
+    tampered += [_shift_delta(rep, ctx.one()),
+                 dataclasses.replace(rep, constant_delta=ctx.zero())]
+    for bad in tampered:
+        with pytest.raises(RuntimeError, match="witness identity"):
+            bad.verify(f)
+
+
 WITNESS_FIELDS = [F2, F3, F5, field(2, 2)]
 
 
