@@ -40,16 +40,17 @@ is also a correct one for every quantity that became stable.
 
 What a round recomputes.  A node whose polynomial is exact does not
 depend on the budget, so one ``resolve`` call analyses it once and every
-later round reuses that analysis: the reduced representative's node
-fields (drop cross-check passed), its two chart images, and, once the
-enumeration first reaches them, its off-origin points with the flag of a
-partial root search.  Each round still builds fresh nodes, translates
+later round reuses that analysis: the reduced representative and its
+node fields (drop cross-check passed), its two chart images, and, once
+the enumeration first reaches them, its off-origin points with the flag
+of a partial root search.  Each round still builds fresh nodes, translates
 every off-origin point at its own budget and analyses every truncated
 polynomial anew, so the tree, the probes and the run flags are those of
 a run from scratch.  One enumeration of a node's children embeds chart A
 once per field its points lie in, and keeps the images only while it
 runs.  The reuse lasts one call: two calls on the same input compute
-everything twice.
+everything twice.  The result keeps the root's representative, so that
+callers read the input's reduction there instead of computing it again.
 
 The run flags of a result (``good_regime`` and the flags behind it) are
 read from the finished tree, so they depend only on the input, never on
@@ -142,6 +143,7 @@ class RunStats:
     """What one simulation run learns that its tree cannot show."""
     partial_roots: bool = False
     used_truncation: bool = False
+    representative: object = None     # the root's GoodRepresentative
 
 
 @dataclass
@@ -150,6 +152,7 @@ class ResolutionResult:
     root: BlowupNode
     partial_roots: bool
     precision_escalations: int
+    representative: object        # the input's, which the root was built from
 
     @property
     def constant_added_anywhere(self):
@@ -207,7 +210,8 @@ def resolve(f, branches, config=None):
                 return ResolutionResult(
                     total=root.total(), root=root,
                     partial_roots=stats.partial_roots,
-                    precision_escalations=escalations)
+                    precision_escalations=escalations,
+                    representative=stats.representative)
             previous = signature
         if escalations >= MAX_ESCALATIONS:
             raise EscalationError(
@@ -219,10 +223,12 @@ def resolve(f, branches, config=None):
 @dataclass
 class _NodeAnalysis:
     """What a node's polynomial determines at every series budget: the
-    node's fields but its path, the chart B and chart A images of the
-    reduced representative when the node is not clean, and the off-origin
-    points with the flag of a partial root search, once searched."""
+    node's fields but its path, its good representative, the chart B and
+    chart A images of that representative when the node is not clean, and
+    the off-origin points with the flag of a partial root search, once
+    searched."""
     fields: dict
+    representative: object
     charts: tuple = ()
     points: tuple = None
 
@@ -237,6 +243,8 @@ def _build_node(poly, branches, path, depth, config, budget, stats, seen):
     else:
         stats.used_truncation = True
         info = _analyse(poly, branches, path)
+    if depth == 0:
+        stats.representative = info.representative
     node = BlowupNode(path=path, **info.fields)
     if node.clean:
         return node
@@ -281,7 +289,7 @@ def _analyse(poly, branches, path):
     info = _NodeAnalysis(dict(
         branches=branches, staircase=stair, drop=drop, term=term,
         clean=clean, constant_added=rep.constant_added,
-        repair=stair != raw_stair, reductions=rep.reductions))
+        repair=stair != raw_stair, reductions=rep.reductions), rep)
     if not clean:
         info.charts = (blowup_substitute(rep.g, "B"),
                        blowup_substitute(rep.g, "A"))
@@ -332,8 +340,9 @@ def leading_exceptional_column(chart_first):
     return -v, column
 
 
-def exceptional_candidates(chart_first, config, stats=None):
-    """Candidate off-origin points in candidates mode (pre-certification).
+def exceptional_candidates(chart_first, config):
+    """Candidate off-origin points in candidates mode (pre-certification),
+    and whether a root search behind them was partial.
 
     Nonzero roots of the leading coefficient, plus nonzero roots of its
     formal derivative when p divides the pole order; each expressed in its
@@ -341,47 +350,46 @@ def exceptional_candidates(chart_first, config, stats=None):
     """
     pole, column = leading_exceptional_column(chart_first)
     if pole <= 0 or not column:
-        return []
+        return [], False
     ctx = chart_first.ctx
     p = ctx.p
     points = {}
 
     def collect(coeff_map):
+        """Adds the nonzero roots of one coefficient map to points, and
+        returns whether their search was partial."""
         if not coeff_map:
-            return
+            return False
         low = min(coeff_map)
         size = max(coeff_map) - low + 1
         coeffs = [ctx.zero()] * size
         for n, c in coeff_map.items():
             coeffs[n - low] = c
         if all(not c for c in coeffs):
-            return
+            return False
         search = find_roots(coeffs, ext_cap=config.ext_cap)
-        if stats is not None and search.partial:
-            stats.partial_roots = True
         for root, _mult in search.roots:
             if root:
                 small = minimal_form(root)
                 points[(small.ctx.degree, small.encoding())] = small
+        return search.partial
 
-    collect(column)
+    partial = collect(column)
     if pole % p == 0:
         derivative = {}
         for n, c in column.items():
             scaled = c * (n % p)
             if scaled:
                 derivative[n - 1] = scaled
-        collect(derivative)
-    return [points[key] for key in sorted(points)]
+        partial = collect(derivative) or partial
+    return [points[key] for key in sorted(points)], partial
 
 
 def _off_origin_points(chart_first, config):
     """The off-origin points to probe, and whether a root search behind
     them was partial."""
     if config.mode == "candidates":
-        search = RunStats()
-        points = exceptional_candidates(chart_first, config, search)
-        return points, search.partial_roots
+        return exceptional_candidates(chart_first, config)
     base = chart_first.ctx
     sweep_ctx = field(base.p, base.degree * config.sweep_degree)
     points = {}

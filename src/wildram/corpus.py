@@ -122,10 +122,10 @@ def _minimize_staircase(stair, failing):
     return Staircase(points)
 
 
-def _poly_checks(f, rng):
+def _poly_checks(f, rep, h):
+    """Checks on the input f, its good representative rep and the
+    perturbation f + (h^p - h)."""
     out = {}
-    ctx = f.ctx
-    rep = good_representative(f)
     # f - g = h^p - h with the constant's Artin-Schreier root materialized
     # in its own field, which GoodRepresentative.verify leaves out
     witness = rep.full_witness()
@@ -135,7 +135,6 @@ def _poly_checks(f, rng):
     again = good_representative(rep.g)
     out["idempotent"] = again.g == rep.g
 
-    h = random_polynomial(rng, ctx, max_terms=2, exp_bound=2)
     g2 = f + artin_schreier_map(h)
     for axis, before, after in zip(("t1", "t2", "E"), conductors(f, 2),
                                    conductors(g2, 2)):
@@ -151,13 +150,11 @@ def _poly_checks(f, rng):
     return out
 
 
-def _simulation_checks(f):
+def _simulation_checks(sim):
     out = {}
-    rep = good_representative(f)
-    stair = rep.staircase
+    stair = sim.representative.staircase
     recursive = ramification_recursive(stair, 2).total
     bound = ramification_bound(stair, 2)
-    sim = resolve(f, 2)
     out["bound_r_x"] = sim.total <= bound
     out["bound_recursive"] = recursive <= bound
     if sim.good_regime:
@@ -209,10 +206,14 @@ def run_corpus(seed, count, mode, rule="minimal", simulate=False):
         else:
             ctx = parse_field(LAURENT_FIELDS[index % len(LAURENT_FIELDS)])
             f = random_polynomial(rng, ctx)
+            h = random_polynomial(rng, ctx, max_terms=2, exp_bound=2)
             try:
-                results = _poly_checks(f, rng)
+                # the simulator's root reduction is the input's only one
+                sim = resolve(f, 2) if simulate else None
+                rep = sim.representative if simulate else good_representative(f)
+                results = _poly_checks(f, rep, h)
                 if simulate:
-                    results.update(_simulation_checks(f))
+                    results.update(_simulation_checks(sim))
             except Exception as err:
                 record("no_exception", False,
                        f"{format_polynomial(f)}: {type(err).__name__}: {err}")

@@ -793,16 +793,6 @@ def _equal_degree_split(part, ctx):
     raise RuntimeError("equal-degree splitting exhausted the shift space")
 
 
-def roots_in_field(coeffs, ctx=None):
-    """All (root, multiplicity) pairs of a nonzero polynomial within one
-    field, smallest encodings first."""
-    coeffs = list(coeffs)
-    ctx = ctx or coeffs[0].ctx
-    if any(c.ctx != ctx for c in coeffs):
-        coeffs = [embed(c, ctx) for c in coeffs]
-    return _roots_in_field(coeffs, ctx)
-
-
 @dataclass
 class RootSearch:
     """Roots of a univariate polynomial over extension fields.

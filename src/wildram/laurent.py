@@ -37,7 +37,7 @@ import functools
 import math
 from types import MappingProxyType
 
-from .fields import ContextMismatchError, embed, join_context
+from .fields import ContextMismatchError, embed
 from .staircase import Staircase
 
 
@@ -425,8 +425,8 @@ def translate(poly, shift, budget):
         shift^n * sum_j C(-n-1+j, j) * (-1)^j * shift^(-j) * t2^j,
 
     cut after `budget` terms; the cut is recorded as an unknown corner at
-    (m, budget) for the term's t1-exponent m.  Coefficients are embedded
-    into the shift's context if needed (degrees must divide).
+    (m, budget) for the term's t1-exponent m.  The polynomial and the
+    shift must share one context: as everywhere, embed explicitly first.
 
     Each term's row of binomials mod p comes from Lucas' theorem, cached
     per exponent; the row of a negative power already carries the sign
@@ -440,9 +440,10 @@ def translate(poly, shift, budget):
         raise ValueError("translation by zero; the origin needs no shift")
     if budget < 1:
         raise ValueError("series budget must be >= 1")
-    ctx = join_context(poly.ctx, shift.ctx)
-    poly = poly.embed_into(ctx)
-    shift = embed(shift, ctx)
+    ctx = poly.ctx
+    if shift.ctx is not ctx and shift.ctx != ctx:
+        raise ContextMismatchError(f"shift from {shift.ctx}, polynomial over "
+                                   f"{ctx}; embed explicitly first")
     p = ctx.p
     prime_field = [ctx.element(b) for b in range(p)]
     minus_one = p - 1

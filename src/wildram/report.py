@@ -1,4 +1,10 @@
-"""End-to-end pipeline for one input: reduce, measure, simulate, verify.
+"""End-to-end pipeline for one input: measure, simulate, recurse, verify.
+
+The stages run in the order parse, conductors, simulation, recursion,
+perturbed-rerun, and a failure names its stage.  The input is reduced
+once, by the simulator: the report reads its representative and
+staircase from ``resolve``'s root reduction, and the clean flag and the
+staircase drop from the root node.
 
 A report bundles every invariant of one local input together with
 recomputed agreement verdicts:
@@ -26,10 +32,9 @@ from .blowup import SimulationConfig, resolve, simulation_as_dict
 from .corpus import random_polynomial
 from .parsing import (format_polynomial, parse_field, parse_polynomial,
                       polynomial_as_triples)
-from .reduction import artin_schreier_map, conductors, good_representative
-from .staircase import (end_conductors, essential_vertices, is_clean_shape,
-                        ramification_bound, ramification_closed_form,
-                        ramification_recursive, swan_drop)
+from .reduction import artin_schreier_map, conductors
+from .staircase import (end_conductors, essential_vertices, ramification_bound,
+                        ramification_closed_form, ramification_recursive)
 
 
 @dataclass
@@ -79,21 +84,18 @@ class _stage:
 
 def _invariants(f, branches, config):
     """All per-input invariants, used for both the main run and the
-    perturbed rerun."""
-    with _stage("reduction"):
-        rep = good_representative(f)
-        stair = rep.staircase
+    perturbed rerun.  The reduction is the simulator's root reduction."""
     with _stage("conductors"):
         # a type I input has no t2-poles: its t2 loop runs and shows 0
         swans = dict(zip(("t1", "t2", "E"), conductors(f, 2)))
+    with _stage("simulation"):
+        sim = resolve(f, branches, config)
+        stair = sim.representative.staircase
     with _stage("recursion"):
         trace = ramification_recursive(stair, branches)
         closed = ramification_closed_form(stair, branches)
         bound = ramification_bound(stair, branches)
-    with _stage("simulation"):
-        sim = resolve(f, branches, config)
     return {
-        "rep": rep,
         "staircase": stair,
         "swans": swans,
         "recursive": trace,
@@ -125,7 +127,8 @@ def build_report(spec):
             raise ValueError("a type I input admits no poles along t2")
 
     inv = _invariants(f, spec.branches, spec.config)
-    rep, stair, sim = inv["rep"], inv["staircase"], inv["sim"]
+    stair, sim = inv["staircase"], inv["sim"]
+    rep = sim.representative
 
     with _stage("perturbed-rerun"):
         rng = random.Random(spec.seed)
@@ -141,7 +144,7 @@ def build_report(spec):
     }
 
     swans = inv["swans"]
-    drop = swan_drop(stair)
+    drop = sim.root.drop
     swan_route = swans["t1"] + swans["t2"] - swans["E"]
     verdicts["drop_identity"] = {
         "pass": drop == swan_route,
@@ -200,7 +203,7 @@ def build_report(spec):
         },
         "staircase": [list(p) for p in stair],
         "essential": [list(p) for p in essential_vertices(stair)] if len(stair) else [],
-        "clean": is_clean_shape(stair, spec.branches),
+        "clean": sim.root.clean,
         "swans": inv["swans"],
         "recursive_total": inv["recursive"].total,
         "recursion_steps": [

@@ -228,19 +228,6 @@ def _children(stair, first, second):
                 [(stair[j][0] - stair[j][1], stair[j][1]) for j in second]))
 
 
-def crossing_child(stair, rule="minimal"):
-    """Corner profile at the crossing of the exceptional curve with the
-    strict transform of the first branch: (a_j, b_j - a_j) over the first
-    index set."""
-    return _children(stair, *child_index_sets(stair, rule))[0]
-
-
-def continuation_child(stair):
-    """Corner profile at the crossing with the strict transform of the
-    second branch: (a_j - b_j, b_j) over the second index set."""
-    return _children(stair, *child_index_sets(stair))[1]
-
-
 # ---------------------------------------------------------------------------
 # the recursive total, its closed form, and the upper bound
 # ---------------------------------------------------------------------------

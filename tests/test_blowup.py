@@ -14,7 +14,7 @@ from wildram.fields import RootSearch, field
 from wildram.laurent import LaurentPolynomial, blowup_substitute, pole_staircase
 from wildram.parsing import parse_polynomial
 from wildram.reduction import good_representative
-from wildram.staircase import (crossing_child, continuation_child,
+from wildram.staircase import (_children, child_index_sets,
                                ramification_bound, ramification_recursive)
 
 F2 = field(2)
@@ -92,7 +92,8 @@ def test_candidate_points_from_leading_coefficient():
     # leading coefficient along the exceptional curve is v^2 + v
     f = poly("t1^-2*t2 + t1^-3*t2^2", F2)
     chart = blowup_substitute(good_representative(f).g, "A")
-    candidates = exceptional_candidates(chart, SimulationConfig())
+    candidates, partial = exceptional_candidates(chart, SimulationConfig())
+    assert not partial
     assert [c.encoding() for c in candidates] == [1]
     # the candidate certifies clean, so it is not a child
     assert _off_origin_labels(f) == []
@@ -134,10 +135,12 @@ def test_chart_consistency_with_index_transforms():
         rep = good_representative(random_polynomial(rng, ctx))
         if len(rep.staircase) == 0:
             continue
+        crossing, continuation = _children(
+            rep.staircase, *child_index_sets(rep.staircase))
         second = pole_staircase(blowup_substitute(rep.g, "B"))
-        assert second == crossing_child(rep.staircase)
+        assert second == crossing
         first = pole_staircase(blowup_substitute(rep.g, "A"))
-        assert first == continuation_child(rep.staircase)
+        assert first == continuation
 
 
 def _resolve_in_both_modes(f):
@@ -149,6 +152,24 @@ def _resolve_in_both_modes(f):
     for flag in RUN_FLAGS:
         assert getattr(direct, flag) == getattr(swept, flag), flag
     return direct, swept
+
+
+def test_result_keeps_the_root_representative():
+    # the representative on the result is the input's own reduction, not
+    # that of another node of the tree
+    rng = random.Random(17)
+    nonclean = 0
+    for index in range(60):
+        ctx = (F2, F3, F5)[index % 3]
+        branches = 1 + index % 2
+        f = random_polynomial(rng, ctx, nonneg_t2=branches == 1)
+        result = resolve(f, branches)
+        got, expected = result.representative, good_representative(f)
+        for name in ("g", "witness", "constant_delta", "staircase",
+                     "constant_added", "reductions"):
+            assert getattr(got, name) == getattr(expected, name), name
+        nonclean += not result.root.clean
+    assert nonclean >= 10
 
 
 def test_modes_agree():
@@ -285,6 +306,18 @@ def test_children_order_is_chart_then_points():
     assert all("@v=" in rest for rest in labels[2:])
 
 
+def test_candidates_flag_a_partial_root_search():
+    # the leading coefficient v^2 + v + 1 has its roots in F_4 only, which
+    # an extension cap of 1 does not reach
+    f = poly("t1^-1 + t1^-2*t2 + t1^-3*t2^2", F2)
+    chart = blowup_substitute(good_representative(f).g, "A")
+    assert exceptional_candidates(chart, SimulationConfig(ext_cap=1)) == (
+        [], True)
+    points, partial = exceptional_candidates(chart, SimulationConfig())
+    assert [(c.ctx.degree, c.encoding()) for c in points] == [(2, 2), (2, 3)]
+    assert not partial
+
+
 def test_derivative_rule_finds_cascade_point():
     # over F_3 with leading coefficient v + v^2: v = 1 is not a root
     # (L(1) = 2) but kills the derivative, and after the corner-reduction
@@ -292,7 +325,8 @@ def test_derivative_rule_finds_cascade_point():
     # can propose it
     f = poly("t1^-4*t2 + t1^-5*t2^2", F3)
     chart = blowup_substitute(good_representative(f).g, "A")
-    candidates = exceptional_candidates(chart, SimulationConfig())
+    candidates, partial = exceptional_candidates(chart, SimulationConfig())
+    assert not partial
     assert sorted(c.encoding() for c in candidates) == [1, 2]
     # only v = 1 certifies non-clean
     assert _off_origin_labels(f) == ["A@v=1"]

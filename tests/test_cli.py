@@ -1,8 +1,9 @@
 import json
+import sys
 
 import pytest
 
-from wildram import blowup, reduction, report
+from wildram import blowup, corpus, reduction, report
 from wildram.blowup import CrossCheckError, resolve
 from wildram.cli import main
 from wildram.corpus import run_corpus
@@ -147,6 +148,65 @@ def test_report_materializes_the_witness_once(monkeypatch):
     assert len(calls) == 1
     rep = report.data["good_representative"]
     assert (rep["witness"], rep["witness_field"]) == ("g", "GF(2^2)")
+
+
+def _record_reductions(monkeypatch):
+    """Wrap every binding of good_representative in wildram; the returned
+    list receives an (argument, result) pair per call."""
+    calls = []
+    original = reduction.good_representative
+
+    def recorded(f, *args, **kwargs):
+        rep = original(f, *args, **kwargs)
+        calls.append((f, rep))
+        return rep
+
+    for name, module in sorted(sys.modules.items()):
+        if (name.startswith("wildram")
+                and getattr(module, "good_representative", None) is original):
+            monkeypatch.setattr(module, "good_representative", recorded)
+    return calls
+
+
+def test_report_reduces_the_input_and_the_perturbation_once(monkeypatch):
+    # the report reads its reduction from the simulator's root analysis
+    calls = _record_reductions(monkeypatch)
+    simulated = []
+    original = report.resolve
+
+    def recorded(f, branches, config=None):
+        simulated.append(f)
+        return original(f, branches, config)
+
+    monkeypatch.setattr(report, "resolve", recorded)
+    result = build_report(InputSpec(field="2^1", branches=2, seed=3,
+                                    expr="t1^-2*t2 + t1^-4*t2^3"))
+    assert result.passed
+    assert len(simulated) == 2      # the input and its perturbation
+    assert [sum(arg is f for arg, _ in calls) for f in simulated] == [1, 1]
+
+
+@pytest.mark.parametrize("simulate", [False, True])
+def test_corpus_reduces_each_input_once(monkeypatch, simulate):
+    calls = _record_reductions(monkeypatch)
+    inputs = []
+    original = corpus.random_polynomial
+
+    def recorded(rng, ctx, *args, **kwargs):
+        f = original(rng, ctx, *args, **kwargs)
+        if not args and not kwargs:     # an input, not a perturbation
+            inputs.append(f)
+        return f
+
+    monkeypatch.setattr(corpus, "random_polynomial", recorded)
+    summary = run_corpus(1, 30, "laurent", simulate=simulate)
+    assert summary["all_pass"]
+    assert len(inputs) == 30
+    for f in inputs:
+        reps = [rep for arg, rep in calls if arg is f]
+        # the idempotence check reduces the representative again, and that
+        # is f itself when f needed no reduction
+        assert len(reps) == 1 + (reps[0].g is f)
 
 
 def test_reports_are_deterministic():

@@ -6,8 +6,8 @@ import pytest
 from wildram import fields
 from wildram.fields import (_EXHAUSTIVE_LIMIT, ContextMismatchError,
                             FieldContext, FieldElement, _is_irreducible,
-                            _trim, embed, field, find_roots, join_context,
-                            minimal_form, poly_eval, roots_in_field,
+                            _roots_in_field, _trim, embed, field, find_roots,
+                            join_context, minimal_form, poly_eval,
                             subfield_preimage)
 
 
@@ -233,7 +233,7 @@ def test_roots_in_field_large_field_path():
     b = ctx.from_encoding(6789 % ctx.order)
     # (x - a)(x - b)
     coeffs = [a * b, -(a + b), ctx.one()]
-    roots = roots_in_field(coeffs, ctx)
+    roots = _roots_in_field(coeffs, ctx)
     assert sorted(r.encoding() for r, _ in roots) == sorted(
         {a.encoding(), b.encoding()})
 
@@ -245,7 +245,7 @@ def test_roots_in_field_large_field_path_char_2():
     a, b, c = (ctx.from_encoding(e) for e in (1234, 4321, 7777))
     # (x - a)(x - b)(x - c)
     coeffs = [-(a * b * c), a * b + a * c + b * c, -(a + b + c), ctx.one()]
-    roots = roots_in_field(coeffs, ctx)
+    roots = _roots_in_field(coeffs, ctx)
     assert [(r.encoding(), mult) for r, mult in roots] == [
         (1234, 1), (4321, 1), (7777, 1)]
 

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from wildram.fields import embed, field
+from wildram.fields import ContextMismatchError, embed, field
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
                              _binomial_row, _min_antichain,
                              _series_binomials,
@@ -246,7 +246,8 @@ def _naive_translate(poly_, shift, budget):
     (field(3, 2), field(3, 4))])
 def test_translate_matches_math_comb(base, shift_field):
     # several terms, poles and positive powers in both coordinates, and a
-    # shift from an extension of the coefficient field
+    # shift from an extension of the coefficient field, into which the
+    # polynomial is embedded first
     rng = random.Random(base.order)
     for budget in (1, base.p, 16, 40):
         for _ in range(6):
@@ -257,7 +258,7 @@ def test_translate_matches_math_comb(base, shift_field):
             for shift in (shift_field.gen(),
                           shift_field.from_encoding(
                               rng.randrange(1, shift_field.order))):
-                got = translate(f, shift, budget)
+                got = translate(f.embed_into(shift_field), shift, budget)
                 assert got.ctx == shift_field
                 assert list(got.terms.items()) == list(
                     _naive_translate(f, shift, budget).items())
@@ -266,12 +267,20 @@ def test_translate_matches_math_comb(base, shift_field):
 
 
 def test_translate_embeds_into_shift_field():
-    f = poly("t2^2", F2)
+    f = poly("t2^2", F2).embed_into(field(2, 2))
     g4 = field(2, 2).gen()
     t = translate(f, g4, 4)
     assert t.ctx == field(2, 2)
     # (t2 + g)^2 = t2^2 + g^2
     assert t.terms[(0, 0)] == g4 * g4
+
+
+def test_translate_rejects_foreign_shift():
+    # cross-field coercion is never implicit, in either direction
+    with pytest.raises(ContextMismatchError):
+        translate(poly("t2^2", F2), field(2, 2).gen(), 4)
+    with pytest.raises(ContextMismatchError):
+        translate(poly("t2^2", F2).embed_into(field(2, 2)), F2.one(), 4)
 
 
 # ---------------------------------------------------------------------------

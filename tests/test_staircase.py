@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wildram.staircase import (RecursionStep, RecursionTrace, Staircase,
-                               StaircaseError, area, blowup_term,
-                               child_index_sets, continuation_child,
-                               crossing_child, depth, end_conductors,
+                               StaircaseError, _children, area, blowup_term,
+                               child_index_sets, depth, end_conductors,
                                essential_vertices, is_clean_shape,
                                max_diagonal, quadrant_shape,
                                ramification_bound, ramification_closed_form,
@@ -147,8 +146,9 @@ def test_index_sets_always_keep_endpoints():
 
 def test_children_are_valid_staircases():
     stair = S((0, 0), (1, 4), (2, 5))
-    assert crossing_child(stair) == S((0, 0), (2, 3))
-    assert continuation_child(stair) == S((0, 0))
+    crossing, continuation = _children(stair, *child_index_sets(stair))
+    assert crossing == S((0, 0), (2, 3))
+    assert continuation == S((0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +298,7 @@ def test_children_shrink_the_measure(stair):
     if len(stair) <= 1:
         return
     measure = (len(stair), depth(stair))
-    for child in (crossing_child(stair), continuation_child(stair)):
+    for child in _children(stair, *child_index_sets(stair)):
         assert (len(child), depth(child)) < measure
 
 
