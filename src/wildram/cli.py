@@ -88,9 +88,6 @@ def main(argv=None):
     cor.add_argument("--count", type=int, default=1000)
     cor.add_argument("--mode", default="staircase",
                      choices=["staircase", "laurent"])
-    cor.add_argument("--jset-rule", default="minimal",
-                     choices=["minimal", "max_tail"],
-                     help="index-set rule; max_tail is the differential mutant")
     cor.add_argument("--simulate", action="store_true",
                      help="include simulator checks in laurent mode")
     cor.add_argument("--json", action="store_true")
@@ -140,7 +137,7 @@ def _dispatch(args):
 
     if args.command == "corpus":
         summary = run_corpus(args.seed, args.count, args.mode,
-                             rule=args.jset_rule, simulate=args.simulate)
+                             simulate=args.simulate)
         if args.json:
             print(json.dumps(summary, indent=2, sort_keys=True))
         else:

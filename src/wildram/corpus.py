@@ -69,16 +69,16 @@ def random_polynomial(rng, ctx, max_terms=4, exp_bound=4, nonneg_t2=False):
 # checks
 # ---------------------------------------------------------------------------
 
-def _staircase_checks(stair, rule, branches):
+def _staircase_checks(stair, branches):
     """Returns a dict of check name -> bool for one good-shaped staircase."""
     out = {}
     try:
-        total = ramification_recursive(stair, branches, rule=rule).total
+        total = ramification_recursive(stair, branches).total
         out[f"closed_form_type_{branches}"] = (
             total == ramification_closed_form(stair, branches))
         out[f"ess_invariance_type_{branches}"] = (
             total == ramification_recursive(essential_vertices(stair),
-                                            branches, rule=rule).total)
+                                            branches).total)
     except Exception:
         out[f"closed_form_type_{branches}"] = False
         out[f"ess_invariance_type_{branches}"] = False
@@ -113,8 +113,7 @@ def _minimize_staircase(stair, failing):
                 continue
             if len(candidate) == 0:
                 continue
-            if not _staircase_checks(candidate, failing["rule"],
-                                     failing["branches"]).get(
+            if not _staircase_checks(candidate, failing["branches"]).get(
                     failing["check"], True):
                 points = trial
                 changed = True
@@ -166,7 +165,7 @@ def _simulation_checks(sim):
 # the runner
 # ---------------------------------------------------------------------------
 
-def run_corpus(seed, count, mode, rule="minimal", simulate=False):
+def run_corpus(seed, count, mode, simulate=False):
     """Run the differential suite over `count` random inputs.
 
     mode "staircase" exercises the pure combinatorics; mode "laurent" the
@@ -194,13 +193,12 @@ def run_corpus(seed, count, mode, rule="minimal", simulate=False):
             branches = 2 if index % 2 == 0 else 1
             shape = "crossing" if branches == 2 else "branch"
             stair = random_staircase(rng, shape=shape)
-            results = _staircase_checks(stair, rule, branches)
+            results = _staircase_checks(stair, branches)
             for name, ok in results.items():
                 witness = None
                 if not ok:
                     small = _minimize_staircase(
-                        stair, {"check": name, "rule": rule,
-                                "branches": branches})
+                        stair, {"check": name, "branches": branches})
                     witness = list(small)
                 record(name, ok, witness)
         else:
@@ -226,7 +224,6 @@ def run_corpus(seed, count, mode, rule="minimal", simulate=False):
         "seed": seed,
         "count": count,
         "mode": mode,
-        "rule": rule,
         "checks": {name: {"pass": p, "fail": fl,
                           "counterexamples": counterexamples.get(name, [])}
                    for name, (p, fl) in sorted(checks.items())},

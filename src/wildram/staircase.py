@@ -166,11 +166,10 @@ def blowup_term(drop, branches):
 # the two chart transforms
 # ---------------------------------------------------------------------------
 
-def child_index_sets(stair, rule="minimal"):
+def child_index_sets(stair):
     """Index sets surviving at the two crossing points after one blow-up.
 
-    With the default "minimal" rule these are the minimal-corner filters
-    of the transformed corner sets:
+    These are the minimal-corner filters of the transformed corner sets:
 
         first  (chart where the old second branch survives):
                  { j : b_j - a_j < min over i > j of (b_i - a_i) }
@@ -180,32 +179,21 @@ def child_index_sets(stair, rule="minimal"):
     Empty ranges count as +inf resp. -inf, so the last index always
     belongs to the first set and index 0 to the second.  The transformed
     sequences (a_j, b_j - a_j) and (a_j - b_j, b_j) over these sets are
-    again valid staircases.
-
-    rule="max_tail" switches the first filter to the strict-below-max
-    variant { j : b_j - a_j < max over i > j of (b_i - a_i) }, which drops
-    the last index.  It is kept only as a differential-testing mutant: it
-    breaks the closed form (smallest counterexample ((0,0),(1,2))).
+    again valid staircases.  `_recurse` looks this function up at each
+    step, so a test can replace it with a wrong filter and check that the
+    closed form and the corpus catch it.
     """
     _require_nonempty(stair, "child_index_sets")
-    if rule not in ("minimal", "max_tail"):
-        raise ValueError(f"unknown index rule {rule!r}")
     k = len(stair) - 1
-    # one pass from the right: `tail` is the min (resp. max) of b_i - a_i
-    # over i > j; the last index has an empty tail
+    # one pass from the right: `tail` is the min of b_i - a_i over i > j;
+    # the last index has an empty tail
     tail = stair[k][1] - stair[k][0]
-    first = [k] if rule == "minimal" else []
+    first = [k]
     for j in range(k - 1, -1, -1):
         here = stair[j][1] - stair[j][0]
-        if rule == "minimal":
-            if here < tail:
-                first.append(j)
-                tail = here
-        else:
-            if here < tail:
-                first.append(j)
-            else:
-                tail = here
+        if here < tail:
+            first.append(j)
+            tail = here
     first.reverse()
     # one pass from the left: `head` is the max of a_i - b_i over i < j
     head = stair[0][0] - stair[0][1]
@@ -248,7 +236,7 @@ class RecursionTrace:
     steps: list = field(default_factory=list)
 
 
-def ramification_recursive(stair, branches, rule="minimal"):
+def ramification_recursive(stair, branches):
     """The local ramification total, by the staircase recursion.
 
     Each step contributes blowup_term(swan_drop(.), branches) and recurses
@@ -262,11 +250,11 @@ def ramification_recursive(stair, branches, rule="minimal"):
     """
     _check_branches(branches)
     trace = RecursionTrace()
-    _recurse(Staircase(stair), branches, trace, rule)
+    _recurse(Staircase(stair), branches, trace)
     return trace
 
 
-def _recurse(stair, branches, trace, rule):
+def _recurse(stair, branches, trace):
     # an explicit depth-first stack: the continuation child is pushed
     # first, so the crossing child's subtree is traced before it, as in
     # the recursive definition
@@ -277,7 +265,7 @@ def _recurse(stair, branches, trace, rule):
             continue
         drop = swan_drop(stair)
         term = blowup_term(drop, branches)
-        first, second = child_index_sets(stair, rule)
+        first, second = child_index_sets(stair)
         trace.total += term
         trace.steps.append(RecursionStep(stair, branches, drop, term, first, second))
         crossing, continuation = _children(stair, first, second)

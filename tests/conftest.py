@@ -1,0 +1,45 @@
+"""Shared test helpers: the quadratic definition of the recursion's
+index-set filters, and the max_tail mutant built from it.
+
+The max_tail filter keeps { j : b_j - a_j < max over i > j of (b_i - a_i) }
+as the first index set, which drops the last index.  It breaks the closed
+form (smallest counterexample ((0,0),(1,2))), so the tests install it in
+place of `staircase.child_index_sets` to show that the closed-form check,
+the corpus and its exit status catch a wrong recursion.
+"""
+
+from unittest import mock
+
+from wildram import staircase
+
+
+def reference_index_sets(stair, rule="minimal"):
+    """The filters of child_index_sets, written out as their definition:
+    every tail and head range rebuilt for each index.  rule="max_tail"
+    gives the mutant's first set."""
+    k = len(stair) - 1
+    first = []
+    for j in range(k + 1):
+        tail = [stair[i][1] - stair[i][0] for i in range(j + 1, k + 1)]
+        here = stair[j][1] - stair[j][0]
+        if rule == "minimal":
+            if not tail or here < min(tail):
+                first.append(j)
+        else:
+            if tail and here < max(tail):
+                first.append(j)
+    second = []
+    for j in range(k + 1):
+        head = [stair[i][0] - stair[i][1] for i in range(j)]
+        if not head or stair[j][0] - stair[j][1] > max(head):
+            second.append(j)
+    return tuple(first), tuple(second)
+
+
+def max_tail_recursion():
+    """A context in which the recursion, and all that calls it, filters
+    with max_tail.  `staircase._recurse` looks child_index_sets up at
+    each step, so no mutant code lives in the program."""
+    return mock.patch.object(
+        staircase, "child_index_sets",
+        lambda stair: reference_index_sets(stair, "max_tail"))

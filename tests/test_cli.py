@@ -3,6 +3,7 @@ import sys
 
 import pytest
 
+from conftest import max_tail_recursion
 from wildram import blowup, corpus, reduction, report
 from wildram.blowup import CrossCheckError, resolve
 from wildram.cli import main
@@ -239,7 +240,8 @@ def test_corpus_witness_identity_uses_the_constant_root(monkeypatch):
 
 
 def test_corpus_mutant_finds_the_counterexample():
-    summary = run_corpus(1, 300, "staircase", rule="max_tail")
+    with max_tail_recursion():
+        summary = run_corpus(1, 300, "staircase")
     assert not summary["all_pass"]
     bad = summary["checks"]["closed_form_type_2"]
     assert bad["fail"] > 0
@@ -328,8 +330,8 @@ def test_cli_corpus(capsys):
 
 
 def test_cli_corpus_mutant_exit_two(capsys):
-    code = main(["corpus", "--seed", "1", "--count", "200",
-                 "--jset-rule", "max_tail"])
+    with max_tail_recursion():
+        code = main(["corpus", "--seed", "1", "--count", "200"])
     assert code == 2
     assert "FAILURES FOUND" in capsys.readouterr().out
 

@@ -1,9 +1,12 @@
 """Golden CLI output: stdout and exit code of fixed `--json` commands.
 
 Each file under tests/golden/ holds one command's exit code on its first
-line (`# exit N`) and its stdout after it, byte for byte.  A refactor that
-keeps the numbers and the verdicts keeps these files.  To record them
-again after an intended change of output, run
+line (`# exit N`) and its stdout after it, byte for byte.  The cases in
+MUTANTS run with the recursion's index-set filter replaced by the
+max_tail mutant (tests/conftest.py), so their files record what the
+corpus reports on a wrong recursion.  A refactor that keeps the numbers
+and the verdicts keeps these files.  To record them again after an
+intended change of output, run
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -15,6 +18,7 @@ import sys
 
 import pytest
 
+from conftest import max_tail_recursion
 from wildram.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -35,26 +39,27 @@ CASES = {
                                 "--mode", "laurent", "--simulate"],
     "corpus_staircase": ["corpus", "--seed", "1", "--count", "200",
                          "--mode", "staircase"],
-    "corpus_max_tail": ["corpus", "--seed", "1", "--count", "200",
-                        "--jset-rule", "max_tail"],
+    "corpus_max_tail": ["corpus", "--seed", "1", "--count", "200"],
 }
+MUTANTS = {"corpus_max_tail"}
 
 
-def _run(argv):
+def _run(name):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = main(argv + ["--json"])
+    patch = max_tail_recursion if name in MUTANTS else contextlib.nullcontext
+    with patch(), contextlib.redirect_stdout(out):
+        code = main(CASES[name] + ["--json"])
     return f"# exit {code}\n{out.getvalue()}"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name):
     expected = (GOLDEN / f"{name}.txt").read_text(encoding="utf-8")
-    assert _run(CASES[name]) == expected
+    assert _run(name) == expected
 
 
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
-        (GOLDEN / f"{name}.txt").write_text(_run(argv), encoding="utf-8")
+    for name in CASES:
+        (GOLDEN / f"{name}.txt").write_text(_run(name), encoding="utf-8")
     sys.exit(0)

@@ -1,3 +1,4 @@
+import contextlib
 import copy
 import pickle
 import sys
@@ -5,6 +6,7 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import max_tail_recursion, reference_index_sets
 from wildram.staircase import (RecursionStep, RecursionTrace, Staircase,
                                StaircaseError, _children, area, blowup_term,
                                child_index_sets, depth, end_conductors,
@@ -192,10 +194,11 @@ def test_clean_shapes():
 
 
 def test_mutant_index_rule_breaks_closed_form():
-    # the strict-below-max filter disagrees on ((0,0),(1,2)); keeping it
-    # around guards against regressing to it
+    # the strict-below-max filter disagrees on ((0,0),(1,2)); the closed
+    # form catches a recursion that regresses to it
     stair = S((0, 0), (1, 2))
-    assert ramification_recursive(stair, 2, rule="max_tail").total == 1
+    with max_tail_recursion():
+        assert ramification_recursive(stair, 2).total == 1
     assert ramification_closed_form(stair, 2) == 2
     assert ramification_recursive(stair, 2).total == 2
 
@@ -307,35 +310,13 @@ def test_children_shrink_the_measure(stair):
 # quadratic filters and the recursive definition
 # ---------------------------------------------------------------------------
 
-def _reference_index_sets(stair, rule):
-    """The filters of child_index_sets, written out as their definition:
-    every tail and head range rebuilt for each index."""
-    k = len(stair) - 1
-    first = []
-    for j in range(k + 1):
-        tail = [stair[i][1] - stair[i][0] for i in range(j + 1, k + 1)]
-        here = stair[j][1] - stair[j][0]
-        if rule == "minimal":
-            if not tail or here < min(tail):
-                first.append(j)
-        else:
-            if tail and here < max(tail):
-                first.append(j)
-    second = []
-    for j in range(k + 1):
-        head = [stair[i][0] - stair[i][1] for i in range(j)]
-        if not head or stair[j][0] - stair[j][1] > max(head):
-            second.append(j)
-    return tuple(first), tuple(second)
-
-
 def _reference_recurse(stair, branches, trace, rule):
     """One Python call per step, children from the reference filters."""
     if len(stair) <= 1:
         return
     drop = swan_drop(stair)
     term = blowup_term(drop, branches)
-    first, second = _reference_index_sets(stair, rule)
+    first, second = reference_index_sets(stair, rule)
     trace.total += term
     trace.steps.append(RecursionStep(stair, branches, drop, term, first, second))
     measure = (len(stair), depth(stair))
@@ -362,8 +343,7 @@ def long_staircases(draw, max_points=80, spread=400):
 
 @given(long_staircases())
 def test_index_sets_match_quadratic_filters(stair):
-    for rule in ("minimal", "max_tail"):
-        assert child_index_sets(stair, rule) == _reference_index_sets(stair, rule)
+    assert child_index_sets(stair) == reference_index_sets(stair)
 
 
 def _step_record(trace):
@@ -374,19 +354,22 @@ def _step_record(trace):
 
 @given(long_staircases(max_points=6, spread=12))
 def test_recursion_steps_match_recursive_definition(stair):
-    # the max_tail mutant can build an invalid child; then both routes
-    # must fail on the same child
-    for rule in ("minimal", "max_tail"):
+    # with the max_tail mutant in place of the program's filter, the
+    # recursion can build an invalid child; then both routes must fail on
+    # the same child
+    for rule, patch in (("minimal", contextlib.nullcontext),
+                        ("max_tail", max_tail_recursion)):
         for branches in (1, 2):
             expected = RecursionTrace()
             try:
                 _reference_recurse(stair, branches, expected, rule)
             except StaircaseError as exc:
-                with pytest.raises(StaircaseError) as raised:
-                    ramification_recursive(stair, branches, rule)
+                with patch(), pytest.raises(StaircaseError) as raised:
+                    ramification_recursive(stair, branches)
                 assert str(raised.value) == str(exc)
                 continue
-            trace = ramification_recursive(stair, branches, rule)
+            with patch():
+                trace = ramification_recursive(stair, branches)
             assert _step_record(trace) == _step_record(expected)
 
 
