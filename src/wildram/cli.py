@@ -3,7 +3,7 @@
 Subcommands: report, simulate, corpus, euler.  JSON is the canonical
 output (--json); the default human view is derived from it.  Exit codes:
 0 all verdicts pass, 2 a verdict failed (a counterexample to an expected
-identity), 1 operational error.
+identity), 1 operational error, a usage error included.
 """
 
 from __future__ import annotations
@@ -18,6 +18,15 @@ from .corpus import run_corpus
 from .euler import SurfaceConfig, euler_delta
 from .parsing import ParseError, parse_field, parse_polynomial
 from .report import InputSpec, StageError, build_report
+
+
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error: argparse's own status, 2, would read as
+    a failed verdict.  The subcommand parsers are of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def _add_input_args(sub):
@@ -71,7 +80,7 @@ def _print_report(report):
 
 
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wildram",
         description="ramification invariants of degree-p covers of surfaces")
     subs = parser.add_subparsers(dest="command", required=True)
@@ -100,10 +109,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
+    # a failed internal cross-check is a found counterexample, not an
+    # operational failure
+    except CrossCheckError as err:
+        print(f"error: {err}", file=sys.stderr)
+        return 2
     except StageError as err:
         print(f"error: {err}", file=sys.stderr)
-        # a failed internal cross-check is a found counterexample, not an
-        # operational failure
         return 2 if isinstance(err.original, CrossCheckError) else 1
     except (ParseError, ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)

@@ -278,6 +278,11 @@ def test_failed_cross_check_raises_and_exits_two(monkeypatch, capsys):
     code = main(["report", "t1^-2*t2", "--field", "3"])
     assert code == 2
     assert "in stage simulation" in capsys.readouterr().err
+    # simulate has no stages: the error itself is the one line
+    code = main(["simulate", "t1^-2*t2", "--field", "3"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_report_verdicts_fail_when_the_conductors_disagree(monkeypatch,
@@ -334,6 +339,20 @@ def test_cli_corpus_mutant_exit_two(capsys):
         code = main(["corpus", "--seed", "1", "--count", "200"])
     assert code == 2
     assert "FAILURES FOUND" in capsys.readouterr().out
+
+
+def test_cli_usage_errors_exit_one(capsys):
+    # exit 2 is a failed verdict; a command line that runs nothing is not
+    with pytest.raises(SystemExit) as missing:
+        main(["report"])
+    assert missing.value.code == 1
+    with pytest.raises(SystemExit) as removed:
+        main(["corpus", "--jset-rule", "max_tail"])
+    assert removed.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as helped:
+        main(["corpus", "--help"])
+    assert helped.value.code == 0
 
 
 def test_cli_euler(tmp_path, capsys):
