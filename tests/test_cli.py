@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import sys
 
@@ -9,6 +10,7 @@ from wildram.blowup import CrossCheckError, resolve
 from wildram.cli import main
 from wildram.corpus import run_corpus
 from wildram.fields import field
+from wildram.laurent import LaurentPolynomial, pole_staircase
 from wildram.parsing import (ParseError, format_polynomial, parse_field,
                              parse_polynomial, polynomial_as_triples)
 from wildram.report import InputSpec, build_report
@@ -204,10 +206,9 @@ def test_corpus_reduces_each_input_once(monkeypatch, simulate):
     assert summary["all_pass"]
     assert len(inputs) == 30
     for f in inputs:
-        reps = [rep for arg, rep in calls if arg is f]
-        # the idempotence check reduces the representative again, and that
-        # is f itself when f needed no reduction
-        assert len(reps) == 1 + (reps[0].g is f)
+        # the idempotence check reduces the representative again only when
+        # it differs from f
+        assert sum(arg is f for arg, _ in calls) == 1
 
 
 def test_reports_are_deterministic():
@@ -236,6 +237,33 @@ def test_corpus_witness_identity_uses_the_constant_root(monkeypatch):
                         lambda value: value.ctx.zero())
     summary = run_corpus(1, 30, "laurent")
     assert summary["checks"]["witness_identity"]["fail"] > 0
+    assert summary["checks"]["no_exception"]["fail"] == 0
+
+
+def test_corpus_idempotent_catches_a_partial_reduction(monkeypatch):
+    # a reduction that keeps only the witness term of the largest t1 pole,
+    # its first corner reduction, and undoes the others leaves a g that
+    # a second reduction changes; a reduction that changed nothing is not
+    # checked, since reducing g again would rerun it on the same input
+    summary = run_corpus(1, 30, "laurent")
+    assert summary["checks"]["idempotent"]["pass"] < 30
+    assert summary["checks"]["idempotent"]["fail"] == 0
+    real = reduction.good_representative
+
+    def first_corner_only(f):
+        rep = real(f)
+        if rep.reductions < 2:
+            return rep
+        _, *rest = sorted(rep.witness.terms.items())
+        undone = LaurentPolynomial(rep.witness.ctx, dict(rest))
+        g = rep.g + reduction.artin_schreier_map(undone)
+        return dataclasses.replace(rep, g=g, witness=rep.witness - undone,
+                                   staircase=pole_staircase(g), reductions=1)
+
+    monkeypatch.setattr(corpus, "good_representative", first_corner_only)
+    summary = run_corpus(1, 30, "laurent")
+    assert summary["checks"]["idempotent"]["fail"] > 0
+    assert summary["checks"]["witness_identity"]["fail"] == 0
     assert summary["checks"]["no_exception"]["fail"] == 0
 
 
