@@ -109,9 +109,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _dispatch(args)
-    # a failed internal cross-check is a found counterexample, not an
-    # operational failure
     except CrossCheckError as err:
+        # a failed internal cross-check is a found counterexample, not an
+        # operational failure
         print(f"error: {err}", file=sys.stderr)
         return 2
     except StageError as err:

@@ -99,7 +99,7 @@ def _staircase_checks(stair, branches):
     return out
 
 
-def _minimize_staircase(stair, failing):
+def _minimize_staircase(stair, check, branches):
     """Greedy: drop interior points while the check still fails."""
     points = list(stair)
     changed = True
@@ -113,8 +113,7 @@ def _minimize_staircase(stair, failing):
                 continue
             if len(candidate) == 0:
                 continue
-            if not _staircase_checks(candidate, failing["branches"]).get(
-                    failing["check"], True):
+            if not _staircase_checks(candidate, branches).get(check, True):
                 points = trial
                 changed = True
                 break
@@ -200,8 +199,7 @@ def run_corpus(seed, count, mode, simulate=False):
             for name, ok in results.items():
                 witness = None
                 if not ok:
-                    small = _minimize_staircase(
-                        stair, {"check": name, "branches": branches})
+                    small = _minimize_staircase(stair, name, branches)
                     witness = list(small)
                 record(name, ok, witness)
         else:
