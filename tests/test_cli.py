@@ -241,10 +241,10 @@ def test_corpus_witness_identity_uses_the_constant_root(monkeypatch):
 
 
 def test_corpus_idempotent_catches_a_partial_reduction(monkeypatch):
-    # a reduction that keeps only the witness term of the largest t1 pole,
-    # its first corner reduction, and undoes the others leaves a g that
-    # a second reduction changes; a reduction that changed nothing is not
-    # checked, since reducing g again would rerun it on the same input
+    # a reduction that keeps its first corner reduction (the witness term
+    # of the largest t1 pole) and undoes the others leaves a g that a
+    # second reduction changes; inputs the reduction left as they were
+    # are not checked
     summary = run_corpus(1, 30, "laurent")
     assert summary["checks"]["idempotent"]["pass"] < 30
     assert summary["checks"]["idempotent"]["fail"] == 0
