@@ -7,9 +7,11 @@ negative, so the representation is a dict, kept canonical (no stored
 zeros).  Values are immutable; every operation returns a new polynomial.
 The public constructor checks and canonicalizes its input; operations
 whose results are canonical by construction build them through a private
-constructor that checks nothing.  A polynomial computes its exact terms,
-the minimal corners of those terms, its staircase and its hash at most
-once.
+constructor that checks nothing.  A polynomial keeps, once computed, its
+certified corners (the minimal points of its exact terms, as a tuple
+sorted by m), its staircase, its hash and its exact terms as a read-only
+mapping; the corners and the valuations ask for the exact terms only with
+no unknown corner or with several.
 
 Pole staircases read the support in (a, b) = (-m, n) coordinates: a is the
 pole order along {t1 = 0} and b the t2-exponent.  The staircase of f is
@@ -27,7 +29,8 @@ silently truncating.  Exact polynomials have an empty corner set, and
 operations on exact data never lose exactness except for the translation
 of a negative power.  The translation of an exact polynomial has at most
 one corner (u, v), and with one corner a term (m, n) is exact iff m < u or
-n < v.
+n < v.  That rule lives in ``_certified`` alone, which both the certified
+corners and the valuations read, each in its own pass over the terms.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 from types import MappingProxyType
 
 from .fields import ContextMismatchError, embed
@@ -145,9 +149,7 @@ class LaurentPolynomial:
         """Stored terms whose coefficients are certified exact, in the
         order of ``terms``.
 
-        With one unknown corner (u, v), the usual case after a
-        translation, a term (m, n) is exact iff m < u or n < v.  Otherwise
-        the corners form an antichain: sorted by m, their n strictly
+        The corners form an antichain: sorted by m, their n strictly
         decreases, so the last corner with a <= m is the only one that can
         dominate (m, n).  Computed once per polynomial and returned as a
         read-only mapping.
@@ -156,11 +158,6 @@ class LaurentPolynomial:
             return self._exact
         if not self.unknown:
             self._exact = MappingProxyType(self.terms)
-            return self._exact
-        if len(self.unknown) == 1:
-            (u, v), = self.unknown
-            self._exact = MappingProxyType(
-                {e: c for e, c in self.terms.items() if e[0] < u or e[1] < v})
             return self._exact
         corners = sorted(self.unknown)
         firsts = [a for a, _ in corners]
@@ -283,11 +280,42 @@ class LaurentPolynomial:
 # staircase extraction and valuations
 # ---------------------------------------------------------------------------
 
+def _certified(poly):
+    """The exponents of the certified terms, in the order of ``terms``.
+
+    With one unknown corner (u, v), the case of every translation of an
+    exact polynomial, a term (m, n) is certified iff m < u or n < v, and
+    the exponents are generated by that test in one pass over the terms,
+    with no copy.  Otherwise they are the keys of ``exact_terms()``.
+    """
+    if len(poly.unknown) != 1:
+        return poly.exact_terms()
+    (u, v), = poly.unknown
+    return (e for e in poly.terms if e[0] < u or e[1] < v)
+
+
 def _certified_corners(poly):
-    """The minimal points of the certified support, kept on the
-    polynomial."""
+    """The minimal points of the certified support, sorted by m (so their
+    n falls), kept on the polynomial.
+
+    The column minimum of a t1-exponent m is the least n of a certified
+    term (m, n).  One pass over the certified exponents gathers the column
+    minima; a column minimum is a corner iff it lies below every column to
+    its left, which one sweep over the few distinct m decides.
+    """
     if poly._corners is None:
-        poly._corners = _min_antichain(poly.exact_terms())
+        low = {}
+        for m, n in _certified(poly):
+            if n < low.get(m, math.inf):
+                low[m] = n
+        corners = []
+        least = math.inf
+        for m in sorted(low):
+            n = low[m]
+            if n < least:
+                corners.append((m, n))
+                least = n
+        poly._corners = tuple(corners)
     return poly._corners
 
 
@@ -308,8 +336,9 @@ def pole_staircase(poly):
     Only coefficients outside the unknown region can witness a corner, and
     every unknown corner must be dominated by a certified one; otherwise a
     truncated tail could hide a corner and the call raises, on every call.
-    A staircase once found is kept on the polynomial.  Exponents are ints,
-    so only the order of the sorted corners is checked.
+    A staircase once found is kept on the polynomial.  The corners come
+    sorted by m, so a = -m ascends along them reversed; exponents are
+    ints, so only that order is checked.
     """
     if poly._staircase is not None:
         return poly._staircase
@@ -317,20 +346,25 @@ def pole_staircase(poly):
     for u in poly.unknown:
         if not any(_dominates(c, u) for c in corners):
             raise PrecisionLossError(u, "a truncated region may hide a corner")
-    poly._staircase = Staircase._from_ints(sorted((-m, n) for m, n in corners))
+    poly._staircase = Staircase._from_ints([(-m, n)
+                                            for m, n in reversed(corners)])
     return poly._staircase
 
 
 def valuation(poly, axis):
-    """Minimum exponent along the axis ("t1" or "t2"); +inf for zero."""
+    """Minimum exponent along the axis ("t1" or "t2"); +inf for zero.
+
+    The minimum is taken in its own pass over the certified exponents,
+    not from the certified corners, so that the conductor loops, which
+    read valuations, stay a route independent of the staircase.
+    """
     idx = _axis_index(axis)
-    exact = poly.exact_terms()
-    if not exact:
+    v = min(map(operator.itemgetter(idx), _certified(poly)), default=None)
+    if v is None:
         if poly.unknown or poly.terms:
             raise PrecisionLossError(min(poly.unknown | set(poly.terms)),
                                      "no certified term to take the valuation from")
         return math.inf
-    v = min(e[idx] for e in exact)
     bad = [u for u in poly.unknown if u[idx] < v]
     if bad:
         raise PrecisionLossError(bad[0], "a truncated region may lower the valuation")

@@ -5,8 +5,8 @@ from collections import Counter
 
 import pytest
 
-from wildram import blowup
-from wildram.blowup import (DepthCapError, SimulationConfig,
+from wildram import blowup, laurent
+from wildram.blowup import (CrossCheckError, DepthCapError, SimulationConfig,
                             exceptional_candidates, resolve,
                             simulation_as_dict, tree_as_dict, tree_as_dot)
 from wildram.corpus import random_polynomial
@@ -224,6 +224,26 @@ def test_escalation_rounds_reduce_each_exact_polynomial_once(monkeypatch):
     again = resolve(f, 2)
     assert again.root.signature() == result.root.signature()
     assert Counter(g for g in reduced if g.is_exact) == Counter(first)
+
+
+@pytest.mark.parametrize("expr, ctx", [("t1^-3*t2 + t2^-2", F3),
+                                       ("t1^-2*t2 + t1^-4*t2^3", F2),
+                                       ("t1^-2*t2", F3)])
+def test_a_corrupt_corner_summary_fails_the_drop_cross_check(monkeypatch,
+                                                              expr, ctx):
+    # the staircase and its hidden-corner guard read the certified corners,
+    # the conductor loops take their valuations in their own pass: a
+    # summary that loses its leftmost corner (largest t1 pole) must make
+    # the two routes disagree
+    assert resolve(poly(expr, ctx), 2).total >= 1
+    real = laurent._certified_corners
+
+    def without_leftmost(f):
+        return sorted(real(f))[1:]
+
+    monkeypatch.setattr(laurent, "_certified_corners", without_leftmost)
+    with pytest.raises(CrossCheckError):
+        resolve(poly(expr, ctx), 2)
 
 
 @pytest.mark.parametrize("partial_calls", [None, 1])

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 from wildram.fields import ContextMismatchError, embed, field
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
-                             _binomial_row, _min_antichain,
+                             _binomial_row, _certified, _min_antichain,
                              _series_binomials,
                              blowup_substitute, pole_staircase, translate,
                              transpose, undominated_unknowns, valuation)
@@ -106,10 +106,12 @@ def one_corner_polys(draw):
 
 @given(one_corner_polys())
 def test_exact_terms_with_one_unknown_corner(f):
-    # the single-corner rule against the region test, term order included
+    # the one-corner rule of _certified and the bisect test of exact_terms
+    # against the region test, term order included
     assert len(f.unknown) == 1
     expected = [(e, c) for e, c in f.terms.items()
                 if not f.in_unknown_region(*e)]
+    assert list(_certified(f)) == [e for e, _ in expected]
     assert list(f.exact_terms().items()) == expected
 
 
@@ -596,13 +598,25 @@ CORNER_VIEWS = ((undominated_unknowns, _reference_undominated),
                 (pole_staircase, _reference_staircase))
 
 
-@given(poly_pairs())
-def test_memoized_views_match_their_definitions(pair):
+@st.composite
+def translated_polys(draw):
+    """The translations of one exact polynomial by one shift under several
+    budgets: real one-corner polynomials, as every probe analyses them
+    (exact ones when the polynomial has no t2-pole)."""
+    ctx = draw(st.sampled_from(list(EXTENDED)))
+    f = LaurentPolynomial(ctx, draw(truncated_polys(ctx)).terms)
+    shift = ctx.from_encoding(draw(st.integers(1, ctx.order - 1)))
+    return tuple(translate(f, shift, budget) for budget in (1, 2, 5, 9))
+
+
+@given(st.one_of(poly_pairs(), one_corner_polys().map(lambda f: (f,)),
+                 translated_polys()))
+def test_memoized_views_match_their_definitions(polys):
     # on each polynomial and on its exact part; twice each, since the
     # second call reads what the first one kept; undominated_unknowns and
     # pole_staircase share corners kept by whichever runs first, so fresh
     # copies take them in both orders
-    for given_poly in pair:
+    for given_poly in polys:
         for unknown in (given_poly.unknown, frozenset()):
             for order in (CORNER_VIEWS, CORNER_VIEWS[::-1]):
                 f = LaurentPolynomial(given_poly.ctx, given_poly.terms,
