@@ -12,8 +12,9 @@ import argparse
 import json
 import sys
 
-from .blowup import (CrossCheckError, SimulationConfig, resolve,
-                     simulation_as_dict, tree_as_dot)
+from .blowup import (CrossCheckError, DepthCapError, EscalationError,
+                     SimulationConfig, resolve, simulation_as_dict,
+                     tree_as_dot)
 from .corpus import run_corpus
 from .euler import SurfaceConfig, euler_delta
 from .parsing import ParseError, parse_field, parse_polynomial
@@ -117,7 +118,10 @@ def main(argv=None):
     except StageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err.original, CrossCheckError) else 1
-    except (ParseError, ValueError, OSError) as err:
+    except (ParseError, ValueError, OSError, DepthCapError,
+            EscalationError) as err:
+        # a resource cap is an operational failure, as in a report's
+        # simulation stage
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import max_tail_recursion
-from wildram import blowup, corpus, reduction, report
+from wildram import blowup, cli, corpus, reduction, report
 from wildram.blowup import CrossCheckError, resolve
 from wildram.cli import main
 from wildram.corpus import run_corpus
@@ -240,6 +240,18 @@ def test_corpus_witness_identity_uses_the_constant_root(monkeypatch):
     assert summary["checks"]["no_exception"]["fail"] == 0
 
 
+def _first_corner_only(rep):
+    """rep with its first corner reduction (the witness term of the largest
+    t1 pole) kept and the others undone."""
+    if rep.reductions < 2:
+        return rep
+    _, *rest = sorted(rep.witness.terms.items())
+    undone = LaurentPolynomial(rep.witness.ctx, dict(rest))
+    g = rep.g + reduction.artin_schreier_map(undone)
+    return dataclasses.replace(rep, g=g, witness=rep.witness - undone,
+                               staircase=pole_staircase(g), reductions=1)
+
+
 def test_corpus_idempotent_catches_a_partial_reduction(monkeypatch):
     # a reduction that keeps its first corner reduction (the witness term
     # of the largest t1 pole) and undoes the others leaves a g that a
@@ -249,22 +261,38 @@ def test_corpus_idempotent_catches_a_partial_reduction(monkeypatch):
     assert summary["checks"]["idempotent"]["pass"] < 30
     assert summary["checks"]["idempotent"]["fail"] == 0
     real = reduction.good_representative
-
-    def first_corner_only(f):
-        rep = real(f)
-        if rep.reductions < 2:
-            return rep
-        _, *rest = sorted(rep.witness.terms.items())
-        undone = LaurentPolynomial(rep.witness.ctx, dict(rest))
-        g = rep.g + reduction.artin_schreier_map(undone)
-        return dataclasses.replace(rep, g=g, witness=rep.witness - undone,
-                                   staircase=pole_staircase(g), reductions=1)
-
-    monkeypatch.setattr(corpus, "good_representative", first_corner_only)
+    monkeypatch.setattr(corpus, "good_representative",
+                        lambda f: _first_corner_only(real(f)))
     summary = run_corpus(1, 30, "laurent")
     assert summary["checks"]["idempotent"]["fail"] > 0
     assert summary["checks"]["witness_identity"]["fail"] == 0
     assert summary["checks"]["no_exception"]["fail"] == 0
+
+
+@pytest.mark.parametrize("expr, fld", [
+    ("t1^4*t2^-2 + t1^2*t2^-2 + t2^4 + t1^-4*t2^-1", "2"),
+    ("t1^2*t2^-4 + t1^-4*t2^-2", "2"),
+    ("2*t1*t2^2 + 2*t1^-2*t2^3 + t1^-3*t2^3 + t1^-3*t2^-3", "3"),
+    ("2*t1^4*t2 + t2^-3 + t1^-3", "3"),
+])
+def test_corpus_checks_pass_on_two_corner_reductions(expr, fld):
+    # the random corpus seldom draws an input that reduces two corners;
+    # on each of these fixed ones the reduction removes two corners that
+    # are not powers of one another, every check passes, idempotence is
+    # checked, and keeping only the first reduction fails it
+    ctx = parse_field(fld)
+    f = parse_polynomial(expr, ctx)
+    h = parse_polynomial("t1^-2*t2 + t2^-1", ctx)
+    rep = reduction.good_representative(f)
+    assert rep.reductions == 2
+    (m1, n1), (m2, n2) = rep.witness.terms
+    assert m1 * n2 != m2 * n1
+    checks = corpus._poly_checks(f, rep, h)
+    assert "idempotent" in checks
+    assert all(checks.values()), checks
+    partial = corpus._poly_checks(f, _first_corner_only(rep), h)
+    assert partial["idempotent"] is False
+    assert partial["witness_identity"] is True
 
 
 def test_corpus_mutant_finds_the_counterexample():
@@ -400,6 +428,25 @@ def test_cli_operational_error(capsys):
     code = main(["report", "t1^&", "--field", "3"])
     assert code == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_cli_simulate_resource_caps_exit_one(monkeypatch, capsys):
+    # a resource cap is an operational failure: one error line and exit 1,
+    # as report gives for the same input, not a traceback
+    code = main(["simulate", "t1^-200*t2 + t2^-3", "--field", "2"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: depth cap exceeded at x/")
+    assert captured.err.count("\n") == 1
+
+    def unstable(*args, **kwargs):
+        raise blowup.EscalationError("series budget still unstable")
+
+    monkeypatch.setattr(cli, "resolve", unstable)
+    code = main(["simulate", "t1^-2*t2", "--field", "3"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err == "error: series budget still unstable\n"
 
 
 def test_cli_type1_rejects_t2_poles(capsys):
