@@ -62,24 +62,41 @@ def _dominates(lo, hi):
     return lo[0] <= hi[0] and lo[1] <= hi[1]
 
 
+def _sorted_corners(points):
+    """The minimal points of a finite set of exponent pairs under the
+    componentwise order, sorted by m (so their n falls).
+
+    The column minimum of an m is the least n of a point (m, n).  One pass
+    gathers the column minima; a column minimum is minimal iff it lies
+    below every column to its left, which one sweep over the few distinct
+    m decides.  Repeated points are harmless.
+    """
+    low = {}
+    for m, n in points:
+        if n < low.get(m, math.inf):
+            low[m] = n
+    corners = []
+    least = math.inf
+    for m in sorted(low):
+        n = low[m]
+        if n < least:
+            corners.append((m, n))
+            least = n
+    return corners
+
+
 def _min_antichain(points):
     """Minimal elements of a finite set under the componentwise order.
 
-    After sorting by (m, n), only earlier points can dominate a point, so
-    it is minimal iff its n is below every earlier n.  The result is built
-    in the iteration order of the input set, which fixes its own order.
+    The result is built in the iteration order of the input set, which
+    fixes its own order.
     """
     if not points:
         return frozenset()
     pts = set(points)
     if len(pts) < 2:
         return frozenset(pts)
-    keep = set()
-    low = math.inf
-    for m, n in sorted(pts):
-        if n < low:
-            keep.add((m, n))
-            low = n
+    keep = set(_sorted_corners(pts))
     return frozenset(q for q in pts if q in keep)
 
 
@@ -295,27 +312,10 @@ def _certified(poly):
 
 
 def _certified_corners(poly):
-    """The minimal points of the certified support, sorted by m (so their
-    n falls), kept on the polynomial.
-
-    The column minimum of a t1-exponent m is the least n of a certified
-    term (m, n).  One pass over the certified exponents gathers the column
-    minima; a column minimum is a corner iff it lies below every column to
-    its left, which one sweep over the few distinct m decides.
-    """
+    """The minimal points of the certified support, sorted by m, from one
+    pass over the certified exponents; kept on the polynomial."""
     if poly._corners is None:
-        low = {}
-        for m, n in _certified(poly):
-            if n < low.get(m, math.inf):
-                low[m] = n
-        corners = []
-        least = math.inf
-        for m in sorted(low):
-            n = low[m]
-            if n < least:
-                corners.append((m, n))
-                least = n
-        poly._corners = tuple(corners)
+        poly._corners = tuple(_sorted_corners(_certified(poly)))
     return poly._corners
 
 
