@@ -150,19 +150,20 @@ def good_representative(f, corner_order="outermost", rng=None):
         g = g - LaurentPolynomial.constant(c0)
         constant_delta = constant_delta + c0
 
-    # When every possibly-hidden corner sits in the closed positive
-    # quadrant, the third quadrant is fully certified, so the quadrant
-    # condition verifiably fails and the constant repair is the canonical
-    # move; it also makes the corner set certifiable, since (0, 0)
-    # dominates the whole truncated region.
-    blind = undominated_unknowns(g)
-    if blind and all(m >= 0 and n >= 0 for m, n in blind):
-        g = g + LaurentPolynomial.constant(ctx.one())
-        constant_delta = constant_delta - ctx.one()
-        constant_added = True
-
     reductions = 0
     while True:
+        # When every possibly-hidden corner sits in the closed positive
+        # quadrant, the third quadrant is fully certified, so the quadrant
+        # condition verifiably fails and the constant repair is the
+        # canonical move; it also makes the corner set certifiable, since
+        # (0, 0) dominates the whole truncated region.  Checked on every
+        # pass: a reduction can cancel the corner dominating an unknown.
+        if not constant_added:
+            blind = undominated_unknowns(g)
+            if blind and all(m >= 0 and n >= 0 for m, n in blind):
+                g = g + LaurentPolynomial.constant(ctx.one())
+                constant_delta = constant_delta - ctx.one()
+                constant_added = True
         stair = pole_staircase(g)
         p = ctx.p
         targets = [(a, b) for a, b in stair

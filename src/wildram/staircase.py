@@ -13,13 +13,13 @@ The central quantity is a recursively defined local ramification total.
 One step of the recursion mirrors one blow-up of the origin: the staircase
 splits into the two corner profiles seen at the two crossing points on the
 exceptional curve (the images under the exponent maps (a,b) -> (a, b-a)
-and (a,b) -> (a-b, b), filtered back to minimal corners), and the step
-contributes e*(e-1) or e**2 where e is the drop of the Swan conductor sum
-across the blow-up.  The recursion admits a closed form: twice the area
-between the essential hull of the staircase and its baseline, corrected by
-(t-2)*(a_k-a_0) for a point on t boundary branches.  Both routes are
-implemented and cross-checked, along with a proven upper bound for the
-blow-up total.
+and (a,b) -> (a-b, b), filtered back to minimal corners, by ``split``),
+and the step contributes e*(e-1) or e**2 where e is the drop of the Swan
+conductor sum across the blow-up.  The recursion admits a closed form:
+twice the area between the essential hull of the staircase and its
+baseline, corrected by (t-2)*(a_k-a_0) for a point on t boundary
+branches.  Both routes are implemented and cross-checked, along with a
+proven upper bound for the blow-up total.
 
 Slope comparisons are exact (cross multiplication); no rationals, no
 floats.
@@ -166,10 +166,10 @@ def blowup_term(drop, branches):
 # the two chart transforms
 # ---------------------------------------------------------------------------
 
-def child_index_sets(stair):
-    """Index sets surviving at the two crossing points after one blow-up.
+def split(stair):
+    """The index sets and children at the two crossing points of a blow-up.
 
-    These are the minimal-corner filters of the transformed corner sets:
+    The sets are the minimal-corner filters of the transformed corner sets:
 
         first  (chart where the old second branch survives):
                  { j : b_j - a_j < min over i > j of (b_i - a_i) }
@@ -177,43 +177,36 @@ def child_index_sets(stair):
                  { j : a_j - b_j > max over i < j of (a_i - b_i) }
 
     Empty ranges count as +inf resp. -inf, so the last index always
-    belongs to the first set and index 0 to the second.  The transformed
-    sequences (a_j, b_j - a_j) and (a_j - b_j, b_j) over these sets are
-    again valid staircases.  `_recurse` looks this function up at each
-    step, so a test can replace it with a wrong filter and check that the
-    closed form and the corpus catch it.
+    belongs to the first set and index 0 to the second.  The crossing
+    child (a_j, b_j - a_j) over `first` and the continuation child
+    (a_j - b_j, b_j) over `second` are built in the same passes, and
+    `Staircase._from_ints` checks their order.  `_recurse` looks this
+    function up at each step, so a test can replace it with a wrong
+    filter and check that the closed form and the corpus catch it.
     """
-    _require_nonempty(stair, "child_index_sets")
-    k = len(stair) - 1
-    # one pass from the right: `tail` is the min of b_i - a_i over i > j;
-    # the last index has an empty tail
-    tail = stair[k][1] - stair[k][0]
-    first = [k]
-    for j in range(k - 1, -1, -1):
-        here = stair[j][1] - stair[j][0]
+    _require_nonempty(stair, "split")
+    # one pass from the right: `tail` is the min of b_i - a_i over i > j
+    first, crossing = [], []
+    tail = float("inf")
+    for j in range(len(stair) - 1, -1, -1):
+        a, b = stair[j]
+        here = b - a
         if here < tail:
-            first.append(j)
             tail = here
-    first.reverse()
+            first.append(j)
+            crossing.append((a, here))
     # one pass from the left: `head` is the max of a_i - b_i over i < j
-    head = stair[0][0] - stair[0][1]
-    second = [0]
-    for j in range(1, k + 1):
-        here = stair[j][0] - stair[j][1]
+    second, continuation = [], []
+    head = float("-inf")
+    for j, (a, b) in enumerate(stair):
+        here = a - b
         if here > head:
-            second.append(j)
             head = here
-    return tuple(first), tuple(second)
-
-
-def _children(stair, first, second):
-    """The crossing and continuation children over index sets already
-    computed by child_index_sets.  Their coordinates are ints already, so
-    only their order is checked."""
-    return (Staircase._from_ints(
-                [(stair[j][0], stair[j][1] - stair[j][0]) for j in first]),
-            Staircase._from_ints(
-                [(stair[j][0] - stair[j][1], stair[j][1]) for j in second]))
+            second.append(j)
+            continuation.append((here, b))
+    return (tuple(reversed(first)), tuple(second),
+            Staircase._from_ints(crossing[::-1]),
+            Staircase._from_ints(continuation))
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +258,14 @@ def _recurse(stair, branches, trace):
             continue
         drop = swan_drop(stair)
         term = blowup_term(drop, branches)
-        first, second = child_index_sets(stair)
+        first, second, crossing, continuation = split(stair)
         trace.total += term
         trace.steps.append(RecursionStep(stair, branches, drop, term, first, second))
-        crossing, continuation = _children(stair, first, second)
-        measure = (len(stair), depth(stair))
+        size = len(stair)
+        measure = (size, depth(stair))
         for child in (crossing, continuation):
-            if len(child) and not (len(child), depth(child)) < measure:
+            # a shorter child descends whatever its depth
+            if len(child) >= size and not (len(child), depth(child)) < measure:
                 raise StaircaseError(
                     f"recursion measure failed to decrease: {stair!r} -> {child!r}")
         stack.append((continuation, branches))

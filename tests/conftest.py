@@ -1,10 +1,10 @@
 """Shared test helpers: the quadratic definition of the recursion's
-index-set filters, and the max_tail mutant built from it.
+index-set filters, the split built from it, and the max_tail mutant.
 
 The max_tail filter keeps { j : b_j - a_j < max over i > j of (b_i - a_i) }
 as the first index set, which drops the last index.  It breaks the closed
-form (smallest counterexample ((0,0),(1,2))), so the tests install it in
-place of `staircase.child_index_sets` to show that the closed-form check,
+form (smallest counterexample ((0,0),(1,2))), so the tests install a split
+over it in place of `staircase.split` to show that the closed-form check,
 the corpus and its exit status catch a wrong recursion.
 """
 
@@ -14,7 +14,7 @@ from wildram import staircase
 
 
 def reference_index_sets(stair, rule="minimal"):
-    """The filters of child_index_sets, written out as their definition:
+    """The filters of staircase.split, written out as their definition:
     every tail and head range rebuilt for each index.  rule="max_tail"
     gives the mutant's first set."""
     k = len(stair) - 1
@@ -36,10 +36,21 @@ def reference_index_sets(stair, rule="minimal"):
     return tuple(first), tuple(second)
 
 
+def reference_split(stair, rule="minimal"):
+    """staircase.split from its definition: the reference index sets and
+    the children (a_j, b_j - a_j) over the first and (a_j - b_j, b_j)
+    over the second, order-checked by `Staircase._from_ints`."""
+    first, second = reference_index_sets(stair, rule)
+    return (first, second,
+            staircase.Staircase._from_ints(
+                [(stair[j][0], stair[j][1] - stair[j][0]) for j in first]),
+            staircase.Staircase._from_ints(
+                [(stair[j][0] - stair[j][1], stair[j][1]) for j in second]))
+
+
 def max_tail_recursion():
     """A context in which the recursion, and all that calls it, filters
-    with max_tail.  `staircase._recurse` looks child_index_sets up at
-    each step, so no mutant code lives in the program."""
+    with max_tail.  `staircase._recurse` looks split up at each step, so
+    no mutant code lives in the program."""
     return mock.patch.object(
-        staircase, "child_index_sets",
-        lambda stair: reference_index_sets(stair, "max_tail"))
+        staircase, "split", lambda stair: reference_split(stair, "max_tail"))

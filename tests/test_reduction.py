@@ -7,7 +7,8 @@ from hypothesis import given, strategies as st
 from wildram.corpus import random_polynomial
 from wildram.fields import field
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
-                             blowup_substitute, translate)
+                             blowup_substitute, translate,
+                             undominated_unknowns)
 from wildram.parsing import parse_polynomial
 from wildram.reduction import (artin_schreier_map, artin_schreier_root,
                                exceptional_swan, good_representative,
@@ -136,6 +137,24 @@ def _accepts(rep, f):
     except RuntimeError:
         return False
     return True
+
+
+def test_constant_repair_follows_a_reduction_that_uncovers_a_corner():
+    # the truncated probe that sweep mode reduces on
+    # t2^-3 + t1^-1*t2^-3 + t1^-3*t2^-1 over F_2, cut down to the terms
+    # that matter: t1^-6 dominates both unknown corners, so no repair is
+    # due before the first reduction; reducing the corner (6, 0) turns
+    # t1^-6 into t1^-3, which cancels the other t1^-3 and leaves the
+    # unknown corner (8, 0) undominated in the positive quadrant
+    one = F2.one()
+    f = LaurentPolynomial(F2, {(-6, 0): one, (-3, 0): one, (-6, 1): one},
+                          {(-6, 16), (8, 0)})
+    assert not undominated_unknowns(f)
+    rep = good_representative(f)
+    assert rep.reductions == 1 and rep.constant_added
+    assert rep.g.terms == {(0, 0): one, (-6, 1): one}
+    assert rep.staircase == Staircase([(0, 0), (6, 1)])
+    assert rep.quadrant_ok
 
 
 def _residual_accepts(rep, f):

@@ -6,14 +6,14 @@ import sys
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import max_tail_recursion, reference_index_sets
+from conftest import max_tail_recursion, reference_index_sets, reference_split
+from wildram import staircase
 from wildram.staircase import (RecursionStep, RecursionTrace, Staircase,
-                               StaircaseError, _children, area, blowup_term,
-                               child_index_sets, depth, end_conductors,
-                               essential_vertices, is_clean_shape,
-                               max_diagonal, quadrant_shape,
+                               StaircaseError, area, blowup_term, depth,
+                               end_conductors, essential_vertices,
+                               is_clean_shape, max_diagonal, quadrant_shape,
                                ramification_bound, ramification_closed_form,
-                               ramification_recursive, swan_drop)
+                               ramification_recursive, split, swan_drop)
 
 
 def S(*pts):
@@ -134,23 +134,33 @@ def test_blowup_term():
 # ---------------------------------------------------------------------------
 
 def test_index_sets_examples():
-    assert child_index_sets(S((0, 0), (2, 1))) == ((1,), (0, 1))
-    assert child_index_sets(S((0, 0), (1, 2))) == ((0, 1), (0,))
-    assert child_index_sets(S((4, -1))) == ((0,), (0,))
+    assert split(S((0, 0), (2, 1))) == ((1,), (0, 1), S((2, -1)),
+                                        S((0, 0), (1, 1)))
+    assert split(S((0, 0), (1, 2))) == ((0, 1), (0,), S((0, 0), (1, 1)),
+                                        S((0, 0)))
+    assert split(S((4, -1))) == ((0,), (0,), S((4, -5)), S((5, -1)))
 
 
 def test_index_sets_always_keep_endpoints():
     stair = S((0, 0), (1, 4), (2, 5))
-    first, second = child_index_sets(stair)
+    first, second, _, _ = split(stair)
     assert len(stair) - 1 in first
     assert 0 in second
 
 
 def test_children_are_valid_staircases():
     stair = S((0, 0), (1, 4), (2, 5))
-    crossing, continuation = _children(stair, *child_index_sets(stair))
+    _, _, crossing, continuation = split(stair)
     assert crossing == S((0, 0), (2, 3))
     assert continuation == S((0, 0))
+
+
+def test_split_checks_the_order_of_its_children():
+    # on a sequence that is not a staircase a child comes out of order,
+    # and its order check raises: here the continuation
+    # ((-5, 5), (1, 0)) of ((0, 5), (1, 0))
+    with pytest.raises(StaircaseError, match="strictly increase"):
+        split(((0, 5), (1, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -170,6 +180,24 @@ def test_recursion_trace_records_steps():
     trace = ramification_recursive(S((0, 0), (1, 4), (2, 5)), 2)
     assert trace.total == sum(s.term for s in trace.steps)
     assert trace.steps[0].drop == 2 and trace.steps[0].term == 4
+
+
+@pytest.mark.parametrize("grown", [(), ((3, 9),)])
+def test_recursion_stops_on_a_child_that_does_not_descend(monkeypatch, grown):
+    # the first step's crossing child is replaced by its parent, with the
+    # points `grown` appended: the same length and depth, or a longer
+    # staircase; either would let the recursion run on forever
+    stuck = iter([True])
+
+    def stuck_once(stair):
+        first, second, crossing, continuation = split(stair)
+        if next(stuck, False):
+            crossing = Staircase(stair + grown)
+        return first, second, crossing, continuation
+
+    monkeypatch.setattr(staircase, "split", stuck_once)
+    with pytest.raises(StaircaseError, match="failed to decrease"):
+        ramification_recursive(S((0, 0), (1, 4), (2, 5)), 2)
 
 
 def test_closed_form_examples():
@@ -301,12 +329,12 @@ def test_children_shrink_the_measure(stair):
     if len(stair) <= 1:
         return
     measure = (len(stair), depth(stair))
-    for child in _children(stair, *child_index_sets(stair)):
+    for child in split(stair)[2:]:
         assert (len(child), depth(child)) < measure
 
 
 # ---------------------------------------------------------------------------
-# the linear-time index sets and the stack-driven recursion against the
+# the linear-time split and the stack-driven recursion against the
 # quadratic filters and the recursive definition
 # ---------------------------------------------------------------------------
 
@@ -343,7 +371,9 @@ def long_staircases(draw, max_points=80, spread=400):
 
 @given(long_staircases())
 def test_index_sets_match_quadratic_filters(stair):
-    assert child_index_sets(stair) == reference_index_sets(stair)
+    # the index sets from the quadratic filters, the children from their
+    # definition over those sets
+    assert split(stair) == reference_split(stair)
 
 
 def _step_record(trace):
