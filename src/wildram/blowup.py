@@ -63,7 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .fields import embed, field, find_roots, join_context, minimal_form
-from .laurent import (PrecisionLossError, blowup_substitute,
+from .laurent import (PrecisionLossError, blowup_substitute, leading_column,
                       pole_staircase, translate, valuation)
 from .reduction import conductors, good_representative
 from .staircase import blowup_term, is_clean_shape, swan_drop
@@ -333,8 +333,7 @@ def leading_exceptional_column(chart_first):
     v = valuation(chart_first, "t1")
     if v >= 0:
         return (0 if v == float("inf") else -v), {}
-    column = {n: c for (m, n), c in chart_first.terms.items() if m == v}
-    cut = min((u[1] for u in chart_first.unknown if u[0] <= v), default=None)
+    column, cut = leading_column(chart_first, v)
     if cut is not None:
         raise PrecisionLossError((v, cut), "leading column truncated")
     return -v, column

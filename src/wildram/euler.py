@@ -13,6 +13,7 @@ the projective plane ship for convenience.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
@@ -39,13 +40,21 @@ class SurfaceConfig:
 
     @classmethod
     def from_dict(cls, data):
-        return cls(
-            components=tuple((c["name"], int(c["sw"])) for c in data["components"]),
-            intersections=tuple(tuple(int(x) for x in row)
-                                for row in data["intersections"]),
-            klog=tuple(int(x) for x in data["klog"]),
-            r_sum=int(data.get("r_sum", 0)),
-        )
+        """The config of a parsed JSON object.  A missing key, a wrong shape
+        or a number that is not an integer raises ValueError."""
+        try:
+            return cls(
+                components=tuple((c["name"], operator.index(c["sw"]))
+                                 for c in data["components"]),
+                intersections=tuple(tuple(map(operator.index, row))
+                                    for row in data["intersections"]),
+                klog=tuple(map(operator.index, data["klog"])),
+                r_sum=operator.index(data.get("r_sum", 0)),
+            )
+        except KeyError as err:
+            raise ValueError(f"surface config lacks the key {err}") from None
+        except TypeError as err:
+            raise ValueError(f"malformed surface config: {err}") from None
 
     def to_dict(self):
         return {

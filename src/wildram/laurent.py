@@ -9,9 +9,7 @@ The public constructor checks and canonicalizes its input; operations
 whose results are canonical by construction build them through a private
 constructor that checks nothing.  A polynomial keeps, once computed, its
 certified corners (the minimal points of its exact terms, as a tuple
-sorted by m), its staircase, its hash and its exact terms as a read-only
-mapping; the corners and the valuations ask for the exact terms only with
-no unknown corner or with several.
+sorted by m), its staircase and its hash.
 
 Pole staircases read the support in (a, b) = (-m, n) coordinates: a is the
 pole order along {t1 = 0} and b the t2-exponent.  The staircase of f is
@@ -27,10 +25,14 @@ the corners conservatively, and any consumer that would have to trust a
 coefficient inside the unknown region raises PrecisionLossError instead of
 silently truncating.  Exact polynomials have an empty corner set, and
 operations on exact data never lose exactness except for the translation
-of a negative power.  The translation of an exact polynomial has at most
-one corner (u, v), and with one corner a term (m, n) is exact iff m < u or
-n < v.  That rule lives in ``_certified`` alone, which both the certified
-corners and the valuations read, each in its own pass over the terms.
+of a negative power.
+
+Only this module reads the unknown corners, as a cut per t1-column: (m, n)
+lies in the region iff n is at least the cut of column m.  ``_certified``
+alone decides which terms are certified, for the certified corners and the
+valuations, each in its own pass; ``leading_column`` gives the certified
+part of one column and its cut, for the conductor loop and the exceptional
+point search.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ import bisect
 import functools
 import math
 import operator
-from types import MappingProxyType
 
 from .fields import ContextMismatchError, embed
 from .staircase import Staircase
@@ -56,10 +57,6 @@ class PrecisionLossError(ArithmeticError):
 
 CHART_FIRST = "A"   # (t1, t2) = (u, u*v):   exponents (m, n) -> (m + n, n)
 CHART_SECOND = "B"  # (t1, t2) = (u*v, v):   exponents (m, n) -> (m, m + n)
-
-
-def _dominates(lo, hi):
-    return lo[0] <= hi[0] and lo[1] <= hi[1]
 
 
 def _sorted_corners(points):
@@ -103,8 +100,8 @@ def _min_antichain(points):
 class LaurentPolynomial:
     """Canonical sparse Laurent polynomial with truncation bookkeeping."""
 
-    __slots__ = ("ctx", "terms", "unknown", "_exact", "_corners",
-                 "_staircase", "_hash")
+    __slots__ = ("ctx", "terms", "unknown", "_corners", "_staircase",
+                 "_hash")
 
     def __init__(self, ctx, terms=None, unknown=frozenset()):
         clean = {}
@@ -116,7 +113,6 @@ class LaurentPolynomial:
         self.ctx = ctx
         self.terms = clean
         self.unknown = _min_antichain(unknown)
-        self._exact = None          # exact_terms(), once asked for
         self._corners = None        # _certified_corners(), once asked for
         self._staircase = None      # pole_staircase(), once it succeeded
         self._hash = None           # hash(self), once asked for
@@ -130,7 +126,6 @@ class LaurentPolynomial:
         poly.ctx = ctx
         poly.terms = terms
         poly.unknown = unknown
-        poly._exact = None
         poly._corners = None
         poly._staircase = None
         poly._hash = None
@@ -159,35 +154,8 @@ class LaurentPolynomial:
     def support(self):
         return set(self.terms)
 
-    def in_unknown_region(self, m, n):
-        return any(_dominates(u, (m, n)) for u in self.unknown)
-
-    def exact_terms(self):
-        """Stored terms whose coefficients are certified exact, in the
-        order of ``terms``.
-
-        The corners form an antichain: sorted by m, their n strictly
-        decreases, so the last corner with a <= m is the only one that can
-        dominate (m, n).  Computed once per polynomial and returned as a
-        read-only mapping.
-        """
-        if self._exact is not None:
-            return self._exact
-        if not self.unknown:
-            self._exact = MappingProxyType(self.terms)
-            return self._exact
-        corners = sorted(self.unknown)
-        firsts = [a for a, _ in corners]
-        out = {}
-        for (m, n), c in self.terms.items():
-            i = bisect.bisect_right(firsts, m)
-            if i == 0 or n < corners[i - 1][1]:
-                out[(m, n)] = c
-        self._exact = MappingProxyType(out)
-        return self._exact
-
     def coefficient(self, m, n):
-        if self.in_unknown_region(m, n):
+        if self.unknown and n >= _column_cut(self.unknown, m):
             raise PrecisionLossError((m, n))
         return self.terms.get((m, n), self.ctx.zero())
 
@@ -297,18 +265,36 @@ class LaurentPolynomial:
 # staircase extraction and valuations
 # ---------------------------------------------------------------------------
 
-def _certified(poly):
-    """The exponents of the certified terms, in the order of ``terms``.
+def _cut_table(unknown):
+    """(us, cuts): column m has the cut ``cuts[bisect_right(us, m)]``, the
+    n of the last corner with u <= m, or +inf.  Sorted by u, the corners of
+    an antichain have falling n, so that is the least such n."""
+    corners = sorted(unknown)
+    return [u for u, _ in corners], [math.inf] + [n for _, n in corners]
 
-    With one unknown corner (u, v), the case of every translation of an
-    exact polynomial, a term (m, n) is certified iff m < u or n < v, and
-    the exponents are generated by that test in one pass over the terms,
-    with no copy.  Otherwise they are the keys of ``exact_terms()``.
+
+def _column_cut(unknown, m):
+    """The cut of the t1-column m."""
+    us, cuts = _cut_table(unknown)
+    return cuts[bisect.bisect_right(us, m)]
+
+
+def _certified(poly):
+    """The exponents of the certified terms (n below the cut of column m),
+    in the order of ``terms``, in one pass with no copy.  With one corner
+    (u, v), the case of every translation of an exact polynomial, that is
+    m < u or n < v.  Several corners are rare, but they come on the largest
+    polynomials of the slowest reports, so a term's cut is one bisection.
     """
-    if len(poly.unknown) != 1:
-        return poly.exact_terms()
-    (u, v), = poly.unknown
-    return (e for e in poly.terms if e[0] < u or e[1] < v)
+    unknown = poly.unknown
+    if not unknown:
+        return poly.terms.keys()
+    if len(unknown) == 1:
+        (u, v), = unknown
+        return (e for e in poly.terms if e[0] < u or e[1] < v)
+    us, cuts = _cut_table(unknown)
+    return (e for e in poly.terms
+            if e[1] < cuts[bisect.bisect_right(us, e[0])])
 
 
 def _certified_corners(poly):
@@ -327,7 +313,7 @@ def undominated_unknowns(poly):
         return []
     corners = _certified_corners(poly)
     return [u for u in poly.unknown
-            if not any(_dominates(c, u) for c in corners)]
+            if not any(c[0] <= u[0] and c[1] <= u[1] for c in corners)]
 
 
 def pole_staircase(poly):
@@ -342,12 +328,11 @@ def pole_staircase(poly):
     """
     if poly._staircase is not None:
         return poly._staircase
-    corners = _certified_corners(poly)
-    for u in poly.unknown:
-        if not any(_dominates(c, u) for c in corners):
-            raise PrecisionLossError(u, "a truncated region may hide a corner")
-    poly._staircase = Staircase._from_ints([(-m, n)
-                                            for m, n in reversed(corners)])
+    blind = undominated_unknowns(poly)
+    if blind:
+        raise PrecisionLossError(blind[0], "a truncated region may hide a corner")
+    poly._staircase = Staircase._from_ints(
+        [(-m, n) for m, n in reversed(_certified_corners(poly))])
     return poly._staircase
 
 
@@ -369,6 +354,14 @@ def valuation(poly, axis):
     if bad:
         raise PrecisionLossError(bad[0], "a truncated region may lower the valuation")
     return v
+
+
+def leading_column(poly, v):
+    """The certified terms of the t1-column v as a map n -> coeff, and the
+    column's cut, or None when no unknown corner reaches it."""
+    cut = _column_cut(poly.unknown, v)
+    column = {n: c for (m, n), c in poly.terms.items() if m == v and n < cut}
+    return column, (None if cut == math.inf else cut)
 
 
 def _axis_index(axis):

@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 from .fields import _solve_mod_p, embed, field, join_context
 from .laurent import (LaurentPolynomial, PrecisionLossError, blowup_substitute,
-                      pole_staircase, transpose, undominated_unknowns,
-                      valuation)
+                      leading_column, pole_staircase, transpose,
+                      undominated_unknowns, valuation)
 from .staircase import Staircase, quadrant_shape
 
 
@@ -130,14 +130,13 @@ class GoodRepresentative:
             raise RuntimeError("witness identity f - g = h^p - h failed")
 
 
-def good_representative(f, corner_order="outermost", rng=None):
+def good_representative(f):
     """Reduce f to a good representative of its class.
 
-    Corners are processed outermost first (largest pole along t1); the
-    order is a tie-breaking detail only, and ``corner_order="random"``
-    with an rng exists so tests can confirm the result is order
-    independent.  Termination: each reduction strictly decreases the sum
-    of |m| + |n| over the support.
+    Corners are processed outermost first (largest pole along t1, the last
+    target, since the staircase ascends in a); the order is a tie-breaking
+    detail only, and the result does not depend on it.  Termination: each
+    reduction strictly decreases the sum of |m| + |n| over the support.
     """
     ctx = f.ctx
     g = f
@@ -170,13 +169,7 @@ def good_representative(f, corner_order="outermost", rng=None):
                    if a % p == 0 and b % p == 0 and (a, b) != (0, 0)]
         if not targets:
             break
-        if corner_order == "outermost":
-            targets.sort(key=lambda ab: -ab[0])
-        elif corner_order == "random":
-            rng.shuffle(targets)
-        else:
-            raise ValueError(f"unknown corner order {corner_order!r}")
-        a, b = targets[0]
+        a, b = targets[-1]
         c = g.coefficient(-a, b)
         piece = LaurentPolynomial.monomial(c.pth_root(), -a // p, b // p)
         g = g - artin_schreier_map(piece)
@@ -227,14 +220,11 @@ def swan_conductor(f, axis):
         pole = -v
         if pole % p != 0:
             return pole
-        column = {n: c for (m, n), c in work.terms.items() if m == v}
-        cutoff = min((u[1] for u in work.unknown if u[0] <= v), default=None)
-        exact_column = {n: c for n, c in column.items()
-                        if cutoff is None or n < cutoff}
-        if any(n % p != 0 for n in exact_column):
+        column, cut = leading_column(work, v)
+        if any(n % p != 0 for n in column):
             return pole
-        if cutoff is not None:
-            raise PrecisionLossError((v, cutoff),
+        if cut is not None:
+            raise PrecisionLossError((v, cut),
                                      "leading column truncated before the "
                                      "divisibility test could finish")
         half = LaurentPolynomial(

@@ -27,6 +27,7 @@ floats.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 
@@ -45,7 +46,12 @@ class Staircase(tuple):
     __slots__ = ()
 
     def __new__(cls, points=()):
-        return cls._from_ints(tuple((int(a), int(b)) for a, b in points))
+        try:
+            pts = tuple((operator.index(a), operator.index(b))
+                        for a, b in points)
+        except TypeError as err:
+            raise StaircaseError(f"coordinates must be integers: {err}") from None
+        return cls._from_ints(pts)
 
     @classmethod
     def _from_ints(cls, pts):

@@ -7,11 +7,13 @@ import pytest
 
 from wildram import blowup, laurent
 from wildram.blowup import (CrossCheckError, DepthCapError, SimulationConfig,
-                            exceptional_candidates, resolve,
+                            exceptional_candidates,
+                            leading_exceptional_column, resolve,
                             simulation_as_dict, tree_as_dict, tree_as_dot)
 from wildram.corpus import random_polynomial
 from wildram.fields import RootSearch, field
-from wildram.laurent import LaurentPolynomial, blowup_substitute, pole_staircase
+from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
+                             blowup_substitute, pole_staircase)
 from wildram.parsing import parse_polynomial
 from wildram.reduction import good_representative
 from wildram.staircase import (ramification_bound, ramification_recursive,
@@ -97,6 +99,18 @@ def test_candidate_points_from_leading_coefficient():
     assert [c.encoding() for c in candidates] == [1]
     # the candidate certifies clean, so it is not a child
     assert _off_origin_labels(f) == []
+
+
+def test_leading_exceptional_column_raises_on_a_truncated_column():
+    # the certified column {1: 1} is all a guardless reader would see: the
+    # column from t2^4 on is unknown, and returning (2, {1: 1}) would
+    # present a truncated leading coefficient as complete
+    f = LaurentPolynomial(F2, {(-2, 1): F2.one(), (-1, 0): F2.one()},
+                          unknown={(-2, 4)})
+    with pytest.raises(PrecisionLossError,
+                       match="leading column truncated") as err:
+        leading_exceptional_column(f)
+    assert err.value.position == (-2, 4)
 
 
 def test_off_origin_nonclean_point():

@@ -424,6 +424,28 @@ def test_cli_euler(tmp_path, capsys):
     assert "delta = -2" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("data, message", [
+    ({"components": [{"name": "L", "sw": 2.9}], "intersections": [[1]],
+      "klog": [-3], "r_sum": 0}, "cannot be interpreted as an integer"),
+    ({"components": [{"name": "L", "sw": 2}], "intersections": [[1]],
+      "klog": [-3], "r_sum": 0.5}, "cannot be interpreted as an integer"),
+    ({"components": [{"name": "L", "sw": 2}], "intersections": [[1]]},
+     "lacks the key 'klog'"),
+    ([{"name": "L", "sw": 2}], "malformed surface config"),
+])
+def test_cli_euler_rejects_a_malformed_config(tmp_path, capsys, data,
+                                              message):
+    # no number is truncated and no shape error is a traceback: one error
+    # line and exit 1
+    cfg = tmp_path / "surface.json"
+    cfg.write_text(json.dumps(data))
+    code = main(["euler", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_cli_operational_error(capsys):
     code = main(["report", "t1^&", "--field", "3"])
     assert code == 1

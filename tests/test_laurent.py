@@ -7,8 +7,8 @@ from hypothesis import given, strategies as st
 from wildram.fields import ContextMismatchError, embed, field
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
                              _binomial_row, _certified, _min_antichain,
-                             _series_binomials,
-                             blowup_substitute, pole_staircase, translate,
+                             _series_binomials, blowup_substitute,
+                             leading_column, pole_staircase, translate,
                              transpose, undominated_unknowns, valuation)
 from wildram.parsing import parse_polynomial
 from wildram.staircase import Staircase
@@ -83,11 +83,16 @@ def test_min_antichain_matches_quadratic_definition(pts):
     assert _min_antichain(pts) == expected
 
 
+def _in_region(f, e):
+    """Whether some unknown corner of f dominates the exponent e."""
+    return any(u[0] <= e[0] and u[1] <= e[1] for u in f.unknown)
+
+
 @given(points, points)
-def test_exact_terms_excludes_exactly_the_unknown_region(support, unknown):
+def test_certified_excludes_exactly_the_unknown_region(support, unknown):
+    # any number of corners, term order included
     f = LaurentPolynomial(F3, {e: F3.one() for e in support}, unknown)
-    assert f.exact_terms() == {e: c for e, c in f.terms.items()
-                               if not f.in_unknown_region(*e)}
+    assert list(_certified(f)) == [e for e in f.terms if not _in_region(f, e)]
 
 
 @st.composite
@@ -105,14 +110,22 @@ def one_corner_polys(draw):
 
 
 @given(one_corner_polys())
-def test_exact_terms_with_one_unknown_corner(f):
-    # the one-corner rule of _certified and the bisect test of exact_terms
-    # against the region test, term order included
+def test_certified_with_one_unknown_corner(f):
+    # the one-corner rule of _certified against the region test, term
+    # order included
     assert len(f.unknown) == 1
-    expected = [(e, c) for e, c in f.terms.items()
-                if not f.in_unknown_region(*e)]
-    assert list(_certified(f)) == [e for e, _ in expected]
-    assert list(f.exact_terms().items()) == expected
+    assert list(_certified(f)) == [e for e in f.terms if not _in_region(f, e)]
+
+
+@given(points, points, st.integers(-7, 7))
+def test_leading_column_is_the_certified_column_and_its_cut(support, unknown,
+                                                            v):
+    f = LaurentPolynomial(F3, {e: F3.one() for e in support}, unknown)
+    cuts = [n for n in range(-7, 8) if _in_region(f, (v, n))]
+    column, cut = leading_column(f, v)
+    assert cut == (min(cuts) if cuts else None)
+    assert column == {n: c for (m, n), c in f.terms.items()
+                      if m == v and not _in_region(f, (m, n))}
 
 
 # ---------------------------------------------------------------------------
@@ -384,9 +397,9 @@ def test_translated_inverse_multiplies_back_to_one():
             exact = translate(LaurentPolynomial.monomial(ctx.one(), 0, k),
                               a, 10)
             product = series * exact
-            for (m, n), c in product.exact_terms().items():
+            for m, n in _certified(product):
                 expected = ctx.one() if (m, n) == (0, 0) else ctx.zero()
-                assert c == expected, (str(ctx), k, m, n)
+                assert product.terms[(m, n)] == expected, (str(ctx), k, m, n)
 
 
 def test_axis_validation():
@@ -532,25 +545,8 @@ def test_charts_can_break_the_unknown_antichain():
     assert blowup_substitute(f, "B").unknown == {(0, 1)}
 
 
-def test_exact_terms_is_read_only_and_kept():
-    exact = poly("t1^-1 + 2*t2", F3)
-    truncated = translate(poly("t1^-1*t2^-1 + t2", F3), F3.one(), 4)
-    for f in (exact, truncated):
-        view = f.exact_terms()
-        before = dict(view)
-        assert f.exact_terms() is view
-        with pytest.raises(TypeError):
-            view[(9, 9)] = F3.one()
-        with pytest.raises(TypeError):
-            del view[next(iter(view))]
-        with pytest.raises(AttributeError):
-            view.clear()
-        assert dict(f.exact_terms()) == before
-        assert pole_staircase(f) is pole_staircase(f)
-
-
 def _reference_exact(f):
-    return {e: c for e, c in f.terms.items() if not f.in_unknown_region(*e)}
+    return {e: c for e, c in f.terms.items() if not _in_region(f, e)}
 
 
 def _reference_corners(f):
@@ -624,10 +620,12 @@ def test_memoized_views_match_their_definitions(polys):
                 for _ in range(2):
                     for view, reference in order:
                         assert _outcome(view, f) == _outcome(reference, f)
-                    assert dict(f.exact_terms()) == _reference_exact(f)
+                    assert list(_certified(f)) == list(_reference_exact(f))
                     for axis in ("t1", "t2"):
                         assert (_outcome(valuation, f, axis)
                                 == _outcome(_reference_valuation, f, axis))
+                if _outcome(pole_staircase, f)[0] == "value":
+                    assert pole_staircase(f) is pole_staircase(f)
 
 
 @given(poly_pairs())

@@ -7,13 +7,13 @@ from hypothesis import given, strategies as st
 from wildram.corpus import random_polynomial
 from wildram.fields import field
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
-                             blowup_substitute, translate,
-                             undominated_unknowns)
+                             _certified, blowup_substitute, pole_staircase,
+                             translate, undominated_unknowns)
 from wildram.parsing import parse_polynomial
 from wildram.reduction import (artin_schreier_map, artin_schreier_root,
                                exceptional_swan, good_representative,
                                swan_conductor)
-from wildram.staircase import Staircase, is_clean_shape
+from wildram.staircase import Staircase, is_clean_shape, quadrant_shape
 
 F2 = field(2)
 F3 = field(3)
@@ -104,15 +104,41 @@ def test_idempotence_randomized():
         assert again.staircase == rep.staircase
 
 
+def _reduce_in_random_order(f, rng):
+    """good_representative's g for an exact f, reducing a random target
+    corner on each pass instead of the outermost one; also returns how
+    many passes had more than one target to choose from."""
+    p = f.ctx.p
+    g = f - LaurentPolynomial.constant(f.coefficient(0, 0))
+    choices = 0
+    while True:
+        stair = pole_staircase(g)
+        targets = [(a, b) for a, b in stair
+                   if a % p == 0 and b % p == 0 and (a, b) != (0, 0)]
+        if not targets:
+            break
+        choices += len(targets) > 1
+        a, b = rng.choice(targets)
+        piece = LaurentPolynomial.monomial(g.coefficient(-a, b).pth_root(),
+                                           -a // p, b // p)
+        g = g - artin_schreier_map(piece)
+    if g and not quadrant_shape(stair):
+        g = g + LaurentPolynomial.constant(f.ctx.one())
+    return g, choices
+
+
 def test_reduction_order_does_not_matter():
     rng = random.Random(5)
+    choices = 0
     for _ in range(120):
         ctx = [F2, F3][rng.randrange(2)]
         f = random_polynomial(rng, ctx, max_terms=5, exp_bound=6)
-        baseline = good_representative(f)
-        shuffled = good_representative(f, corner_order="random",
-                                       rng=random.Random(rng.random()))
-        assert shuffled.g == baseline.g
+        shuffled, chosen = _reduce_in_random_order(
+            f, random.Random(rng.random()))
+        assert shuffled == good_representative(f).g
+        choices += chosen
+    # the order can only matter where a pass has a choice
+    assert choices
 
 
 def test_no_reducible_corners_remain():
@@ -215,7 +241,7 @@ def _witness_case(ctx, text, budget):
 def test_verify_raises_on_a_tampered_representative(ctx, text, budget):
     f, rep = _witness_case(ctx, text, budget)
     rep.verify(f)
-    exponent = sorted(rep.g.exact_terms())[0]
+    exponent = sorted(_certified(rep.g))[0]
     tampered = [_bump_g(rep, exponent, ctx.one()),
                 _drop_witness_term(rep, sorted(rep.witness.terms)[0]),
                 _shift_delta(rep, ctx.one())]
@@ -251,7 +277,7 @@ def test_verify_without_a_witness_still_checks_g_and_the_constant(
     assert not rep.witness and rep.reductions == 0 and rep.constant_delta
     rep.verify(f)
     tampered = [_bump_g(rep, exponent, ctx.one())
-                for exponent in sorted(rep.g.exact_terms())]
+                for exponent in sorted(_certified(rep.g))]
     tampered += [_shift_delta(rep, ctx.one()),
                  dataclasses.replace(rep, constant_delta=ctx.zero())]
     for bad in tampered:
@@ -399,6 +425,20 @@ def test_swan_raises_when_column_truncated_before_verdict():
                           unknown={(-2, 2)})
     with pytest.raises(PrecisionLossError):
         swan_conductor(f, "t1")
+
+
+def test_swan_raises_at_the_cut_before_reducing_a_truncated_column():
+    # every certified exponent of the leading column is even, so only the
+    # unknown tail from t2^4 on could block the reduction; without the
+    # cut's guard the loop reduces the certified part and the next
+    # valuation raises at the same position, but for another reason
+    f = LaurentPolynomial(F2, {(-2, 0): F2.one(), (-2, 2): F2.one()},
+                          unknown={(-2, 4)})
+    with pytest.raises(PrecisionLossError,
+                       match="leading column truncated before the "
+                             "divisibility test") as err:
+        swan_conductor(f, "t1")
+    assert err.value.position == (-2, 4)
 
 
 def test_swan_certified_blocker_beats_truncation():

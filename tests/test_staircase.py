@@ -27,7 +27,7 @@ def test_validation():
         Staircase([(0, 0), (1, 0)])
     assert len(Staircase()) == 0
     assert len(S((5, 7))) == 1
-    # the recursion's children skip only the int conversion
+    # the recursion's children skip only the integer check
     with pytest.raises(StaircaseError):
         Staircase._from_ints(((0, 0), (0, 1)))
     child = Staircase._from_ints(((0, 0), (1, 2)))
@@ -46,12 +46,19 @@ def test_staircase_is_its_tuple_of_points():
     stair = S((0, 0), (1, 2))
     assert stair == ((0, 0), (1, 2))
     assert hash(stair) == hash(((0, 0), (1, 2)))
-    assert Staircase([("3", 4.0)]) == ((3, 4),)
     for copied in [copy.copy(stair), copy.deepcopy(stair)] + [
             pickle.loads(pickle.dumps(stair, protocol))
             for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]:
         assert type(copied) is Staircase
         assert copied == stair
+
+
+def test_staircase_rejects_non_integer_coordinates():
+    # nothing is truncated or parsed: 1.5 is not 1 and "3" is not 3
+    for points in ([(1.5, 2), (2.9, 3.7)], [("3", "4")], [(0, 0), (1, 2.0)]):
+        with pytest.raises(StaircaseError, match="must be integers"):
+            Staircase(points)
+    assert Staircase([(True, 2)]) == ((1, 2),)
 
 
 def test_recursion_validates_a_plain_sequence():
