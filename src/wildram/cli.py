@@ -31,16 +31,17 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_input_args(sub):
+    defaults = SimulationConfig()     # blowup.py owns the simulation defaults
     sub.add_argument("expr", help="polynomial, e.g. 't1^-2*t2 + g*t2^-1'")
     sub.add_argument("--field", default="2^1", help="coefficient field, p or p^k")
     sub.add_argument("--type", default="II", choices=["I", "II"],
                      help="number of boundary branches through the point")
-    sub.add_argument("--mode", default="candidates",
+    sub.add_argument("--mode", default=defaults.mode,
                      choices=["candidates", "sweep"])
-    sub.add_argument("--ext-cap", type=int, default=6)
-    sub.add_argument("--sweep-degree", type=int, default=1)
-    sub.add_argument("--depth-cap", type=int, default=32)
-    sub.add_argument("--series-terms", type=int, default=16)
+    sub.add_argument("--ext-cap", type=int, default=defaults.ext_cap)
+    sub.add_argument("--sweep-degree", type=int, default=defaults.sweep_degree)
+    sub.add_argument("--depth-cap", type=int, default=defaults.depth_cap)
+    sub.add_argument("--series-terms", type=int, default=defaults.series_terms)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", action="store_true", help="emit the full JSON")
 

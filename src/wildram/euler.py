@@ -25,6 +25,16 @@ class SurfaceConfig:
     r_sum: int                 # total of the local blow-up invariants
 
     def __post_init__(self):
+        """Every number must be an integer, by ``operator.index``: a float
+        conductor is refused, never truncated."""
+        try:
+            for number in (*(sw for _, sw in self.components),
+                           *(x for row in self.intersections for x in row),
+                           *self.klog, self.r_sum):
+                operator.index(number)
+        except TypeError as err:
+            raise ValueError(f"surface config numbers must be integers: "
+                             f"{err}") from None
         n = len(self.components)
         if len(self.intersections) != n or any(len(r) != n for r in self.intersections):
             raise ValueError("intersection matrix must be square of the "
@@ -40,16 +50,16 @@ class SurfaceConfig:
 
     @classmethod
     def from_dict(cls, data):
-        """The config of a parsed JSON object.  A missing key, a wrong shape
-        or a number that is not an integer raises ValueError."""
+        """The config of a parsed JSON object.  A missing key or a wrong
+        shape raises ValueError, as the constructor does on a number that
+        is not an integer."""
         try:
             return cls(
-                components=tuple((c["name"], operator.index(c["sw"]))
+                components=tuple((c["name"], c["sw"])
                                  for c in data["components"]),
-                intersections=tuple(tuple(map(operator.index, row))
-                                    for row in data["intersections"]),
-                klog=tuple(map(operator.index, data["klog"])),
-                r_sum=operator.index(data.get("r_sum", 0)),
+                intersections=tuple(map(tuple, data["intersections"])),
+                klog=tuple(data["klog"]),
+                r_sum=data.get("r_sum", 0),
             )
         except KeyError as err:
             raise ValueError(f"surface config lacks the key {err}") from None

@@ -104,14 +104,19 @@ class LaurentPolynomial:
                  "_hash")
 
     def __init__(self, ctx, terms=None, unknown=frozenset()):
+        """Zero coefficients are dropped.  An exponent or a corner
+        coordinate that is not an integer raises TypeError."""
+        index = operator.index
         clean = {}
         for (m, n), c in (terms or {}).items():
             if c.ctx is not ctx and c.ctx != ctx:
                 raise ContextMismatchError("coefficient from a foreign context")
             if c:
-                clean[(int(m), int(n))] = c
+                clean[(index(m), index(n))] = c
         self.ctx = ctx
         self.terms = clean
+        for u, v in unknown:
+            index(u), index(v)      # checked only: a copy could reorder the set
         self.unknown = _min_antichain(unknown)
         self._corners = None        # _certified_corners(), once asked for
         self._staircase = None      # pole_staircase(), once it succeeded

@@ -5,8 +5,11 @@ Grammar for polynomial expressions (whitespace insensitive):
     expr   :=  [sign] term ( sign term )*
     term   :=  factor ( "*" factor )*
     factor :=  INT  |  "g" [ "^" sint ]  |  "t1" [ "^" sint ]  |  "t2" [ "^" sint ]
-    sint   :=  [ "+" | "-" ] INT
+    sint   :=  [ sign ] INT
+    sign   :=  "+"  |  "-"
 
+A sign stands only before the first term, between terms or in an
+exponent: an operator where a factor is due, as in "2*-t1", is an error.
 Integer coefficients reduce mod p; "g" is the polynomial-basis generator
 of the extension and is rejected over a prime field.  Exponents of t1 and
 t2 within one term add up, so factor order is free.  Like terms combine
@@ -24,7 +27,8 @@ from .laurent import LaurentPolynomial
 
 EXPONENT_CAP = 10 ** 6
 
-_TOKEN = re.compile(r"\s*(?:(?P<int>\d+)|(?P<name>t1|t2|g)|(?P<op>[-+*^]))")
+_TOKEN = re.compile(
+    r"\s*(?:(?P<int>\d+)|(?P<name>t1|t2|g)|(?P<op>[-+*^])|(?P<bad>\S))")
 
 
 class ParseError(ValueError):
@@ -43,106 +47,90 @@ def parse_field(spec):
 
 
 def _tokens(text):
-    pos = 0
+    """(kind, value, position) triples, closed by an "end" token at the
+    length of the text."""
     out = []
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            stripped = text[pos:].lstrip()
-            if not stripped:
-                break
-            where = len(text) - len(stripped)
-            raise ParseError(f"unexpected character {stripped[0]!r}", where)
+    for m in _TOKEN.finditer(text):
         kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}",
+                             m.start(kind))
         out.append((kind, m.group(kind), m.start(kind)))
-        pos = m.end()
+    out.append(("end", "", len(text)))
     return out
 
 
+def _unexpected(wanted, token):
+    kind, value, pos = token
+    got = "the end of input" if kind == "end" else repr(value)
+    return ParseError(f"expected {wanted}, got {got}", pos)
+
+
 def parse_polynomial(text, ctx):
-    """Parse an expression into a LaurentPolynomial over the context."""
+    """Parse an expression into a LaurentPolynomial over the context.
+
+    Like terms add up in one dict as they are read: a zero term adds no
+    key and a sum that cancels deletes its key."""
     tokens = _tokens(text)
-    if not tokens:
-        raise ParseError("empty expression", 0)
-    poly = LaurentPolynomial.zero(ctx)
+    terms = {}
     i = 0
-    sign = 1
-    if tokens[0][0] == "op" and tokens[0][1] in "+-":
-        sign = -1 if tokens[0][1] == "-" else 1
-        i = 1
     while True:
-        coeff, m, n, i = _parse_term(tokens, i, ctx)
-        if sign == -1:
-            coeff = -coeff
-        poly = poly + LaurentPolynomial.monomial(coeff, m, n)
-        if i >= len(tokens):
-            return poly
-        kind, value, pos = tokens[i]
-        if kind != "op" or value not in "+-":
-            raise ParseError(f"expected + or - between terms, got {value!r}", pos)
-        sign = -1 if value == "-" else 1
-        i += 1
-
-
-def _parse_term(tokens, i, ctx):
-    coeff = ctx.one()
-    m = 0
-    n = 0
-    saw_factor = False
-    while True:
-        if i >= len(tokens):
-            if not saw_factor:
-                raise ParseError("expected a factor at the end of input",
-                                 tokens[-1][2] if tokens else 0)
-            return coeff, m, n, i
-        kind, value, pos = tokens[i]
-        if kind == "int":
-            coeff = coeff * ctx.element(int(value))
+        negate = tokens[i][1] == "-"
+        if tokens[i][1] in ("+", "-"):      # required between terms, below
             i += 1
-        elif kind == "name":
-            base_pos = pos
+        coeff, m, n = ctx.one(), 0, 0
+        while True:                         # one factor, then "*" or stop
+            token = tokens[i]
+            kind, value, pos = token
             i += 1
-            exponent = 1
-            if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "^":
-                exponent, i = _parse_sint(tokens, i + 1)
-            if value == "g":
-                if ctx.degree == 1:
+            if kind == "int":
+                coeff = coeff * ctx.element(int(value))
+            elif kind == "name":
+                exponent = 1
+                if tokens[i][1] == "^":
+                    exponent, i = _exponent(tokens, i + 1)
+                if value == "t1":
+                    m += exponent
+                elif value == "t2":
+                    n += exponent
+                elif ctx.degree == 1:
                     raise ParseError("generator g is not available over a "
-                                     "prime field", base_pos)
-                coeff = coeff * ctx.gen() ** exponent
-            elif value == "t1":
-                m += exponent
+                                     "prime field", pos)
+                else:
+                    coeff = coeff * ctx.gen() ** exponent
             else:
-                n += exponent
-        else:
-            if not saw_factor:
-                raise ParseError(f"expected a factor, got {value!r}", pos)
-            return coeff, m, n, i
-        saw_factor = True
-        if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] == "*":
+                raise _unexpected("a factor", token)
+            if tokens[i][1] != "*":
+                break
             i += 1
-            if i >= len(tokens):
-                raise ParseError("dangling *", tokens[i - 1][2])
-        elif i < len(tokens) and tokens[i][0] != "op":
-            raise ParseError("factors must be joined by *", tokens[i][2])
+        if negate:
+            coeff = -coeff
+        if (m, n) in terms:
+            coeff = terms[(m, n)] + coeff
+        if coeff:
+            terms[(m, n)] = coeff
         else:
-            if not saw_factor:
-                raise ParseError("expected a factor", tokens[i][2] if i < len(tokens) else 0)
-            return coeff, m, n, i
+            terms.pop((m, n), None)
+        if tokens[i][0] == "end":
+            return LaurentPolynomial(ctx, terms)
+        if tokens[i][1] not in ("+", "-"):
+            raise _unexpected("*, + or - after a factor", tokens[i])
 
 
-def _parse_sint(tokens, i):
+def _exponent(tokens, i):
+    """The signed integer exponent that starts at tokens[i], and the index
+    after it."""
     sign = 1
-    if i < len(tokens) and tokens[i][0] == "op" and tokens[i][1] in "+-":
+    if tokens[i][1] in ("+", "-"):
         sign = -1 if tokens[i][1] == "-" else 1
         i += 1
-    if i >= len(tokens) or tokens[i][0] != "int":
-        pos = tokens[i][2] if i < len(tokens) else (tokens[-1][2] if tokens else 0)
-        raise ParseError("expected an integer exponent", pos)
-    value = int(tokens[i][1])
+    kind, value, pos = tokens[i]
+    if kind != "int":
+        raise _unexpected("an integer exponent", tokens[i])
+    value = int(value)
     if value > EXPONENT_CAP:
         raise ParseError(f"exponent {value} exceeds the cap {EXPONENT_CAP}",
-                         tokens[i][2])
+                         pos)
     return sign * value, i + 1
 
 

@@ -247,6 +247,19 @@ def test_truncation_escalates_and_stabilizes():
 ESCALATING = "t1*t2^-4 + 1 + t1^-1*t2^-4 + t1^-3*t2^-2"
 
 
+def test_escalation_cap_raises_once_spent(monkeypatch):
+    # the input needs one doubling of the series budget: with no doubling
+    # allowed resolve gives up, with one it settles
+    f = poly(ESCALATING, F2)
+    monkeypatch.setattr(blowup, "MAX_ESCALATIONS", 0)
+    with pytest.raises(blowup.EscalationError, match="after 0 doublings"):
+        resolve(f, 2)
+    monkeypatch.setattr(blowup, "MAX_ESCALATIONS", 1)
+    result = resolve(f, 2)
+    assert result.precision_escalations == 1
+    assert result.total == 9
+
+
 def test_escalation_rounds_reduce_each_exact_polynomial_once(monkeypatch):
     reduced = []
     original = blowup.good_representative

@@ -45,6 +45,10 @@ def test_parse_two_terms():
 
 def test_parse_like_terms_cancel():
     assert not parse_polynomial("t1^-1 + 4*t1^-1", F5)
+    # a zero term adds no key and a cancelled key is deleted, so the term
+    # order is that of first nonzero appearance after the last cancellation
+    assert list(parse_polynomial("0*t1 + t2 + t1", F5).terms) == [(0, 1), (1, 0)]
+    assert list(parse_polynomial("t1 + t2 - t1 + t1", F5).terms) == [(0, 1), (1, 0)]
 
 
 def test_parse_generator_coefficients():
@@ -81,16 +85,37 @@ def test_parse_errors_carry_position():
         parse_polynomial("t1 t2", F3)          # missing *
     with pytest.raises(ParseError):
         parse_polynomial("", F3)
+    for text, position in [
+            ("t1*+t2", 3),      # an operator after "*" does not end the term
+            ("t1*-t2", 3),
+            ("2*-t1", 2),
+            ("t1^2*+1", 5),
+            ("t1**t2", 3),      # the second "*" is where a factor is due
+            ("*t1", 0),
+            ("t1*", 3),         # the end of the text where a factor is due
+            ("t1 +", 4),
+            ("-", 1),
+            ("t1^", 3),
+            ("t1^-+2", 4),
+            ("t1^2^3", 4),
+            ("  ", 2)]:
+        with pytest.raises(ParseError) as err:
+            parse_polynomial(text, F3)
+        assert err.value.position == position, text
 
 
 def test_print_parse_round_trip():
     import random
     from wildram.corpus import random_polynomial
     rng = random.Random(3)
-    for ctx in (F3, field(2, 2), F5):
+    printed_g2 = False
+    for ctx in (F3, field(2, 2), F5, field(2, 3)):
         for _ in range(80):
             f = random_polynomial(rng, ctx, max_terms=5, exp_bound=5)
-            assert parse_polynomial(format_polynomial(f), ctx) == f
+            text = format_polynomial(f)
+            printed_g2 |= "g^2" in text
+            assert parse_polynomial(text, ctx) == f
+    assert printed_g2
 
 
 def test_triples_are_sorted():
@@ -367,6 +392,18 @@ def test_cli_simulate_with_dot(tmp_path, capsys):
     assert code == 0
     assert dot.read_text().startswith("digraph")
     assert "r_x = 2" in capsys.readouterr().out
+
+
+def test_cli_simulate_without_flags_uses_the_config_defaults(monkeypatch):
+    seen = []
+
+    def recorded(f, branches, config):
+        seen.append(config)
+        return resolve(f, branches, config)
+
+    monkeypatch.setattr(cli, "resolve", recorded)
+    assert main(["simulate", "t1^-2*t2"]) == 0
+    assert seen == [blowup.SimulationConfig()]
 
 
 @pytest.mark.parametrize("expr, good, off_origin, repair", [

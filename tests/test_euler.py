@@ -59,6 +59,20 @@ def test_validation_errors():
         config([-1], [[1]], [-2])                      # negative conductor
 
 
+def test_non_integer_numbers_are_refused():
+    # the constructor holds the integer rule, so a preset and a parsed
+    # JSON config both refuse a float instead of truncating it
+    with pytest.raises(ValueError, match="must be integers"):
+        preset("plane-line", [2.5])
+    with pytest.raises(ValueError, match="must be integers"):
+        SurfaceConfig.from_dict({"components": [{"name": "L", "sw": 2.9}],
+                                 "intersections": [[1]], "klog": [-2]})
+    with pytest.raises(ValueError, match="must be integers"):
+        config([1], [[1.0]], [-2])
+    with pytest.raises(ValueError, match="must be integers"):
+        config([1], [[1]], [-2], r_sum="0")
+
+
 def test_round_trip_dict():
     cfg = config([2, 1], [[1, 1], [1, 1]], [-1, -1], r_sum=3)
     assert SurfaceConfig.from_dict(cfg.to_dict()) == cfg

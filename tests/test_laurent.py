@@ -28,6 +28,23 @@ def test_canonical_form_drops_zeros():
     assert f.support() == {(0, 0)}
 
 
+def test_constructor_refuses_non_integer_exponents_and_corners():
+    # nothing is truncated: -1.5 is not read as -1, nor '3' as 3
+    one = F2.one()
+    with pytest.raises(TypeError):
+        LaurentPolynomial(F2, {(-1.5, 2.9): one, ("3", "4"): one},
+                          unknown={(0.5, "1")})
+    with pytest.raises(TypeError):
+        LaurentPolynomial(F2, {(-1.5, 2.9): one})
+    with pytest.raises(TypeError):
+        LaurentPolynomial(F2, {("3", "4"): one})
+    with pytest.raises(TypeError):
+        LaurentPolynomial(F2, {(3, 4): one}, unknown={(0.5, "1")})
+    with pytest.raises(TypeError):
+        LaurentPolynomial.monomial(one, 1.7, -2.2)
+    assert LaurentPolynomial.monomial(one, 1, -2).support() == {(1, -2)}
+
+
 def test_addition_cancels():
     f = poly("t1^-1", F5)
     g = poly("4*t1^-1", F5)
