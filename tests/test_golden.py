@@ -35,6 +35,8 @@ CASES = {
     "simulate_f2_escalates": ["simulate",
                               "t1*t2^-4 + 1 + t1^-1*t2^-4 + t1^-3*t2^-2",
                               "--field", "2"],
+    "simulate_f2_sweep_orbit": ["simulate", "t1^-6*t2^3 + t2^-3", "--field",
+                                "2", "--mode", "sweep", "--sweep-degree", "2"],
     "corpus_laurent_simulate": ["corpus", "--seed", "1", "--count", "60",
                                 "--mode", "laurent", "--simulate"],
     "corpus_staircase": ["corpus", "--seed", "1", "--count", "200",
