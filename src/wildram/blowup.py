@@ -23,13 +23,29 @@ with no formula.  Two policies are implemented:
   (translate, reduce, staircase shape), so false candidates cost time,
   never correctness; completeness for deep cascades is the open risk.
 
-* sweep: test every point of the exceptional curve with coordinate in
-  F_{p^(k*sweep_degree)} directly.  Authoritative on its field but
-  expensive; the test suite pins candidates == sweep on the corpus.
+* sweep: test the points of the exceptional curve with coordinate in
+  F_{p^(k*sweep_degree)} directly, one per Frobenius orbit (below).
+  Authoritative on its field but expensive; the test suite pins
+  candidates == sweep on the corpus.
 
 Both policies feed one child enumeration: chart B's origin, chart A's
-origin, then every off-origin point.  Each off-origin point is probed by
-the full node build, drop cross-check included, and dropped when clean.
+origin, then the off-origin points.  An off-origin point is probed by the
+full node build, drop cross-check included, and dropped when clean.  The
+points are grouped into orbits of v -> v^q, where F_q is the field of the
+node's chart, and an orbit is probed through its first point in
+enumeration order: when that point comes out clean, its conjugates are
+skipped; when not, every conjugate is built in full, so the tree, its
+labels and the order of its exceptions are those of probing every point.
+The skip is exact, not a heuristic.  The chart has its coefficients in
+F_q, so the Frobenius x -> x^q, applied to the coefficients, carries the
+local equation at v, translated at any series budget, to the one at v^q.
+Reduction, staircase, conductors and the truncation bookkeeping read a
+coefficient only through field operations (p-th roots included) and
+through whether it vanishes, so they commute with that automorphism: the
+two points get the same node fields, the same clean verdict, the same
+drop cross-check and the same precision outcome.  The roots the
+candidates policy finds are those of polynomials over F_q, which come in
+whole orbits already.
 
 Translations at off-origin points can truncate series (see the laurent
 module).  ``resolve`` therefore reruns the whole simulation with a
@@ -43,19 +59,23 @@ depend on the budget, so one ``resolve`` call analyses it once and every
 later round reuses that analysis: the reduced representative and its
 node fields (drop cross-check passed), its two chart images, and, once
 the enumeration first reaches them, its off-origin points with the flag
-of a partial root search.  Each round still builds fresh nodes, translates
-every off-origin point at its own budget and analyses every truncated
-polynomial anew, so the tree, the probes and the run flags are those of
-a run from scratch.  One enumeration of a node's children embeds chart A
-once per field its points lie in, and keeps the images only while it
-runs.  The reuse lasts one call: two calls on the same input compute
-everything twice.  The result keeps the root's representative, so that
-callers read the input's reduction there instead of computing it again.
+of a partial root search and their Frobenius orbits.  Each round still
+builds fresh nodes, translates the first point of every orbit at its own
+budget and analyses every truncated polynomial anew, so the tree, the
+probes and the run flags are those of a run from scratch.  Which orbits
+came out clean is known to one enumeration only, in one node and one
+round: a later round probes them again at its own budget.  One
+enumeration of a node's children embeds chart A once per field its
+points lie in, and keeps the images only while it runs.  The reuse lasts
+one call: two calls on the same input compute everything twice.  The
+result keeps the root's representative, so that callers read the input's
+reduction there instead of computing it again.
 
 The run flags of a result (``good_regime`` and the flags behind it) are
 read from the finished tree, so they depend only on the input, never on
 the policy.  A dropped clean probe affects only the escalation: when its
-verdict was read from a truncated series, the run counts as truncated.
+verdict was read from a truncated series, the run counts as truncated,
+as it would through any of its skipped conjugates.
 """
 
 from __future__ import annotations
@@ -225,8 +245,8 @@ class _NodeAnalysis:
     """What a node's polynomial determines at every series budget: the
     node's fields but its path, its good representative, the chart B and
     chart A images of that representative when the node is not clean, and
-    the off-origin points with the flag of a partial root search, once
-    searched."""
+    the off-origin points with their Frobenius orbits and the flag of a
+    partial root search, once searched."""
     fields: dict
     representative: object
     charts: tuple = ()
@@ -250,14 +270,17 @@ def _build_node(poly, branches, path, depth, config, budget, stats, seen):
         return node
 
     children = []
+    clean_orbits = set()    # off-origin orbits whose first point is clean
     try:
-        for child_poly, child_branches, label in _blowup_children(
-                info, config, budget, stats):
+        for child_poly, child_branches, label, orbit in _blowup_children(
+                info, config, budget, stats, clean_orbits):
             child = _build_node(child_poly, child_branches, f"{path}/{label}",
                                 depth + 1, config, budget, stats, seen)
             # the chart origins stay in the tree even when clean
-            if not child.clean or "@v=" not in label:
+            if orbit is None or not child.clean:
                 children.append(child)
+            else:
+                clean_orbits.add(orbit)
     except DepthCapError as err:
         if err.partial is None:
             err.partial = node
@@ -296,30 +319,37 @@ def _analyse(poly, branches, path):
     return info
 
 
-def _blowup_children(info, config, budget, stats):
+def _blowup_children(info, config, budget, stats, clean_orbits):
     """Every point that one blow-up of a non-clean node can leave
-    non-clean, as (local polynomial, branch count, label): the origin of
-    chart B, the origin of chart A, then each off-origin point of the
-    exceptional curve, translated to the origin of chart A.  Lazy, so that
-    a failure while the caller handles one child stops the enumeration
-    there; the points are searched for once per analysis, and chart A is
-    embedded once per point field and enumeration."""
+    non-clean, as (local polynomial, branch count, label, orbit): the
+    origin of chart B, the origin of chart A (orbit None), then each
+    off-origin point of the exceptional curve, translated to the origin of
+    chart A, unless the caller has put its Frobenius orbit into
+    clean_orbits.  Lazy, so that a failure while the caller handles one
+    child stops the enumeration there, and so that a point sees every
+    orbit found clean before it; the points and their orbits are computed
+    once per analysis, and chart A is embedded once per point field and
+    enumeration."""
     second, first = info.charts
-    yield second, 2, "B"
-    yield first, info.fields["branches"], "A"
+    yield second, 2, "B", None
+    yield first, info.fields["branches"], "A", None
     if info.points is None:
-        info.points = _off_origin_points(first, config)
-    points, partial = info.points
+        points, partial = _off_origin_points(first, config)
+        info.points = (points, _frobenius_orbits(points, first.ctx.order),
+                       partial)
+    points, orbits, partial = info.points
     if partial:
         stats.partial_roots = True
     images = {}
-    for point in points:
+    for point, orbit in zip(points, orbits):
+        if orbit in clean_orbits:
+            continue
         ctx = join_context(first.ctx, point.ctx)
         image = images.get(ctx)
         if image is None:
             image = images[ctx] = first.embed_into(ctx)
         moved = translate(image, embed(point, ctx), budget)
-        yield moved, 1, f"A@v={point}"
+        yield moved, 1, f"A@v={point}", orbit
 
 
 # ---------------------------------------------------------------------------
@@ -398,6 +428,27 @@ def _off_origin_points(chart_first, config):
         small = minimal_form(x)
         points[(small.ctx.degree, small.encoding())] = small
     return [points[key] for key in sorted(points)], False
+
+
+def _frobenius_orbits(points, q):
+    """For each point, the index of the first point of its orbit under
+    x -> x^q among points.  A chart defined over F_q has at v^q the
+    Frobenius image of its local equation at v, so every point of an
+    orbit gets the same node fields."""
+    index = {(x.ctx.degree, x.encoding()): i for i, x in enumerate(points)}
+    orbits = [None] * len(points)
+    for i, x in enumerate(points):
+        if orbits[i] is not None:
+            continue
+        y = x
+        while True:
+            j = index.get((y.ctx.degree, y.encoding()))
+            if j is not None:
+                orbits[j] = i
+            y = y ** q
+            if y == x:
+                break
+    return orbits
 
 
 # ---------------------------------------------------------------------------

@@ -25,12 +25,15 @@ class SurfaceConfig:
     r_sum: int                 # total of the local blow-up invariants
 
     def __post_init__(self):
-        """Every number must be an integer, by ``operator.index``: a float
-        conductor is refused, never truncated."""
+        """Every number must be an integer, by ``operator.index``, and not
+        a bool: a float conductor is refused, never truncated, and a
+        ``True`` is never kept where a conductor is printed."""
         try:
             for number in (*(sw for _, sw in self.components),
                            *(x for row in self.intersections for x in row),
                            *self.klog, self.r_sum):
+                if isinstance(number, bool):
+                    raise TypeError(f"{number!r} is a bool")
                 operator.index(number)
         except TypeError as err:
             raise ValueError(f"surface config numbers must be integers: "

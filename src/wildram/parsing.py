@@ -13,7 +13,8 @@ exponent: an operator where a factor is due, as in "2*-t1", is an error.
 Integer coefficients reduce mod p; "g" is the polynomial-basis generator
 of the extension and is rejected over a prime field.  Exponents of t1 and
 t2 within one term add up, so factor order is free.  Like terms combine
-in the field.  Exponent magnitudes above 10**6 are refused.
+in the field.  Exponent magnitudes above 10**6 are refused, in one
+exponent and in the sum of a term's exponents of t1 or of t2.
 
 Field specs are "p" or "p^k", e.g. "3", "2^1", "3^2".
 """
@@ -98,6 +99,11 @@ def parse_polynomial(text, ctx):
                                      "prime field", pos)
                 else:
                     coeff = coeff * ctx.gen() ** exponent
+                if abs(m) > EXPONENT_CAP or abs(n) > EXPONENT_CAP:
+                    total = m if value == "t1" else n
+                    raise ParseError(f"the {value} exponents of a term add up "
+                                     f"to {total}, beyond the cap "
+                                     f"{EXPONENT_CAP}", pos)
             else:
                 raise _unexpected("a factor", token)
             if tokens[i][1] != "*":

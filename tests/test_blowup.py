@@ -343,10 +343,10 @@ def test_sweep_embeds_chart_a_once_per_point_field(monkeypatch):
             embeddings[(id(self), target)] += 1
         return original_embed(self, target)
 
-    def counted_children(info, config, budget, stats):
+    def counted_children(info, *args):
         kept.append(info.charts[1])
         enumerations[id(info.charts[1])] += 1
-        return original_children(info, config, budget, stats)
+        return original_children(info, *args)
 
     monkeypatch.setattr(LaurentPolynomial, "embed_into", counted_embed)
     monkeypatch.setattr(blowup, "_blowup_children", counted_children)
@@ -357,6 +357,93 @@ def test_sweep_embeds_chart_a_once_per_point_field(monkeypatch):
         assert count <= enumerations[source]
     golden = (GOLDEN / "simulate_f3_sweep.txt").read_text(encoding="utf-8")
     assert simulation_as_dict(result) == json.loads(golden.split("\n", 1)[1])
+
+
+def _every_point_its_own_orbit(points, q):
+    # the enumeration before orbits: each point is probed for itself
+    return list(range(len(points)))
+
+
+def _counting_translate(monkeypatch):
+    """A list whose length is the number of translations run so far."""
+    calls = []
+    original = blowup.translate
+
+    def counted(*args):
+        calls.append(None)
+        return original(*args)
+
+    monkeypatch.setattr(blowup, "translate", counted)
+    return calls
+
+
+def _orbit_corpus(seed, count):
+    """Seeded type II inputs c*t1^-a*t2^b + c'*t1^c*t2^-d, every other one
+    with a third random term, over F_2, F_3 and F_4, each paired with a
+    point-location mode: candidates, or sweep of degree 2 or 3."""
+    rng = random.Random(seed)
+    fields = (F2, F3, field(2, 2))
+    modes = (SimulationConfig(),
+             SimulationConfig(mode="sweep", sweep_degree=2),
+             SimulationConfig(mode="sweep", sweep_degree=3))
+    corpus = []
+    for index in range(count):
+        ctx = fields[index % 3]
+        exponents = [(-rng.randint(1, 6), rng.randint(0, 4)),
+                     (rng.randint(0, 3), -rng.randint(1, 5))]
+        if index % 2:
+            exponents.append((rng.randint(-4, 4), rng.randint(-4, 4)))
+        terms = {e: ctx.from_encoding(rng.randrange(1, ctx.order))
+                 for e in exponents}
+        corpus.append((LaurentPolynomial(ctx, terms), modes[index // 3 % 3]))
+    return corpus
+
+
+def test_orbit_probes_match_probing_every_point(monkeypatch):
+    # the charts are defined over the node's field F_q, so the local
+    # equation at v^q is the Frobenius image of the one at v: probing one
+    # point per orbit of v -> v^q gives the tree, the flags and the
+    # escalation count of probing every point, in both modes
+    corpus = _orbit_corpus(2, 90)
+    calls = _counting_translate(monkeypatch)
+    by_orbit = [simulation_as_dict(resolve(f, 2, config))
+                for f, config in corpus]
+    orbit_translations = len(calls)
+    monkeypatch.setattr(blowup, "_frobenius_orbits",
+                        _every_point_its_own_orbit)
+    by_point = [simulation_as_dict(resolve(f, 2, config))
+                for f, config in corpus]
+    # the dicts carry precision_escalations
+    assert by_orbit == by_point
+    assert orbit_translations < len(calls) - orbit_translations
+    off_origin = [config.mode for (_, config), out in zip(corpus, by_point)
+                  if out["off_origin_nonclean"]]
+    assert len(off_origin) >= 10 and set(off_origin) == {"candidates", "sweep"}
+
+
+def test_orbits_are_taken_under_the_frobenius_of_the_chart_field(monkeypatch):
+    # over F_4 the map v -> v^2 moves the coefficient g of the chart, so
+    # orbits taken under it skip non-clean points and give r_x 16
+    f = poly("g*t1^-2*t2 + t1^2*t2^-3", field(2, 2))
+    calls = _counting_translate(monkeypatch)
+    for mode in ("candidates", "sweep"):
+        result = resolve(f, 2, SimulationConfig(mode=mode, sweep_degree=2))
+        assert result.total == 19, mode
+    by_orbit = len(calls)
+    monkeypatch.setattr(blowup, "_frobenius_orbits",
+                        _every_point_its_own_orbit)
+    resolve(f, 2, SimulationConfig(mode="sweep", sweep_degree=2))
+    assert by_orbit < len(calls) - by_orbit
+
+
+def test_frobenius_orbits_group_conjugates_under_the_first_point():
+    f4 = field(2, 2)
+    g = f4.gen()
+    points = [F2.one(), g, g + f4.one()]
+    assert blowup._frobenius_orbits(points, 2) == [0, 1, 1]
+    assert blowup._frobenius_orbits(points, 4) == [0, 1, 2]
+    # a conjugate missing from the list leaves its orbit to the rest
+    assert blowup._frobenius_orbits([g + f4.one()], 2) == [0]
 
 
 def test_exports():

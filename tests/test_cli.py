@@ -81,6 +81,16 @@ def test_parse_errors_carry_position():
         parse_polynomial("g*t1", F3)           # no generator over F_3
     with pytest.raises(ParseError):
         parse_polynomial("t1^9999999", F3)     # exponent cap
+    # the cap holds for the sum of a term's exponents too, at the factor
+    # whose exponent makes the sum cross it
+    for text, position in [("t1^1000000*t1^1000000*t1^1000000", 11),
+                           ("t2^-1000000*t1*t2^-1", 15),
+                           ("1 + t2^999999*t2*t2^2", 17)]:
+        with pytest.raises(ParseError, match="beyond the cap") as err:
+            parse_polynomial(text, F3)
+        assert err.value.position == position, text
+    assert parse_polynomial("t1^1000000*t1^-1000000*t1^1000000",
+                            F3).terms == {(1000000, 0): F3.one()}
     with pytest.raises(ParseError):
         parse_polynomial("t1 t2", F3)          # missing *
     with pytest.raises(ParseError):
@@ -466,6 +476,8 @@ def test_cli_euler(tmp_path, capsys):
       "klog": [-3], "r_sum": 0}, "cannot be interpreted as an integer"),
     ({"components": [{"name": "L", "sw": 2}], "intersections": [[1]],
       "klog": [-3], "r_sum": 0.5}, "cannot be interpreted as an integer"),
+    ({"components": [{"name": "L", "sw": True}], "intersections": [[1]],
+      "klog": [-3], "r_sum": 0}, "True is a bool"),
     ({"components": [{"name": "L", "sw": 2}], "intersections": [[1]]},
      "lacks the key 'klog'"),
     ([{"name": "L", "sw": 2}], "malformed surface config"),

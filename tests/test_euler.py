@@ -71,6 +71,12 @@ def test_non_integer_numbers_are_refused():
         config([1], [[1.0]], [-2])
     with pytest.raises(ValueError, match="must be integers"):
         config([1], [[1]], [-2], r_sum="0")
+    # operator.index takes a bool, which would print as a conductor
+    with pytest.raises(ValueError, match="True is a bool"):
+        preset("plane-line", [True])
+    with pytest.raises(ValueError, match="False is a bool"):
+        SurfaceConfig.from_dict({"components": [{"name": "L", "sw": 1}],
+                                 "intersections": [[1]], "klog": [False]})
 
 
 def test_round_trip_dict():
