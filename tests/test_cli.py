@@ -476,11 +476,11 @@ def test_cli_euler(tmp_path, capsys):
       "klog": [-3], "r_sum": 0}, "cannot be interpreted as an integer"),
     ({"components": [{"name": "L", "sw": 2}], "intersections": [[1]],
       "klog": [-3], "r_sum": 0.5}, "cannot be interpreted as an integer"),
-    ({"components": [{"name": "L", "sw": True}], "intersections": [[1]],
-      "klog": [-3], "r_sum": 0}, "True is a bool"),
     ({"components": [{"name": "L", "sw": 2}], "intersections": [[1]]},
      "lacks the key 'klog'"),
     ([{"name": "L", "sw": 2}], "malformed surface config"),
+    ({"components": [{"name": "L", "sw": True}], "intersections": [[1]],
+      "klog": [-3], "r_sum": 0}, "True is a bool"),
 ])
 def test_cli_euler_rejects_a_malformed_config(tmp_path, capsys, data,
                                               message):
