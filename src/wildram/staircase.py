@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
+from itertools import pairwise
 
 
 class StaircaseError(ValueError):
@@ -40,12 +41,15 @@ class Staircase(tuple):
     (a, b) pairs, validated once when it is built.
 
     Immutable.  May be empty (trivial cover) or a single point.  It
-    compares and hashes as the tuple of its points.
+    compares and hashes as the tuple of its points.  A Staircase passed
+    in is returned as it is, already checked.
     """
 
     __slots__ = ()
 
     def __new__(cls, points=()):
+        if type(points) is cls:
+            return points
         try:
             pts = tuple((operator.index(a), operator.index(b))
                         for a, b in points)
@@ -57,7 +61,7 @@ class Staircase(tuple):
     def _from_ints(cls, pts):
         """A staircase from a sequence of (int, int) tuples: the order is
         checked, the points are taken as they are."""
-        for (a0, b0), (a1, b1) in zip(pts, pts[1:]):
+        for (a0, b0), (a1, b1) in pairwise(pts):
             if not (a0 < a1 and b0 < b1):
                 raise StaircaseError(
                     f"coordinates must strictly increase: {(a0, b0)} !< {(a1, b1)}")
@@ -73,8 +77,10 @@ def _require_nonempty(stair, op):
 
 
 def _check_branches(branches):
-    if branches not in (1, 2):
-        raise ValueError(f"a boundary point lies on 1 or 2 branches, got {branches}")
+    # an int, not a bool or a float that equals 1 or 2
+    if type(branches) is not int or not 1 <= branches <= 2:
+        raise ValueError(
+            f"a boundary point lies on 1 or 2 branches, got {branches!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,13 +101,16 @@ def essential_vertices(stair):
     out = [stair[0]]
     i = 0
     while i < k:
+        ai, bi = stair[i]
         best = i + 1
+        # the offsets (da, db) of the best point from point i
+        da, db = stair[best][0] - ai, stair[best][1] - bi
         for j in range(i + 2, k + 1):
+            aj, bj = stair[j]
             # slope(i->j) <= slope(i->best), exactly; denominators positive
-            lhs = (stair[j][1] - stair[i][1]) * (stair[best][0] - stair[i][0])
-            rhs = (stair[best][1] - stair[i][1]) * (stair[j][0] - stair[i][0])
-            if lhs <= rhs:
+            if (bj - bi) * da <= db * (aj - ai):
                 best = j
+                da, db = aj - ai, bj - bi
         out.append(stair[best])
         i = best
     return Staircase(out)
@@ -161,10 +170,10 @@ def swan_drop(stair):
 
 def blowup_term(drop, branches):
     """Contribution of one blow-up: drop*(drop-1) on one branch, drop**2
-    at a crossing."""
+    at a crossing.  Both arguments are ints, not bools."""
     _check_branches(branches)
-    if drop < 0:
-        raise ValueError(f"conductor drop must be >= 0, got {drop}")
+    if type(drop) is not int or drop < 0:
+        raise ValueError(f"conductor drop must be an integer >= 0, got {drop!r}")
     return drop * (drop - 1) if branches == 1 else drop * drop
 
 
@@ -182,9 +191,10 @@ def split(stair):
         second (chart where the old first branch survives):
                  { j : a_j - b_j > max over i < j of (a_i - b_i) }
 
-    Empty ranges count as +inf resp. -inf, so the last index always
-    belongs to the first set and index 0 to the second.  The crossing
-    child (a_j, b_j - a_j) over `first` and the continuation child
+    An empty range puts its index in the set, so the last index always
+    belongs to the first set and index 0 to the second; each pass starts
+    from that end point and compares integers only.  The crossing child
+    (a_j, b_j - a_j) over `first` and the continuation child
     (a_j - b_j, b_j) over `second` are built in the same passes, and
     `Staircase._from_ints` checks their order.  `_recurse` looks this
     function up at each step, so a test can replace it with a wrong
@@ -192,26 +202,32 @@ def split(stair):
     """
     _require_nonempty(stair, "split")
     # one pass from the right: `tail` is the min of b_i - a_i over i > j
-    first, crossing = [], []
-    tail = float("inf")
-    for j in range(len(stair) - 1, -1, -1):
+    last = len(stair) - 1
+    a, b = stair[last]
+    tail = b - a
+    first, crossing = [last], [(a, tail)]
+    for j in range(last - 1, -1, -1):
         a, b = stair[j]
         here = b - a
         if here < tail:
             tail = here
             first.append(j)
             crossing.append((a, here))
+    first.reverse()
+    crossing.reverse()
     # one pass from the left: `head` is the max of a_i - b_i over i < j
-    second, continuation = [], []
-    head = float("-inf")
-    for j, (a, b) in enumerate(stair):
+    a, b = stair[0]
+    head = a - b
+    second, continuation = [0], [(head, b)]
+    for j in range(1, last + 1):
+        a, b = stair[j]
         here = a - b
         if here > head:
             head = here
             second.append(j)
             continuation.append((here, b))
-    return (tuple(reversed(first)), tuple(second),
-            Staircase._from_ints(crossing[::-1]),
+    return (tuple(first), tuple(second),
+            Staircase._from_ints(crossing),
             Staircase._from_ints(continuation))
 
 
@@ -219,7 +235,7 @@ def split(stair):
 # the recursive total, its closed form, and the upper bound
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(slots=True)
 class RecursionStep:
     staircase: Staircase
     branches: int
@@ -245,7 +261,7 @@ def ramification_recursive(stair, branches):
     strict lexicographic descent of (length, depth), which is asserted.
     The steps run on an explicit stack, so the number of steps is not
     limited by Python's recursion limit.  `stair` may be any sequence of
-    pairs; it is validated as a Staircase first.
+    pairs; it is validated as a Staircase first, unless it is one.
     """
     _check_branches(branches)
     trace = RecursionTrace()
@@ -258,24 +274,30 @@ def _recurse(stair, branches, trace):
     # first, so the crossing child's subtree is traced before it, as in
     # the recursive definition
     stack = [(stair, branches)]
+    record = trace.steps.append
+    total = trace.total
     while stack:
         stair, branches = stack.pop()
-        if len(stair) <= 1:
+        size = len(stair)
+        if size <= 1:
             continue
         drop = swan_drop(stair)
         term = blowup_term(drop, branches)
+        # looked up at each step, so that a test can replace it
         first, second, crossing, continuation = split(stair)
-        trace.total += term
-        trace.steps.append(RecursionStep(stair, branches, drop, term, first, second))
-        size = len(stair)
-        measure = (size, depth(stair))
+        total += term
+        record(RecursionStep(stair, branches, drop, term, first, second))
         for child in (crossing, continuation):
-            # a shorter child descends whatever its depth
-            if len(child) >= size and not (len(child), depth(child)) < measure:
+            # a shorter child descends whatever its depth, so the depths
+            # are read only for a child that is not shorter; of a valid
+            # staircase's two children at most one is
+            if len(child) >= size and not (
+                    (len(child), depth(child)) < (size, depth(stair))):
                 raise StaircaseError(
                     f"recursion measure failed to decrease: {stair!r} -> {child!r}")
         stack.append((continuation, branches))
         stack.append((crossing, 2))
+    trace.total = total
 
 
 def ramification_closed_form(stair, branches):
@@ -321,7 +343,7 @@ def max_diagonal(stair):
     preserved when passing to essential vertices (for every valid
     staircase, not only good ones)."""
     _require_nonempty(stair, "max_diagonal")
-    return max(a - b for a, b in stair)
+    return max([a - b for a, b in stair])
 
 
 def quadrant_shape(stair):

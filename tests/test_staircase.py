@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import pickle
+import random
 import sys
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from conftest import max_tail_recursion, reference_index_sets, reference_split
 from wildram import staircase
+from wildram.corpus import random_staircase
 from wildram.staircase import (RecursionStep, RecursionTrace, Staircase,
                                StaircaseError, area, blowup_term, depth,
                                end_conductors, essential_vertices,
@@ -59,6 +61,11 @@ def test_staircase_rejects_non_integer_coordinates():
         with pytest.raises(StaircaseError, match="must be integers"):
             Staircase(points)
     assert Staircase([(True, 2)]) == ((1, 2),)
+
+
+def test_a_built_staircase_is_taken_as_it_is():
+    stair = S((0, 0), (1, 2))
+    assert Staircase(stair) is stair
 
 
 def test_recursion_validates_a_plain_sequence():
@@ -122,6 +129,13 @@ def test_swan_drop_of_empty_staircase_is_zero():
     assert swan_drop(Staircase()) == 0
 
 
+def test_swan_drop_refuses_a_negative_drop():
+    # no staircase has one; a sequence out of order does: its diagonal
+    # term 5 - 0 exceeds both end conductors, which are 0
+    with pytest.raises(StaircaseError, match="negative conductor drop -5"):
+        swan_drop(((5, 0), (0, 10)))
+
+
 def test_end_conductors():
     assert end_conductors(Staircase()) == (0, 0)
     assert end_conductors(S((-3, -2), (-1, 4))) == (0, 2)
@@ -134,6 +148,18 @@ def test_blowup_term():
     assert blowup_term(2, 2) == 4
     with pytest.raises(ValueError):
         blowup_term(-1, 2)
+
+
+@pytest.mark.parametrize("call, shown", [
+    (lambda: ramification_recursive(S((0, 0), (1, 4), (2, 5)), True), "True"),
+    (lambda: ramification_closed_form(S((0, 0), (1, 4), (2, 5)), 1.0), "1.0"),
+    (lambda: blowup_term(2.5, 1), "2.5"),
+], ids=["bool branches", "float branches", "float drop"])
+def test_branches_and_drop_must_be_integers(call, shown):
+    # True == 1 and 1.0 == 1, but neither is a branch count
+    with pytest.raises(ValueError) as raised:
+        call()
+    assert str(raised.value).endswith(f"got {shown}")
 
 
 # ---------------------------------------------------------------------------
@@ -407,6 +433,31 @@ def test_recursion_steps_match_recursive_definition(stair):
                 continue
             with patch():
                 trace = ramification_recursive(stair, branches)
+            assert _step_record(trace) == _step_record(expected)
+
+
+@pytest.fixture
+def raised_recursion_limit():
+    # the reference takes one Python call per step
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(old, 5000))
+    yield
+    sys.setrecursionlimit(old)
+
+
+def test_recursion_steps_match_recursive_definition_on_long_chains(
+        raised_recursion_limit):
+    # most steps of a deep staircase are on two-point chains with
+    # coordinates in the hundreds, after a first split of a long staircase
+    thin = random_staircase(random.Random(23), max_segments=60,
+                            coord_bound=200, shape="branch")
+    assert len(thin) >= 50
+    for stair in (S((0, 0), (1, 700)), S((0, 0), (613, 200)),
+                  S((3, -517), (404, 2)), S((0, 0), (377, 610)), thin):
+        for branches in (1, 2):
+            expected = RecursionTrace()
+            _reference_recurse(stair, branches, expected, "minimal")
+            trace = ramification_recursive(stair, branches)
             assert _step_record(trace) == _step_record(expected)
 
 
