@@ -80,13 +80,14 @@ as it would through any of its skipped conjugates.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dataclass_field
 
 from .fields import embed, field, find_roots, join_context, minimal_form
 from .laurent import (PrecisionLossError, blowup_substitute, leading_column,
                       pole_staircase, translate, valuation)
 from .reduction import conductors, good_representative
-from .staircase import blowup_term, is_clean_shape, swan_drop
+from .staircase import _check_branches, blowup_term, is_clean_shape, swan_drop
 
 
 # series-budget doublings before resolve gives up
@@ -119,8 +120,19 @@ class SimulationConfig:
     series_terms: int = 16
 
     def __post_init__(self):
+        """The caps, degree and budget are integers by ``operator.index``
+        and not bools: a float or a ``True`` is refused, never truncated."""
         if self.mode not in ("candidates", "sweep"):
             raise ValueError(f"unknown mode {self.mode!r}")
+        for name in ("ext_cap", "sweep_degree", "depth_cap", "series_terms"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise ValueError(f"{name} must be an integer, "
+                                 f"got {value!r}") from None
         if self.depth_cap < 1 or self.sweep_degree < 1 or self.ext_cap < 1:
             raise ValueError("caps and degrees must be >= 1")
         if self.series_terms < 1:
@@ -201,17 +213,22 @@ class ResolutionResult:
         return self.root.blowup_depth()
 
 
+def check_point(f, branches):
+    """ValueError unless `branches` is the int 1 or 2 (no bool or float)
+    and, on one branch, f has no t2-poles: what ``resolve`` accepts."""
+    _check_branches(branches)
+    if branches == 1 and any(n < 0 for _, n in f.terms):
+        raise ValueError("a one-branch point admits no poles along t2")
+
+
 def resolve(f, branches, config=None):
     """Compute the blow-up total for the cover defined by f at the origin.
 
     `branches` is 1 when the boundary is {t1 = 0} and 2 when it is
-    {t1*t2 = 0}; one-branch input must not have t2-poles.
+    {t1*t2 = 0}; ``check_point`` refuses any other input.
     """
     config = config or SimulationConfig()
-    if branches not in (1, 2):
-        raise ValueError("the boundary has 1 or 2 branches")
-    if branches == 1 and any(n < 0 for _, n in f.terms):
-        raise ValueError("a one-branch point admits no poles along t2")
+    check_point(f, branches)
 
     budget = config.series_terms
     previous = None

@@ -3,8 +3,9 @@
 Two corpus shapes drive the property suites: random valid staircases for
 the pure combinatorics, and random Laurent polynomials with bounded pole
 orders for the algebra and the simulator.  Runs are deterministic given
-the seed, and failing cases are greedily minimized (dropping points or
-terms while the failure persists) before being reported.
+the seed.  A failing staircase is greedily minimized (dropping points
+while the failure persists) before it is reported; a failing Laurent
+polynomial is reported as drawn.
 """
 
 from __future__ import annotations

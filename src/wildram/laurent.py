@@ -18,14 +18,14 @@ sorted by a.
 
 Truncation.  Moving the origin to a point t2 = a with a != 0 expands each
 negative t2-power into a power series, which must be cut off.  Instead of
-a single global cutoff the polynomial carries a set of *unknown corners*:
-lattice points u such that every coefficient on u + (Z>=0)^2 is possibly
-incomplete (stored values there are partial sums).  Arithmetic propagates
-the corners conservatively, and any consumer that would have to trust a
-coefficient inside the unknown region raises PrecisionLossError instead of
-silently truncating.  Exact polynomials have an empty corner set, and
-operations on exact data never lose exactness except for the translation
-of a negative power.
+a single global cutoff the polynomial carries *unknown corners*, minimal
+and sorted as the certified corners are: lattice points u such that every
+coefficient on u + (Z>=0)^2 is possibly incomplete (stored values there
+are partial sums).  Arithmetic propagates the corners conservatively, and
+any consumer that would have to trust a coefficient inside the unknown
+region raises PrecisionLossError instead of silently truncating.  Exact
+polynomials have no corners, and operations on exact data never lose
+exactness except for the translation of a negative power.
 
 Only this module reads the unknown corners, as a cut per t1-column: (m, n)
 lies in the region iff n is at least the cut of column m.  ``_certified``
@@ -66,8 +66,12 @@ def _sorted_corners(points):
     The column minimum of an m is the least n of a point (m, n).  One pass
     gathers the column minima; a column minimum is minimal iff it lies
     below every column to its left, which one sweep over the few distinct
-    m decides.  Repeated points are harmless.
+    m decides.  Repeated points are harmless.  The format of both the
+    certified and the unknown corners; most polynomials have no unknown
+    corners, so an empty sized input returns at once.
     """
+    if not points:
+        return ()
     low = {}
     for m, n in points:
         if n < low.get(m, math.inf):
@@ -79,22 +83,7 @@ def _sorted_corners(points):
         if n < least:
             corners.append((m, n))
             least = n
-    return corners
-
-
-def _min_antichain(points):
-    """Minimal elements of a finite set under the componentwise order.
-
-    The result is built in the iteration order of the input set, which
-    fixes its own order.
-    """
-    if not points:
-        return frozenset()
-    pts = set(points)
-    if len(pts) < 2:
-        return frozenset(pts)
-    keep = set(_sorted_corners(pts))
-    return frozenset(q for q in pts if q in keep)
+    return tuple(corners)
 
 
 class LaurentPolynomial:
@@ -103,7 +92,7 @@ class LaurentPolynomial:
     __slots__ = ("ctx", "terms", "unknown", "_corners", "_staircase",
                  "_hash")
 
-    def __init__(self, ctx, terms=None, unknown=frozenset()):
+    def __init__(self, ctx, terms=None, unknown=()):
         """Zero coefficients are dropped.  An exponent or a corner
         coordinate that is not an integer raises TypeError."""
         index = operator.index
@@ -115,9 +104,8 @@ class LaurentPolynomial:
                 clean[(index(m), index(n))] = c
         self.ctx = ctx
         self.terms = clean
-        for u, v in unknown:
-            index(u), index(v)      # checked only: a copy could reorder the set
-        self.unknown = _min_antichain(unknown)
+        self.unknown = _sorted_corners([(index(u), index(v))
+                                        for u, v in unknown])
         self._corners = None        # _certified_corners(), once asked for
         self._staircase = None      # pole_staircase(), once it succeeded
         self._hash = None           # hash(self), once asked for
@@ -126,7 +114,8 @@ class LaurentPolynomial:
     def _trusted(cls, ctx, terms, unknown):
         """A polynomial from data that is canonical by construction: int
         exponent pairs mapped to nonzero coefficients of ctx, and the
-        unknown corners as a frozenset antichain.  Nothing is checked."""
+        unknown corners as the sorted corner tuple the certified corners
+        use.  Nothing is checked."""
         poly = cls.__new__(cls)
         poly.ctx = ctx
         poly.terms = terms
@@ -183,7 +172,7 @@ class LaurentPolynomial:
         from .parsing import format_polynomial
         body = format_polynomial(self)
         if self.unknown:
-            body += f" [unknown beyond {sorted(self.unknown)}]"
+            body += f" [unknown beyond {list(self.unknown)}]"
         return f"<{body} over {self.ctx}>"
 
     # -- ring operations ----------------------------------------------------
@@ -196,8 +185,7 @@ class LaurentPolynomial:
                                        "embed explicitly first")
 
     def _merge(self, other, negate):
-        """self + other, or self - other when negate is set.  A corner
-        set that meets an empty one is already an antichain and is kept."""
+        """self + other, or self - other when negate is set."""
         self._check(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
@@ -210,13 +198,8 @@ class LaurentPolynomial:
                     terms[e] = s
                 else:
                     del terms[e]
-        if not other.unknown:
-            unknown = self.unknown
-        elif not self.unknown:
-            unknown = other.unknown
-        else:
-            unknown = _min_antichain(self.unknown | other.unknown)
-        return LaurentPolynomial._trusted(self.ctx, terms, unknown)
+        return LaurentPolynomial._trusted(
+            self.ctx, terms, _sorted_corners(self.unknown + other.unknown))
 
     def __add__(self, other):
         return self._merge(other, False)
@@ -237,16 +220,16 @@ class LaurentPolynomial:
                 prod = c1 * c2
                 s = terms.get(e)
                 terms[e] = prod if s is None else s + prod
-        unknown = set()
+        unknown = []
         if self.unknown or other.unknown:
-            mine = _min_antichain(self.support()) | self.unknown
-            theirs = _min_antichain(other.support()) | other.unknown
+            mine = _sorted_corners(self.terms) + self.unknown
+            theirs = _sorted_corners(other.terms) + other.unknown
             for u in self.unknown:
                 for v in theirs:
-                    unknown.add((u[0] + v[0], u[1] + v[1]))
+                    unknown.append((u[0] + v[0], u[1] + v[1]))
             for u in other.unknown:
                 for v in mine:
-                    unknown.add((u[0] + v[0], u[1] + v[1]))
+                    unknown.append((u[0] + v[0], u[1] + v[1]))
         return LaurentPolynomial(self.ctx, terms, unknown)
 
     def frobenius_power(self):
@@ -256,7 +239,7 @@ class LaurentPolynomial:
         return LaurentPolynomial._trusted(
             self.ctx,
             {(p * m, p * n): c ** p for (m, n), c in self.terms.items()},
-            frozenset((p * m, p * n) for m, n in self.unknown))
+            tuple((p * m, p * n) for m, n in self.unknown))
 
     def embed_into(self, target):
         if target == self.ctx:
@@ -270,18 +253,12 @@ class LaurentPolynomial:
 # staircase extraction and valuations
 # ---------------------------------------------------------------------------
 
-def _cut_table(unknown):
-    """(us, cuts): column m has the cut ``cuts[bisect_right(us, m)]``, the
-    n of the last corner with u <= m, or +inf.  Sorted by u, the corners of
-    an antichain have falling n, so that is the least such n."""
-    corners = sorted(unknown)
-    return [u for u, _ in corners], [math.inf] + [n for _, n in corners]
-
-
 def _column_cut(unknown, m):
-    """The cut of the t1-column m."""
-    us, cuts = _cut_table(unknown)
-    return cuts[bisect.bisect_right(us, m)]
+    """The cut of the t1-column m: the n of the last corner with u <= m,
+    or +inf.  Sorted by u, the corners have falling n, so that is the
+    least such n."""
+    i = bisect.bisect_right(unknown, m, key=operator.itemgetter(0))
+    return unknown[i - 1][1] if i else math.inf
 
 
 def _certified(poly):
@@ -289,7 +266,8 @@ def _certified(poly):
     in the order of ``terms``, in one pass with no copy.  With one corner
     (u, v), the case of every translation of an exact polynomial, that is
     m < u or n < v.  Several corners are rare, but they come on the largest
-    polynomials of the slowest reports, so a term's cut is one bisection.
+    polynomials of the slowest reports, so a term's cut is one bisection,
+    that of ``_column_cut`` written inline: a call per term costs more.
     """
     unknown = poly.unknown
     if not unknown:
@@ -297,16 +275,17 @@ def _certified(poly):
     if len(unknown) == 1:
         (u, v), = unknown
         return (e for e in poly.terms if e[0] < u or e[1] < v)
-    us, cuts = _cut_table(unknown)
+    first = operator.itemgetter(0)
     return (e for e in poly.terms
-            if e[1] < cuts[bisect.bisect_right(us, e[0])])
+            if not (i := bisect.bisect_right(unknown, e[0], key=first))
+            or e[1] < unknown[i - 1][1])
 
 
 def _certified_corners(poly):
     """The minimal points of the certified support, sorted by m, from one
     pass over the certified exponents; kept on the polynomial."""
     if poly._corners is None:
-        poly._corners = tuple(_sorted_corners(_certified(poly)))
+        poly._corners = _sorted_corners(_certified(poly))
     return poly._corners
 
 
@@ -352,7 +331,7 @@ def valuation(poly, axis):
     v = min(map(operator.itemgetter(idx), _certified(poly)), default=None)
     if v is None:
         if poly.unknown or poly.terms:
-            raise PrecisionLossError(min(poly.unknown | set(poly.terms)),
+            raise PrecisionLossError(min([*poly.unknown, *poly.terms]),
                                      "no certified term to take the valuation from")
         return math.inf
     bad = [u for u in poly.unknown if u[idx] < v]
@@ -381,7 +360,7 @@ def transpose(poly):
     """Swap the two coordinates."""
     return LaurentPolynomial._trusted(
         poly.ctx, {(n, m): c for (m, n), c in poly.terms.items()},
-        frozenset((n, m) for m, n in poly.unknown))
+        tuple((n, m) for m, n in reversed(poly.unknown)))
 
 
 # ---------------------------------------------------------------------------
@@ -396,8 +375,8 @@ def blowup_substitute(poly, chart):
     {v = 0}.  Chart "B" is (t1, t2) = (u*v, v), so (m, n) -> (m, m + n);
     the exceptional curve is {v = 0} and the strict transform of {t1 = 0}
     is {u = 0}.  Both maps are unimodular, so no two terms meet and the
-    terms stay canonical.  The unknown corners need a new antichain: chart
-    A maps the antichain {(0, 1), (1, 0)} to {(1, 1), (1, 0)}.
+    terms stay canonical.  The unknown corners are minimized again: chart
+    A maps the corners (0, 1), (1, 0) to (1, 1), (1, 0).
     """
     if chart == CHART_FIRST:
         terms = {(m + n, n): c for (m, n), c in poly.terms.items()}
@@ -407,7 +386,7 @@ def blowup_substitute(poly, chart):
         unknown = [(m, m + n) for m, n in poly.unknown]
     else:
         raise ValueError(f"chart must be 'A' or 'B', got {chart!r}")
-    return LaurentPolynomial._trusted(poly.ctx, terms, _min_antichain(unknown))
+    return LaurentPolynomial._trusted(poly.ctx, terms, _sorted_corners(unknown))
 
 
 # ---------------------------------------------------------------------------
@@ -479,7 +458,7 @@ def translate(poly, shift, budget):
     p = ctx.p
     prime_field = [ctx.element(b) for b in range(p)]
     minus_one = p - 1
-    unknown = {(m, 0) for m, _ in poly.unknown}
+    unknown = [(m, 0) for m, _ in poly.unknown]
     rows = []
     top = 0                 # the largest power of shift a row uses
     inv_top = 0             # the same for shift^-1; 0 without poles
@@ -488,7 +467,7 @@ def translate(poly, shift, budget):
             row = _binomial_row(n, p)
             top = max(top, n)
         else:
-            unknown.add((m, budget))
+            unknown.append((m, budget))
             row = _series_binomials(n, budget, p)
             inv_top = max(inv_top, -n, row[-1][0])
         rows.append((m, n, c, row))
@@ -519,4 +498,4 @@ def translate(poly, shift, budget):
                     terms[(m, j)] = s
                 else:
                     del terms[(m, j)]
-    return LaurentPolynomial._trusted(ctx, terms, _min_antichain(unknown))
+    return LaurentPolynomial._trusted(ctx, terms, _sorted_corners(unknown))

@@ -28,7 +28,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field as dataclass_field
 
-from .blowup import SimulationConfig, resolve, simulation_as_dict
+from .blowup import (SimulationConfig, check_point, resolve,
+                     simulation_as_dict)
 from .corpus import random_polynomial
 from .parsing import (format_polynomial, parse_field, parse_polynomial,
                       polynomial_as_triples)
@@ -121,10 +122,7 @@ def build_report(spec):
     with _stage("parse"):
         ctx = parse_field(spec.field)
         f = parse_polynomial(spec.expr, ctx)
-        if spec.branches not in (1, 2):
-            raise ValueError("type must be I or II")
-        if spec.branches == 1 and any(n < 0 for _, n in f.terms):
-            raise ValueError("a type I input admits no poles along t2")
+        check_point(f, spec.branches)
 
     inv = _invariants(f, spec.branches, spec.config)
     stair, sim = inv["staircase"], inv["sim"]

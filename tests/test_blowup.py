@@ -59,6 +59,28 @@ def test_one_branch_input_rejects_t2_poles():
         resolve(poly("t2^-1", F3), 1)
 
 
+def _no_reduction(f, *args, **kwargs):
+    raise AssertionError("the input reached the reduction")
+
+
+@pytest.mark.parametrize("branches", [1.0, 2.0, True, 0, 3])
+def test_resolve_refuses_a_point_that_is_not_one_or_two_branches(
+        monkeypatch, branches):
+    # refused before anything runs: a float or a bool equal to 1 is not
+    # read as one branch
+    monkeypatch.setattr(blowup, "good_representative", _no_reduction)
+    with pytest.raises(ValueError):
+        resolve(poly("t1^-2*t2", F3), branches)
+
+
+@pytest.mark.parametrize("name", ["ext_cap", "sweep_degree", "depth_cap",
+                                  "series_terms"])
+@pytest.mark.parametrize("value", [2.5, True])
+def test_simulation_config_refuses_floats_and_bools(name, value):
+    with pytest.raises(ValueError, match=name):
+        SimulationConfig(**{name: value})
+
+
 def _nonclean_children(f):
     """(label, branches) of each non-clean point that the first blow-up
     of f leaves, read off the first level of its resolution tree."""

@@ -164,6 +164,23 @@ def test_report_trivial():
     assert report.data["swans"] == {"t1": 0, "t2": 0, "E": 0}
 
 
+@pytest.mark.parametrize("branches, expr", [(1.0, "t1^-2"), (True, "t1^-2"),
+                                            (2.0, "t1^-2*t2"),
+                                            (1, "t1^-2*t2^-1")])
+def test_report_refuses_a_bad_point_at_the_parse_stage(monkeypatch, branches,
+                                                       expr):
+    # the check resolve makes, made before the conductors run
+    def no_reduction(f, *args, **kwargs):
+        raise AssertionError("the input reached the reduction")
+
+    monkeypatch.setattr(blowup, "good_representative", no_reduction)
+    monkeypatch.setattr(report, "conductors", no_reduction)
+    with pytest.raises(report.StageError) as caught:
+        build_report(InputSpec(field="3", branches=branches, expr=expr))
+    assert caught.value.stage == "parse"
+    assert isinstance(caught.value.original, ValueError)
+
+
 def test_report_nongood_is_classified_not_failed():
     report = build_report(InputSpec(field="2^1", branches=2,
                                     expr="t1^-2*t2 + t1^-4*t2^3"))

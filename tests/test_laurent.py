@@ -1,13 +1,14 @@
 import math
 import random
+from itertools import pairwise
 
 import pytest
 from hypothesis import given, strategies as st
 
 from wildram.fields import ContextMismatchError, embed, field
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
-                             _binomial_row, _certified, _min_antichain,
-                             _series_binomials, blowup_substitute,
+                             _binomial_row, _certified, _series_binomials,
+                             _sorted_corners, blowup_substitute,
                              leading_column, pole_staircase, translate,
                              transpose, undominated_unknowns, valuation)
 from wildram.parsing import parse_polynomial
@@ -43,6 +44,14 @@ def test_constructor_refuses_non_integer_exponents_and_corners():
     with pytest.raises(TypeError):
         LaurentPolynomial.monomial(one, 1.7, -2.2)
     assert LaurentPolynomial.monomial(one, 1, -2).support() == {(1, -2)}
+
+
+def test_constructor_keeps_corners_given_as_a_generator():
+    # the corners are read once: checking them must not use them up
+    f = LaurentPolynomial(F2, {(3, 4): F2.one()},
+                          unknown=(c for c in [(1, 2), (0, 5), (2, 3)]))
+    assert f.unknown == ((0, 5), (1, 2))
+    assert not f.is_exact
 
 
 def test_addition_cancels():
@@ -94,10 +103,10 @@ points = st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)), max_size=12)
 
 
 @given(points)
-def test_min_antichain_matches_quadratic_definition(pts):
+def test_sorted_corners_matches_quadratic_definition(pts):
     expected = {q for q in pts
                 if not any(r != q and r[0] <= q[0] and r[1] <= q[1] for r in pts)}
-    assert _min_antichain(pts) == expected
+    assert _sorted_corners(pts) == tuple(sorted(expected))
 
 
 def _in_region(f, e):
@@ -195,7 +204,7 @@ def test_translate_geometric_series():
     f = poly("t2^-1", F2)
     t = translate(f, F2.one(), 4)
     assert t.terms == poly("1 + t2 + t2^2 + t2^3", F2).terms
-    assert t.unknown == frozenset({(0, 4)})
+    assert t.unknown == ((0, 4),)
     assert min(n for _, n in t.unknown) == 4
 
 
@@ -294,7 +303,7 @@ def test_translate_matches_math_comb(base, shift_field):
                 assert got.ctx == shift_field
                 assert list(got.terms.items()) == list(
                     _naive_translate(f, shift, budget).items())
-                assert got.unknown == _min_antichain(
+                assert got.unknown == _sorted_corners(
                     (m, budget) for m, n in f.terms if n < 0)
 
 
@@ -471,7 +480,7 @@ def test_translate_long_series_matches_binomials():
                     if c:
                         expected[(0, j)] = c
                 assert list(got.terms.items()) == list(expected.items())
-                assert got.unknown == {(0, budget)}
+                assert got.unknown == ((0, budget),)
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +512,9 @@ def assert_same(got, expected):
     assert got.ctx == expected.ctx
     assert list(got.terms.items()) == list(expected.terms.items())
     assert all(c for c in got.terms.values())
-    assert isinstance(got.unknown, frozenset)
+    assert isinstance(got.unknown, tuple)
+    # minimal corners, sorted by m, so their n falls
+    assert all(a[0] < b[0] and a[1] > b[1] for a, b in pairwise(got.unknown))
     assert got.unknown == expected.unknown
 
 
@@ -540,7 +551,7 @@ def test_trusted_results_match_the_validating_constructor(pair, enc, budget):
         {(m, m + n) for m, n in f.unknown}))
     assert_same(f + g, LaurentPolynomial(
         ctx, _summed(ctx, list(f.terms.items()) + list(g.terms.items())),
-        f.unknown | g.unknown))
+        f.unknown + g.unknown))
     target = EXTENDED[ctx]
     assert_same(f.embed_into(target), LaurentPolynomial(
         target, {e: embed(c, target) for e, c in f.terms.items()}, f.unknown))
@@ -557,9 +568,9 @@ def test_charts_can_break_the_unknown_antichain():
     # and (1, 0) are not (nor are the chart-B images (0, 1) and (1, 1)):
     # the substitution must re-minimize the corners
     f = LaurentPolynomial(F3, {(-2, 0): F3.one()}, {(0, 1), (1, 0)})
-    assert f.unknown == {(0, 1), (1, 0)}
-    assert blowup_substitute(f, "A").unknown == {(1, 0)}
-    assert blowup_substitute(f, "B").unknown == {(0, 1)}
+    assert f.unknown == ((0, 1), (1, 0))
+    assert blowup_substitute(f, "A").unknown == ((1, 0),)
+    assert blowup_substitute(f, "B").unknown == ((0, 1),)
 
 
 def _reference_exact(f):
@@ -591,7 +602,7 @@ def _reference_valuation(f, axis):
     exact = _reference_exact(f)
     if not exact:
         if f.unknown or f.terms:
-            raise PrecisionLossError(min(f.unknown | set(f.terms)))
+            raise PrecisionLossError(min({*f.unknown, *f.terms}))
         return math.inf
     v = min(e[idx] for e in exact)
     bad = [u for u in f.unknown if u[idx] < v]
