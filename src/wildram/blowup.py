@@ -23,10 +23,10 @@ with no formula.  Two policies are implemented:
   (translate, reduce, staircase shape), so false candidates cost time,
   never correctness; completeness for deep cascades is the open risk.
 
-* sweep: test the points of the exceptional curve with coordinate in
-  F_{p^(k*sweep_degree)} directly, one per Frobenius orbit (below).
-  Authoritative on its field but expensive; the test suite pins
-  candidates == sweep on the corpus.
+* sweep: test directly the points of the exceptional curve with
+  coordinate in one field per run, F_{p^(k*sweep_degree)} for the input's
+  field F_{p^k}, one per Frobenius orbit (below).  Authoritative on that
+  field but expensive; the test suite pins candidates == sweep on corpora.
 
 Both policies feed one child enumeration: chart B's origin, chart A's
 origin, then the off-origin points.  An off-origin point is probed by the
@@ -58,18 +58,18 @@ What a round recomputes.  A node whose polynomial is exact does not
 depend on the budget, so one ``resolve`` call analyses it once and every
 later round reuses that analysis: the reduced representative and its
 node fields (drop cross-check passed), its two chart images, and, once
-the enumeration first reaches them, its off-origin points with the flag
-of a partial root search and their Frobenius orbits.  Each round still
-builds fresh nodes, translates the first point of every orbit at its own
-budget and analyses every truncated polynomial anew, so the tree, the
-probes and the run flags are those of a run from scratch.  Which orbits
-came out clean is known to one enumeration only, in one node and one
-round: a later round probes them again at its own budget.  One
-enumeration of a node's children embeds chart A once per field its
-points lie in, and keeps the images only while it runs.  The reuse lasts
-one call: two calls on the same input compute everything twice.  The
-result keeps the root's representative, so that callers read the input's
-reduction there instead of computing it again.
+the enumeration first reaches them, its off-origin points and their
+Frobenius orbits.  Each round still builds fresh nodes, translates the
+first point of every orbit at its own budget and analyses every
+truncated polynomial anew, so the tree, the probes and the run flags are
+those of a run from scratch.  Which orbits came out clean is known to
+one enumeration only, in one node and one round: a later round probes
+them again at its own budget.  One enumeration of a node's children
+embeds chart A once per field its points lie in, and keeps the images
+only while it runs.  The reuse lasts one call: two calls on the same
+input compute everything twice.  The result keeps the root's
+representative, so that callers read the input's reduction there instead
+of computing it again.
 
 The run flags of a result (``good_regime`` and the flags behind it) are
 read from the finished tree, so they depend only on the input, never on
@@ -114,7 +114,6 @@ class EscalationError(RuntimeError):
 @dataclass
 class SimulationConfig:
     mode: str = "candidates"      # or "sweep"
-    ext_cap: int = 6
     sweep_degree: int = 1
     depth_cap: int = 32
     series_terms: int = 16
@@ -124,7 +123,7 @@ class SimulationConfig:
         and not bools: a float or a ``True`` is refused, never truncated."""
         if self.mode not in ("candidates", "sweep"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name in ("ext_cap", "sweep_degree", "depth_cap", "series_terms"):
+        for name in ("sweep_degree", "depth_cap", "series_terms"):
             value = getattr(self, name)
             try:
                 if isinstance(value, bool):
@@ -133,7 +132,7 @@ class SimulationConfig:
             except TypeError:
                 raise ValueError(f"{name} must be an integer, "
                                  f"got {value!r}") from None
-        if self.depth_cap < 1 or self.sweep_degree < 1 or self.ext_cap < 1:
+        if self.depth_cap < 1 or self.sweep_degree < 1:
             raise ValueError("caps and degrees must be >= 1")
         if self.series_terms < 1:
             raise ValueError("series budget must be positive")
@@ -173,7 +172,6 @@ class BlowupNode:
 @dataclass
 class RunStats:
     """What one simulation run learns that its tree cannot show."""
-    partial_roots: bool = False
     used_truncation: bool = False
     representative: object = None     # the root's GoodRepresentative
 
@@ -182,9 +180,9 @@ class RunStats:
 class ResolutionResult:
     total: int
     root: BlowupNode
-    partial_roots: bool
     precision_escalations: int
     representative: object        # the input's, which the root was built from
+    partial_roots = False   # read by perfbench/workloads.py until ROADMAP item 4
 
     @property
     def constant_added_anywhere(self):
@@ -229,6 +227,9 @@ def resolve(f, branches, config=None):
     """
     config = config or SimulationConfig()
     check_point(f, branches)
+    # sweep mode probes one field per run, fixed by the input's field
+    sweep = (field(f.ctx.p, f.ctx.degree * config.sweep_degree)
+             if config.mode == "sweep" else None)
 
     budget = config.series_terms
     previous = None
@@ -237,8 +238,8 @@ def resolve(f, branches, config=None):
     while True:
         stats = RunStats()
         try:
-            root = _build_node(f, branches, "x", 0, config, budget, stats,
-                               seen)
+            root = _build_node(f, branches, "x", 0, config.depth_cap, sweep,
+                               budget, stats, seen)
         except PrecisionLossError:
             root = None
         if root is not None:
@@ -246,7 +247,6 @@ def resolve(f, branches, config=None):
             if signature is None or signature == previous:
                 return ResolutionResult(
                     total=root.total(), root=root,
-                    partial_roots=stats.partial_roots,
                     precision_escalations=escalations,
                     representative=stats.representative)
             previous = signature
@@ -262,16 +262,16 @@ class _NodeAnalysis:
     """What a node's polynomial determines at every series budget: the
     node's fields but its path, its good representative, the chart B and
     chart A images of that representative when the node is not clean, and
-    the off-origin points with their Frobenius orbits and the flag of a
-    partial root search, once searched."""
+    the off-origin points with their Frobenius orbits, once searched."""
     fields: dict
     representative: object
     charts: tuple = ()
     points: tuple = None
 
 
-def _build_node(poly, branches, path, depth, config, budget, stats, seen):
-    if depth > config.depth_cap:
+def _build_node(poly, branches, path, depth, depth_cap, sweep, budget, stats,
+                seen):
+    if depth > depth_cap:
         raise DepthCapError(path, None)
     if poly.is_exact:
         info = seen.get((poly, branches))
@@ -290,9 +290,10 @@ def _build_node(poly, branches, path, depth, config, budget, stats, seen):
     clean_orbits = set()    # off-origin orbits whose first point is clean
     try:
         for child_poly, child_branches, label, orbit in _blowup_children(
-                info, config, budget, stats, clean_orbits):
+                info, sweep, budget, clean_orbits):
             child = _build_node(child_poly, child_branches, f"{path}/{label}",
-                                depth + 1, config, budget, stats, seen)
+                                depth + 1, depth_cap, sweep, budget, stats,
+                                seen)
             # the chart origins stay in the tree even when clean
             if orbit is None or not child.clean:
                 children.append(child)
@@ -336,7 +337,7 @@ def _analyse(poly, branches, path):
     return info
 
 
-def _blowup_children(info, config, budget, stats, clean_orbits):
+def _blowup_children(info, sweep, budget, clean_orbits):
     """Every point that one blow-up of a non-clean node can leave
     non-clean, as (local polynomial, branch count, label, orbit): the
     origin of chart B, the origin of chart A (orbit None), then each
@@ -351,12 +352,9 @@ def _blowup_children(info, config, budget, stats, clean_orbits):
     yield second, 2, "B", None
     yield first, info.fields["branches"], "A", None
     if info.points is None:
-        points, partial = _off_origin_points(first, config)
-        info.points = (points, _frobenius_orbits(points, first.ctx.order),
-                       partial)
-    points, orbits, partial = info.points
-    if partial:
-        stats.partial_roots = True
+        points = _off_origin_points(first, sweep)
+        info.points = (points, _frobenius_orbits(points, first.ctx.order))
+    points, orbits = info.points
     images = {}
     for point, orbit in zip(points, orbits):
         if orbit in clean_orbits:
@@ -386,9 +384,8 @@ def leading_exceptional_column(chart_first):
     return -v, column
 
 
-def exceptional_candidates(chart_first, config):
-    """Candidate off-origin points in candidates mode (pre-certification),
-    and whether a root search behind them was partial.
+def exceptional_candidates(chart_first):
+    """Candidate off-origin points in candidates mode (pre-certification).
 
     Nonzero roots of the leading coefficient, plus nonzero roots of its
     formal derivative when p divides the pole order; each expressed in its
@@ -396,55 +393,50 @@ def exceptional_candidates(chart_first, config):
     """
     pole, column = leading_exceptional_column(chart_first)
     if pole <= 0 or not column:
-        return [], False
+        return []
     ctx = chart_first.ctx
     p = ctx.p
     points = {}
 
     def collect(coeff_map):
-        """Adds the nonzero roots of one coefficient map to points, and
-        returns whether their search was partial."""
+        """Adds the nonzero roots of one coefficient map to points."""
         if not coeff_map:
-            return False
+            return
         low = min(coeff_map)
         size = max(coeff_map) - low + 1
         coeffs = [ctx.zero()] * size
         for n, c in coeff_map.items():
             coeffs[n - low] = c
         if all(not c for c in coeffs):
-            return False
-        search = find_roots(coeffs, ext_cap=config.ext_cap)
-        for root, _mult in search.roots:
+            return
+        for root, _mult in find_roots(coeffs).roots:
             if root:
                 small = minimal_form(root)
                 points[(small.ctx.degree, small.encoding())] = small
-        return search.partial
 
-    partial = collect(column)
+    collect(column)
     if pole % p == 0:
         derivative = {}
         for n, c in column.items():
             scaled = c * (n % p)
             if scaled:
                 derivative[n - 1] = scaled
-        partial = collect(derivative) or partial
-    return [points[key] for key in sorted(points)], partial
+        collect(derivative)
+    return [points[key] for key in sorted(points)]
 
 
-def _off_origin_points(chart_first, config):
-    """The off-origin points to probe, and whether a root search behind
-    them was partial."""
-    if config.mode == "candidates":
-        return exceptional_candidates(chart_first, config)
-    base = chart_first.ctx
-    sweep_ctx = field(base.p, base.degree * config.sweep_degree)
+def _off_origin_points(chart_first, sweep):
+    """The off-origin points to probe: the candidates, or every nonzero
+    point of the run's sweep field, which holds every node field."""
+    if sweep is None:
+        return exceptional_candidates(chart_first)
     points = {}
-    for x in sweep_ctx.elements():
+    for x in sweep.elements():
         if not x:
             continue
         small = minimal_form(x)
         points[(small.ctx.degree, small.encoding())] = small
-    return [points[key] for key in sorted(points)], False
+    return [points[key] for key in sorted(points)]
 
 
 def _frobenius_orbits(points, q):

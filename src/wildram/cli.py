@@ -38,7 +38,6 @@ def _add_input_args(sub):
                      help="number of boundary branches through the point")
     sub.add_argument("--mode", default=defaults.mode,
                      choices=["candidates", "sweep"])
-    sub.add_argument("--ext-cap", type=int, default=defaults.ext_cap)
     sub.add_argument("--sweep-degree", type=int, default=defaults.sweep_degree)
     sub.add_argument("--depth-cap", type=int, default=defaults.depth_cap)
     sub.add_argument("--series-terms", type=int, default=defaults.series_terms)
@@ -47,8 +46,7 @@ def _add_input_args(sub):
 
 
 def _spec_from_args(args):
-    config = SimulationConfig(mode=args.mode, ext_cap=args.ext_cap,
-                              sweep_degree=args.sweep_degree,
+    config = SimulationConfig(mode=args.mode, sweep_degree=args.sweep_degree,
                               depth_cap=args.depth_cap,
                               series_terms=args.series_terms)
     return InputSpec(field=args.field,

@@ -43,12 +43,13 @@ image of w to the i-th power, and the log of the image of w is kept per
 context pair.  An untabulated field evaluates the coefficient polynomial
 at the image of the generator.
 
-Root finding over extension towers visits each extension degree up to a
-cap (never past the polynomial degree, since a root's minimal degree
-divides it).  Within a field of at most a few thousand elements the scan
-is exhaustive, which doubles as the oracle in the tests; past that the
-linear factors are isolated by gcd with X^(p^(k*d)) - X and separated by
-deterministic equal-degree splitting, so extension towers stay cheap.
+Root finding is complete: distinct-degree factorization over the
+coefficient field F_q gives the degrees d of the irreducible factors, and
+only those F_{q^d} are searched, each for the roots of its own part.
+Within a field of at most a few thousand elements the scan is
+exhaustive, which doubles as the oracle in the tests; past that the
+linear factors are isolated by gcd with X^(q^d) - X and separated by
+deterministic equal-degree splitting.
 """
 
 from __future__ import annotations
@@ -692,13 +693,13 @@ def _fgcd(a, b, ctx):
 
 
 def _fpowmod(base, exponent, modulus, ctx):
-    result = [ctx.one()]
-    base = _fdivmod(base, modulus, ctx)[1]
-    while exponent:
-        if exponent & 1:
+    """base^exponent mod modulus for exponent >= 1, squaring and
+    multiplying from the leading bit down."""
+    base = result = _fdivmod(base, modulus, ctx)[1]
+    for bit in bin(exponent)[3:]:
+        result = _fdivmod(_fmul(result, result, ctx), modulus, ctx)[1]
+        if bit == "1":
             result = _fdivmod(_fmul(result, base, ctx), modulus, ctx)[1]
-        base = _fdivmod(_fmul(base, base, ctx), modulus, ctx)[1]
-        exponent >>= 1
     return result
 
 
@@ -798,40 +799,48 @@ class RootSearch:
     """Roots of a univariate polynomial over extension fields.
 
     Each entry is (root, multiplicity) with the root expressed in the
-    smallest extension of the coefficient field containing it.  `partial`
-    is set when roots of degree above the search cap may remain.
+    smallest extension of the coefficient field containing it.  The
+    search is complete: every root is found.
     """
     roots: list
-    partial: bool
+    partial = False     # read by perfbench/spans.py until ROADMAP item 4
 
 
-def find_roots(coeffs, ext_cap=6):
-    """All roots of a nonzero polynomial in F_{p^(k*d)} for d <= ext_cap.
+def find_roots(coeffs):
+    """All roots of a nonzero polynomial over F_q, with multiplicity, each
+    in the smallest extension F_{q^d} that contains it, by d, then by
+    encoding.
 
-    Roots already present in a smaller extension are skipped, so every
-    root is tagged with its minimal field.  A root generates an extension
-    of degree at most deg(q), so the search is additionally capped there,
-    and it stops early once multiplicities account for the full degree.
+    Distinct-degree factorization: with every factor of degree below d
+    divided out of rest, gcd(X^(q^d) - X, rest) is the product of the
+    distinct irreducible factors of degree d.  Dividing them out as often
+    as they divide leaves the part of degree d, whose roots lie in F_{q^d}
+    and in no smaller extension, and that part alone is searched there.
+    Once 2d > deg(rest), rest is irreducible or constant, so the search
+    is complete.
     """
-    coeffs = list(coeffs)
-    deg = poly_degree(coeffs)
-    if deg < 0:
+    coeffs = _ftrim(coeffs)
+    if not coeffs:
         raise ValueError("root finding on the zero polynomial")
-    if ext_cap < 1:
-        raise ValueError("ext_cap must be >= 1")
     base = coeffs[0].ctx
+    inv_lead = coeffs[-1].inverse()
+    rest = [c * inv_lead for c in coeffs]
+    x = h = [base.zero(), base.one()]
+    parts, d = [], 0        # (d, the part of degree d)
+    while 2 * (d + 1) < len(rest):
+        d += 1
+        h = _fpowmod(h, base.order, rest, base)
+        g = _fgcd(_fsub(h, x, base), rest, base)
+        part = [base.one()]
+        while len(g) > 1:
+            rest = _fdivmod(rest, g, base)[0]
+            part = _fmul(part, g, base)
+            g = _fgcd(g, rest, base)
+        parts.append((d, part))
+    parts.append((len(rest) - 1, rest))
     found = []
-    mult_total = 0
-    for d in range(1, min(ext_cap, max(deg, 1)) + 1):
-        if mult_total >= deg:
-            break
-        ext = field(base.p, base.degree * d)
-        lifted = [embed(c, ext) for c in coeffs]
-        proper = [dd for dd in _divisors(d) if dd < d]
-        for x, mult in _roots_in_field(lifted, ext):
-            if any(x ** (base.p ** (base.degree * dd)) == x for dd in proper):
-                continue
-            found.append((x, mult))
-            mult_total += mult
-    partial = mult_total < deg
-    return RootSearch(roots=found, partial=partial)
+    for d, part in parts:
+        if len(part) > 1:
+            ext = field(base.p, base.degree * d)
+            found.extend(_roots_in_field([embed(c, ext) for c in part], ext))
+    return RootSearch(roots=found)

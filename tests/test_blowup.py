@@ -11,7 +11,7 @@ from wildram.blowup import (CrossCheckError, DepthCapError, SimulationConfig,
                             leading_exceptional_column, resolve,
                             simulation_as_dict, tree_as_dict, tree_as_dot)
 from wildram.corpus import random_polynomial
-from wildram.fields import RootSearch, field
+from wildram.fields import field
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
                              blowup_substitute, pole_staircase)
 from wildram.parsing import parse_polynomial
@@ -73,7 +73,7 @@ def test_resolve_refuses_a_point_that_is_not_one_or_two_branches(
         resolve(poly("t1^-2*t2", F3), branches)
 
 
-@pytest.mark.parametrize("name", ["ext_cap", "sweep_degree", "depth_cap",
+@pytest.mark.parametrize("name", ["sweep_degree", "depth_cap",
                                   "series_terms"])
 @pytest.mark.parametrize("value", [2.5, True])
 def test_simulation_config_refuses_floats_and_bools(name, value):
@@ -116,8 +116,7 @@ def test_candidate_points_from_leading_coefficient():
     # leading coefficient along the exceptional curve is v^2 + v
     f = poly("t1^-2*t2 + t1^-3*t2^2", F2)
     chart = blowup_substitute(good_representative(f).g, "A")
-    candidates, partial = exceptional_candidates(chart, SimulationConfig())
-    assert not partial
+    candidates = exceptional_candidates(chart)
     assert [c.encoding() for c in candidates] == [1]
     # the candidate certifies clean, so it is not a child
     assert _off_origin_labels(f) == []
@@ -219,6 +218,22 @@ def test_constant_repair_after_a_reduction_agrees_across_modes(text, total):
         assert swept.root.signature() == direct.root.signature()
         for flag in RUN_FLAGS:
             assert getattr(swept, flag) == getattr(direct, flag), flag
+
+
+def test_sweep_mode_sweeps_one_field_per_run(monkeypatch):
+    # the non-clean points lie in F_64, the run's sweep field for F_4 and
+    # degree 3; below them the sweep stays in F_64 instead of growing to
+    # F_{2^18}, and gives candidates mode's tree and flags
+    original = blowup.minimal_form
+
+    def within_f64(x):
+        assert 6 % x.ctx.degree == 0, f"a point of {x.ctx}"
+        return original(x)
+
+    monkeypatch.setattr(blowup, "minimal_form", within_f64)
+    f = poly("t1^3*t2^-4 + t1*t2^3 + g*t1^-3*t2^2", field(2, 2))
+    _, swept = _resolve_in_both_modes(f)
+    assert swept.total == 39 and not swept.good_regime
 
 
 def test_result_keeps_the_root_representative():
@@ -324,26 +339,6 @@ def test_a_corrupt_corner_summary_fails_the_drop_cross_check(monkeypatch,
     monkeypatch.setattr(laurent, "_certified_corners", without_leftmost)
     with pytest.raises(CrossCheckError):
         resolve(poly(expr, ctx), 2)
-
-
-@pytest.mark.parametrize("partial_calls", [None, 1])
-def test_reused_points_still_report_a_partial_search(monkeypatch,
-                                                     partial_calls):
-    # every search reports partial, or only the first one: the root's,
-    # which runs in the first round alone and is reused by the later ones
-    original = blowup.find_roots
-    calls = []
-
-    def partial(coeffs, ext_cap=6):
-        calls.append(coeffs)
-        return RootSearch(roots=original(coeffs, ext_cap).roots,
-                          partial=partial_calls is None
-                          or len(calls) <= partial_calls)
-
-    monkeypatch.setattr(blowup, "find_roots", partial)
-    result = resolve(poly(ESCALATING, F2), 2)
-    assert result.precision_escalations >= 1
-    assert result.partial_roots
 
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -493,16 +488,41 @@ def test_children_order_is_chart_then_points():
     assert all("@v=" in rest for rest in labels[2:])
 
 
-def test_candidates_flag_a_partial_root_search():
-    # the leading coefficient v^2 + v + 1 has its roots in F_4 only, which
-    # an extension cap of 1 does not reach
+def test_candidates_include_roots_in_an_extension():
+    # the leading coefficient v^2 + v + 1 has its roots in F_4 only
     f = poly("t1^-1 + t1^-2*t2 + t1^-3*t2^2", F2)
     chart = blowup_substitute(good_representative(f).g, "A")
-    assert exceptional_candidates(chart, SimulationConfig(ext_cap=1)) == (
-        [], True)
-    points, partial = exceptional_candidates(chart, SimulationConfig())
+    points = exceptional_candidates(chart)
     assert [(c.ctx.degree, c.encoding()) for c in points] == [(2, 2), (2, 3)]
-    assert not partial
+
+
+def test_candidates_find_the_roots_of_an_irreducible_septic_column():
+    # the exceptional leading column v^7 + v + 1 is irreducible over F_2,
+    # so its seven roots lie in F_128 and in no smaller extension
+    f = poly("t1^-10*t2^7 + t1^-4*t2 + t1^-3", F2)
+    chart = blowup_substitute(good_representative(f).g, "A")
+    points = exceptional_candidates(chart)
+    assert [c.ctx for c in points] == [field(2, 7)] * 7
+    result = resolve(f, 2)
+    assert result.total == 49 and not result.partial_roots
+
+
+def test_candidates_search_a_column_whose_roots_need_f_8192(monkeypatch):
+    # a degree-13 leading column over F_2: its roots lie in F_8192, above
+    # the table cap, and are split there by the equal-degree split; they
+    # form one Frobenius orbit, probed through its first point
+    probed = []
+    original = blowup.translate
+
+    def recorded(f, point, budget):
+        probed.append(point.ctx)
+        return original(f, point, budget)
+
+    monkeypatch.setattr(blowup, "translate", recorded)
+    f = poly("t1^-16*t2^13 + t1^-7*t2^4 + t1^-6*t2^3 + t1^-4*t2 + t1^-3",
+             F2)
+    assert resolve(f, 2).total == 169
+    assert probed == [field(2, 13)]
 
 
 def test_derivative_rule_finds_cascade_point():
@@ -512,8 +532,7 @@ def test_derivative_rule_finds_cascade_point():
     # can propose it
     f = poly("t1^-4*t2 + t1^-5*t2^2", F3)
     chart = blowup_substitute(good_representative(f).g, "A")
-    candidates, partial = exceptional_candidates(chart, SimulationConfig())
-    assert not partial
+    candidates = exceptional_candidates(chart)
     assert sorted(c.encoding() for c in candidates) == [1, 2]
     # only v = 1 certifies non-clean
     assert _off_origin_labels(f) == ["A@v=1"]

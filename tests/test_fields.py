@@ -188,12 +188,12 @@ def test_find_roots_multiplicity():
 
 def test_find_roots_partial_flag():
     f2 = field(2)
-    # x^3 + x + 1 is irreducible; with ext_cap 2 its roots are missed
+    # x^3 + x + 1 is irreducible: all three roots lie in F_8, with no cap
+    # on the extension degree, and the search is never partial
     coeffs = [f2.one(), f2.one(), f2.zero(), f2.one()]
-    search = find_roots(coeffs, ext_cap=2)
-    assert search.partial and not search.roots
-    search = find_roots(coeffs, ext_cap=3)
-    assert not search.partial and len(search.roots) == 3
+    search = find_roots(coeffs)
+    assert not search.partial
+    assert [(r.ctx, m) for r, m in search.roots] == [(field(2, 3), 1)] * 3
 
 
 def test_find_roots_zero_polynomial_rejected():
@@ -201,22 +201,22 @@ def test_find_roots_zero_polynomial_rejected():
         find_roots([field(2).zero()])
 
 
-@pytest.mark.parametrize("p,k,ext", [(2, 1, 3), (3, 1, 2), (2, 2, 2), (5, 1, 1)])
-def test_find_roots_against_exhaustive_evaluation(p, k, ext):
-    # oracle: direct evaluation over every element of every extension with
-    # p^(k*d) <= 4096, normalized to minimal fields
-    import random
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 1), (2, 2), (5, 1)])
+def test_find_roots_against_exhaustive_evaluation(p, k):
+    # oracle: direct evaluation over every element of every extension of
+    # degree d <= deg, normalized to minimal fields; for these fields and
+    # degrees every such extension has order <= 4096
     rng = random.Random(42)
     base = field(p, k)
     for _ in range(25):
         deg = rng.randint(1, 4)
         coeffs = [base.from_encoding(rng.randrange(base.order)) for _ in range(deg)]
         coeffs.append(base.from_encoding(rng.randrange(1, base.order)))
-        search = find_roots(coeffs, ext_cap=ext)
+        search = find_roots(coeffs)
         got = {(minimal_form(r).ctx.degree, minimal_form(r).encoding())
                for r, _ in search.roots}
         expected = set()
-        for d in range(1, ext + 1):
+        for d in range(1, deg + 1):
             top = field(p, k * d)
             lifted = [embed(c, top) for c in coeffs]
             for x in top.elements():
@@ -224,6 +224,49 @@ def test_find_roots_against_exhaustive_evaluation(p, k, ext):
                     mf = minimal_form(x)
                     expected.add((mf.ctx.degree, mf.encoding()))
         assert got == expected
+
+
+def _minimal_polynomial(a, base):
+    """The minimal polynomial of a over base (low degree first), and the
+    conjugates of a under x -> x^q, for q the order of base."""
+    conjugates = [a]
+    while conjugates[-1] ** base.order != a:
+        conjugates.append(conjugates[-1] ** base.order)
+    poly = [a.ctx.one()]
+    for c in conjugates:
+        poly = fields._fmul(poly, [-c, a.ctx.one()], a.ctx)
+    return [subfield_preimage(c, base) for c in poly], conjugates
+
+
+@pytest.mark.parametrize("p,k,top", [(2, 1, 8), (3, 1, 6), (2, 2, 6)])
+def test_find_roots_on_products_of_minimal_polynomials(p, k, top):
+    # f is a product of minimal polynomials of random elements of degree
+    # <= top over F_q, with multiplicities; the expected roots are their
+    # conjugates, each in F_{q^d} for its degree d, listed by degree, then
+    # by encoding.  Every multiplicity of the last trial is p, so there
+    # f is a p-th power and f' = 0.
+    rng = random.Random(5)
+    base = field(p, k)
+    for trial in range(12):
+        f = [base.one()]
+        expected = {}
+        for _ in range(rng.randint(1, 3)):
+            big = field(p, k * rng.randint(1, top))
+            a = big.from_encoding(rng.randrange(big.order))
+            mult = p if trial == 11 else rng.choice([1, 1, 2, p])
+            minimal, conjugates = _minimal_polynomial(a, base)
+            for _ in range(mult):
+                f = fields._fmul(f, minimal, base)
+            own = field(p, k * len(conjugates))
+            for c in conjugates:
+                root = subfield_preimage(c, own)
+                key = (len(conjugates), root.encoding())
+                expected[key] = expected.get(key, 0) + mult
+        if trial == 11:
+            assert all(not (c * i) for i, c in enumerate(f))
+        got = [(r.ctx.degree // k, r.encoding(), m)
+               for r, m in find_roots(f).roots]
+        assert got == [key + (m,) for key, m in sorted(expected.items())]
 
 
 def test_roots_in_field_large_field_path():
