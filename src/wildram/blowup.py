@@ -399,8 +399,10 @@ def exceptional_candidates(chart_first):
     points = {}
 
     def collect(coeff_map):
-        """Adds the nonzero roots of one coefficient map to points."""
-        if not coeff_map:
+        """Adds the nonzero roots of one coefficient map to points.  A map
+        of fewer than two terms is empty or c*v^n, which has no nonzero
+        root, so no root search runs on it."""
+        if len(coeff_map) < 2:
             return
         low = min(coeff_map)
         size = max(coeff_map) - low + 1

@@ -15,10 +15,13 @@ splits into the two corner profiles seen at the two crossing points on the
 exceptional curve (the images under the exponent maps (a,b) -> (a, b-a)
 and (a,b) -> (a-b, b), filtered back to minimal corners, by ``split``),
 and the step contributes e*(e-1) or e**2 where e is the drop of the Swan
-conductor sum across the blow-up.  The recursion admits a closed form:
-twice the area between the essential hull of the staircase and its
-baseline, corrected by (t-2)*(a_k-a_0) for a point on t boundary
-branches.  Both routes are implemented and cross-checked, along with a
+conductor sum across the blow-up.  Most steps of a deep recursion are on
+two points, where one comparison of b_0 - a_0 with b_1 - a_1 decides
+both filters; ``split`` takes that case without its passes, and it is
+the definition read for two points, so the children are the same.  The
+recursion admits a closed form: twice the area between the essential
+hull of the staircase and its baseline, corrected by (t-2)*(a_k-a_0)
+for a point on t boundary branches.  Both routes are implemented and cross-checked, along with a
 proven upper bound for the blow-up total.
 
 Slope comparisons are exact (cross multiplication); no rationals, no
@@ -153,16 +156,21 @@ def end_conductors(stair):
 def swan_drop(stair):
     """Drop of the Swan conductor sum across one blow-up, read off the
     staircase: the two end_conductors minus max(max_diagonal, 0), the
-    conductor along the exceptional curve.
+    conductor along the exceptional curve, that is
 
-    The value is 0 for the empty staircase and >= 0 for every valid
+        max(a_k, 0) + max(-b_0, 0) - max(max_i (a_i - b_i), 0).
+
+    The recursion reads it at every step, so it is one expression over
+    a_k, b_0 and the diagonals, with no helper calls; end_conductors and
+    max_diagonal stay its definition, and the tests' oracle for it.  The
+    value is 0 for the empty staircase and >= 0 for every valid
     staircase; a negative result would indicate corrupted input and
     raises.
     """
     if not stair:
         return 0
-    sw1, sw2 = end_conductors(stair)
-    value = sw1 + sw2 - max(max_diagonal(stair), 0)
+    value = (max(stair[-1][0], 0) + max(-stair[0][1], 0)
+             - max(max([a - b for a, b in stair]), 0))
     if value < 0:
         raise StaircaseError(f"negative conductor drop {value} for {stair!r}")
     return value
@@ -181,6 +189,12 @@ def blowup_term(drop, branches):
 # the two chart transforms
 # ---------------------------------------------------------------------------
 
+# the index sets of a two-point staircase
+_BOTH = (0, 1)
+_HEAD = (0,)
+_TAIL = (1,)
+
+
 def split(stair):
     """The index sets and children at the two crossing points of a blow-up.
 
@@ -196,10 +210,36 @@ def split(stair):
     from that end point and compares integers only.  The crossing child
     (a_j, b_j - a_j) over `first` and the continuation child
     (a_j - b_j, b_j) over `second` are built in the same passes, and
-    `Staircase._from_ints` checks their order.  `_recurse` looks this
-    function up at each step, so a test can replace it with a wrong
-    filter and check that the closed form and the corpus catch it.
+    `Staircase._from_ints` checks their order.
+
+    Most steps of a deep recursion are on two points, and there the two
+    differences d_0 = b_0 - a_0 and d_1 = b_1 - a_1 decide both filters
+    without a pass: index 0 is in `first` iff d_0 < d_1, and index 1 is
+    in `second` iff a_1 - b_1 > a_0 - b_0, that is iff d_0 > d_1.  So
+    d_0 < d_1 keeps both points in the crossing child, d_0 > d_1 keeps
+    both in the continuation child, and d_0 = d_1 leaves one point in
+    each: (a_1, d_1) and (-d_0, b_0).  This is the definition read for
+    k = 1, so the case is exact.
+
+    `_recurse` looks this function up at each step, so a test can replace
+    it with a wrong filter and check that the closed form and the corpus
+    catch it.
     """
+    if len(stair) == 2:
+        (a0, b0), (a1, b1) = stair
+        d0 = b0 - a0
+        d1 = b1 - a1
+        if d0 < d1:
+            return (_BOTH, _HEAD,
+                    Staircase._from_ints(((a0, d0), (a1, d1))),
+                    Staircase._from_ints(((-d0, b0),)))
+        if d0 > d1:
+            return (_TAIL, _BOTH,
+                    Staircase._from_ints(((a1, d1),)),
+                    Staircase._from_ints(((-d0, b0), (-d1, b1))))
+        return (_TAIL, _HEAD,
+                Staircase._from_ints(((a1, d1),)),
+                Staircase._from_ints(((-d0, b0),)))
     _require_nonempty(stair, "split")
     # one pass from the right: `tail` is the min of b_i - a_i over i > j
     last = len(stair) - 1

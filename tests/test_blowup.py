@@ -525,6 +525,32 @@ def test_candidates_search_a_column_whose_roots_need_f_8192(monkeypatch):
     assert probed == [field(2, 13)]
 
 
+def test_candidates_search_no_constant(monkeypatch):
+    # a map of one term c*v^n has no nonzero root, so no root search runs
+    # on it; this input meets two exceptional columns of one term, which
+    # used to reach find_roots as constants
+    searched, one_term = [], []
+    original_roots = blowup.find_roots
+    original_column = blowup.leading_exceptional_column
+
+    def roots(coeffs):
+        searched.append(len(coeffs))
+        return original_roots(coeffs)
+
+    def column(chart):
+        pole, col = original_column(chart)
+        if pole > 0 and len(col) == 1:
+            one_term.append(pole)
+        return pole, col
+
+    monkeypatch.setattr(blowup, "find_roots", roots)
+    monkeypatch.setattr(blowup, "leading_exceptional_column", column)
+    result = resolve(poly("t1^-4*t2 + t1^-5*t2^2", F3), 2)
+    assert result.total == 9
+    assert len(one_term) == 2
+    assert searched == [2, 2, 3]
+
+
 def test_derivative_rule_finds_cascade_point():
     # over F_3 with leading coefficient v + v^2: v = 1 is not a root
     # (L(1) = 2) but kills the derivative, and after the corner-reduction

@@ -190,6 +190,35 @@ def test_report_nongood_is_classified_not_failed():
     assert not verdict["good_regime"]
 
 
+# ROADMAP item 11: type I over F_3, t1^-a*t2^2 + t1^-a + t1^-b*t2^3, where
+# the simulated r_x exceeds ramification_bound; the last field is the
+# recursion's total
+BOUND_FAMILY = [
+    ("t1^-1*t2^2 + t1^-1 + t1^-2*t2^3", 5, 4, 2),
+    ("t1^-2*t2^2 + t1^-2 + t1^-4*t2^3", 10, 8, 4),
+    ("t1^-3*t2^2 + t1^-3 + t1^-5*t2^3", 11, 10, 8),
+    ("t1^-4*t2^2 + t1^-4 + t1^-8*t2^3", 20, 16, 8),
+]
+
+
+def _bound_verdict(expr):
+    return build_report(InputSpec(field="3", branches=1, expr=expr)).verdicts[
+        "bound_holds"]
+
+
+@pytest.mark.parametrize("expr, r_x, bound, recursive", BOUND_FAMILY)
+def test_bound_family_values(expr, r_x, bound, recursive):
+    verdict = _bound_verdict(expr)
+    assert (verdict["r_x"], verdict["bound"], verdict["recursive"]) == (
+        r_x, bound, recursive)
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 11")
+@pytest.mark.parametrize("expr", [case[0] for case in BOUND_FAMILY])
+def test_bound_holds_on_the_bound_family(expr):
+    assert _bound_verdict(expr)["pass"]
+
+
 def test_report_materializes_the_witness_once(monkeypatch):
     calls = []
     original = reduction.artin_schreier_root

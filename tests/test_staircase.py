@@ -126,7 +126,9 @@ def test_swan_drop_values():
 
 
 def test_swan_drop_of_empty_staircase_is_zero():
-    assert swan_drop(Staircase()) == 0
+    # the empty staircase has no diagonal term, so only the end
+    # conductors of its definition remain
+    assert swan_drop(Staircase()) == 0 == sum(end_conductors(Staircase()))
 
 
 def test_swan_drop_refuses_a_negative_drop():
@@ -172,6 +174,9 @@ def test_index_sets_examples():
     assert split(S((0, 0), (1, 2))) == ((0, 1), (0,), S((0, 0), (1, 1)),
                                         S((0, 0)))
     assert split(S((4, -1))) == ((0,), (0,), S((4, -5)), S((5, -1)))
+    # equal differences b_j - a_j: one point in each child
+    assert split(S((1, -4), (6, 1))) == ((1,), (0,), S((6, -5)),
+                                         S((5, -4)))
 
 
 def test_index_sets_always_keep_endpoints():
@@ -407,6 +412,32 @@ def test_index_sets_match_quadratic_filters(stair):
     # the index sets from the quadratic filters, the children from their
     # definition over those sets
     assert split(stair) == reference_split(stair)
+
+
+@st.composite
+def two_point_staircases(draw, spread=2000):
+    # the first point anywhere, the second above and to its right; one
+    # draw in three forces b_1 - a_1 = b_0 - a_0, where both children are
+    # single points
+    a0 = draw(st.integers(-spread, spread - 1))
+    b0 = draw(st.integers(-spread, spread - 1))
+    if draw(st.integers(0, 2)) == 0:
+        step = draw(st.integers(1, spread - max(a0, b0)))
+        return Staircase([(a0, b0), (a0 + step, b0 + step)])
+    a1 = draw(st.integers(a0 + 1, spread))
+    b1 = draw(st.integers(b0 + 1, spread))
+    return Staircase([(a0, b0), (a1, b1)])
+
+
+@given(two_point_staircases())
+def test_two_point_split_matches_quadratic_filters(stair):
+    assert split(stair) == reference_split(stair)
+
+
+@given(long_staircases())
+def test_swan_drop_is_its_definition(stair):
+    sw1, sw2 = end_conductors(stair)
+    assert swan_drop(stair) == sw1 + sw2 - max(max_diagonal(stair), 0)
 
 
 def _step_record(trace):
