@@ -59,17 +59,27 @@ depend on the budget, so one ``resolve`` call analyses it once and every
 later round reuses that analysis: the reduced representative and its
 node fields (drop cross-check passed), its two chart images, and, once
 the enumeration first reaches them, its off-origin points and their
-Frobenius orbits.  Each round still builds fresh nodes, translates the
-first point of every orbit at its own budget and analyses every
-truncated polynomial anew, so the tree, the probes and the run flags are
-those of a run from scratch.  Which orbits came out clean is known to
-one enumeration only, in one node and one round: a later round probes
-them again at its own budget.  One enumeration of a node's children
-embeds chart A once per field its points lie in, and keeps the images
-only while it runs.  The reuse lasts one call: two calls on the same
-input compute everything twice.  The result keeps the root's
-representative, so that callers read the input's reduction there instead
-of computing it again.
+Frobenius orbits.  In sweep mode the points are those of the sweep
+field at every node, so a call lists them once, and takes their orbits
+once per field order of the charts.  Each round still builds fresh
+nodes, translates the first point of every orbit at its own budget and
+analyses every truncated polynomial anew, so the tree, the probes and
+the run flags are those of a run from scratch.  Which orbits came out
+clean is known to one enumeration only, in one node and one round: a
+later round probes them again at its own budget.  One enumeration of a
+node's children embeds chart A once per field its points lie in, and
+keeps the images only while it runs.
+
+The analyses live in a memo keyed by (exact polynomial, branches, sweep
+field or None), with polynomials compared by value (field, terms and
+unknown corners).  A call keeps its own memo unless the caller passes
+one, and a caller may pass one memo to several calls: a report does so
+for its input and its perturbation, whose trees often share nodes.  An
+analysis depends only on its key, so a hit gives what analysing again
+would give, and each call still builds its own tree from it; without a
+shared memo, two calls on the same input compute everything twice.  The
+result keeps the root's representative, so that callers read the
+input's reduction there instead of computing it again.
 
 The run flags of a result (``good_regime`` and the flags behind it) are
 read from the finished tree, so they depend only on the input, never on
@@ -219,27 +229,28 @@ def check_point(f, branches):
         raise ValueError("a one-branch point admits no poles along t2")
 
 
-def resolve(f, branches, config=None):
+def resolve(f, branches, config=None, *, memo=None):
     """Compute the blow-up total for the cover defined by f at the origin.
 
     `branches` is 1 when the boundary is {t1 = 0} and 2 when it is
-    {t1*t2 = 0}; ``check_point`` refuses any other input.
+    {t1*t2 = 0}; ``check_point`` refuses any other input.  `memo` is a
+    dict of exact-node analyses that the caller may pass to several calls
+    (see the module docstring); without it the call keeps its own.
     """
     config = config or SimulationConfig()
     check_point(f, branches)
     # sweep mode probes one field per run, fixed by the input's field
     sweep = (field(f.ctx.p, f.ctx.degree * config.sweep_degree)
              if config.mode == "sweep" else None)
+    call = _Call(config.depth_cap, sweep, {} if memo is None else memo)
 
     budget = config.series_terms
     previous = None
     escalations = 0
-    seen = {}       # (exact polynomial, branches) -> its _NodeAnalysis
     while True:
         stats = RunStats()
         try:
-            root = _build_node(f, branches, "x", 0, config.depth_cap, sweep,
-                               budget, stats, seen)
+            root = _build_node(f, branches, "x", 0, call, budget, stats)
         except PrecisionLossError:
             root = None
         if root is not None:
@@ -269,14 +280,52 @@ class _NodeAnalysis:
     points: tuple = None
 
 
-def _build_node(poly, branches, path, depth, depth_cap, sweep, budget, stats,
-                seen):
-    if depth > depth_cap:
+class _Call:
+    """What one ``resolve`` call keeps across its rounds: the depth cap,
+    the sweep field (None in candidates mode), the memo of exact-node
+    analyses, and in sweep mode the sweep field's points, listed on first
+    use, with their Frobenius orbits once per chart-field order."""
+
+    def __init__(self, depth_cap, sweep, memo):
+        self.depth_cap = depth_cap
+        self.sweep = sweep
+        self.memo = memo    # (exact polynomial, branches, sweep) -> analysis
+        self.sweep_points = None
+        self.sweep_orbits = {}      # chart-field order -> orbits
+
+    def analysis(self, poly, branches, path):
+        """The analysis of an exact polynomial, analysed once per memo.
+        The key holds the sweep field because the points searched depend
+        on it, and the branches because the node fields do."""
+        key = (poly, branches, self.sweep)
+        info = self.memo.get(key)
+        if info is None:
+            info = self.memo[key] = _analyse(poly, branches, path)
+        return info
+
+    def off_origin_points(self, chart_first):
+        """The off-origin points to probe below a chart A image, with
+        their Frobenius orbits under x -> x^q, F_q the chart's field: the
+        candidates of the image, or every nonzero point of the sweep
+        field, which holds every node field."""
+        q = chart_first.ctx.order
+        if self.sweep is None:
+            points = exceptional_candidates(chart_first)
+            return points, _frobenius_orbits(points, q)
+        if self.sweep_points is None:
+            self.sweep_points = _field_points(self.sweep)
+        orbits = self.sweep_orbits.get(q)
+        if orbits is None:
+            orbits = self.sweep_orbits[q] = _frobenius_orbits(
+                self.sweep_points, q)
+        return self.sweep_points, orbits
+
+
+def _build_node(poly, branches, path, depth, call, budget, stats):
+    if depth > call.depth_cap:
         raise DepthCapError(path, None)
     if poly.is_exact:
-        info = seen.get((poly, branches))
-        if info is None:
-            info = seen[(poly, branches)] = _analyse(poly, branches, path)
+        info = call.analysis(poly, branches, path)
     else:
         stats.used_truncation = True
         info = _analyse(poly, branches, path)
@@ -290,10 +339,9 @@ def _build_node(poly, branches, path, depth, depth_cap, sweep, budget, stats,
     clean_orbits = set()    # off-origin orbits whose first point is clean
     try:
         for child_poly, child_branches, label, orbit in _blowup_children(
-                info, sweep, budget, clean_orbits):
+                info, call, budget, clean_orbits):
             child = _build_node(child_poly, child_branches, f"{path}/{label}",
-                                depth + 1, depth_cap, sweep, budget, stats,
-                                seen)
+                                depth + 1, call, budget, stats)
             # the chart origins stay in the tree even when clean
             if orbit is None or not child.clean:
                 children.append(child)
@@ -337,7 +385,7 @@ def _analyse(poly, branches, path):
     return info
 
 
-def _blowup_children(info, sweep, budget, clean_orbits):
+def _blowup_children(info, call, budget, clean_orbits):
     """Every point that one blow-up of a non-clean node can leave
     non-clean, as (local polynomial, branch count, label, orbit): the
     origin of chart B, the origin of chart A (orbit None), then each
@@ -345,15 +393,14 @@ def _blowup_children(info, sweep, budget, clean_orbits):
     chart A, unless the caller has put its Frobenius orbit into
     clean_orbits.  Lazy, so that a failure while the caller handles one
     child stops the enumeration there, and so that a point sees every
-    orbit found clean before it; the points and their orbits are computed
-    once per analysis, and chart A is embedded once per point field and
-    enumeration."""
+    orbit found clean before it; the points and their orbits are searched
+    once per analysis (in sweep mode listed once per call), and chart A is
+    embedded once per point field and enumeration."""
     second, first = info.charts
     yield second, 2, "B", None
     yield first, info.fields["branches"], "A", None
     if info.points is None:
-        points = _off_origin_points(first, sweep)
-        info.points = (points, _frobenius_orbits(points, first.ctx.order))
+        info.points = call.off_origin_points(first)
     points, orbits = info.points
     images = {}
     for point, orbit in zip(points, orbits):
@@ -427,13 +474,11 @@ def exceptional_candidates(chart_first):
     return [points[key] for key in sorted(points)]
 
 
-def _off_origin_points(chart_first, sweep):
-    """The off-origin points to probe: the candidates, or every nonzero
-    point of the run's sweep field, which holds every node field."""
-    if sweep is None:
-        return exceptional_candidates(chart_first)
+def _field_points(ctx):
+    """Every nonzero point of ctx, each in its minimal field, ordered by
+    that field's degree, then by encoding."""
     points = {}
-    for x in sweep.elements():
+    for x in ctx.elements():
         if not x:
             continue
         small = minimal_form(x)

@@ -49,7 +49,9 @@ only those F_{q^d} are searched, each for the roots of its own part.
 Within a field of at most a few thousand elements the scan is
 exhaustive, which doubles as the oracle in the tests; past that the
 linear factors are isolated by gcd with X^(q^d) - X and separated by
-deterministic equal-degree splitting.
+deterministic equal-degree splitting, but only until one root of each
+irreducible factor over F_q is known: the others are its q-th powers,
+with its multiplicity.
 """
 
 from __future__ import annotations
@@ -483,7 +485,7 @@ class FieldElement:
 def _generator_image(src, dst):
     """Smallest-encoding root of the source modulus in the target field."""
     mod = [dst.element(c) for c in src.modulus]
-    roots = _roots_in_field(mod, dst)
+    roots = _roots_in_field(mod, dst, dst.p)
     if not roots:
         raise RuntimeError(f"no root of the {src} modulus in {dst}")
     return roots[0][0]
@@ -716,56 +718,81 @@ def _fsub(a, b, ctx):
 _EXHAUSTIVE_LIMIT = 4096
 
 
-def _roots_in_field(coeffs, ctx):
-    """All roots of a nonzero polynomial lying in ctx, with multiplicity.
+def _roots_in_field(coeffs, ctx, q=None):
+    """All roots of a nonzero polynomial lying in ctx, with multiplicity,
+    by encoding.
 
     Small fields are scanned exhaustively.  Larger ones use the standard
     split: gcd with X^(order) - X isolates the product of the linear
     factors over ctx, which is then separated by deterministic
     equal-degree splitting (quadratic-character gcds for odd p, trace gcds
-    for p = 2, shift parameters tried in encoding order).
+    for p = 2, shift parameters tried in encoding order).  When the
+    coefficients lie in the subfield F_q, the roots come in orbits under
+    x -> x^q with one multiplicity per orbit, so the split only runs until
+    one root of each orbit is known (see ``_root_orbits``).
     """
     coeffs = _ftrim(coeffs)
     if not coeffs:
         raise ValueError("root finding on the zero polynomial")
     if ctx.order <= _EXHAUSTIVE_LIMIT:
-        roots = [x for x in ctx.elements() if not poly_eval(coeffs, x)]
+        orbits = [[x] for x in ctx.elements() if not poly_eval(coeffs, x)]
     else:
-        roots = _split_linear_part(coeffs, ctx)
+        orbits = _root_orbits(coeffs, ctx, q or ctx.order)
     out = []
-    for root in sorted(roots, key=lambda r: r.encoding()):
+    for orbit in orbits:
         mult = 0
         work = coeffs
         while True:
-            quot, rem = _divide_linear(work, root)
+            quot, rem = _divide_linear(work, orbit[0])
             if rem:
                 break
             mult += 1
             work = quot
-        out.append((root, mult))
+        out.extend((root, mult) for root in orbit)
+    out.sort(key=lambda pair: pair[0].encoding())
     return out
 
 
-def _split_linear_part(coeffs, ctx):
-    # gcd(q, X^order - X): X^order mod q by iterated p-th powers
+def _root_orbits(coeffs, ctx, q):
+    """The distinct roots in ctx of a polynomial with coefficients in the
+    subfield F_q, grouped into their orbits under x -> x^q.
+
+    A split takes the pending factor of least degree first, so it descends
+    to a linear factor along the cheaper side.  Once a root r is known,
+    r^q, r^(q^2), ... are roots too, and they are divided out of every
+    pending factor, so no further split is spent on them.
+    """
+    # gcd(monic, X^order - X), X^order reduced mod monic as it is raised
     monic = [c * coeffs[-1].inverse() for c in coeffs]
     if len(monic) == 2:
-        return [-monic[0]]
+        return [[-monic[0]]]
     x = [ctx.zero(), ctx.one()]
     frob = _fpowmod(x, ctx.order, monic, ctx)
-    linear = _fgcd(_fsub(frob, x, ctx), monic, ctx)
-    roots = []
-    stack = [linear]
+    orbits = []
+    stack = [_fgcd(_fsub(frob, x, ctx), monic, ctx)]
     while stack:
         part = stack.pop()
         deg = poly_degree(part)
         if deg <= 0:
             continue
-        if deg == 1:
-            roots.append(-part[0] * part[1].inverse())
+        if deg > 1:
+            stack.extend(sorted(_equal_degree_split(part, ctx), key=len,
+                                reverse=True))
             continue
-        stack.extend(_equal_degree_split(part, ctx))
-    return roots
+        root = -part[0] * part[1].inverse()
+        orbit = [root]
+        conjugate = root ** q
+        while conjugate != root:
+            orbit.append(conjugate)
+            conjugate = conjugate ** q
+        orbits.append(orbit)
+        for i, other in enumerate(stack):
+            for conjugate in orbit[1:]:
+                quot, rem = _divide_linear(other, conjugate)
+                if not rem:
+                    other = quot
+            stack[i] = other
+    return orbits
 
 
 def _equal_degree_split(part, ctx):
@@ -842,5 +869,6 @@ def find_roots(coeffs):
     for d, part in parts:
         if len(part) > 1:
             ext = field(base.p, base.degree * d)
-            found.extend(_roots_in_field([embed(c, ext) for c in part], ext))
+            found.extend(_roots_in_field([embed(c, ext) for c in part], ext,
+                                         base.order))
     return RootSearch(roots=found)

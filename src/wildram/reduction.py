@@ -33,6 +33,7 @@ reducing f to a normal form inside its class:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .fields import _solve_mod_p, embed, field, join_context
@@ -47,17 +48,23 @@ def artin_schreier_map(h):
     return h.frobenius_power() - h
 
 
+@functools.lru_cache(maxsize=None)
+def _artin_schreier_columns(ctx):
+    """Coordinates of r^p - r for the power basis r = 1, x, ..., x^(k-1)
+    of ctx, as matrix columns."""
+    columns = []
+    for i in range(ctx.degree):
+        basis = ctx.element([0] * i + [1])
+        columns.append((basis ** ctx.p - basis).coeffs)
+    return tuple(columns)
+
+
 def _solve_artin_schreier_in(value, ctx):
     """Solve r^p - r = value inside ctx, or return None.
 
     The map r -> r^p - r is linear over the prime field, so this is a
     k x k linear system mod p."""
-    p = ctx.p
-    columns = []
-    for i in range(ctx.degree):
-        basis = ctx.element([0] * i + [1])
-        columns.append((basis ** p - basis).coeffs)
-    solution = _solve_mod_p(tuple(columns), value.coeffs, p)
+    solution = _solve_mod_p(_artin_schreier_columns(ctx), value.coeffs, ctx.p)
     if solution is None:
         return None
     return ctx.element(solution)

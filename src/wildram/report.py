@@ -6,6 +6,17 @@ once, by the simulator: the report reads its representative and
 staircase from ``resolve``'s root reduction, and the clean flag and the
 staircase drop from the root node.
 
+The perturbed rerun shares with the main run what depends only on
+values: both ``resolve`` calls take one memo of exact-node analyses, so a
+node polynomial equal to one the main run analysed (often every node
+below a root whose good representative is the input's) is not reduced
+again; and when the rerun's staircase equals the main run's, the
+recursion, closed form and bound are the main run's, which recomputing
+would reproduce.  The rerun still computes itself the conductors of the
+perturbed input, the reduction of its root (unless it equals the input),
+its own blow-up tree with every truncated probe and every budget round,
+and so its own r_x, which the verdict compares.
+
 A report bundles every invariant of one local input together with
 recomputed agreement verdicts:
 
@@ -83,19 +94,26 @@ class _stage:
         return False
 
 
-def _invariants(f, branches, config):
+def _invariants(f, branches, config, memo, main=None):
     """All per-input invariants, used for both the main run and the
-    perturbed rerun.  The reduction is the simulator's root reduction."""
+    perturbed rerun.  The reduction is the simulator's root reduction.
+    `memo` holds the exact-node analyses that both runs share; the rerun
+    passes the main run's invariants as `main`, and takes over its
+    recursion, closed form and bound when its staircase is equal."""
     with _stage("conductors"):
         # a type I input has no t2-poles: its t2 loop runs and shows 0
         swans = dict(zip(("t1", "t2", "E"), conductors(f, 2)))
     with _stage("simulation"):
-        sim = resolve(f, branches, config)
+        sim = resolve(f, branches, config, memo=memo)
         stair = sim.representative.staircase
     with _stage("recursion"):
-        trace = ramification_recursive(stair, branches)
-        closed = ramification_closed_form(stair, branches)
-        bound = ramification_bound(stair, branches)
+        if main is not None and main["staircase"] == stair:
+            trace, closed, bound = (main["recursive"], main["closed"],
+                                    main["bound"])
+        else:
+            trace = ramification_recursive(stair, branches)
+            closed = ramification_closed_form(stair, branches)
+            bound = ramification_bound(stair, branches)
     return {
         "staircase": stair,
         "swans": swans,
@@ -124,7 +142,8 @@ def build_report(spec):
         f = parse_polynomial(spec.expr, ctx)
         check_point(f, spec.branches)
 
-    inv = _invariants(f, spec.branches, spec.config)
+    memo = {}
+    inv = _invariants(f, spec.branches, spec.config, memo)
     stair, sim = inv["staircase"], inv["sim"]
     rep = sim.representative
 
@@ -132,7 +151,7 @@ def build_report(spec):
         rng = random.Random(spec.seed)
         h = random_polynomial(rng, ctx, 2, 2, nonneg_t2=spec.branches == 1)
         perturbed = _invariants(f + artin_schreier_map(h), spec.branches,
-                                spec.config)
+                                spec.config, memo, main=inv)
 
     verdicts = {}
     verdicts["recursion_equals_closed_form"] = {

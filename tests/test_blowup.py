@@ -321,6 +321,53 @@ def test_escalation_rounds_reduce_each_exact_polynomial_once(monkeypatch):
     assert Counter(g for g in reduced if g.is_exact) == Counter(first)
 
 
+# (polynomial, branches, config) pairs of calls that one memo may serve:
+# candidates mode finds the off-origin points of t1^-6*t2^3 + t2^-3 (r_x
+# 45) that sweep mode over F_2 misses (r_x 39), and a type I and a type II
+# call analyse the same polynomials with different node fields
+SHARED_MEMO_CALLS = [
+    (("t1^-6*t2^3 + t2^-3", 2, SimulationConfig()),
+     ("t1^-6*t2^3 + t2^-3", 2, SimulationConfig(mode="sweep"))),
+    (("t1^-2*t2 + t1^-4*t2^3", 1, SimulationConfig()),
+     ("t1^-2*t2 + t1^-4*t2^3", 2, SimulationConfig())),
+]
+
+
+@pytest.mark.parametrize("calls", SHARED_MEMO_CALLS)
+def test_a_shared_memo_gives_each_call_its_solo_tree(calls):
+    # the memo is keyed by the sweep field and the branches as well as the
+    # polynomial, so neither call reads an analysis made for the other
+    solo = [simulation_as_dict(resolve(poly(text, F2), branches, config))
+            for text, branches, config in calls]
+    assert solo[0] != solo[1]
+    for order in (calls, calls[::-1]):
+        memo = {}
+        shared = [simulation_as_dict(resolve(poly(text, F2), branches, config,
+                                             memo=memo))
+                  for text, branches, config in order]
+        assert shared == (solo if order is calls else solo[::-1])
+
+
+def test_a_shared_memo_analyses_each_exact_polynomial_once(monkeypatch):
+    analysed = []
+    original = blowup._analyse
+
+    def recorded(g, branches, path):
+        analysed.append((g, branches))
+        return original(g, branches, path)
+
+    monkeypatch.setattr(blowup, "_analyse", recorded)
+    f = poly(ESCALATING, F2)
+    memo = {}
+    first = resolve(f, 2, memo=memo)
+    count = len(analysed)
+    again = resolve(f, 2, memo=memo)
+    assert again.root.signature() == first.root.signature()
+    # the second call analyses only its truncated probes
+    assert all(not g.is_exact for g, _ in analysed[count:])
+    assert 0 < len(analysed) - count < count
+
+
 @pytest.mark.parametrize("expr, ctx", [("t1^-3*t2 + t2^-2", F3),
                                        ("t1^-2*t2 + t1^-4*t2^3", F2),
                                        ("t1^-2*t2", F3)])
@@ -453,6 +500,32 @@ def test_orbits_are_taken_under_the_frobenius_of_the_chart_field(monkeypatch):
     assert by_orbit < len(calls) - by_orbit
 
 
+def test_sweep_points_are_listed_once_per_call(monkeypatch):
+    # the points do not depend on the node, and their orbits depend only on
+    # the field order of the chart: F_2 pairs g with g + 1, F_4 does not
+    listed = []
+    original = blowup._field_points
+
+    def counted(ctx):
+        listed.append(ctx)
+        return original(ctx)
+
+    monkeypatch.setattr(blowup, "_field_points", counted)
+    f4 = field(2, 2)
+    call = blowup._Call(32, f4, {})
+    over_f2 = poly("t1^-1", F2)
+    for chart, orbits in [(over_f2, [0, 1, 1]),
+                          (over_f2.embed_into(f4), [0, 1, 2]),
+                          (over_f2, [0, 1, 1])]:
+        assert call.off_origin_points(chart)[1] == orbits
+    assert listed == [f4]
+    del listed[:]
+    result = resolve(poly("t1^-6*t2^3 + t2^-3", F2), 2,
+                     SimulationConfig(mode="sweep", sweep_degree=2))
+    assert sum(not n.clean for n in result.root.nodes()) > 1
+    assert listed == [f4]
+
+
 def test_frobenius_orbits_group_conjugates_under_the_first_point():
     f4 = field(2, 2)
     g = f4.gen()
@@ -509,8 +582,9 @@ def test_candidates_find_the_roots_of_an_irreducible_septic_column():
 
 def test_candidates_search_a_column_whose_roots_need_f_8192(monkeypatch):
     # a degree-13 leading column over F_2: its roots lie in F_8192, above
-    # the table cap, and are split there by the equal-degree split; they
-    # form one Frobenius orbit, probed through its first point
+    # the table cap, where the equal-degree split finds one of them and the
+    # others are its powers r^2, r^4, ...; they form one Frobenius orbit,
+    # probed through its first point
     probed = []
     original = blowup.translate
 

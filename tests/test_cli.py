@@ -258,9 +258,9 @@ def test_report_reduces_the_input_and_the_perturbation_once(monkeypatch):
     simulated = []
     original = report.resolve
 
-    def recorded(f, branches, config=None):
+    def recorded(f, branches, config=None, *, memo=None):
         simulated.append(f)
-        return original(f, branches, config)
+        return original(f, branches, config, memo=memo)
 
     monkeypatch.setattr(report, "resolve", recorded)
     result = build_report(InputSpec(field="2^1", branches=2, seed=3,
@@ -268,6 +268,81 @@ def test_report_reduces_the_input_and_the_perturbation_once(monkeypatch):
     assert result.passed
     assert len(simulated) == 2      # the input and its perturbation
     assert [sum(arg is f for arg, _ in calls) for f in simulated] == [1, 1]
+
+
+def _record_report_work(monkeypatch):
+    """Per ``resolve`` call of a report, the (polynomial, branches) pairs
+    its exact nodes were analysed for, and the staircases the report ran
+    the recursion on."""
+    analysed, recursed = [], []
+    original_resolve, original_analyse = report.resolve, blowup._analyse
+    original_recursive = report.ramification_recursive
+
+    def counted_resolve(*args, **kwargs):
+        analysed.append([])
+        return original_resolve(*args, **kwargs)
+
+    def counted_analyse(g, branches, path):
+        if g.is_exact:
+            analysed[-1].append((g, branches))
+        return original_analyse(g, branches, path)
+
+    def counted_recursive(stair, branches):
+        recursed.append(stair)
+        return original_recursive(stair, branches)
+
+    monkeypatch.setattr(report, "resolve", counted_resolve)
+    monkeypatch.setattr(blowup, "_analyse", counted_analyse)
+    monkeypatch.setattr(report, "ramification_recursive", counted_recursive)
+    return analysed, recursed
+
+
+def _separate_memos(monkeypatch):
+    original = report.resolve
+
+    def alone(f, branches, config=None, *, memo=None):
+        return original(f, branches, config)
+
+    monkeypatch.setattr(report, "resolve", alone)
+
+
+# inputs whose perturbation reduces to the input's good representative:
+# one with exact nodes only, one whose probes truncate and escalate once
+SAME_REPRESENTATIVE = [
+    InputSpec(field="2", branches=2, seed=1, expr="t1^-2*t2 + t1^-4*t2^3"),
+    InputSpec(field="2", branches=2, seed=2,
+              expr="t1*t2^-4 + 1 + t1^-1*t2^-4 + t1^-3*t2^-2"),
+]
+
+
+@pytest.mark.parametrize("spec", SAME_REPRESENTATIVE)
+def test_perturbed_rerun_reuses_the_main_runs_work(monkeypatch, spec):
+    with monkeypatch.context() as patch:
+        _separate_memos(patch)
+        alone = build_report(spec).to_dict()
+    analysed, recursed = _record_report_work(monkeypatch)
+    result = build_report(spec)
+    assert result.to_dict() == alone
+    assert result.passed
+    main, perturbed = analysed
+    # the perturbed run analyses its own root and nothing the main run did
+    assert perturbed and not set(perturbed) & set(main)
+    assert len(perturbed) == len(set(perturbed)) < len(main)
+    # one staircase, so one recursion
+    assert [list(map(list, s)) for s in recursed] == [
+        result.data["staircase"]]
+
+
+def test_perturbed_rerun_recurses_on_its_own_staircase(monkeypatch):
+    # a known representative_independence failure: the perturbation leaves
+    # a non-essential corner (1, 2) in the good representative's staircase
+    spec = InputSpec(field="2", branches=1, seed=1868550697,
+                     expr="t1^-4*t2^3")
+    _, recursed = _record_report_work(monkeypatch)
+    result = build_report(spec)
+    assert not result.verdicts["representative_independence"]["pass"]
+    assert [list(map(list, s)) for s in recursed] == [
+        [[0, 0], [4, 3]], [[0, 0], [1, 2], [4, 3]]]
 
 
 @pytest.mark.parametrize("simulate", [False, True])

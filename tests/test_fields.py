@@ -293,6 +293,26 @@ def test_roots_in_field_large_field_path_char_2():
         (1234, 1), (4321, 1), (7777, 1)]
 
 
+def test_roots_above_the_cap_split_one_per_orbit():
+    # over F_3^8 (order > 4096) a polynomial with coefficients in F_9 has
+    # its roots in orbits under x -> x^9: splitting off one root per orbit
+    # and adding its conjugates with its multiplicity gives the list of
+    # splitting every root, whose orbits are single roots
+    base, ctx = field(3, 2), field(3, 8)
+    rng = random.Random(9)
+    f = [base.one()]
+    for mult in (1, 2, 1):
+        a = ctx.from_encoding(rng.randrange(ctx.order))
+        minimal, _ = _minimal_polynomial(a, base)
+        for _ in range(mult):
+            f = fields._fmul(f, minimal, base)
+    coeffs = [embed(c, ctx) for c in f]
+    by_orbit = _roots_in_field(coeffs, ctx, base.order)
+    assert by_orbit == _roots_in_field(coeffs, ctx)
+    assert len(by_orbit) == 12 and {m for _, m in by_orbit} == {1, 2}
+    assert all(not poly_eval(coeffs, r) for r, _ in by_orbit)
+
+
 TABLE_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13)
                 for k in range(1, 13) if p ** k <= _EXHAUSTIVE_LIMIT]
 
