@@ -313,7 +313,7 @@ class _Call:
             points = exceptional_candidates(chart_first)
             return points, _frobenius_orbits(points, q)
         if self.sweep_points is None:
-            self.sweep_points = _field_points(self.sweep)
+            self.sweep_points = _minimal_points(self.sweep.elements())
         orbits = self.sweep_orbits.get(q)
         if orbits is None:
             orbits = self.sweep_orbits[q] = _frobenius_orbits(
@@ -443,46 +443,39 @@ def exceptional_candidates(chart_first):
         return []
     ctx = chart_first.ctx
     p = ctx.p
-    points = {}
 
-    def collect(coeff_map):
-        """Adds the nonzero roots of one coefficient map to points.  A map
-        of fewer than two terms is empty or c*v^n, which has no nonzero
-        root, so no root search runs on it."""
+    def roots(coeff_map):
+        """The roots of one coefficient map.  A map of fewer than two terms
+        is empty or c*v^n, which has no nonzero root, so no root search
+        runs on it."""
         if len(coeff_map) < 2:
-            return
+            return []
         low = min(coeff_map)
         size = max(coeff_map) - low + 1
         coeffs = [ctx.zero()] * size
         for n, c in coeff_map.items():
             coeffs[n - low] = c
         if all(not c for c in coeffs):
-            return
-        for root, _mult in find_roots(coeffs).roots:
-            if root:
-                small = minimal_form(root)
-                points[(small.ctx.degree, small.encoding())] = small
+            return []
+        return find_roots(coeffs).roots
 
-    collect(column)
+    derivative = {}
     if pole % p == 0:
-        derivative = {}
         for n, c in column.items():
             scaled = c * (n % p)
             if scaled:
                 derivative[n - 1] = scaled
-        collect(derivative)
-    return [points[key] for key in sorted(points)]
+    return _minimal_points(roots(column) + roots(derivative))
 
 
-def _field_points(ctx):
-    """Every nonzero point of ctx, each in its minimal field, ordered by
-    that field's degree, then by encoding."""
+def _minimal_points(elements):
+    """The nonzero elements, each in its minimal field and listed once,
+    ordered by that field's degree, then by encoding."""
     points = {}
-    for x in ctx.elements():
-        if not x:
-            continue
-        small = minimal_form(x)
-        points[(small.ctx.degree, small.encoding())] = small
+    for x in elements:
+        if x:
+            small = minimal_form(x)
+            points[(small.ctx.degree, small.encoding())] = small
     return [points[key] for key in sorted(points)]
 
 

@@ -30,8 +30,9 @@ ordinary element arithmetic.  Elements keep their coefficient tuples on
 either path, so printing, parsing and encodings do not depend on it.
 
 Polynomials over a field are dense lists of its elements (the ``_f*``
-functions); Rabin's irreducibility test for a modulus runs on them over
-the prime field.
+functions).  One distinct-degree factorization loop runs on them
+(``_distinct_degree_parts``): it tests a modulus for irreducibility over
+the prime field and tells root finding which extensions to search.
 
 Cross-field coercion is never implicit: operations on elements of
 different contexts raise, and :func:`embed` moves an element along a fixed
@@ -43,15 +44,15 @@ image of w to the i-th power, and the log of the image of w is kept per
 context pair.  An untabulated field evaluates the coefficient polynomial
 at the image of the generator.
 
-Root finding is complete: distinct-degree factorization over the
-coefficient field F_q gives the degrees d of the irreducible factors, and
-only those F_{q^d} are searched, each for the roots of its own part.
-Within a field of at most a few thousand elements the scan is
-exhaustive, which doubles as the oracle in the tests; past that the
-linear factors are isolated by gcd with X^(q^d) - X and separated by
-deterministic equal-degree splitting, but only until one root of each
-irreducible factor over F_q is known: the others are its q-th powers,
-with its multiplicity.
+Root finding is complete: the same loop, over the coefficient field F_q,
+gives the degrees d of the irreducible factors, and only those F_{q^d}
+are searched, each for the roots of its own part.  Roots are listed once
+each, without multiplicity.  Within a field of at most a few thousand
+elements the scan is exhaustive, which doubles as the oracle in the
+tests; past that the linear factors are isolated by gcd with
+X^(q^d) - X and separated by deterministic equal-degree splitting, but
+only until one root of each irreducible factor over F_q is known: the
+others are its q-th powers.
 """
 
 from __future__ import annotations
@@ -121,43 +122,21 @@ def _prime_divisors(n):
     return out
 
 
-def _monic_polys(p, degree):
-    """All monic polynomials of the given degree, in encoding order."""
-    for enc in range(p ** degree):
-        coeffs = []
-        e = enc
-        for _ in range(degree):
-            coeffs.append(e % p)
-            e //= p
-        yield tuple(coeffs) + (1,)
-
-
 def _is_irreducible(poly, p):
-    """Rabin's criterion, on polynomials over field(p): X^(p^n) == X mod f
-    and, for every prime l | n, gcd(X^(p^(n/l)) - X, f) is constant."""
-    deg = len(poly) - 1
-    if deg < 1:
-        return False
-    if deg == 1:
-        return True
+    """Whether a monic polynomial over field(p), as residues low degree
+    first, is irreducible: its first distinct-degree part is itself."""
+    if len(poly) <= 2:
+        # field(p) is built on this test, with a modulus of degree 1
+        return len(poly) == 2
     fp = field(p)
-    f = [fp.element(c) for c in poly]
-    x = [fp.zero(), fp.one()]
-    frobenius = [x]
-    for _ in range(deg):
-        frobenius.append(_fpowmod(frobenius[-1], p, f, fp))
-    if frobenius[deg] != x:
-        return False
-    for ell in _prime_divisors(deg):
-        shifted = _fsub(frobenius[deg // ell], x, fp)
-        if poly_degree(_fgcd(shifted, f, fp)) > 0:
-            return False
-    return True
+    d, _ = next(_distinct_degree_parts([fp.element(c) for c in poly], fp))
+    return d == len(poly) - 1
 
 
 @functools.lru_cache(maxsize=None)
 def _least_irreducible(p, degree):
-    for poly in _monic_polys(p, degree):
+    for enc in range(p ** degree):
+        poly = _digits(enc, p, degree) + (1,)
         if _is_irreducible(poly, p):
             return poly
     raise RuntimeError(f"no irreducible polynomial of degree {degree} over F_{p}")
@@ -488,7 +467,7 @@ def _generator_image(src, dst):
     roots = _roots_in_field(mod, dst, dst.p)
     if not roots:
         raise RuntimeError(f"no root of the {src} modulus in {dst}")
-    return roots[0][0]
+    return roots[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -719,8 +698,8 @@ _EXHAUSTIVE_LIMIT = 4096
 
 
 def _roots_in_field(coeffs, ctx, q=None):
-    """All roots of a nonzero polynomial lying in ctx, with multiplicity,
-    by encoding.
+    """The distinct roots of a nonzero polynomial lying in ctx, by
+    encoding.
 
     Small fields are scanned exhaustively.  Larger ones use the standard
     split: gcd with X^(order) - X isolates the product of the linear
@@ -728,29 +707,17 @@ def _roots_in_field(coeffs, ctx, q=None):
     equal-degree splitting (quadratic-character gcds for odd p, trace gcds
     for p = 2, shift parameters tried in encoding order).  When the
     coefficients lie in the subfield F_q, the roots come in orbits under
-    x -> x^q with one multiplicity per orbit, so the split only runs until
-    one root of each orbit is known (see ``_root_orbits``).
+    x -> x^q, so the split only runs until one root of each orbit is known
+    (see ``_root_orbits``).
     """
     coeffs = _ftrim(coeffs)
     if not coeffs:
         raise ValueError("root finding on the zero polynomial")
     if ctx.order <= _EXHAUSTIVE_LIMIT:
-        orbits = [[x] for x in ctx.elements() if not poly_eval(coeffs, x)]
-    else:
-        orbits = _root_orbits(coeffs, ctx, q or ctx.order)
-    out = []
-    for orbit in orbits:
-        mult = 0
-        work = coeffs
-        while True:
-            quot, rem = _divide_linear(work, orbit[0])
-            if rem:
-                break
-            mult += 1
-            work = quot
-        out.extend((root, mult) for root in orbit)
-    out.sort(key=lambda pair: pair[0].encoding())
-    return out
+        return [x for x in ctx.elements() if not poly_eval(coeffs, x)]
+    orbits = _root_orbits(coeffs, ctx, q or ctx.order)
+    return sorted((root for orbit in orbits for root in orbit),
+                  key=FieldElement.encoding)
 
 
 def _root_orbits(coeffs, ctx, q):
@@ -821,54 +788,61 @@ def _equal_degree_split(part, ctx):
     raise RuntimeError("equal-degree splitting exhausted the shift space")
 
 
+def _distinct_degree_parts(monic, base):
+    """The distinct-degree factorization of a monic polynomial over
+    base = F_q: by ascending d, (d, the product of its distinct
+    irreducible factors of degree d) for every d that has one.
+
+    With every factor of degree below d divided out of rest,
+    gcd(X^(q^d) - X, rest) is that product, and it is divided out of rest
+    as often as it divides.  Once 2d > deg(rest), rest is irreducible or
+    constant; it is yielded last unless it is constant.
+    """
+    rest = monic
+    x = h = [base.zero(), base.one()]
+    d = 0
+    while 2 * (d + 1) < len(rest):
+        d += 1
+        h = _fpowmod(h, base.order, rest, base)
+        g = _fgcd(_fsub(h, x, base), rest, base)
+        if len(g) > 1:
+            yield d, g
+        while len(g) > 1:
+            rest = _fdivmod(rest, g, base)[0]
+            g = _fgcd(g, rest, base)
+    if len(rest) > 1:
+        yield len(rest) - 1, rest
+
+
 @dataclass
 class RootSearch:
     """Roots of a univariate polynomial over extension fields.
 
-    Each entry is (root, multiplicity) with the root expressed in the
-    smallest extension of the coefficient field containing it.  The
-    search is complete: every root is found.
+    Each root is listed once, without multiplicity, in the smallest
+    extension of the coefficient field containing it.  The search is
+    complete: every root is found.
     """
     roots: list
     partial = False     # read by perfbench/spans.py until ROADMAP item 4
 
 
 def find_roots(coeffs):
-    """All roots of a nonzero polynomial over F_q, with multiplicity, each
-    in the smallest extension F_{q^d} that contains it, by d, then by
-    encoding.
+    """All distinct roots of a nonzero polynomial over F_q, each in the
+    smallest extension F_{q^d} that contains it, by d, then by encoding.
 
-    Distinct-degree factorization: with every factor of degree below d
-    divided out of rest, gcd(X^(q^d) - X, rest) is the product of the
-    distinct irreducible factors of degree d.  Dividing them out as often
-    as they divide leaves the part of degree d, whose roots lie in F_{q^d}
-    and in no smaller extension, and that part alone is searched there.
-    Once 2d > deg(rest), rest is irreducible or constant, so the search
-    is complete.
+    The distinct-degree part of degree d of the polynomial has its roots
+    in F_{q^d} and in no smaller extension, and that part alone is
+    searched there (see ``_distinct_degree_parts``).
     """
     coeffs = _ftrim(coeffs)
     if not coeffs:
         raise ValueError("root finding on the zero polynomial")
     base = coeffs[0].ctx
     inv_lead = coeffs[-1].inverse()
-    rest = [c * inv_lead for c in coeffs]
-    x = h = [base.zero(), base.one()]
-    parts, d = [], 0        # (d, the part of degree d)
-    while 2 * (d + 1) < len(rest):
-        d += 1
-        h = _fpowmod(h, base.order, rest, base)
-        g = _fgcd(_fsub(h, x, base), rest, base)
-        part = [base.one()]
-        while len(g) > 1:
-            rest = _fdivmod(rest, g, base)[0]
-            part = _fmul(part, g, base)
-            g = _fgcd(g, rest, base)
-        parts.append((d, part))
-    parts.append((len(rest) - 1, rest))
     found = []
-    for d, part in parts:
-        if len(part) > 1:
-            ext = field(base.p, base.degree * d)
-            found.extend(_roots_in_field([embed(c, ext) for c in part], ext,
-                                         base.order))
+    for d, part in _distinct_degree_parts([c * inv_lead for c in coeffs],
+                                          base):
+        ext = field(base.p, base.degree * d)
+        found.extend(_roots_in_field([embed(c, ext) for c in part], ext,
+                                     base.order))
     return RootSearch(roots=found)

@@ -145,9 +145,6 @@ class LaurentPolynomial:
     def is_exact(self):
         return not self.unknown
 
-    def support(self):
-        return set(self.terms)
-
     def coefficient(self, m, n):
         if self.unknown and n >= _column_cut(self.unknown, m):
             raise PrecisionLossError((m, n))

@@ -504,13 +504,14 @@ def test_sweep_points_are_listed_once_per_call(monkeypatch):
     # the points do not depend on the node, and their orbits depend only on
     # the field order of the chart: F_2 pairs g with g + 1, F_4 does not
     listed = []
-    original = blowup._field_points
+    original = blowup._minimal_points
 
-    def counted(ctx):
-        listed.append(ctx)
-        return original(ctx)
+    def counted(elements):
+        elements = list(elements)
+        listed.append(elements[-1].ctx)
+        return original(elements)
 
-    monkeypatch.setattr(blowup, "_field_points", counted)
+    monkeypatch.setattr(blowup, "_minimal_points", counted)
     f4 = field(2, 2)
     call = blowup._Call(32, f4, {})
     over_f2 = poly("t1^-1", F2)

@@ -33,7 +33,7 @@ def test_parse_field_forms():
 
 def test_parse_monomial():
     f = parse_polynomial("t1^-2*t2", F3)
-    assert f.support() == {(-2, 1)}
+    assert set(f.terms) == {(-2, 1)}
     assert f.terms[(-2, 1)] == F3.one()
 
 
@@ -190,14 +190,21 @@ def test_report_nongood_is_classified_not_failed():
     assert not verdict["good_regime"]
 
 
-# ROADMAP item 11: type I over F_3, t1^-a*t2^2 + t1^-a + t1^-b*t2^3, where
+# ROADMAP item 11: type I over F_3, t1^-a*t2^e1 + t1^-a + t1^-b*t2^e2, where
 # the simulated r_x exceeds ramification_bound; the last field is the
-# recursion's total
+# recursion's total.  These eight are every such failure with a <= 4,
+# b <= 8 and e1 < e2 <= 6; the last input is a box input that reduces to
+# the first.
 BOUND_FAMILY = [
     ("t1^-1*t2^2 + t1^-1 + t1^-2*t2^3", 5, 4, 2),
     ("t1^-2*t2^2 + t1^-2 + t1^-4*t2^3", 10, 8, 4),
     ("t1^-3*t2^2 + t1^-3 + t1^-5*t2^3", 11, 10, 8),
     ("t1^-4*t2^2 + t1^-4 + t1^-8*t2^3", 20, 16, 8),
+    ("t1^-1*t2^4 + t1^-1 + t1^-2*t2^6", 11, 10, 5),
+    ("t1^-2*t2^4 + t1^-2 + t1^-4*t2^6", 22, 20, 10),
+    ("t1^-3*t2^4 + t1^-3 + t1^-5*t2^6", 26, 25, 20),
+    ("t1^-4*t2^4 + t1^-4 + t1^-8*t2^6", 44, 40, 20),
+    ("t1^-1*t2^2 + t1^-2*t2^3 + t1^-3", 5, 4, 2),
 ]
 
 

@@ -159,7 +159,7 @@ def test_find_roots_split_quadratic():
     # v^2 + v = v(v + 1)
     coeffs = [f2.zero(), f2.one(), f2.one()]
     search = find_roots(coeffs)
-    assert sorted(r.encoding() for r, _ in search.roots) == [0, 1]
+    assert [r.encoding() for r in search.roots] == [0, 1]
     assert not search.partial
 
 
@@ -168,22 +168,23 @@ def test_find_roots_extension_only():
     coeffs = [f3.one(), f3.zero(), f3.one()]     # v^2 + 1
     search = find_roots(coeffs)
     assert len(search.roots) == 2
-    assert all(r.ctx == field(3, 2) for r, _ in search.roots)
+    assert all(r.ctx == field(3, 2) for r in search.roots)
     assert not search.partial
 
 
 def test_find_roots_linear():
     f5 = field(5)
     search = find_roots([f5.element(-2), f5.one()])   # v - 2
-    assert [(r.encoding(), m) for r, m in search.roots] == [(2, 1)]
+    assert [r.encoding() for r in search.roots] == [2]
 
 
 def test_find_roots_multiplicity():
     f3 = field(3)
-    # (v - 1)^2 = v^2 - 2v + 1 = v^2 + v + 1
+    # (v - 1)^2 = v^2 - 2v + 1 = v^2 + v + 1: the double root is listed
+    # once
     coeffs = [f3.one(), f3.one(), f3.one()]
     search = find_roots(coeffs)
-    assert [(r.encoding(), m) for r, m in search.roots] == [(1, 2)]
+    assert [r.encoding() for r in search.roots] == [1]
 
 
 def test_find_roots_partial_flag():
@@ -193,7 +194,7 @@ def test_find_roots_partial_flag():
     coeffs = [f2.one(), f2.one(), f2.zero(), f2.one()]
     search = find_roots(coeffs)
     assert not search.partial
-    assert [(r.ctx, m) for r, m in search.roots] == [(field(2, 3), 1)] * 3
+    assert [r.ctx for r in search.roots] == [field(2, 3)] * 3
 
 
 def test_find_roots_zero_polynomial_rejected():
@@ -214,7 +215,7 @@ def test_find_roots_against_exhaustive_evaluation(p, k):
         coeffs.append(base.from_encoding(rng.randrange(1, base.order)))
         search = find_roots(coeffs)
         got = {(minimal_form(r).ctx.degree, minimal_form(r).encoding())
-               for r, _ in search.roots}
+               for r in search.roots}
         expected = set()
         for d in range(1, deg + 1):
             top = field(p, k * d)
@@ -242,14 +243,14 @@ def _minimal_polynomial(a, base):
 def test_find_roots_on_products_of_minimal_polynomials(p, k, top):
     # f is a product of minimal polynomials of random elements of degree
     # <= top over F_q, with multiplicities; the expected roots are their
-    # conjugates, each in F_{q^d} for its degree d, listed by degree, then
-    # by encoding.  Every multiplicity of the last trial is p, so there
-    # f is a p-th power and f' = 0.
+    # conjugates, each once and in F_{q^d} for its degree d, listed by
+    # degree, then by encoding.  Every multiplicity of the last trial is
+    # p, so there f is a p-th power and f' = 0.
     rng = random.Random(5)
     base = field(p, k)
     for trial in range(12):
         f = [base.one()]
-        expected = {}
+        expected = set()
         for _ in range(rng.randint(1, 3)):
             big = field(p, k * rng.randint(1, top))
             a = big.from_encoding(rng.randrange(big.order))
@@ -260,13 +261,11 @@ def test_find_roots_on_products_of_minimal_polynomials(p, k, top):
             own = field(p, k * len(conjugates))
             for c in conjugates:
                 root = subfield_preimage(c, own)
-                key = (len(conjugates), root.encoding())
-                expected[key] = expected.get(key, 0) + mult
+                expected.add((len(conjugates), root.encoding()))
         if trial == 11:
             assert all(not (c * i) for i, c in enumerate(f))
-        got = [(r.ctx.degree // k, r.encoding(), m)
-               for r, m in find_roots(f).roots]
-        assert got == [key + (m,) for key, m in sorted(expected.items())]
+        got = [(r.ctx.degree // k, r.encoding()) for r in find_roots(f).roots]
+        assert got == sorted(expected)
 
 
 def test_roots_in_field_large_field_path():
@@ -277,7 +276,7 @@ def test_roots_in_field_large_field_path():
     # (x - a)(x - b)
     coeffs = [a * b, -(a + b), ctx.one()]
     roots = _roots_in_field(coeffs, ctx)
-    assert sorted(r.encoding() for r, _ in roots) == sorted(
+    assert [r.encoding() for r in roots] == sorted(
         {a.encoding(), b.encoding()})
 
 
@@ -289,15 +288,14 @@ def test_roots_in_field_large_field_path_char_2():
     # (x - a)(x - b)(x - c)
     coeffs = [-(a * b * c), a * b + a * c + b * c, -(a + b + c), ctx.one()]
     roots = _roots_in_field(coeffs, ctx)
-    assert [(r.encoding(), mult) for r, mult in roots] == [
-        (1234, 1), (4321, 1), (7777, 1)]
+    assert [r.encoding() for r in roots] == [1234, 4321, 7777]
 
 
 def test_roots_above_the_cap_split_one_per_orbit():
     # over F_3^8 (order > 4096) a polynomial with coefficients in F_9 has
     # its roots in orbits under x -> x^9: splitting off one root per orbit
-    # and adding its conjugates with its multiplicity gives the list of
-    # splitting every root, whose orbits are single roots
+    # and adding its conjugates gives the list of splitting every root,
+    # whose orbits are single roots
     base, ctx = field(3, 2), field(3, 8)
     rng = random.Random(9)
     f = [base.one()]
@@ -309,8 +307,8 @@ def test_roots_above_the_cap_split_one_per_orbit():
     coeffs = [embed(c, ctx) for c in f]
     by_orbit = _roots_in_field(coeffs, ctx, base.order)
     assert by_orbit == _roots_in_field(coeffs, ctx)
-    assert len(by_orbit) == 12 and {m for _, m in by_orbit} == {1, 2}
-    assert all(not poly_eval(coeffs, r) for r, _ in by_orbit)
+    assert len(set(by_orbit)) == len(by_orbit) == 12
+    assert all(not poly_eval(coeffs, r) for r in by_orbit)
 
 
 TABLE_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13)
@@ -483,9 +481,9 @@ def _monic(p, degree):
 @pytest.mark.parametrize("p,top", [(2, 6), (3, 4), (5, 3)])
 def test_rabin_matches_trial_division(p, top):
     # oracle: a monic polynomial of degree n >= 1 is irreducible exactly
-    # when no monic polynomial of degree 1 .. n // 2 divides it; from
-    # degree 5 on, a product of irreducible factors of degrees 2 and 3
-    # also needs the test X^(p^n) == X mod f
+    # when no monic polynomial of degree 1 .. n // 2 divides it; the
+    # degrees cover squares of irreducible factors, two factors of degree
+    # n / 2 and, from degree 5 on, factors of degrees 2 and 3
     for degree in range(top + 1):
         for poly in _monic(p, degree):
             irreducible = degree >= 1 and all(
@@ -513,6 +511,26 @@ def test_canonical_context_skips_the_repeated_rabin_test(monkeypatch):
     assert calls == []
     FieldContext(2, 8, modulus=field(2, 8).modulus)
     assert len(calls) == 1
+
+
+# the encoding of the non-leading coefficients of field(p, k).modulus for
+# every p^k <= 2^16 over p in {2, 3, 5, 7}: a rewrite of the modulus
+# search must not rename any of these fields
+CANONICAL_MODULI = {
+    2: [0, 3, 3, 3, 5, 3, 3, 27, 3, 9, 5, 9, 27, 33, 3, 43],
+    3: [0, 1, 7, 5, 7, 5, 11, 11, 64, 19],
+    5: [0, 2, 6, 2, 21, 7],
+    7: [0, 1, 2, 8, 10],
+}
+
+
+def test_canonical_moduli_are_pinned():
+    got = {p: [fields._encode(field(p, k).modulus[:-1], p)
+               for k in range(1, len(encodings) + 1)]
+           for p, encodings in CANONICAL_MODULI.items()}
+    assert got == CANONICAL_MODULI
+    assert all(p ** len(encodings) <= 2 ** 16 < p ** (len(encodings) + 1)
+               for p, encodings in CANONICAL_MODULI.items())
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 2), (5, 1), (2, 13)])
