@@ -12,40 +12,48 @@ ends and once as Sw(first branch) [+ Sw(second branch)] - Sw(exceptional)
 through the valuation-ring loops; any disagreement aborts with a
 diagnostic, since it would mean the two definitions have come apart.
 
-Locating the non-clean points of the exceptional curve is the one step
-with no formula.  Two policies are implemented:
+The non-clean off-origin points of the exceptional curve E have a
+formula: Kato's refined Swan conductor (Kato, "Swan conductors for
+characters of degree one in the imperfect residue field case", 1989).
+With A = Sw_E the pole order along E of the chart A image and c(v) its
+leading column, rsw = u^-A (c'(v) dv - A c(v) du/u), and a point of E is
+clean iff rsw does not vanish there.  Every term of c comes from a
+corner of the good representative, and no such corner lies in
+pZ x pZ, so when p divides A no exponent of c is divisible by p, and c'
+is not zero.  Two policies are implemented:
 
-* candidates: the points where something can happen are the chart
-  origins, the nonzero roots of the leading coefficient of the
-  exceptional pole, and, when p divides the pole order, the roots of its
-  formal derivative (the first place a corner reduction can cascade at an
-  off-origin point).  Every candidate is certified by the full local test
-  (translate, reduce, staircase shape), so false candidates cost time,
-  never correctness; completeness for deep cascades is the open risk.
+* candidates: probe the zeros of rsw, the nonzero common roots of c and
+  c' when p does not divide A and the nonzero roots of c' when it does,
+  in whatever extension they lie.  Complete over the algebraic closure.
+  Every zero is built in full (translate, reduce, staircase shape, drop
+  cross-check), and one that comes out clean raises ``CrossCheckError``:
+  the probe is a check of the locator, not a filter.
 
 * sweep: test directly the points of the exceptional curve with
   coordinate in one field per run, F_{p^(k*sweep_degree)} for the input's
-  field F_{p^k}, one per Frobenius orbit (below).  Authoritative on that
-  field but expensive; the test suite pins candidates == sweep on corpora.
+  field F_{p^k}, one per Frobenius orbit (below), and drop the clean
+  ones.  Complete on that field only.  At every non-clean node the
+  non-clean points found must be the zeros of rsw in the sweep field, or
+  ``CrossCheckError`` is raised; the check is passed by when the leading
+  column is truncated, so it adds no escalation.
 
 Both policies feed one child enumeration: chart B's origin, chart A's
-origin, then the off-origin points.  An off-origin point is probed by the
-full node build, drop cross-check included, and dropped when clean.  The
-points are grouped into orbits of v -> v^q, where F_q is the field of the
-node's chart, and an orbit is probed through its first point in
-enumeration order: when that point comes out clean, its conjugates are
-skipped; when not, every conjugate is built in full, so the tree, its
-labels and the order of its exceptions are those of probing every point.
-The skip is exact, not a heuristic.  The chart has its coefficients in
-F_q, so the Frobenius x -> x^q, applied to the coefficients, carries the
-local equation at v, translated at any series budget, to the one at v^q.
+origin, then the off-origin points.  The points are grouped into orbits
+of v -> v^q, where F_q is the field of the node's chart, and an orbit is
+probed through its first point in enumeration order: in sweep mode, when
+that point comes out clean, its conjugates are skipped; when not, every
+conjugate is built in full, so the tree, its labels and the order of its
+exceptions are those of probing every point.  The skip is exact, not a
+heuristic.  The chart has its coefficients in F_q, so the Frobenius
+x -> x^q, applied to the coefficients, carries the local equation at v,
+translated at any series budget, to the one at v^q.
 Reduction, staircase, conductors and the truncation bookkeeping read a
 coefficient only through field operations (p-th roots included) and
 through whether it vanishes, so they commute with that automorphism: the
 two points get the same node fields, the same clean verdict, the same
-drop cross-check and the same precision outcome.  The roots the
-candidates policy finds are those of polynomials over F_q, which come in
-whole orbits already.
+drop cross-check and the same precision outcome.  The zeros the
+candidates policy finds are roots of polynomials over F_q, which come in
+whole orbits already, and are all non-clean.
 
 Translations at off-origin points can truncate series (see the laurent
 module).  ``resolve`` therefore reruns the whole simulation with a
@@ -66,7 +74,8 @@ nodes, translates the first point of every orbit at its own budget and
 analyses every truncated polynomial anew, so the tree, the probes and
 the run flags are those of a run from scratch.  Which orbits came out
 clean is known to one enumeration only, in one node and one round: a
-later round probes them again at its own budget.  One enumeration of a
+later round probes them again at its own budget.  The zeros the sweep
+check compares with are kept on the analysis too.  One enumeration of a
 node's children embeds chart A once per field its points lie in, and
 keeps the images only while it runs.
 
@@ -83,9 +92,10 @@ input's reduction there instead of computing it again.
 
 The run flags of a result (``good_regime`` and the flags behind it) are
 read from the finished tree, so they depend only on the input, never on
-the policy.  A dropped clean probe affects only the escalation: when its
-verdict was read from a truncated series, the run counts as truncated,
-as it would through any of its skipped conjugates.
+the policy.  The policies differ only in the escalation: a clean sweep
+probe whose verdict was read from a truncated series makes the run
+count as truncated, as it would through any of its skipped conjugates,
+while candidates mode never makes such a probe.
 """
 
 from __future__ import annotations
@@ -93,7 +103,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass, field as dataclass_field
 
-from .fields import embed, field, find_roots, join_context, minimal_form
+from .fields import (_fgcd, embed, field, find_roots, join_context,
+                     minimal_form)
 from .laurent import (PrecisionLossError, blowup_substitute, leading_column,
                       pole_staircase, translate, valuation)
 from .reduction import conductors, good_representative
@@ -272,12 +283,15 @@ def resolve(f, branches, config=None, *, memo=None):
 class _NodeAnalysis:
     """What a node's polynomial determines at every series budget: the
     node's fields but its path, its good representative, the chart B and
-    chart A images of that representative when the node is not clean, and
-    the off-origin points with their Frobenius orbits, once searched."""
+    chart A images of that representative when the node is not clean, the
+    off-origin points with their Frobenius orbits, once searched, and in
+    sweep mode the labels of the refined Swan zeros in the sweep field,
+    once the sweep check has computed them."""
     fields: dict
     representative: object
     charts: tuple = ()
     points: tuple = None
+    sweep_zeros: frozenset = None
 
 
 class _Call:
@@ -306,8 +320,8 @@ class _Call:
     def off_origin_points(self, chart_first):
         """The off-origin points to probe below a chart A image, with
         their Frobenius orbits under x -> x^q, F_q the chart's field: the
-        candidates of the image, or every nonzero point of the sweep
-        field, which holds every node field."""
+        refined Swan zeros of the image, or every nonzero point of the
+        sweep field, which holds every node field."""
         q = chart_first.ctx.order
         if self.sweep is None:
             points = exceptional_candidates(chart_first)
@@ -319,6 +333,28 @@ class _Call:
             orbits = self.sweep_orbits[q] = _frobenius_orbits(
                 self.sweep_points, q)
         return self.sweep_points, orbits
+
+    def check_sweep(self, info, children, path):
+        """CrossCheckError unless the non-clean off-origin children of a
+        node in sweep mode are exactly the refined Swan zeros that lie in
+        the sweep field, compared by label.  The zeros are computed once
+        per analysis; a node whose leading column is truncated has none to
+        compare, and is passed without an escalation."""
+        zeros = info.sweep_zeros
+        if zeros is None:
+            try:
+                points = exceptional_candidates(info.charts[1])
+            except PrecisionLossError:
+                return
+            zeros = info.sweep_zeros = frozenset(
+                _point_label(x) for x in points
+                if self.sweep.degree % x.ctx.degree == 0)
+        # the chart origins come first and are always kept
+        found = {child.path.rsplit("/", 1)[1] for child in children[2:]}
+        if found != zeros:
+            raise CrossCheckError(
+                f"at {path}: non-clean points {sorted(found)}, refined Swan "
+                f"zeros in {self.sweep} {sorted(zeros)}")
 
 
 def _build_node(poly, branches, path, depth, call, budget, stats):
@@ -336,7 +372,7 @@ def _build_node(poly, branches, path, depth, call, budget, stats):
         return node
 
     children = []
-    clean_orbits = set()    # off-origin orbits whose first point is clean
+    clean_orbits = set()    # sweep mode: orbits whose first point is clean
     try:
         for child_poly, child_branches, label, orbit in _blowup_children(
                 info, call, budget, clean_orbits):
@@ -345,12 +381,17 @@ def _build_node(poly, branches, path, depth, call, budget, stats):
             # the chart origins stay in the tree even when clean
             if orbit is None or not child.clean:
                 children.append(child)
+            elif call.sweep is None:
+                raise CrossCheckError(
+                    f"at {child.path}: a refined Swan zero is clean")
             else:
                 clean_orbits.add(orbit)
     except DepthCapError as err:
         if err.partial is None:
             err.partial = node
         raise
+    if call.sweep is not None:
+        call.check_sweep(info, children, path)
     node.children = children
     return node
 
@@ -411,7 +452,7 @@ def _blowup_children(info, call, budget, clean_orbits):
         if image is None:
             image = images[ctx] = first.embed_into(ctx)
         moved = translate(image, embed(point, ctx), budget)
-        yield moved, 1, f"A@v={point}", orbit
+        yield moved, 1, _point_label(point), orbit
 
 
 # ---------------------------------------------------------------------------
@@ -432,51 +473,53 @@ def leading_exceptional_column(chart_first):
 
 
 def exceptional_candidates(chart_first):
-    """Candidate off-origin points in candidates mode (pre-certification).
+    """The off-origin points of the exceptional curve that one blow-up
+    leaves non-clean: the nonzero zeros of Kato's refined Swan conductor
+    (Kato, "Swan conductors for characters of degree one in the imperfect
+    residue field case", 1989).
 
-    Nonzero roots of the leading coefficient, plus nonzero roots of its
-    formal derivative when p divides the pole order; each expressed in its
-    minimal field, deduplicated, deterministically ordered.
+    With A the pole order along the exceptional curve and c(v) its
+    leading column, rsw = u^-A (c'(v) dv - A c(v) du/u), and a point is
+    clean iff rsw does not vanish there.  So the points are the nonzero
+    common roots of c and c' (the multiple roots of c) when p does not
+    divide A, and the nonzero roots of c' when it does; each is expressed
+    in its minimal field, listed once, deterministically ordered.
     """
     pole, column = leading_exceptional_column(chart_first)
     if pole <= 0 or not column:
         return []
     ctx = chart_first.ctx
     p = ctx.p
-
-    def roots(coeff_map):
-        """The roots of one coefficient map.  A map of fewer than two terms
-        is empty or c*v^n, which has no nonzero root, so no root search
-        runs on it."""
-        if len(coeff_map) < 2:
-            return []
-        low = min(coeff_map)
-        size = max(coeff_map) - low + 1
-        coeffs = [ctx.zero()] * size
-        for n, c in coeff_map.items():
-            coeffs[n - low] = c
-        if all(not c for c in coeffs):
-            return []
-        return find_roots(coeffs).roots
-
-    derivative = {}
     if pole % p == 0:
-        for n, c in column.items():
-            scaled = c * (n % p)
-            if scaled:
-                derivative[n - 1] = scaled
-    return _minimal_points(roots(column) + roots(derivative))
+        column = {n - 1: c * (n % p) for n, c in column.items() if n % p}
+    # a map of fewer than two terms is empty or c*v^n, with no nonzero root
+    if len(column) < 2:
+        return []
+    low = min(column)
+    coeffs = [ctx.zero()] * (max(column) - low + 1)
+    for n, c in column.items():
+        coeffs[n - low] = c
+    if pole % p:
+        # shifting c by a power of v moves no nonzero common root of c, c'
+        coeffs = _fgcd(coeffs, [c * (i % p) for i, c in enumerate(coeffs)][1:],
+                       ctx)
+        if len(coeffs) < 2:
+            return []
+    return sorted(map(minimal_form, find_roots(coeffs).roots), key=_point_key)
+
+
+def _point_label(point):
+    return f"A@v={point}"
+
+
+def _point_key(x):
+    return x.ctx.degree, x.encoding()
 
 
 def _minimal_points(elements):
-    """The nonzero elements, each in its minimal field and listed once,
-    ordered by that field's degree, then by encoding."""
-    points = {}
-    for x in elements:
-        if x:
-            small = minimal_form(x)
-            points[(small.ctx.degree, small.encoding())] = small
-    return [points[key] for key in sorted(points)]
+    """The nonzero elements of a field, each in its minimal field, ordered
+    by that field's degree, then by encoding."""
+    return sorted((minimal_form(x) for x in elements if x), key=_point_key)
 
 
 def _frobenius_orbits(points, q):
@@ -484,14 +527,14 @@ def _frobenius_orbits(points, q):
     x -> x^q among points.  A chart defined over F_q has at v^q the
     Frobenius image of its local equation at v, so every point of an
     orbit gets the same node fields."""
-    index = {(x.ctx.degree, x.encoding()): i for i, x in enumerate(points)}
+    index = {_point_key(x): i for i, x in enumerate(points)}
     orbits = [None] * len(points)
     for i, x in enumerate(points):
         if orbits[i] is not None:
             continue
         y = x
         while True:
-            j = index.get((y.ctx.degree, y.encoding()))
+            j = index.get(_point_key(y))
             if j is not None:
                 orbits[j] = i
             y = y ** q

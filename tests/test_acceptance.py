@@ -194,8 +194,11 @@ def test_criterion_8_upper_bound():
 
 def test_criterion_9_candidates_and_sweep_agree():
     rng = random.Random(109)
+    # the third input has a non-clean point that only the roots of c'
+    # locate: its pole order 3 is divisible by p
     corpus = [parse_polynomial("t1^-2*t2 + t1^-4*t2^3", field(2)),
-              parse_polynomial("t1^-2*t2 + t1^-3*t2^2", field(2))]
+              parse_polynomial("t1^-2*t2 + t1^-3*t2^2", field(2)),
+              parse_polynomial("t1^-4*t2 + t1^-5*t2^2", field(3))]
     for index in range(60):
         p = (2, 3)[index % 2]
         corpus.append(random_polynomial(rng, field(p), max_terms=3,

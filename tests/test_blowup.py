@@ -11,7 +11,7 @@ from wildram.blowup import (CrossCheckError, DepthCapError, SimulationConfig,
                             leading_exceptional_column, resolve,
                             simulation_as_dict, tree_as_dict, tree_as_dot)
 from wildram.corpus import random_polynomial
-from wildram.fields import field
+from wildram.fields import field, find_roots
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
                              blowup_substitute, pole_staircase)
 from wildram.parsing import parse_polynomial
@@ -112,14 +112,72 @@ def _off_origin_labels(f):
     return [label for label, _ in _nonclean_children(f) if "@v=" in label]
 
 
+def _chart_a(f):
+    return blowup_substitute(good_representative(f).g, "A")
+
+
+def _zeros(f):
+    """(field degree, encoding) of each refined Swan zero below f's root."""
+    return [(x.ctx.degree, x.encoding())
+            for x in exceptional_candidates(_chart_a(f))]
+
+
 def test_candidate_points_from_leading_coefficient():
-    # leading coefficient along the exceptional curve is v^2 + v
+    # the leading column along the exceptional curve is v + v^2 with pole
+    # order 1, prime to p: its root v = 1 is simple, so the refined Swan
+    # conductor c' dv - c du/u does not vanish there and nothing is probed
     f = poly("t1^-2*t2 + t1^-3*t2^2", F2)
-    chart = blowup_substitute(good_representative(f).g, "A")
-    candidates = exceptional_candidates(chart)
-    assert [c.encoding() for c in candidates] == [1]
-    # the candidate certifies clean, so it is not a child
+    assert leading_exceptional_column(_chart_a(f))[0] == 1
+    assert _zeros(f) == []
     assert _off_origin_labels(f) == []
+    # sweep mode probes v = 1 and finds it clean
+    swept = resolve(f, 2, SimulationConfig(mode="sweep"))
+    assert swept.root.signature() == resolve(f, 2).root.signature()
+
+
+def _with_simple_roots(real):
+    """The candidate set before the refined Swan conductor: the zeros plus
+    every root of the leading column."""
+    def candidates(chart):
+        _, column = leading_exceptional_column(chart)
+        low = min(column, default=0)
+        coeffs = [chart.ctx.zero()] * (max(column, default=0) - low + 1)
+        for n, c in column.items():
+            coeffs[n - low] = c
+        roots = find_roots(coeffs).roots if len(column) > 1 else []
+        return blowup._minimal_points(roots + real(chart))
+    return candidates
+
+
+def test_a_clean_candidate_fails_the_refined_swan_check(monkeypatch):
+    # candidates mode probes only refined Swan zeros, so a probe that
+    # comes out clean means the locator and the node build disagree
+    f = poly("t1^-2*t2 + t1^-3*t2^2", F2)
+    monkeypatch.setattr(blowup, "exceptional_candidates",
+                        _with_simple_roots(exceptional_candidates))
+    with pytest.raises(CrossCheckError, match="x/A@v=1: a refined Swan"):
+        resolve(f, 2)
+    # sweep mode drops the clean probe v = 1, then finds it among the zeros
+    with pytest.raises(CrossCheckError, match=r"non-clean points \[\], "):
+        resolve(f, 2, SimulationConfig(mode="sweep"))
+
+
+def test_sweep_mode_checks_its_points_against_the_refined_swan_zeros(
+        monkeypatch):
+    # over F_3 the pole order 3 is divisible by p and c = v + v^2, so the
+    # only zero is the root v = 1 of c' = 1 + 2v; a locator that drops
+    # the roots of c' leaves a non-clean sweep point unexplained
+    f = poly("t1^-4*t2 + t1^-5*t2^2", F3)
+    real = exceptional_candidates
+
+    def without_derivative_roots(chart):
+        pole, _ = leading_exceptional_column(chart)
+        return [] if pole > 0 and pole % chart.ctx.p == 0 else real(chart)
+
+    monkeypatch.setattr(blowup, "exceptional_candidates",
+                        without_derivative_roots)
+    with pytest.raises(CrossCheckError, match=r"non-clean points \['A@v=1'\]"):
+        resolve(f, 2, SimulationConfig(mode="sweep"))
 
 
 def test_leading_exceptional_column_raises_on_a_truncated_column():
@@ -563,47 +621,67 @@ def test_children_order_is_chart_then_points():
 
 
 def test_candidates_include_roots_in_an_extension():
-    # the leading coefficient v^2 + v + 1 has its roots in F_4 only
-    f = poly("t1^-1 + t1^-2*t2 + t1^-3*t2^2", F2)
-    chart = blowup_substitute(good_representative(f).g, "A")
-    points = exceptional_candidates(chart)
-    assert [(c.ctx.degree, c.encoding()) for c in points] == [(2, 2), (2, 3)]
+    # the zeros are the roots of v^2 + v + 1, which lie in F_4 only: with
+    # pole order 1 the leading column is (v^2 + v + 1)^2, with pole order
+    # 2 it is v + v^3 + v^5, whose derivative is (v^2 + v + 1)^2
+    for text, pole in [("t1^-1 + t1^-3*t2^2 + t1^-5*t2^4", 1),
+                       ("t1^-3*t2 + t1^-5*t2^3 + t1^-7*t2^5", 2)]:
+        f = poly(text, F2)
+        assert leading_exceptional_column(_chart_a(f))[0] == pole
+        assert _zeros(f) == [(2, 2), (2, 3)]
+        assert _off_origin_labels(f) == ["A@v=g", "A@v=g + 1"]
+        direct = resolve(f, 2)
+        swept = resolve(f, 2, SimulationConfig(mode="sweep", sweep_degree=2))
+        assert direct.root.signature() == swept.root.signature()
+    # a simple root of a column is no zero: v^2 + v + 1 itself gives none
+    assert _zeros(poly("t1^-1 + t1^-2*t2 + t1^-3*t2^2", F2)) == []
 
 
 def test_candidates_find_the_roots_of_an_irreducible_septic_column():
-    # the exceptional leading column v^7 + v + 1 is irreducible over F_2,
-    # so its seven roots lie in F_128 and in no smaller extension
-    f = poly("t1^-10*t2^7 + t1^-4*t2 + t1^-3", F2)
-    chart = blowup_substitute(good_representative(f).g, "A")
-    points = exceptional_candidates(chart)
+    # the exceptional leading column (v^7 + v + 1)^2 = v^14 + v^2 + 1 has
+    # pole order 1; v^7 + v + 1 is irreducible over F_2, so the seven
+    # zeros lie in F_128 and in no smaller extension
+    f = poly("t1^-1 + t1^-3*t2^2 + t1^-15*t2^14", F2)
+    points = exceptional_candidates(_chart_a(f))
     assert [c.ctx for c in points] == [field(2, 7)] * 7
     result = resolve(f, 2)
-    assert result.total == 49 and not result.partial_roots
+    assert result.total == 203 and not result.partial_roots
+    assert len(_off_origin_labels(f)) == 7
+    # the column v^7 + v + 1 itself has simple roots only: no zero
+    assert _zeros(poly("t1^-10*t2^7 + t1^-4*t2 + t1^-3", F2)) == []
 
 
 def test_candidates_search_a_column_whose_roots_need_f_8192(monkeypatch):
-    # a degree-13 leading column over F_2: its roots lie in F_8192, above
-    # the table cap, where the equal-degree split finds one of them and the
-    # others are its powers r^2, r^4, ...; they form one Frobenius orbit,
-    # probed through its first point
+    # the leading column is h^2 for the irreducible degree-13 polynomial
+    # h = v^13 + v^4 + v^3 + v + 1 over F_2, with pole order 1: its zeros
+    # lie in F_8192, above the table cap, where the equal-degree split
+    # finds one of them and the others are its powers r^2, r^4, ...; they
+    # form one Frobenius orbit, and each of them is a non-clean child
+    f = poly("t1^-27*t2^26 + t1^-9*t2^8 + t1^-7*t2^6 + t1^-3*t2^2 + t1^-1",
+             F2)
+    points = exceptional_candidates(_chart_a(f))
+    assert [c.ctx for c in points] == [field(2, 13)] * 13
+    assert blowup._frobenius_orbits(points, 2) == [0] * 13
     probed = []
     original = blowup.translate
 
-    def recorded(f, point, budget):
+    def recorded(g, point, budget):
         probed.append(point.ctx)
-        return original(f, point, budget)
+        return original(g, point, budget)
 
     monkeypatch.setattr(blowup, "translate", recorded)
-    f = poly("t1^-16*t2^13 + t1^-7*t2^4 + t1^-6*t2^3 + t1^-4*t2 + t1^-3",
-             F2)
-    assert resolve(f, 2).total == 169
-    assert probed == [field(2, 13)]
+    result = resolve(f, 2)
+    assert result.total == 689
+    assert probed[:13] == [field(2, 13)] * 13
+    assert len(_off_origin_labels(f)) == 13
 
 
 def test_candidates_search_no_constant(monkeypatch):
-    # a map of one term c*v^n has no nonzero root, so no root search runs
-    # on it; this input meets two exceptional columns of one term, which
-    # used to reach find_roots as constants
+    # a map of one term c*v^n has no nonzero root, and a column whose pole
+    # order is prime to p has no zero when gcd(c, c') is constant, so no
+    # root search runs on either; this input meets two exceptional columns
+    # of one term and the column 1 + v^2 (pole order 1, gcd with 2v is 1),
+    # and searches only c' = 1 + 2v of the column v + v^2 of pole order 3
     searched, one_term = [], []
     original_roots = blowup.find_roots
     original_column = blowup.leading_exceptional_column
@@ -623,19 +701,18 @@ def test_candidates_search_no_constant(monkeypatch):
     result = resolve(poly("t1^-4*t2 + t1^-5*t2^2", F3), 2)
     assert result.total == 9
     assert len(one_term) == 2
-    assert searched == [2, 2, 3]
+    assert searched == [2]
 
 
 def test_derivative_rule_finds_cascade_point():
-    # over F_3 with leading coefficient v + v^2: v = 1 is not a root
-    # (L(1) = 2) but kills the derivative, and after the corner-reduction
-    # cascade the point is genuinely non-clean; only the derivative rule
-    # can propose it
+    # over F_3 with leading coefficient v + v^2 and pole order 3: v = 1 is
+    # not a root (L(1) = 2) but kills the derivative, and after the
+    # corner-reduction cascade the point is genuinely non-clean; with p
+    # dividing the pole order the refined Swan conductor is c'(v) dv, so
+    # v = 1 is its only zero, and the simple root v = 2 of c is no zero
     f = poly("t1^-4*t2 + t1^-5*t2^2", F3)
-    chart = blowup_substitute(good_representative(f).g, "A")
-    candidates = exceptional_candidates(chart)
-    assert sorted(c.encoding() for c in candidates) == [1, 2]
-    # only v = 1 certifies non-clean
+    assert leading_exceptional_column(_chart_a(f))[0] == 3
+    assert _zeros(f) == [(1, 1)]
     assert _off_origin_labels(f) == ["A@v=1"]
     direct = resolve(f, 2, SimulationConfig())
     swept = resolve(f, 2, SimulationConfig(mode="sweep", sweep_degree=1))
@@ -657,3 +734,55 @@ def test_extension_base_fields():
         if len(rep.staircase) > 1:
             bound = ramification_bound(rep.staircase, 2)
             assert result.total <= bound and recursive <= bound
+
+
+def _kato_clean_at_origin(g):
+    """Kato's criterion for a reduced one-branch g at the origin: with A
+    the pole order along t1 and c(t2) its leading column, the refined Swan
+    conductor c'(t2) dt2 - A c(t2) dt1/t1 does not vanish at t2 = 0, that
+    is c(0) != 0 or c'(0) != 0 when p does not divide A, and c'(0) != 0
+    when it does."""
+    pole, column = leading_exceptional_column(g)
+    if pole <= 0:
+        return True
+    if pole % g.ctx.p:
+        return 0 in column or 1 in column
+    return 1 in column
+
+
+def test_clean_shape_agrees_with_kato_at_the_origin():
+    # every exact one-branch node that a seeded corpus of resolutions
+    # analyses: its input, its chart A origins and its off-origin points
+    rng = random.Random(14)
+    memo = {}
+    for index in range(400):
+        ctx = (F2, F3, field(2, 2), F5)[index % 4]
+        branches = 1 + index // 4 % 2
+        f = random_polynomial(rng, ctx, nonneg_t2=branches == 1)
+        resolve(f, branches, memo=memo)
+    seen = Counter()
+    for (g, branches, _), info in memo.items():
+        if branches != 1:
+            continue
+        rep = info.representative
+        pole, _ = leading_exceptional_column(rep.g)
+        clean = info.fields["clean"]
+        assert clean == _kato_clean_at_origin(rep.g), g
+        seen[pole > 0 and pole % g.ctx.p == 0, clean] += 1
+    assert all(seen[key] >= 10 for key in [(False, False), (False, True),
+                                          (True, False), (True, True)]), seen
+
+
+def test_sweep_mode_is_complete_on_its_field_only():
+    # the refined Swan zeros below the root are 1, g and g + 1: candidates
+    # mode finds all three, sweep mode over F_2 only the one in F_2, and
+    # its check compares with the zeros in F_2 alone
+    f = poly("t1^-6*t2^3 + t2^-3", F2)
+    assert _zeros(f) == [(1, 1), (2, 2), (2, 3)]
+    direct = resolve(f, 2)
+    over_f2 = resolve(f, 2, SimulationConfig(mode="sweep"))
+    over_f4 = resolve(f, 2, SimulationConfig(mode="sweep", sweep_degree=2))
+    assert (direct.total, over_f2.total, over_f4.total) == (45, 39, 45)
+    assert [c.path for c in over_f2.root.children] == ["x/B", "x/A",
+                                                       "x/A@v=1"]
+    assert over_f4.root.signature() == direct.root.signature()
