@@ -285,8 +285,8 @@ class _NodeAnalysis:
     node's fields but its path, its good representative, the chart B and
     chart A images of that representative when the node is not clean, the
     off-origin points with their Frobenius orbits, once searched, and in
-    sweep mode the labels of the refined Swan zeros in the sweep field,
-    once the sweep check has computed them."""
+    sweep mode the refined Swan zeros in the sweep field, by field degree
+    and encoding, once the sweep check has computed them."""
     fields: dict
     representative: object
     charts: tuple = ()
@@ -334,12 +334,16 @@ class _Call:
                 self.sweep_points, q)
         return self.sweep_points, orbits
 
-    def check_sweep(self, info, children, path):
-        """CrossCheckError unless the non-clean off-origin children of a
-        node in sweep mode are exactly the refined Swan zeros that lie in
-        the sweep field, compared by label.  The zeros are computed once
-        per analysis; a node whose leading column is truncated has none to
-        compare, and is passed without an escalation."""
+    def check_sweep(self, info, clean_orbits, kept, path):
+        """CrossCheckError unless the off-origin points that a node in
+        sweep mode kept are exactly the refined Swan zeros in the sweep
+        field.  The kept points are those of the orbits whose first point
+        was not clean, and there must be `kept` of them, one child each.
+        Points are compared by field and encoding, not by label: labels
+        omit the field, so g of F_4 and g of F_16 print alike.  The zeros
+        are computed once per analysis; a node whose leading column is
+        truncated has none to compare, and is passed without an
+        escalation."""
         zeros = info.sweep_zeros
         if zeros is None:
             try:
@@ -347,14 +351,16 @@ class _Call:
             except PrecisionLossError:
                 return
             zeros = info.sweep_zeros = frozenset(
-                _point_label(x) for x in points
+                _point_key(x) for x in points
                 if self.sweep.degree % x.ctx.degree == 0)
-        # the chart origins come first and are always kept
-        found = {child.path.rsplit("/", 1)[1] for child in children[2:]}
-        if found != zeros:
+        points, orbits = info.points
+        found = {_point_key(x) for x, orbit in zip(points, orbits)
+                 if orbit not in clean_orbits}
+        if found != zeros or len(found) != kept:
             raise CrossCheckError(
-                f"at {path}: non-clean points {sorted(found)}, refined Swan "
-                f"zeros in {self.sweep} {sorted(zeros)}")
+                f"at {path}: {kept} children for the non-clean points "
+                f"{sorted(found)}, refined Swan zeros {sorted(zeros)} in "
+                f"{self.sweep} (field degree, encoding)")
 
 
 def _build_node(poly, branches, path, depth, call, budget, stats):
@@ -391,7 +397,8 @@ def _build_node(poly, branches, path, depth, call, budget, stats):
             err.partial = node
         raise
     if call.sweep is not None:
-        call.check_sweep(info, children, path)
+        # the chart origins come first and are always kept
+        call.check_sweep(info, clean_orbits, len(children) - 2, path)
     node.children = children
     return node
 
@@ -452,7 +459,7 @@ def _blowup_children(info, call, budget, clean_orbits):
         if image is None:
             image = images[ctx] = first.embed_into(ctx)
         moved = translate(image, embed(point, ctx), budget)
-        yield moved, 1, _point_label(point), orbit
+        yield moved, 1, f"A@v={point}", orbit
 
 
 # ---------------------------------------------------------------------------
@@ -506,10 +513,6 @@ def exceptional_candidates(chart_first):
         if len(coeffs) < 2:
             return []
     return sorted(map(minimal_form, find_roots(coeffs).roots), key=_point_key)
-
-
-def _point_label(point):
-    return f"A@v={point}"
 
 
 def _point_key(x):

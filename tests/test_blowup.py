@@ -158,7 +158,8 @@ def test_a_clean_candidate_fails_the_refined_swan_check(monkeypatch):
     with pytest.raises(CrossCheckError, match="x/A@v=1: a refined Swan"):
         resolve(f, 2)
     # sweep mode drops the clean probe v = 1, then finds it among the zeros
-    with pytest.raises(CrossCheckError, match=r"non-clean points \[\], "):
+    with pytest.raises(CrossCheckError, match=r"points \[\], refined Swan "
+                                              r"zeros \[\(1, 1\)\]"):
         resolve(f, 2, SimulationConfig(mode="sweep"))
 
 
@@ -176,8 +177,25 @@ def test_sweep_mode_checks_its_points_against_the_refined_swan_zeros(
 
     monkeypatch.setattr(blowup, "exceptional_candidates",
                         without_derivative_roots)
-    with pytest.raises(CrossCheckError, match=r"non-clean points \['A@v=1'\]"):
+    with pytest.raises(CrossCheckError, match=r"points \[\(1, 1\)\], "
+                                              r"refined Swan zeros \[\]"):
         resolve(f, 2, SimulationConfig(mode="sweep"))
+
+
+def test_the_sweep_check_tells_points_of_different_fields_apart(monkeypatch):
+    # the zeros g and g + 1 of F_4 print like g and g + 1 of F_16, the
+    # sweep field here; a locator that names the F_16 points must fail
+    f = poly("t1^-1 + t1^-3*t2^2 + t1^-5*t2^4", F2)
+    sweep = SimulationConfig(mode="sweep", sweep_degree=4)
+    assert resolve(f, 2, sweep).total == 18
+    f16, real = field(2, 4), exceptional_candidates
+
+    def in_f16(chart):
+        return [f16.from_encoding(x.encoding()) for x in real(chart)]
+
+    monkeypatch.setattr(blowup, "exceptional_candidates", in_f16)
+    with pytest.raises(CrossCheckError, match=r"zeros \[\(4, 2\), \(4, 3\)\]"):
+        resolve(f, 2, sweep)
 
 
 def test_leading_exceptional_column_raises_on_a_truncated_column():
