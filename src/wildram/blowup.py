@@ -347,11 +347,11 @@ class _Call:
         zeros = info.sweep_zeros
         if zeros is None:
             try:
-                points = exceptional_candidates(info.charts[1])
+                located = exceptional_candidates(info.charts[1])
             except PrecisionLossError:
                 return
             zeros = info.sweep_zeros = frozenset(
-                _point_key(x) for x in points
+                _point_key(x) for x in located
                 if self.sweep.degree % x.ctx.degree == 0)
         points, orbits = info.points
         found = {_point_key(x) for x, orbit in zip(points, orbits)
