@@ -34,8 +34,7 @@ is not zero.  Two policies are implemented:
   field F_{p^k}, one per Frobenius orbit (below), and drop the clean
   ones.  Complete on that field only.  At every non-clean node the
   non-clean points found must be the zeros of rsw in the sweep field, or
-  ``CrossCheckError`` is raised; the check is passed by when the leading
-  column is truncated, so it adds no escalation.
+  ``CrossCheckError`` is raised.
 
 Both policies feed one child enumeration: chart B's origin, chart A's
 origin, then the off-origin points.  The points are grouped into orbits
@@ -45,45 +44,34 @@ that point comes out clean, its conjugates are skipped; when not, every
 conjugate is built in full, so the tree, its labels and the order of its
 exceptions are those of probing every point.  The skip is exact, not a
 heuristic.  The chart has its coefficients in F_q, so the Frobenius
-x -> x^q, applied to the coefficients, carries the local equation at v,
-translated at any series budget, to the one at v^q.
-Reduction, staircase, conductors and the truncation bookkeeping read a
-coefficient only through field operations (p-th roots included) and
-through whether it vanishes, so they commute with that automorphism: the
-two points get the same node fields, the same clean verdict, the same
-drop cross-check and the same precision outcome.  The zeros the
-candidates policy finds are roots of polynomials over F_q, which come in
-whole orbits already, and are all non-clean.
+x -> x^q, applied to the coefficients, carries the local function at v
+(numerator and denominator, see the laurent module) to the one at v^q.
+Reduction, staircase and conductors read a coefficient only through
+field operations (p-th roots included) and through whether it vanishes,
+so they commute with that automorphism: the two points get the same node
+fields, the same clean verdict and the same drop cross-check.  The zeros
+the candidates policy finds are roots of polynomials over F_q, which
+come in whole orbits already, and are all non-clean.
 
-Translations at off-origin points can truncate series (see the laurent
-module).  ``resolve`` therefore reruns the whole simulation with a
-doubled series budget until two consecutive runs produce identical trees,
-and raises after ``MAX_ESCALATIONS`` doublings.  Every acceptance path
-re-derives from the exact pre-translation polynomial, so a stable answer
-is also a correct one for every quantity that became stable.
+Translations at off-origin points are exact: ``translate`` returns the
+local function as P / V^p, and every node below is built from exact
+data, so one round gives the tree and there is no series budget.
 
-What a round recomputes.  A node whose polynomial is exact does not
-depend on the budget, so one ``resolve`` call analyses it once and every
-later round reuses that analysis: the reduced representative and its
-node fields (drop cross-check passed), its two chart images, and, once
-the enumeration first reaches them, its off-origin points and their
-Frobenius orbits.  In sweep mode the points are those of the sweep
-field at every node, so a call lists them once, and takes their orbits
-once per field order of the charts.  Each round still builds fresh
-nodes, translates the first point of every orbit at its own budget and
-analyses every truncated polynomial anew, so the tree, the probes and
-the run flags are those of a run from scratch.  Which orbits came out
-clean is known to one enumeration only, in one node and one round: a
-later round probes them again at its own budget.  The zeros the sweep
-check compares with are kept on the analysis too.  One enumeration of a
-node's children embeds chart A once per field its points lie in, and
-keeps the images only while it runs.
+A ``resolve`` call analyses each node polynomial once: its reduced
+representative and its node fields (drop cross-check passed), its two
+chart images, and, once the enumeration first reaches them, its
+off-origin points and their Frobenius orbits.  In sweep mode the points
+are those of the sweep field at every node, so a call lists them once,
+and takes their orbits once per field order of the charts.  The zeros
+the sweep check compares with are kept on the analysis too.  One
+enumeration of a node's children embeds chart A once per field its
+points lie in, and keeps the images only while it runs.
 
-The analyses live in a memo keyed by (exact polynomial, branches, sweep
-field or None), with polynomials compared by value (field, terms and
-unknown corners).  A call keeps its own memo unless the caller passes
-one, and a caller may pass one memo to several calls: a report does so
-for its input and its perturbation, whose trees often share nodes.  An
+The analyses live in a memo keyed by (polynomial, branches, sweep field
+or None), with polynomials compared by value (field, terms and
+denominator).  A call keeps its own memo unless the caller passes one,
+and a caller may pass one memo to several calls: a report does so for
+its input and its perturbation, whose trees often share nodes.  An
 analysis depends only on its key, so a hit gives what analysing again
 would give, and each call still builds its own tree from it; without a
 shared memo, two calls on the same input compute everything twice.  The
@@ -92,10 +80,7 @@ input's reduction there instead of computing it again.
 
 The run flags of a result (``good_regime`` and the flags behind it) are
 read from the finished tree, so they depend only on the input, never on
-the policy.  The policies differ only in the escalation: a clean sweep
-probe whose verdict was read from a truncated series makes the run
-count as truncated, as it would through any of its skipped conjugates,
-while candidates mode never makes such a probe.
+the policy.
 """
 
 from __future__ import annotations
@@ -105,14 +90,10 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .fields import (_fgcd, embed, field, find_roots, join_context,
                      minimal_form)
-from .laurent import (PrecisionLossError, blowup_substitute, leading_column,
-                      pole_staircase, translate, valuation)
+from .laurent import (blowup_substitute, leading_column, pole_staircase,
+                      translate, valuation)
 from .reduction import conductors, good_representative
 from .staircase import _check_branches, blowup_term, is_clean_shape, swan_drop
-
-
-# series-budget doublings before resolve gives up
-MAX_ESCALATIONS = 6
 
 
 class CrossCheckError(RuntimeError):
@@ -128,23 +109,18 @@ class DepthCapError(RuntimeError):
         super().__init__(f"depth cap exceeded at {path}")
 
 
-class EscalationError(RuntimeError):
-    """The series budget failed to stabilize within the escalation cap."""
-
-
 @dataclass
 class SimulationConfig:
     mode: str = "candidates"      # or "sweep"
     sweep_degree: int = 1
     depth_cap: int = 32
-    series_terms: int = 16
 
     def __post_init__(self):
-        """The caps, degree and budget are integers by ``operator.index``
-        and not bools: a float or a ``True`` is refused, never truncated."""
+        """The cap and the degree are integers by ``operator.index`` and
+        not bools: a float or a ``True`` is refused, never truncated."""
         if self.mode not in ("candidates", "sweep"):
             raise ValueError(f"unknown mode {self.mode!r}")
-        for name in ("sweep_degree", "depth_cap", "series_terms"):
+        for name in ("sweep_degree", "depth_cap"):
             value = getattr(self, name)
             try:
                 if isinstance(value, bool):
@@ -155,8 +131,6 @@ class SimulationConfig:
                                  f"got {value!r}") from None
         if self.depth_cap < 1 or self.sweep_degree < 1:
             raise ValueError("caps and degrees must be >= 1")
-        if self.series_terms < 1:
-            raise ValueError("series budget must be positive")
 
 
 @dataclass
@@ -191,19 +165,14 @@ class BlowupNode:
 
 
 @dataclass
-class RunStats:
-    """What one simulation run learns that its tree cannot show."""
-    used_truncation: bool = False
-    representative: object = None     # the root's GoodRepresentative
-
-
-@dataclass
 class ResolutionResult:
     total: int
     root: BlowupNode
-    precision_escalations: int
     representative: object        # the input's, which the root was built from
-    partial_roots = False   # read by perfbench/workloads.py until ROADMAP item 4
+    # read by perfbench/workloads.py until ROADMAP item 4: root search is
+    # complete and translation exact, so these never change
+    partial_roots = False
+    precision_escalations = 0
 
     @property
     def constant_added_anywhere(self):
@@ -245,7 +214,7 @@ def resolve(f, branches, config=None, *, memo=None):
 
     `branches` is 1 when the boundary is {t1 = 0} and 2 when it is
     {t1*t2 = 0}; ``check_point`` refuses any other input.  `memo` is a
-    dict of exact-node analyses that the caller may pass to several calls
+    dict of node analyses that the caller may pass to several calls
     (see the module docstring); without it the call keeps its own.
     """
     config = config or SimulationConfig()
@@ -254,39 +223,20 @@ def resolve(f, branches, config=None, *, memo=None):
     sweep = (field(f.ctx.p, f.ctx.degree * config.sweep_degree)
              if config.mode == "sweep" else None)
     call = _Call(config.depth_cap, sweep, {} if memo is None else memo)
-
-    budget = config.series_terms
-    previous = None
-    escalations = 0
-    while True:
-        stats = RunStats()
-        try:
-            root = _build_node(f, branches, "x", 0, call, budget, stats)
-        except PrecisionLossError:
-            root = None
-        if root is not None:
-            signature = root.signature() if stats.used_truncation else None
-            if signature is None or signature == previous:
-                return ResolutionResult(
-                    total=root.total(), root=root,
-                    precision_escalations=escalations,
-                    representative=stats.representative)
-            previous = signature
-        if escalations >= MAX_ESCALATIONS:
-            raise EscalationError(
-                f"series budget still unstable after {escalations} doublings")
-        budget *= 2
-        escalations += 1
+    root = _build_node(f, branches, "x", 0, call)
+    return ResolutionResult(
+        total=root.total(), root=root,
+        representative=call.analysis(f, branches, "x").representative)
 
 
 @dataclass
 class _NodeAnalysis:
-    """What a node's polynomial determines at every series budget: the
-    node's fields but its path, its good representative, the chart B and
-    chart A images of that representative when the node is not clean, the
-    off-origin points with their Frobenius orbits, once searched, and in
-    sweep mode the refined Swan zeros in the sweep field, by field degree
-    and encoding, once the sweep check has computed them."""
+    """What a node's polynomial determines: the node's fields but its
+    path, its good representative, the chart B and chart A images of that
+    representative when the node is not clean, the off-origin points with
+    their Frobenius orbits, once searched, and in sweep mode the refined
+    Swan zeros in the sweep field, by field degree and encoding, once the
+    sweep check has computed them."""
     fields: dict
     representative: object
     charts: tuple = ()
@@ -295,20 +245,20 @@ class _NodeAnalysis:
 
 
 class _Call:
-    """What one ``resolve`` call keeps across its rounds: the depth cap,
-    the sweep field (None in candidates mode), the memo of exact-node
-    analyses, and in sweep mode the sweep field's points, listed on first
-    use, with their Frobenius orbits once per chart-field order."""
+    """What one ``resolve`` call keeps: the depth cap, the sweep field
+    (None in candidates mode), the memo of node analyses, and in sweep
+    mode the sweep field's points, listed on first use, with their
+    Frobenius orbits once per chart-field order."""
 
     def __init__(self, depth_cap, sweep, memo):
         self.depth_cap = depth_cap
         self.sweep = sweep
-        self.memo = memo    # (exact polynomial, branches, sweep) -> analysis
+        self.memo = memo    # (polynomial, branches, sweep) -> analysis
         self.sweep_points = None
         self.sweep_orbits = {}      # chart-field order -> orbits
 
     def analysis(self, poly, branches, path):
-        """The analysis of an exact polynomial, analysed once per memo.
+        """The analysis of a node polynomial, analysed once per memo.
         The key holds the sweep field because the points searched depend
         on it, and the branches because the node fields do."""
         key = (poly, branches, self.sweep)
@@ -341,17 +291,11 @@ class _Call:
         was not clean, and there must be `kept` of them, one child each.
         Points are compared by field and encoding, not by label: labels
         omit the field, so g of F_4 and g of F_16 print alike.  The zeros
-        are computed once per analysis; a node whose leading column is
-        truncated has none to compare, and is passed without an
-        escalation."""
+        are computed once per analysis."""
         zeros = info.sweep_zeros
         if zeros is None:
-            try:
-                located = exceptional_candidates(info.charts[1])
-            except PrecisionLossError:
-                return
             zeros = info.sweep_zeros = frozenset(
-                _point_key(x) for x in located
+                _point_key(x) for x in exceptional_candidates(info.charts[1])
                 if self.sweep.degree % x.ctx.degree == 0)
         points, orbits = info.points
         found = {_point_key(x) for x, orbit in zip(points, orbits)
@@ -363,16 +307,10 @@ class _Call:
                 f"{self.sweep} (field degree, encoding)")
 
 
-def _build_node(poly, branches, path, depth, call, budget, stats):
+def _build_node(poly, branches, path, depth, call):
     if depth > call.depth_cap:
         raise DepthCapError(path, None)
-    if poly.is_exact:
-        info = call.analysis(poly, branches, path)
-    else:
-        stats.used_truncation = True
-        info = _analyse(poly, branches, path)
-    if depth == 0:
-        stats.representative = info.representative
+    info = call.analysis(poly, branches, path)
     node = BlowupNode(path=path, **info.fields)
     if node.clean:
         return node
@@ -381,9 +319,9 @@ def _build_node(poly, branches, path, depth, call, budget, stats):
     clean_orbits = set()    # sweep mode: orbits whose first point is clean
     try:
         for child_poly, child_branches, label, orbit in _blowup_children(
-                info, call, budget, clean_orbits):
+                info, call, clean_orbits):
             child = _build_node(child_poly, child_branches, f"{path}/{label}",
-                                depth + 1, call, budget, stats)
+                                depth + 1, call)
             # the chart origins stay in the tree even when clean
             if orbit is None or not child.clean:
                 children.append(child)
@@ -405,10 +343,6 @@ def _build_node(poly, branches, path, depth, call, budget, stats):
 
 def _analyse(poly, branches, path):
     rep = good_representative(poly)
-    try:
-        raw_stair = pole_staircase(poly)
-    except PrecisionLossError:
-        raw_stair = None
     stair = rep.staircase
     clean = is_clean_shape(stair, branches)
     drop = swan_drop(stair)
@@ -426,14 +360,15 @@ def _analyse(poly, branches, path):
     info = _NodeAnalysis(dict(
         branches=branches, staircase=stair, drop=drop, term=term,
         clean=clean, constant_added=rep.constant_added,
-        repair=stair != raw_stair, reductions=rep.reductions), rep)
+        repair=stair != pole_staircase(poly), reductions=rep.reductions),
+        rep)
     if not clean:
         info.charts = (blowup_substitute(rep.g, "B"),
                        blowup_substitute(rep.g, "A"))
     return info
 
 
-def _blowup_children(info, call, budget, clean_orbits):
+def _blowup_children(info, call, clean_orbits):
     """Every point that one blow-up of a non-clean node can leave
     non-clean, as (local polynomial, branch count, label, orbit): the
     origin of chart B, the origin of chart A (orbit None), then each
@@ -458,7 +393,7 @@ def _blowup_children(info, call, budget, clean_orbits):
         image = images.get(ctx)
         if image is None:
             image = images[ctx] = first.embed_into(ctx)
-        moved = translate(image, embed(point, ctx), budget)
+        moved = translate(image, embed(point, ctx))
         yield moved, 1, f"A@v={point}", orbit
 
 
@@ -469,14 +404,13 @@ def _blowup_children(info, call, budget, clean_orbits):
 def leading_exceptional_column(chart_first):
     """The leading coefficient of the exceptional pole as a map n -> coeff,
     together with the pole order.  Returns (pole, column); pole <= 0 means
-    the cover is unramified along the exceptional curve."""
+    the cover is unramified along the exceptional curve.  The column is
+    the numerator's, which is the function's times the constant
+    V(0, 0)^p (see ``laurent.leading_column``): it has the same zeros."""
     v = valuation(chart_first, "t1")
     if v >= 0:
         return (0 if v == float("inf") else -v), {}
-    column, cut = leading_column(chart_first, v)
-    if cut is not None:
-        raise PrecisionLossError((v, cut), "leading column truncated")
-    return -v, column
+    return -v, leading_column(chart_first, v)
 
 
 def exceptional_candidates(chart_first):
@@ -573,7 +507,6 @@ def simulation_as_dict(result):
         "good_regime": result.good_regime,
         "constant_added_anywhere": result.constant_added_anywhere,
         "partial_roots": result.partial_roots,
-        "precision_escalations": result.precision_escalations,
         "off_origin_nonclean": result.off_origin_nonclean,
         "nonroot_repair": result.nonroot_repair,
         "tree": tree_as_dict(result.root),

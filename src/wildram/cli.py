@@ -12,9 +12,8 @@ import argparse
 import json
 import sys
 
-from .blowup import (CrossCheckError, DepthCapError, EscalationError,
-                     SimulationConfig, resolve, simulation_as_dict,
-                     tree_as_dot)
+from .blowup import (CrossCheckError, DepthCapError, SimulationConfig,
+                     resolve, simulation_as_dict, tree_as_dot)
 from .corpus import run_corpus
 from .euler import SurfaceConfig, euler_delta
 from .parsing import ParseError, parse_field, parse_polynomial
@@ -40,15 +39,13 @@ def _add_input_args(sub):
                      choices=["candidates", "sweep"])
     sub.add_argument("--sweep-degree", type=int, default=defaults.sweep_degree)
     sub.add_argument("--depth-cap", type=int, default=defaults.depth_cap)
-    sub.add_argument("--series-terms", type=int, default=defaults.series_terms)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--json", action="store_true", help="emit the full JSON")
 
 
 def _spec_from_args(args):
     config = SimulationConfig(mode=args.mode, sweep_degree=args.sweep_degree,
-                              depth_cap=args.depth_cap,
-                              series_terms=args.series_terms)
+                              depth_cap=args.depth_cap)
     return InputSpec(field=args.field,
                      branches=1 if args.type == "I" else 2,
                      expr=args.expr, seed=args.seed, config=config)
@@ -117,9 +114,8 @@ def main(argv=None):
     except StageError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2 if isinstance(err.original, CrossCheckError) else 1
-    except (ParseError, ValueError, OSError, DepthCapError,
-            EscalationError) as err:
-        # a resource cap is an operational failure, as in a report's
+    except (ParseError, ValueError, OSError, DepthCapError) as err:
+        # the depth cap is an operational failure, as in a report's
         # simulation stage
         print(f"error: {err}", file=sys.stderr)
         return 1

@@ -12,7 +12,11 @@ reducing f to a normal form inside its class:
   exactly when no remaining corner sits in the quadrant a >= 0, b <= 0.
   A witness h with f - g = h^p - h is part of the result; its constant
   part may live in a small extension field and is materialized lazily,
-  but the identity itself is verified exactly on construction.
+  but the identity itself is verified exactly on construction.  On a
+  local function P / V^p (see the laurent module) every step is exact:
+  the pieces are the same monomials, read from P's corners, and each
+  Artin-Schreier image and each constant is multiplied through V^p
+  before it is subtracted from P.
 
 * ``swan_conductor`` computes, as an int, the minimal pole order along
   a coordinate axis over the whole class, by the valuation-ring loop:
@@ -21,7 +25,9 @@ reducing f to a normal form inside its class:
   and one reduction strips it.  The loop is the second, independent route
   to the conductors; for a good representative they can also be read off
   the staircase ends (``staircase.end_conductors``), and the simulator,
-  the report and the corpus pin the two routes together.
+  the report and the corpus pin the two routes together.  On P / V^p the
+  stripped part is the p-th power of t1^(v/p) * P_v^(1/p) / V, so the
+  denominator stays V.
 
 * ``exceptional_swan`` is the conductor along the exceptional curve of
   one blow-up, computed in the first chart; by symmetry the second chart
@@ -36,10 +42,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
-from .fields import _solve_mod_p, embed, field, join_context
-from .laurent import (LaurentPolynomial, PrecisionLossError, blowup_substitute,
-                      leading_column, pole_staircase, transpose,
-                      undominated_unknowns, valuation)
+from .fields import _fdivmod, _solve_mod_p, embed, field, join_context
+from .laurent import (LaurentPolynomial, blowup_substitute, leading_column,
+                      pole_staircase, transpose, valuation)
 from .staircase import Staircase, quadrant_shape
 
 
@@ -94,17 +99,15 @@ def artin_schreier_root(value):
 class GoodRepresentative:
     """A reduced representative g of the class of f, with its witness.
 
-    f - g == h^p - h identically for h = full_witness().  The monomial
-    part of h is kept explicitly; the constant part (an Artin-Schreier
+    f - g == h^p - h identically for h = full_witness().  The
+    nonconstant part of h is kept explicitly (monomials, and a whole line
+    over its own denominator after a line step); the constant part (an Artin-Schreier
     root of `constant_delta`, which may live in the degree-p extension)
     is only materialized on demand, since the identity can be verified
-    without it.  `verify`, run on construction, rebuilds f as
-    g + (witness^p - witness) + constant_delta and requires exactly f's
-    terms, which is the identity f - g - (witness^p - witness) ==
-    constant_delta; the sum walks only the terms of witness^p - witness.
-    A zero witness adds nothing, so its sum is skipped and g itself is
-    compared, with constant_delta added when it is nonzero.  Unknown
-    corners are not compared.
+    without it.  `verify`, run on construction, requires
+    g + (witness^p - witness) + constant_delta - f to be zero: over a
+    denominator V that g shares with f, the polynomial identity
+    P_f - P_g = V^p * ((witness^p - witness) + constant_delta).
 
     No staircase corner of g lies in p*Z x p*Z except possibly (0, 0),
     and unless g is zero some corner has a >= 0 and b <= 0.
@@ -128,12 +131,12 @@ class GoodRepresentative:
                 + LaurentPolynomial.constant(embed(root, ctx)))
 
     def verify(self, f):
-        rebuilt = self.g
-        if self.witness:
-            rebuilt = rebuilt + artin_schreier_map(self.witness)
+        delta = artin_schreier_map(self.witness)
         if self.constant_delta:
-            rebuilt = rebuilt + LaurentPolynomial.constant(self.constant_delta)
-        if rebuilt.ctx != f.ctx or rebuilt.terms != f.terms:
+            delta = delta + LaurentPolynomial.constant(self.constant_delta)
+        rebuilt = self.g + delta
+        # a witness over its own denominator rebuilds f over another one
+        if rebuilt != f and rebuilt - f:
             raise RuntimeError("witness identity f - g = h^p - h failed")
 
 
@@ -143,7 +146,11 @@ def good_representative(f):
     Corners are processed outermost first (largest pole along t1, the last
     target, since the staircase ascends in a); the order is a tie-breaking
     detail only, and the result does not depend on it.  Termination: each
-    reduction strictly decreases the sum of |m| + |n| over the support.
+    reduction trades the function's term at a corner e for one at e/p and
+    changes no other coefficient, so on a polynomial it strictly decreases
+    the sum of |m| + |n| over the support.  On P / V^p only the leading
+    column or the lowest row can go on for ever, as a line of p-th powers;
+    ``_line_step`` reduces such a line at once.
     """
     ctx = f.ctx
     g = f
@@ -157,29 +164,25 @@ def good_representative(f):
         constant_delta = constant_delta + c0
 
     reductions = 0
+    p = ctx.p
     while True:
-        # When every possibly-hidden corner sits in the closed positive
-        # quadrant, the third quadrant is fully certified, so the quadrant
-        # condition verifiably fails and the constant repair is the
-        # canonical move; it also makes the corner set certifiable, since
-        # (0, 0) dominates the whole truncated region.  Checked on every
-        # pass: a reduction can cancel the corner dominating an unknown.
-        if not constant_added:
-            blind = undominated_unknowns(g)
-            if blind and all(m >= 0 and n >= 0 for m, n in blind):
-                g = g + LaurentPolynomial.constant(ctx.one())
-                constant_delta = constant_delta - ctx.one()
-                constant_added = True
         stair = pole_staircase(g)
-        p = ctx.p
         targets = [(a, b) for a, b in stair
                    if a % p == 0 and b % p == 0 and (a, b) != (0, 0)]
         if not targets:
             break
         a, b = targets[-1]
-        c = g.coefficient(-a, b)
-        piece = LaurentPolynomial.monomial(c.pth_root(), -a // p, b // p)
-        g = g - artin_schreier_map(piece)
+        step = _line_step(g, a, b)
+        if step is None:
+            c = g.coefficient(-a, b)
+            piece = LaurentPolynomial.monomial(c.pth_root(), -a // p, b // p)
+            step = piece, artin_schreier_map(piece)
+        piece, image = step
+        g = g - image
+        # the function's term at the corner must go, or the loop would
+        # target it forever
+        if g.coefficient(-a, b):
+            raise RuntimeError(f"the reduction at {(a, b)} left its corner")
         witness = witness + piece
         reductions += 1
 
@@ -227,17 +230,71 @@ def swan_conductor(f, axis):
         pole = -v
         if pole % p != 0:
             return pole
-        column, cut = leading_column(work, v)
+        column = leading_column(work, v)
         if any(n % p != 0 for n in column):
             return pole
-        if cut is not None:
-            raise PrecisionLossError((v, cut),
-                                     "leading column truncated before the "
-                                     "divisibility test could finish")
         half = LaurentPolynomial(
             work.ctx,
             {(v // p, n // p): c.pth_root() for n, c in column.items()})
-        work = work - artin_schreier_map(half)
+        work = work - _artin_schreier_over(half, work.denominator)
+
+
+def _divided(h, denominator):
+    """h / V for a polynomial h and a denominator V, written over V^p:
+    h * V^(p-1) / V^p."""
+    lifted = h
+    for _ in range(h.ctx.p - 1):
+        lifted = lifted * denominator
+    return LaurentPolynomial(h.ctx, lifted.terms, denominator)
+
+
+def _artin_schreier_over(h, denominator):
+    """The Artin-Schreier image of h / V for a polynomial h and V the
+    denominator (None for 1), written over V^p: (h^p - h * V^(p-1)) / V^p.
+    Its p-th power part h^p / V^p is what the Swan loop strips."""
+    if denominator is None:
+        return artin_schreier_map(h)
+    return (LaurentPolynomial(h.ctx, h.frobenius_power().terms, denominator)
+            - _divided(h, denominator))
+
+
+def _line_step(g, a, b):
+    """(piece, its Artin-Schreier image) that reduce a whole pole line of
+    g = P / V^p at once, or None.
+
+    Let the target corner (a, b) lie on the leading t1-column v = -a < 0
+    of g, and let that column of P be Q^p.  The column of g is then
+    t1^v * (Q / L)^p, L = V(0, t2): unless L divides Q it goes on for
+    ever, and so would the reduction corner by corner.  The Swan loop's
+    piece t1^(v/p) * Q / V removes it in one step, one reduction; the
+    lowest t2-row likewise.  The simulator meets no such line (chart
+    images of a good representative and their translations have none),
+    but good_representative takes any local function.
+    """
+    if g.denominator is None:
+        return None
+    ctx, p = g.ctx, g.ctx.p
+    for flip in (False, True):
+        work = transpose(g) if flip else g
+        v = b if flip else -a
+        if v >= 0 or valuation(work, "t1") != v:
+            continue
+        column = leading_column(work, v)
+        if any(n % p for n in column):
+            continue
+        low = min(column)
+        root = [column.get(n, ctx.zero()).pth_root()
+                for n in range(low, max(column) + 1, p)]
+        line = work.denominator
+        top = max(n for m, n in line.terms if m == 0)
+        divisor = [line.coefficient(0, n) for n in range(top + 1)]
+        if not top or not _fdivmod(root, divisor, ctx)[1]:
+            continue
+        h = LaurentPolynomial(ctx, {(v // p, low // p + i): c
+                                    for i, c in enumerate(root)})
+        step = _divided(h, line), _artin_schreier_over(h, line)
+        return tuple(map(transpose, step)) if flip else step
+    return None
 
 
 def exceptional_swan(f):

@@ -7,15 +7,14 @@ staircase from ``resolve``'s root reduction, and the clean flag and the
 staircase drop from the root node.
 
 The perturbed rerun shares with the main run what depends only on
-values: both ``resolve`` calls take one memo of exact-node analyses, so a
+values: both ``resolve`` calls take one memo of node analyses, so a
 node polynomial equal to one the main run analysed (often every node
 below a root whose good representative is the input's) is not reduced
 again; and when the rerun's staircase equals the main run's, the
 recursion, closed form and bound are the main run's, which recomputing
 would reproduce.  The rerun still computes itself the conductors of the
 perturbed input, the reduction of its root (unless it equals the input),
-its own blow-up tree with every truncated probe and every budget round,
-and so its own r_x, which the verdict compares.
+its own blow-up tree, and so its own r_x, which the verdict compares.
 
 A report bundles every invariant of one local input together with
 recomputed agreement verdicts:

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import series_reference as ref
 from wildram import blowup, laurent
 from wildram.blowup import (CrossCheckError, DepthCapError, SimulationConfig,
                             exceptional_candidates,
@@ -13,7 +14,7 @@ from wildram.blowup import (CrossCheckError, DepthCapError, SimulationConfig,
 from wildram.corpus import random_polynomial
 from wildram.fields import field, find_roots
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
-                             blowup_substitute, pole_staircase)
+                             blowup_substitute, pole_staircase, translate)
 from wildram.parsing import parse_polynomial
 from wildram.reduction import good_representative
 from wildram.staircase import (ramification_bound, ramification_recursive,
@@ -73,8 +74,7 @@ def test_resolve_refuses_a_point_that_is_not_one_or_two_branches(
         resolve(poly("t1^-2*t2", F3), branches)
 
 
-@pytest.mark.parametrize("name", ["sweep_degree", "depth_cap",
-                                  "series_terms"])
+@pytest.mark.parametrize("name", ["sweep_degree", "depth_cap"])
 @pytest.mark.parametrize("value", [2.5, True])
 def test_simulation_config_refuses_floats_and_bools(name, value):
     with pytest.raises(ValueError, match=name):
@@ -198,18 +198,6 @@ def test_the_sweep_check_tells_points_of_different_fields_apart(monkeypatch):
         resolve(f, 2, sweep)
 
 
-def test_leading_exceptional_column_raises_on_a_truncated_column():
-    # the certified column {1: 1} is all a guardless reader would see: the
-    # column from t2^4 on is unknown, and returning (2, {1: 1}) would
-    # present a truncated leading coefficient as complete
-    f = LaurentPolynomial(F2, {(-2, 1): F2.one(), (-1, 0): F2.one()},
-                          unknown={(-2, 4)})
-    with pytest.raises(PrecisionLossError,
-                       match="leading column truncated") as err:
-        leading_exceptional_column(f)
-    assert err.value.position == (-2, 4)
-
-
 def test_off_origin_nonclean_point():
     # the double root of v(v+1)^2 at v = 1 hides a genuine non-clean point
     f = poly("t1^-2*t2 + t1^-4*t2^3", F2)
@@ -265,9 +253,9 @@ def _resolve_in_both_modes(f):
 
 
 # type II inputs over F_2 on which sweep mode probes a translation of a
-# translation whose corner reduction cancels the corner that dominated an
-# unknown one; the constant repair must follow that reduction, or every
-# series budget fails (r_x in candidates mode alongside)
+# translation whose corner reduction cancels the term next to the corner,
+# so that the constant repair must follow that reduction (r_x in
+# candidates mode alongside)
 CONSTANT_REPAIR_CASES = [
     ("t2^-3 + t1^-1*t2^-3 + t1^-3*t2^-1", 6),
     ("t2^-2 + t1^-2*t2^-2 + t1^-3*t2", 6),
@@ -345,35 +333,28 @@ def test_modes_agree():
             random_polynomial(rng, ctx, max_terms=3, exp_bound=3))
 
 
-def test_truncation_escalates_and_stabilizes():
-    f = poly("t1*t2^-4 + 1 + t1^-1*t2^-4 + t1^-3*t2^-2", F2)
-    result = resolve(f, 2)
-    assert result.precision_escalations >= 1
-    assert result.total <= ramification_bound(good_representative(f).staircase, 2)
-    # the escalated result does not depend on the starting series budget
-    for terms in (16, 32, 64):
-        other = resolve(f, 2, SimulationConfig(series_terms=terms))
-        assert other.root.signature() == result.root.signature()
-        assert other.total == result.total
-
-
+# an input whose probes once needed a doubled series budget
 ESCALATING = "t1*t2^-4 + 1 + t1^-1*t2^-4 + t1^-3*t2^-2"
 
 
-def test_escalation_cap_raises_once_spent(monkeypatch):
-    # the input needs one doubling of the series budget: with no doubling
-    # allowed resolve gives up, with one it settles
+def test_truncation_escalates_and_stabilizes():
+    # the input that escalated under a series budget resolves in one round
+    # to the tree the budget rounds stabilized on (the golden file), and
+    # the off-origin probes it analyses are local functions P / V^p
     f = poly(ESCALATING, F2)
-    monkeypatch.setattr(blowup, "MAX_ESCALATIONS", 0)
-    with pytest.raises(blowup.EscalationError, match="after 0 doublings"):
-        resolve(f, 2)
-    monkeypatch.setattr(blowup, "MAX_ESCALATIONS", 1)
-    result = resolve(f, 2)
-    assert result.precision_escalations == 1
+    memo = {}
+    result = resolve(f, 2, memo=memo)
+    assert result.precision_escalations == 0
     assert result.total == 9
+    assert result.total <= ramification_bound(good_representative(f).staircase, 2)
+    golden = (GOLDEN / "simulate_f2_escalates.txt").read_text(encoding="utf-8")
+    assert simulation_as_dict(result) == json.loads(golden.split("\n", 1)[1])
+    assert any(g.denominator is not None for g, _, _ in memo)
 
 
 def test_escalation_rounds_reduce_each_exact_polynomial_once(monkeypatch):
+    # one round: every node polynomial, translated probes included, is
+    # reduced once per call, and a second call repeats the same work
     reduced = []
     original = blowup.good_representative
 
@@ -384,17 +365,13 @@ def test_escalation_rounds_reduce_each_exact_polynomial_once(monkeypatch):
     monkeypatch.setattr(blowup, "good_representative", recorded)
     f = poly(ESCALATING, F2)
     result = resolve(f, 2)
-    assert result.precision_escalations >= 1
-    first = [g for g in reduced if g.is_exact]
-    assert f in first
-    assert len(first) == len(set(first))
-    # truncated polynomials are not kept: they are reduced each time
-    assert len(first) < len(reduced)
-    # a second call shares nothing with the first
+    first = list(reduced)
+    assert f in first and len(first) == len(set(first))
+    assert any(g.denominator is not None for g in first)
     del reduced[:]
     again = resolve(f, 2)
     assert again.root.signature() == result.root.signature()
-    assert Counter(g for g in reduced if g.is_exact) == Counter(first)
+    assert Counter(reduced) == Counter(first)
 
 
 # (polynomial, branches, config) pairs of calls that one memo may serve:
@@ -425,6 +402,8 @@ def test_a_shared_memo_gives_each_call_its_solo_tree(calls):
 
 
 def test_a_shared_memo_analyses_each_exact_polynomial_once(monkeypatch):
+    # every node polynomial is a memo key, the translated probes too, so a
+    # second call on one memo analyses nothing
     analysed = []
     original = blowup._analyse
 
@@ -437,11 +416,10 @@ def test_a_shared_memo_analyses_each_exact_polynomial_once(monkeypatch):
     memo = {}
     first = resolve(f, 2, memo=memo)
     count = len(analysed)
+    assert count == len(set(analysed)) == len(memo)
     again = resolve(f, 2, memo=memo)
     assert again.root.signature() == first.root.signature()
-    # the second call analyses only its truncated probes
-    assert all(not g.is_exact for g, _ in analysed[count:])
-    assert 0 < len(analysed) - count < count
+    assert len(analysed) == count
 
 
 @pytest.mark.parametrize("expr, ctx", [("t1^-3*t2 + t2^-2", F3),
@@ -449,17 +427,17 @@ def test_a_shared_memo_analyses_each_exact_polynomial_once(monkeypatch):
                                        ("t1^-2*t2", F3)])
 def test_a_corrupt_corner_summary_fails_the_drop_cross_check(monkeypatch,
                                                               expr, ctx):
-    # the staircase and its hidden-corner guard read the certified corners,
-    # the conductor loops take their valuations in their own pass: a
+    # the staircase reads the corners, the conductor loops take their
+    # valuations in their own pass: a
     # summary that loses its leftmost corner (largest t1 pole) must make
     # the two routes disagree
     assert resolve(poly(expr, ctx), 2).total >= 1
-    real = laurent._certified_corners
+    real = laurent._corners
 
     def without_leftmost(f):
         return sorted(real(f))[1:]
 
-    monkeypatch.setattr(laurent, "_certified_corners", without_leftmost)
+    monkeypatch.setattr(laurent, "_corners", without_leftmost)
     with pytest.raises(CrossCheckError):
         resolve(poly(expr, ctx), 2)
 
@@ -542,8 +520,8 @@ def _orbit_corpus(seed, count):
 def test_orbit_probes_match_probing_every_point(monkeypatch):
     # the charts are defined over the node's field F_q, so the local
     # equation at v^q is the Frobenius image of the one at v: probing one
-    # point per orbit of v -> v^q gives the tree, the flags and the
-    # escalation count of probing every point, in both modes
+    # point per orbit of v -> v^q gives the tree and the flags of probing
+    # every point, in both modes
     corpus = _orbit_corpus(2, 90)
     calls = _counting_translate(monkeypatch)
     by_orbit = [simulation_as_dict(resolve(f, 2, config))
@@ -553,7 +531,6 @@ def test_orbit_probes_match_probing_every_point(monkeypatch):
                         _every_point_its_own_orbit)
     by_point = [simulation_as_dict(resolve(f, 2, config))
                 for f, config in corpus]
-    # the dicts carry precision_escalations
     assert by_orbit == by_point
     assert orbit_translations < len(calls) - orbit_translations
     off_origin = [config.mode for (_, config), out in zip(corpus, by_point)
@@ -683,9 +660,9 @@ def test_candidates_search_a_column_whose_roots_need_f_8192(monkeypatch):
     probed = []
     original = blowup.translate
 
-    def recorded(g, point, budget):
+    def recorded(g, point):
         probed.append(point.ctx)
-        return original(g, point, budget)
+        return original(g, point)
 
     monkeypatch.setattr(blowup, "translate", recorded)
     result = resolve(f, 2)
@@ -804,3 +781,77 @@ def test_sweep_mode_is_complete_on_its_field_only():
     assert [c.path for c in over_f2.root.children] == ["x/B", "x/A",
                                                        "x/A@v=1"]
     assert over_f4.root.signature() == direct.root.signature()
+
+
+# ---------------------------------------------------------------------------
+# exact local functions against the budgeted series reference
+# ---------------------------------------------------------------------------
+
+ORACLE_FIELDS = (F2, F3, field(2, 2), F5, field(3, 2))
+
+
+def _oracle_inputs(rng, count):
+    """Seeded polynomials with a t2-pole, each with a nonzero shift, over
+    F_2, F_3, F_4, F_5 and F_9 in turn."""
+    for index in range(count):
+        ctx = ORACLE_FIELDS[index % len(ORACLE_FIELDS)]
+        f = random_polynomial(rng, ctx, max_terms=4, exp_bound=4)
+        pole = (rng.randint(-4, 4), -rng.randint(1, 4))
+        f = f + LaurentPolynomial.monomial(
+            ctx.from_encoding(rng.randrange(1, ctx.order)), *pole)
+        yield f, ctx.from_encoding(rng.randrange(1, ctx.order))
+
+
+def _local_nodes(f, shift, budget):
+    """(exact node, its series reference, branches): the translation of f
+    by shift and its two chart images, as wildram and as the reference
+    at the budget build them."""
+    exact = translate(f, shift)
+    series = ref.translate(f, shift, budget)
+    yield exact, series, 1
+    yield (blowup_substitute(exact, "A"), ref.blowup_substitute(series, "A"),
+           1)
+    yield (blowup_substitute(exact, "B"), ref.blowup_substitute(series, "B"),
+           2)
+
+
+def test_exact_translation_matches_the_series_reference():
+    # the exact P / V^p has, wherever the reference at budget 16 or 64
+    # does not raise, its coefficients, its staircase, the node fields of
+    # its analysis and the conductor triple of its representative; a
+    # function read without its denominator, a corner coefficient over
+    # V(0, 0) in place of V(0, 0)^p, or a reduction not lifted by V^p
+    # fails here
+    rng = random.Random(27)
+    compared = Counter()
+    for f, shift in _oracle_inputs(rng, 100):
+        for budget in (16, 64):
+            for exact, series, branches in _local_nodes(f, shift, budget):
+                for e in ref.certified(series):
+                    assert exact.coefficient(*e) == series.coefficient(*e)
+                try:
+                    fields, swans = ref.node_fields(series, branches)
+                except PrecisionLossError:
+                    compared["raised"] += 1
+                    continue
+                info = blowup._analyse(exact, branches, "x")
+                assert pole_staircase(exact) == ref.pole_staircase(series)
+                assert info.fields == fields, (f, shift, budget)
+                assert blowup.conductors(info.representative.g,
+                                         branches) == swans
+                compared[fields["reductions"] > 0,
+                         fields["constant_added"]] += 1
+    assert all(compared[key] >= 10 for key in [
+        (False, False), (False, True), (True, False), (True, True)]), compared
+    assert compared["raised"] < sum(compared.values()) / 2, compared
+
+
+def test_the_depth_89_input_resolves_in_one_round():
+    # the input once needed five doublings of the series budget; its
+    # denominators grow with the tree, and it still resolves in one round
+    # at the default recursion limit
+    f = poly("t1^-200*t2 + t2^-3", F2)
+    result = resolve(f, 2, SimulationConfig(depth_cap=256))
+    assert (result.total, result.depth) == (1325, 89)
+    assert sum(1 for _ in result.root.nodes()) == 180
+    assert result.precision_escalations == 0

@@ -279,8 +279,8 @@ def test_report_reduces_the_input_and_the_perturbation_once(monkeypatch):
 
 def _record_report_work(monkeypatch):
     """Per ``resolve`` call of a report, the (polynomial, branches) pairs
-    its exact nodes were analysed for, and the staircases the report ran
-    the recursion on."""
+    its nodes were analysed for, and the staircases the report ran the
+    recursion on."""
     analysed, recursed = [], []
     original_resolve, original_analyse = report.resolve, blowup._analyse
     original_recursive = report.ramification_recursive
@@ -290,8 +290,7 @@ def _record_report_work(monkeypatch):
         return original_resolve(*args, **kwargs)
 
     def counted_analyse(g, branches, path):
-        if g.is_exact:
-            analysed[-1].append((g, branches))
+        analysed[-1].append((g, branches))
         return original_analyse(g, branches, path)
 
     def counted_recursive(stair, branches):
@@ -314,7 +313,8 @@ def _separate_memos(monkeypatch):
 
 
 # inputs whose perturbation reduces to the input's good representative:
-# one with exact nodes only, one whose probes truncate and escalate once
+# one without translated probes, one whose probes are local functions
+# P / V^p (and once needed a doubled series budget)
 SAME_REPRESENTATIVE = [
     InputSpec(field="2", branches=2, seed=1, expr="t1^-2*t2 + t1^-4*t2^3"),
     InputSpec(field="2", branches=2, seed=2,
@@ -629,23 +629,19 @@ def test_cli_operational_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
-def test_cli_simulate_resource_caps_exit_one(monkeypatch, capsys):
-    # a resource cap is an operational failure: one error line and exit 1,
-    # as report gives for the same input, not a traceback
+def test_cli_simulate_resource_caps_exit_one(capsys):
+    # the depth cap is an operational failure: one error line and exit 1,
+    # as report gives for the same input, not a traceback; the removed
+    # series budget option is a usage error, exit 1 too
     code = main(["simulate", "t1^-200*t2 + t2^-3", "--field", "2"])
     captured = capsys.readouterr()
     assert code == 1 and captured.out == ""
     assert captured.err.startswith("error: depth cap exceeded at x/")
     assert captured.err.count("\n") == 1
-
-    def unstable(*args, **kwargs):
-        raise blowup.EscalationError("series budget still unstable")
-
-    monkeypatch.setattr(cli, "resolve", unstable)
-    code = main(["simulate", "t1^-2*t2", "--field", "3"])
-    captured = capsys.readouterr()
-    assert code == 1 and captured.out == ""
-    assert captured.err == "error: series budget still unstable\n"
+    with pytest.raises(SystemExit) as removed:
+        main(["simulate", "t1^-2*t2", "--field", "3", "--series-terms", "16"])
+    assert removed.value.code == 1
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_type1_rejects_t2_poles(capsys):

@@ -32,6 +32,8 @@ CASES = {
     "simulate_f2": ["simulate", "t1^-2*t2 + t1^-4*t2^3", "--field", "2"],
     "simulate_f3_sweep": ["simulate", "t1^-4*t2 + t1^-5*t2^2", "--field", "3",
                           "--mode", "sweep"],
+    # its probes once needed a doubled series budget; translation is exact
+    # now, and the case keeps its name
     "simulate_f2_escalates": ["simulate",
                               "t1*t2^-4 + 1 + t1^-1*t2^-4 + t1^-3*t2^-2",
                               "--field", "2"],

@@ -4,11 +4,12 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import series_reference as ref
 from wildram.corpus import random_polynomial
 from wildram.fields import field
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
-                             _certified, blowup_substitute, pole_staircase,
-                             translate, undominated_unknowns)
+                             blowup_substitute, pole_staircase, translate,
+                             transpose)
 from wildram.parsing import parse_polynomial
 from wildram.reduction import (artin_schreier_map, artin_schreier_root,
                                exceptional_swan, good_representative,
@@ -165,36 +166,40 @@ def _accepts(rep, f):
     return True
 
 
+def _chart_of(f, chart):
+    return blowup_substitute(good_representative(f).g, chart)
+
+
 def test_constant_repair_follows_a_reduction_that_uncovers_a_corner():
-    # the truncated probe that sweep mode reduces on
-    # t2^-3 + t1^-1*t2^-3 + t1^-3*t2^-1 over F_2, cut down to the terms
-    # that matter: t1^-6 dominates both unknown corners, so no repair is
-    # due before the first reduction; reducing the corner (6, 0) turns
-    # t1^-6 into t1^-3, which cancels the other t1^-3 and leaves the
-    # unknown corner (8, 0) undominated in the positive quadrant
+    # the probe x/A@v=1/B/A@v=1 that sweep mode reduces on
+    # t2^-3 + t1^-1*t2^-3 + t1^-3*t2^-1 over F_2, a local function with a
+    # denominator in t1 and t2: reducing the corner (6, 0) turns t1^-6
+    # into t1^-3, which cancels the other t1^-3 term and leaves no corner
+    # in the quadrant a >= 0, b <= 0, so the constant repair follows
     one = F2.one()
-    f = LaurentPolynomial(F2, {(-6, 0): one, (-3, 0): one, (-6, 1): one},
-                          {(-6, 16), (8, 0)})
-    assert not undominated_unknowns(f)
-    rep = good_representative(f)
+    f = poly("t2^-3 + t1^-1*t2^-3 + t1^-3*t2^-1", F2)
+    below = _chart_of(translate(_chart_of(f, "A"), one), "B")
+    probe = translate(_chart_of(below, "A"), one)
+    assert probe.denominator == poly("t1^2*t2^4 + t1^2 + t2^2 + 1", F2)
+    assert pole_staircase(probe) == Staircase([(6, 0)])
+    rep = good_representative(probe)
     assert rep.reductions == 1 and rep.constant_added
-    assert rep.g.terms == {(0, 0): one, (-6, 1): one}
+    assert rep.g.coefficient(0, 0) == one
     assert rep.staircase == Staircase([(0, 0), (6, 1)])
     assert rep.quadrant_ok
 
 
 def _residual_accepts(rep, f):
     """The witness identity by its definition: the residual
-    f - g - (h^p - h) is exactly the recorded constant at (0, 0).  Unknown
-    corners are not compared."""
+    f - g - (h^p - h) is exactly the recorded constant, as a function:
+    its numerator is the constant times the denominator's p-th power."""
     residual = f - rep.g - artin_schreier_map(rep.witness)
-    expected = {(0, 0): rep.constant_delta} if rep.constant_delta else {}
-    return residual.terms == expected
+    return not residual - LaurentPolynomial.constant(rep.constant_delta)
 
 
-def _with_terms(poly, terms, unknown=None):
-    return LaurentPolynomial(poly.ctx, terms,
-                             poly.unknown if unknown is None else unknown)
+def _with_terms(poly, terms, denominator=None):
+    return LaurentPolynomial(poly.ctx, terms, poly.denominator
+                             if denominator is None else denominator)
 
 
 def _bump_g(rep, exponent, coeff):
@@ -219,65 +224,74 @@ def _move_into_witness(rep, piece):
                                witness=rep.witness + piece)
 
 
+# (field, polynomial, shift): the shift is an integer whose image in the
+# prime field the polynomial is translated by, or None for no translation
 WITNESS_CASES = [
-    # exact, one corner reduction and a constant
+    # a polynomial, one corner reduction and a constant
     (F3, "t1^-3*t2^-3 + t1^-1 + 1", None),
-    # truncated by a translation, three corner reductions and a constant
-    (F2, "t1^-4*t2^2 + t1^-1*t2^-1", 4),
+    # a local function P / V^p made by a translation, corner reductions
+    # and a constant
+    (F2, "t1^-4*t2^2 + t1^-1*t2^-1", 1),
 ]
 
 
-def _witness_case(ctx, text, budget):
-    f = poly(text, ctx)
-    if budget is not None:
-        f = translate(f, ctx.one(), budget)
+def _translated(f, shift):
+    if shift is None:
+        return f
+    moved = translate(f, f.ctx.element(shift))
+    assert moved.denominator is not None
+    return moved
+
+
+def _witness_case(ctx, text, shift):
+    f = _translated(poly(text, ctx), shift)
     rep = good_representative(f)
     assert rep.reductions >= 1 and rep.witness and rep.constant_delta
-    assert f.is_exact == (budget is None)
     return f, rep
 
 
-@pytest.mark.parametrize("ctx, text, budget", WITNESS_CASES)
-def test_verify_raises_on_a_tampered_representative(ctx, text, budget):
-    f, rep = _witness_case(ctx, text, budget)
+@pytest.mark.parametrize("ctx, text, shift", WITNESS_CASES)
+def test_verify_raises_on_a_tampered_representative(ctx, text, shift):
+    f, rep = _witness_case(ctx, text, shift)
     rep.verify(f)
-    exponent = sorted(_certified(rep.g))[0]
+    exponent = sorted(rep.g.terms)[0]
     tampered = [_bump_g(rep, exponent, ctx.one()),
                 _drop_witness_term(rep, sorted(rep.witness.terms)[0]),
                 _shift_delta(rep, ctx.one())]
     for bad in tampered:
         with pytest.raises(RuntimeError, match="witness identity"):
             bad.verify(f)
-    # another witness of the same class passes, and so do other unknown
-    # corners on g: they are not part of the identity
+    # another witness of the same class passes; g over another
+    # denominator is another function and fails
     moved = _move_into_witness(rep, LaurentPolynomial.monomial(ctx.one(), -1, 2))
     assert moved.g != rep.g
     moved.verify(f)
-    dataclasses.replace(rep, g=_with_terms(rep.g, rep.g.terms,
-                                           {(5, 5)})).verify(f)
+    other = dataclasses.replace(rep, g=_with_terms(
+        rep.g, rep.g.terms, poly("1 + t1 + t2", ctx)))
+    with pytest.raises(RuntimeError, match="witness identity"):
+        other.verify(f)
 
 
 ZERO_WITNESS_CASES = [
-    # exact, no corner reduction, a constant
+    # a polynomial, no corner reduction, a constant
     (F3, "t1^-1*t2^-2 + 2", None),
-    # truncated by a translation, no corner reduction, a constant
+    # a local function made by a translation, no corner reduction, a
+    # constant
     (F5, "t1^-3*t2^-1 + t1^-1 + 3", 4),
 ]
 
 
-@pytest.mark.parametrize("ctx, text, budget", ZERO_WITNESS_CASES)
+@pytest.mark.parametrize("ctx, text, shift", ZERO_WITNESS_CASES)
 def test_verify_without_a_witness_still_checks_g_and_the_constant(
-        ctx, text, budget):
-    # a zero witness skips only the sum of its Artin-Schreier image: every
-    # coefficient of g and the constant are still compared with f
-    f = poly(text, ctx)
-    if budget is not None:
-        f = translate(f, ctx.one(), budget)
+        ctx, text, shift):
+    # a zero witness adds nothing: every coefficient of g and the
+    # constant are still compared with f
+    f = _translated(poly(text, ctx), shift)
     rep = good_representative(f)
     assert not rep.witness and rep.reductions == 0 and rep.constant_delta
     rep.verify(f)
     tampered = [_bump_g(rep, exponent, ctx.one())
-                for exponent in sorted(_certified(rep.g))]
+                for exponent in sorted(rep.g.terms)]
     tampered += [_shift_delta(rep, ctx.one()),
                  dataclasses.replace(rep, constant_delta=ctx.zero())]
     for bad in tampered:
@@ -296,24 +310,20 @@ def witness_inputs(draw):
                                  max_size=5))
     f = LaurentPolynomial(ctx, {e: ctx.from_encoding(v)
                                 for e, v in terms.items()})
-    budget = draw(st.one_of(st.none(), st.integers(1, 6)))
-    if budget is not None:
-        shift = ctx.from_encoding(draw(st.integers(1, ctx.order - 1)))
-        f = translate(f, shift, budget)
+    if draw(st.booleans()):
+        f = translate(f, ctx.from_encoding(draw(st.integers(1, ctx.order - 1))))
     return f, draw(exps), draw(st.integers(1, ctx.order - 1)), draw(
-        st.sampled_from(["none", "g", "witness", "delta", "moved", "unknown"]))
+        st.sampled_from(["none", "g", "witness", "delta", "moved",
+                         "denominator"]))
 
 
 @given(witness_inputs())
 def test_verify_accepts_what_the_residual_definition_accepts(case):
     f, exponent, enc, tamper = case
-    try:
-        rep = good_representative(f)
-    except PrecisionLossError:
-        return
+    rep = good_representative(f)
     coeff = f.ctx.from_encoding(enc)
     # whether the tampering leaves f - g - (h^p - h) as it was
-    same_class = tamper in ("none", "moved", "unknown")
+    same_class = tamper in ("none", "moved")
     if tamper == "g":
         rep = _bump_g(rep, exponent, coeff)
     elif tamper == "witness" and rep.witness:
@@ -328,10 +338,41 @@ def test_verify_accepts_what_the_residual_definition_accepts(case):
     elif tamper == "moved":
         rep = _move_into_witness(rep, LaurentPolynomial.monomial(
             coeff, *exponent))
-    elif tamper == "unknown":
-        rep = dataclasses.replace(rep, g=_with_terms(rep.g, rep.g.terms,
-                                                     {exponent}))
+    elif tamper == "denominator":
+        # g's numerator over another denominator: another function, unless
+        # g is zero
+        same_class = not rep.g
+        rep = dataclasses.replace(rep, g=_with_terms(
+            rep.g, rep.g.terms, poly("1 + t1*t2", f.ctx)))
     assert _accepts(rep, f) == _residual_accepts(rep, f) == same_class
+
+
+# t1^4*t2^-4 + t1^2*t2^-3 + t1^-6*t2^-2 over F_2 translated by 1 has the
+# column t1^-6 * (t2^2 + 1) / (t2^2 + 1)^2 = t1^-6 / (t2 + 1)^2, a p-th
+# power series that goes on for ever
+LINE_INPUT = "t1^4*t2^-4 + t1^2*t2^-3 + t1^-6*t2^-2"
+
+
+@pytest.mark.parametrize("flip, staircase", [(False, [(3, 0)]),
+                                             (True, [(0, -3)])])
+def test_a_line_of_p_th_powers_is_reduced_at_once(flip, staircase):
+    # corner by corner the column (or, transposed, the row) would be
+    # peeled for ever, and the series reference fails at every budget; one
+    # step subtracts the image of t1^-3 / (t2 + 1), and the witness, over
+    # its own denominator, still rebuilds f
+    f = translate(poly(LINE_INPUT, F2), F2.one())
+    if flip:
+        f = transpose(f)
+    for budget in (16, 64):
+        series = ref.translate(poly(LINE_INPUT, F2), F2.one(), budget)
+        with pytest.raises(PrecisionLossError):
+            ref.good_representative(ref.transpose(series) if flip else series)
+    rep = good_representative(f)
+    assert rep.reductions == 1 and not rep.constant_added
+    assert rep.staircase == Staircase(staircase)
+    assert rep.witness.denominator is not None
+    assert not (rep.g - f + artin_schreier_map(rep.witness)
+                + LaurentPolynomial.constant(rep.constant_delta))
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +458,16 @@ def test_is_clean_examples():
     assert is_clean(poly("t1^-1", F5), 1)
 
 
+# the series reference's Swan loop (tests/series_reference.py) raises
+# wherever a cut could change its answer, so that the oracle test compares
+# only answers that no truncation can move
+
 def test_swan_raises_when_column_truncated_before_verdict():
-    from wildram.laurent import PrecisionLossError
     # even pole order, certified part of the column all even exponents,
     # but the column is cut: the divisibility verdict cannot be certified
-    f = LaurentPolynomial(F2, {(-2, 0): F2.one()},
-                          unknown={(-2, 2)})
+    s = ref.Series(F2, {(-2, 0): F2.one()}, {(-2, 2)})
     with pytest.raises(PrecisionLossError):
-        swan_conductor(f, "t1")
+        ref.swan_conductor(s, "t1")
 
 
 def test_swan_raises_at_the_cut_before_reducing_a_truncated_column():
@@ -432,18 +475,15 @@ def test_swan_raises_at_the_cut_before_reducing_a_truncated_column():
     # unknown tail from t2^4 on could block the reduction; without the
     # cut's guard the loop reduces the certified part and the next
     # valuation raises at the same position, but for another reason
-    f = LaurentPolynomial(F2, {(-2, 0): F2.one(), (-2, 2): F2.one()},
-                          unknown={(-2, 4)})
+    s = ref.Series(F2, {(-2, 0): F2.one(), (-2, 2): F2.one()}, {(-2, 4)})
     with pytest.raises(PrecisionLossError,
-                       match="leading column truncated before the "
-                             "divisibility test") as err:
-        swan_conductor(f, "t1")
+                       match="leading column truncated") as err:
+        ref.swan_conductor(s, "t1")
     assert err.value.position == (-2, 4)
 
 
 def test_swan_certified_blocker_beats_truncation():
     # an exact odd exponent in the column blocks reduction regardless of
     # what the truncated tail hides
-    f = LaurentPolynomial(F2, {(-2, 1): F2.one()},
-                          unknown={(-2, 3)})
-    assert swan_conductor(f, "t1") == 2
+    s = ref.Series(F2, {(-2, 1): F2.one()}, {(-2, 3)})
+    assert ref.swan_conductor(s, "t1") == 2
