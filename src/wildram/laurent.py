@@ -18,8 +18,8 @@ the set of minimal support points under the componentwise order on (m, n),
 sorted by a.
 
 Local functions.  Moving the origin to a point t2 = v with v != 0 turns
-each negative power of t2 into the unit (t2 + v)^-n, a power series.  It
-is kept as a denominator instead: a local function is F = P / V^p, with P
+each negative power of t2 into the unit (t2 + v)^-n, a power series.  The
+unit is kept as a denominator instead: a local function is F = P / V^p, P
 the Laurent polynomial in ``terms`` and V the polynomial ``denominator``
 (None for V = 1), whose constant term is nonzero.  The denominator is a
 p-th power because 1 / V^p = (1 / V)^p is then a power series in t1^p and
@@ -182,10 +182,8 @@ class LaurentPolynomial:
             if di >= 0 and dj >= 0 and not di % p and not dj % p:
                 below[(di // p, dj // p)] = c
         inverse = _inverse_series(denominator, below)
-        total = self.ctx.zero()
-        for point, c in below.items():
-            total = total + c * inverse[point] ** p
-        return total
+        return sum((c * inverse[point] ** p for point, c in below.items()),
+                   self.ctx.zero())
 
     def __bool__(self):
         return bool(self.terms)

@@ -285,14 +285,15 @@ def _line_step(g, a, b):
         low = min(column)
         root = [column.get(n, ctx.zero()).pth_root()
                 for n in range(low, max(column) + 1, p)]
-        line = work.denominator
-        top = max(n for m, n in line.terms if m == 0)
-        divisor = [line.coefficient(0, n) for n in range(top + 1)]
-        if not top or not _fdivmod(root, divisor, ctx)[1]:
+        denominator = work.denominator
+        top = max(n for m, n in denominator.terms if m == 0)
+        line = [denominator.coefficient(0, n) for n in range(top + 1)]
+        if not top or not _fdivmod(root, line, ctx)[1]:
             continue
         h = LaurentPolynomial(ctx, {(v // p, low // p + i): c
                                     for i, c in enumerate(root)})
-        step = _divided(h, line), _artin_schreier_over(h, line)
+        step = (_divided(h, denominator),
+                _artin_schreier_over(h, denominator))
         return tuple(map(transpose, step)) if flip else step
     return None
 

@@ -1,6 +1,5 @@
 import math
 import random
-from itertools import pairwise
 
 import pytest
 from hypothesis import given, strategies as st
