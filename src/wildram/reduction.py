@@ -16,7 +16,8 @@ reducing f to a normal form inside its class:
   local function P / V^p (see the laurent module) every step is exact:
   the pieces are the same monomials, read from P's corners, and each
   Artin-Schreier image and each constant is multiplied through V^p
-  before it is subtracted from P.
+  before it is subtracted from P, so no coefficient is ever cut and no
+  series budget is needed.
 
 * ``swan_conductor`` computes, as an int, the minimal pole order along
   a coordinate axis over the whole class, by the valuation-ring loop:
