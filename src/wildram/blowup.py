@@ -60,12 +60,16 @@ data, so one round gives the tree and there is no series budget.
 A ``resolve`` call analyses each node polynomial once: its reduced
 representative and its node fields (drop cross-check passed), its two
 chart images, and, once the enumeration first reaches them, its
-off-origin points and their Frobenius orbits.  In sweep mode the points
-are those of the sweep field at every node, so a call lists them once,
-and takes their orbits once per field order of the charts.  The zeros
-the sweep check compares with are kept on the analysis too.  One
-enumeration of a node's children embeds chart A once per field its
-points lie in, and keeps the images only while it runs.
+off-origin points and their Frobenius orbits.  The zeros the sweep check
+compares with are kept on the analysis too.  One enumeration of a node's
+children embeds chart A once per field its points lie in, and keeps the
+images only while it runs.  In sweep mode the points are those of the
+sweep field at every node, and they, their labels and their orbits
+depend on the fields alone: the process lists a sweep field's points
+and labels once, and takes their orbits once per field order of the
+charts, for every call (``_sweep_points``, ``_sweep_labels``,
+``_sweep_orbits``).  Nothing that depends on an input polynomial
+outlives the call, or the memo its caller passed.
 
 The analyses live in a memo keyed by (polynomial, branches, sweep field
 or None), with polynomials compared by value (field, terms and
@@ -85,6 +89,7 @@ the policy.
 
 from __future__ import annotations
 
+import functools
 import operator
 from dataclasses import dataclass, field as dataclass_field
 
@@ -234,9 +239,9 @@ class _NodeAnalysis:
     """What a node's polynomial determines: the node's fields but its
     path, its good representative, the chart B and chart A images of that
     representative when the node is not clean, the off-origin points with
-    their Frobenius orbits, once searched, and in sweep mode the refined
-    Swan zeros in the sweep field, by field degree and encoding, once the
-    sweep check has computed them."""
+    their Frobenius orbits and labels, once searched, and in sweep mode
+    the refined Swan zeros in the sweep field, by field degree and
+    encoding, once the sweep check has computed them."""
     fields: dict
     representative: object
     charts: tuple = ()
@@ -246,16 +251,15 @@ class _NodeAnalysis:
 
 class _Call:
     """What one ``resolve`` call keeps: the depth cap, the sweep field
-    (None in candidates mode), the memo of node analyses, and in sweep
-    mode the sweep field's points, listed on first use, with their
-    Frobenius orbits once per chart-field order."""
+    (None in candidates mode) and the memo of node analyses.  The sweep
+    field's points, their Frobenius orbits and their labels are not the
+    call's: the process keeps them per field (``_sweep_points``,
+    ``_sweep_orbits``, ``_sweep_labels``)."""
 
     def __init__(self, depth_cap, sweep, memo):
         self.depth_cap = depth_cap
         self.sweep = sweep
         self.memo = memo    # (polynomial, branches, sweep) -> analysis
-        self.sweep_points = None
-        self.sweep_orbits = {}      # chart-field order -> orbits
 
     def analysis(self, poly, branches, path):
         """The analysis of a node polynomial, analysed once per memo.
@@ -269,20 +273,15 @@ class _Call:
 
     def off_origin_points(self, chart_first):
         """The off-origin points to probe below a chart A image, with
-        their Frobenius orbits under x -> x^q, F_q the chart's field: the
-        refined Swan zeros of the image, or every nonzero point of the
-        sweep field, which holds every node field."""
+        their Frobenius orbits under x -> x^q, F_q the chart's field, and
+        their labels: the refined Swan zeros of the image, or every
+        nonzero point of the sweep field, which holds every node field."""
         q = chart_first.ctx.order
         if self.sweep is None:
             points = exceptional_candidates(chart_first)
-            return points, _frobenius_orbits(points, q)
-        if self.sweep_points is None:
-            self.sweep_points = _minimal_points(self.sweep.elements())
-        orbits = self.sweep_orbits.get(q)
-        if orbits is None:
-            orbits = self.sweep_orbits[q] = _frobenius_orbits(
-                self.sweep_points, q)
-        return self.sweep_points, orbits
+            return points, _frobenius_orbits(points, q), _labels(points)
+        return (_sweep_points(self.sweep), _sweep_orbits(self.sweep, q),
+                _sweep_labels(self.sweep))
 
     def check_sweep(self, info, clean_orbits, kept, path):
         """CrossCheckError unless the off-origin points that a node in
@@ -297,7 +296,7 @@ class _Call:
             zeros = info.sweep_zeros = frozenset(
                 _point_key(x) for x in exceptional_candidates(info.charts[1])
                 if self.sweep.degree % x.ctx.degree == 0)
-        points, orbits = info.points
+        points, orbits, _ = info.points
         found = {_point_key(x) for x, orbit in zip(points, orbits)
                  if orbit not in clean_orbits}
         if found != zeros or len(found) != kept:
@@ -377,16 +376,15 @@ def _blowup_children(info, call, clean_orbits):
     clean_orbits.  Lazy, so that a failure while the caller handles one
     child stops the enumeration there, and so that a point sees every
     orbit found clean before it; the points and their orbits are searched
-    once per analysis (in sweep mode listed once per call), and chart A is
-    embedded once per point field and enumeration."""
+    once per analysis (in sweep mode listed once per process), and chart A
+    is embedded once per point field and enumeration."""
     second, first = info.charts
     yield second, 2, "B", None
     yield first, info.fields["branches"], "A", None
     if info.points is None:
         info.points = call.off_origin_points(first)
-    points, orbits = info.points
     images = {}
-    for point, orbit in zip(points, orbits):
+    for point, orbit, label in zip(*info.points):
         if orbit in clean_orbits:
             continue
         ctx = join_context(first.ctx, point.ctx)
@@ -394,7 +392,7 @@ def _blowup_children(info, call, clean_orbits):
         if image is None:
             image = images[ctx] = first.embed_into(ctx)
         moved = translate(image, embed(point, ctx))
-        yield moved, 1, f"A@v={point}", orbit
+        yield moved, 1, label, orbit
 
 
 # ---------------------------------------------------------------------------
@@ -457,6 +455,32 @@ def _minimal_points(elements):
     """The nonzero elements of a field, each in its minimal field, ordered
     by that field's degree, then by encoding."""
     return sorted((minimal_form(x) for x in elements if x), key=_point_key)
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_points(sweep):
+    """The points a sweep over the field probes, ``_minimal_points`` of its
+    elements as a tuple; a pure function of the field, kept for the
+    process."""
+    return tuple(_minimal_points(sweep.elements()))
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_orbits(sweep, q):
+    """The Frobenius orbits under x -> x^q of the sweep field's points,
+    as a tuple; kept for the process per field and chart-field order."""
+    return tuple(_frobenius_orbits(_sweep_points(sweep), q))
+
+
+@functools.lru_cache(maxsize=None)
+def _sweep_labels(sweep):
+    """The labels of the sweep field's points; kept for the process."""
+    return _labels(_sweep_points(sweep))
+
+
+def _labels(points):
+    """The path label of the chart A child at each point."""
+    return tuple(f"A@v={x}" for x in points)
 
 
 def _frobenius_orbits(points, q):

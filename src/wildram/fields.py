@@ -166,7 +166,7 @@ class FieldContext:
     """The field F_{p^k} presented as F_p[x] / (modulus)."""
 
     __slots__ = ("p", "degree", "modulus", "_hash", "_elems", "_exp",
-                 "_zech", "_neg", "_zero_log")
+                 "_zech", "_neg", "_zero_log", "_prime")
 
     def __init__(self, p, degree, modulus=None):
         if not _is_prime(p):
@@ -186,6 +186,7 @@ class FieldContext:
         self.modulus = modulus
         self._hash = hash((p, degree, modulus))
         self._elems = None
+        self._prime = None
 
     @property
     def order(self):
@@ -279,10 +280,12 @@ class FieldContext:
         return FieldElement(self, _digits(enc, self.p, self.degree))
 
     def zero(self):
-        return self.from_encoding(0)
+        elems = self._elems
+        return elems[0] if elems else self.from_encoding(0)
 
     def one(self):
-        return self.from_encoding(1)
+        elems = self._elems
+        return elems[1] if elems else self.from_encoding(1)
 
     def gen(self):
         """The polynomial-basis generator (the class of x)."""
@@ -297,6 +300,13 @@ class FieldContext:
             return iter(elems)
         return (self.from_encoding(enc) for enc in range(self.order))
 
+    def prime_elements(self):
+        """The elements 0, 1, ..., p - 1 of the prime field, as a tuple
+        built on first use and kept on the context."""
+        if self._prime is None:
+            self._prime = tuple(self.element(b) for b in range(self.p))
+        return self._prime
+
 
 @functools.lru_cache(maxsize=None)
 def field(p, degree=1):
@@ -310,15 +320,18 @@ class FieldElement:
     Elements come from their context (``element``, ``from_encoding`` and
     the like), which hands out its interned elements within the table cap.
     ``_log`` is then the element's log in the context's tables (2(q - 1)
-    for zero); above the cap it is None.
+    for zero); above the cap it is None.  The hash is by value, computed
+    once per element object: an interned element, which every lookup
+    returns, computes it once per context.
     """
 
-    __slots__ = ("ctx", "coeffs", "_log")
+    __slots__ = ("ctx", "coeffs", "_log", "_hash")
 
     def __init__(self, ctx, coeffs, log=None):
         self.ctx = ctx
         self.coeffs = coeffs
         self._log = log
+        self._hash = None
 
     def _check(self, other):
         if not isinstance(other, FieldElement):
@@ -370,10 +383,11 @@ class FieldElement:
         return ctx._exp[i + ctx._neg]
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            other = self.ctx.element(other)
-        elif other.__class__ is not FieldElement or other.ctx is not self.ctx:
-            self._check(other)
+        if other.__class__ is not FieldElement or other.ctx is not self.ctx:
+            if isinstance(other, int):
+                other = self.ctx.element(other)
+            else:
+                self._check(other)
         i = self._log
         if i is None:
             ctx = self.ctx
@@ -434,7 +448,10 @@ class FieldElement:
                 and self.ctx == other.ctx and self.coeffs == other.coeffs)
 
     def __hash__(self):
-        return hash((self.ctx, self.coeffs))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.ctx, self.coeffs))
+        return h
 
     def __str__(self):
         if self.ctx.degree == 1:
@@ -510,8 +527,10 @@ def _evaluate_embedding(a, target):
     return acc
 
 
+@functools.lru_cache(maxsize=None)
 def join_context(ctx1, ctx2):
-    """Smallest canonical context admitting embeddings of both arguments."""
+    """Smallest canonical context admitting embeddings of both arguments;
+    a pure function of the two fields, kept for the process."""
     if ctx1.p != ctx2.p:
         raise ContextMismatchError("different characteristics")
     d1, d2 = ctx1.degree, ctx2.degree

@@ -70,19 +70,14 @@ def _sorted_corners(points):
     """The minimal points of a finite set of exponent pairs under the
     componentwise order, sorted by m (so their n falls).
 
-    The column minimum of an m is the least n of a point (m, n).  One pass
-    gathers the column minima; a column minimum is minimal iff it lies
-    below every column to its left, which one sweep over the few distinct
-    m decides.  Repeated points are harmless.
+    In lexicographic order a point is minimal iff its n lies below that
+    of every point before it: those have a smaller m, or the same m and a
+    smaller n.  One sort and one sweep decide it; repeated points are
+    harmless.
     """
-    low = {}
-    for m, n in points:
-        if n < low.get(m, math.inf):
-            low[m] = n
     corners = []
     least = math.inf
-    for m in sorted(low):
-        n = low[m]
+    for m, n in sorted(points):
         if n < least:
             corners.append((m, n))
             least = n
@@ -90,15 +85,22 @@ def _sorted_corners(points):
 
 
 def _product(left, right):
-    """The product of two term maps, canonical (no stored zeros)."""
+    """The product of two term maps, canonical (no stored zeros).  A
+    product of nonzero coefficients is nonzero, so only a sum can leave a
+    zero, and the map is filtered only when two products met."""
     terms = {}
+    summed = False
     for (m1, n1), c1 in left.items():
         for (m2, n2), c2 in right.items():
             e = (m1 + m2, n1 + n2)
             prod = c1 * c2
             s = terms.get(e)
-            terms[e] = prod if s is None else s + prod
-    return {e: c for e, c in terms.items() if c}
+            if s is None:
+                terms[e] = prod
+            else:
+                terms[e] = s + prod
+                summed = True
+    return {e: c for e, c in terms.items() if c} if summed else terms
 
 
 class LaurentPolynomial:
@@ -181,6 +183,8 @@ class LaurentPolynomial:
             di, dj = m - i, n - j
             if di >= 0 and dj >= 0 and not di % p and not dj % p:
                 below[(di // p, dj // p)] = c
+        if not below:
+            return self.ctx.zero()
         inverse = _inverse_series(denominator, below)
         return sum((c * inverse[point] ** p for point, c in below.items()),
                    self.ctx.zero())
@@ -189,6 +193,8 @@ class LaurentPolynomial:
         return bool(self.terms)
 
     def __eq__(self, other):
+        if self is other:
+            return True
         return (isinstance(other, LaurentPolynomial)
                 and self.ctx == other.ctx
                 and self.terms == other.terms
@@ -229,16 +235,27 @@ class LaurentPolynomial:
     def _merge(self, other, negate):
         """self + other, or self - other when negate is set, over the
         product of the two denominators (one of them, when the other is
-        1 or they are equal)."""
-        self._check(other)
+        1 or they are equal).  A zero operand over 1 or over the other's
+        denominator leaves the other operand, which is returned itself
+        (negated for 0 - other): polynomials are never changed in place."""
+        if (other.__class__ is not LaurentPolynomial
+                or other.ctx is not self.ctx):
+            self._check(other)
         mine, theirs = self.terms, other.terms
-        denominator = self.denominator
-        if other.denominator != denominator:
-            if other.denominator is not None:
+        denominator, other_denominator = self.denominator, other.denominator
+        same = (other_denominator is denominator
+                or (other_denominator is not None and denominator is not None
+                    and other_denominator == denominator))
+        if not theirs and (same or other_denominator is None):
+            return self
+        if not mine and (same or denominator is None):
+            return -other if negate else other
+        if not same:
+            if other_denominator is not None:
                 mine = other._lifted_by(mine)
             if denominator is not None:
                 theirs = self._lifted_by(theirs)
-            denominator = _joint(denominator, other.denominator)
+            denominator = _joint(denominator, other_denominator)
         terms = dict(mine)
         for e, c in theirs.items():
             s = terms.get(e)
@@ -488,12 +505,13 @@ def translate(poly, shift):
         raise ContextMismatchError(f"shift from {shift.ctx}, polynomial over "
                                    f"{ctx}; embed explicitly first")
     p = ctx.p
-    prime_field = [ctx.element(b) for b in range(p)]
-    k = -(-max(0, -valuation(poly, "t2")) // p)
+    prime_field = ctx.prime_elements()
+    exponents = [n for _, n in poly.terms]
+    k = max(0, -(min(exponents, default=0) // p))
     denominator = poly.denominator
     if denominator is None and k:
-        denominator = LaurentPolynomial.constant(ctx.one())
-    top = max((n for _, n in poly.terms), default=0) + p * k
+        denominator = LaurentPolynomial._trusted(ctx, {(0, 0): ctx.one()})
+    top = max(exponents, default=0) + p * k
     if denominator is not None:
         top = max(top, max(n for _, n in denominator.terms) + k)
     powers = [ctx.one(), shift]

@@ -132,10 +132,15 @@ class GoodRepresentative:
                 + LaurentPolynomial.constant(embed(root, ctx)))
 
     def verify(self, f):
-        delta = artin_schreier_map(self.witness)
+        """RuntimeError unless g + (witness^p - witness) + constant_delta
+        equals f.  A zero witness or constant adds nothing and is skipped;
+        the rebuilt function is compared with f on every call."""
+        rebuilt = self.g
+        if self.witness:
+            rebuilt = rebuilt + artin_schreier_map(self.witness)
         if self.constant_delta:
-            delta = delta + LaurentPolynomial.constant(self.constant_delta)
-        rebuilt = self.g + delta
+            rebuilt = rebuilt + LaurentPolynomial._trusted(
+                self.constant_delta.ctx, {(0, 0): self.constant_delta})
         # a witness over its own denominator rebuilds f over another one
         if rebuilt != f and rebuilt - f:
             raise RuntimeError("witness identity f - g = h^p - h failed")
@@ -154,16 +159,10 @@ def good_representative(f):
     ``_line_step`` reduces such a line at once.
     """
     ctx = f.ctx
-    g = f
-    witness = LaurentPolynomial.zero(ctx)
-    constant_delta = ctx.zero()
-    constant_added = False
-
-    c0 = g.coefficient(0, 0)
-    if c0:
-        g = g - LaurentPolynomial.constant(c0)
-        constant_delta = constant_delta + c0
-
+    one = ctx.one()
+    c0 = f.coefficient(0, 0)
+    g = f - LaurentPolynomial._trusted(ctx, {(0, 0): c0}) if c0 else f
+    witness = LaurentPolynomial._trusted(ctx, {})
     reductions = 0
     p = ctx.p
     while True:
@@ -187,19 +186,21 @@ def good_representative(f):
         witness = witness + piece
         reductions += 1
 
-    if g and not quadrant_shape(stair):
-        one = LaurentPolynomial.constant(ctx.one())
-        g = g + one
-        constant_delta = constant_delta - ctx.one()
-        constant_added = True
+    quadrant_ok = bool(g)
+    constant_added = quadrant_ok and not quadrant_shape(stair)
+    if constant_added:
+        # with no reduction in between, f - 1 + 1 is f, views and all
+        g = (f if c0 == one and not reductions
+             else g + LaurentPolynomial._trusted(ctx, {(0, 0): one}))
         stair = pole_staircase(g)
+        quadrant_ok = quadrant_shape(stair)
 
     rep = GoodRepresentative(
         g=g,
         witness=witness,
-        constant_delta=constant_delta,
+        constant_delta=c0 - one if constant_added else c0,
         staircase=stair,
-        quadrant_ok=bool(g) and quadrant_shape(stair),
+        quadrant_ok=quadrant_ok,
         constant_added=constant_added,
         reductions=reductions,
     )
@@ -301,7 +302,15 @@ def _line_step(g, a, b):
 
 def exceptional_swan(f):
     """Swan conductor along the exceptional curve of the blow-up at the
-    origin: substitute the first chart and measure along the new axis."""
+    origin: the t1-loop on the first chart's image, whose exponents are
+    (m + n, n).  The loop's first round reads them off f's own terms, and
+    the image is built only when that round strips a p-th power."""
+    p = f.ctx.p
+    v = min((m + n for m, n in f.terms), default=0)
+    if v >= 0:
+        return 0
+    if v % p or any(n % p for m, n in f.terms if m + n == v):
+        return -v
     return swan_conductor(blowup_substitute(f, "A"), "t1")
 
 

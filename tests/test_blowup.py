@@ -32,6 +32,23 @@ def poly(text, ctx):
     return parse_polynomial(text, ctx)
 
 
+def _clear_sweep_caches():
+    for cache in (blowup._sweep_points, blowup._sweep_orbits,
+                  blowup._sweep_labels):
+        cache.cache_clear()
+
+
+@pytest.fixture
+def fresh_sweep_caches():
+    """Empty the process's caches of sweep points, orbits and labels before
+    a test that patches what fills them, so that it runs the patched code,
+    and after it, so that no patched entry outlives it.  A test that
+    patches midway calls the function it yields to empty them again."""
+    _clear_sweep_caches()
+    yield _clear_sweep_caches
+    _clear_sweep_caches()
+
+
 @pytest.mark.parametrize("ctx", [F2, F3, F5])
 def test_two_blowup_chain(ctx):
     result = resolve(poly("t1^-2*t2", ctx), 2)
@@ -284,7 +301,7 @@ def test_constant_repair_after_a_reduction_agrees_across_modes(text, total):
             assert getattr(swept, flag) == getattr(direct, flag), flag
 
 
-def test_sweep_mode_sweeps_one_field_per_run(monkeypatch):
+def test_sweep_mode_sweeps_one_field_per_run(monkeypatch, fresh_sweep_caches):
     # the non-clean points lie in F_64, the run's sweep field for F_4 and
     # degree 3; below them the sweep stays in F_64 instead of growing to
     # F_{2^18}, and gives candidates mode's tree and flags
@@ -337,7 +354,7 @@ def test_modes_agree():
 ESCALATING = "t1*t2^-4 + 1 + t1^-1*t2^-4 + t1^-3*t2^-2"
 
 
-def test_truncation_escalates_and_stabilizes():
+def test_the_formerly_escalating_input_resolves_in_one_round():
     # the input that escalated under a series budget resolves in one round
     # to the tree the budget rounds stabilized on (the golden file), and
     # the off-origin probes it analyses are local functions P / V^p
@@ -347,12 +364,12 @@ def test_truncation_escalates_and_stabilizes():
     assert result.precision_escalations == 0
     assert result.total == 9
     assert result.total <= ramification_bound(good_representative(f).staircase, 2)
-    golden = (GOLDEN / "simulate_f2_escalates.txt").read_text(encoding="utf-8")
+    golden = (GOLDEN / "simulate_f2_translated.txt").read_text(encoding="utf-8")
     assert simulation_as_dict(result) == json.loads(golden.split("\n", 1)[1])
     assert any(g.denominator is not None for g, _, _ in memo)
 
 
-def test_escalation_rounds_reduce_each_exact_polynomial_once(monkeypatch):
+def test_one_round_reduces_each_exact_polynomial_once(monkeypatch):
     # one round: every node polynomial, translated probes included, is
     # reduced once per call, and a second call repeats the same work
     reduced = []
@@ -517,7 +534,7 @@ def _orbit_corpus(seed, count):
     return corpus
 
 
-def test_orbit_probes_match_probing_every_point(monkeypatch):
+def test_orbit_probes_match_probing_every_point(monkeypatch, fresh_sweep_caches):
     # the charts are defined over the node's field F_q, so the local
     # equation at v^q is the Frobenius image of the one at v: probing one
     # point per orbit of v -> v^q gives the tree and the flags of probing
@@ -529,6 +546,7 @@ def test_orbit_probes_match_probing_every_point(monkeypatch):
     orbit_translations = len(calls)
     monkeypatch.setattr(blowup, "_frobenius_orbits",
                         _every_point_its_own_orbit)
+    fresh_sweep_caches()
     by_point = [simulation_as_dict(resolve(f, 2, config))
                 for f, config in corpus]
     assert by_orbit == by_point
@@ -538,7 +556,7 @@ def test_orbit_probes_match_probing_every_point(monkeypatch):
     assert len(off_origin) >= 10 and set(off_origin) == {"candidates", "sweep"}
 
 
-def test_orbits_are_taken_under_the_frobenius_of_the_chart_field(monkeypatch):
+def test_orbits_are_taken_under_the_frobenius_of_the_chart_field(monkeypatch, fresh_sweep_caches):
     # over F_4 the map v -> v^2 moves the coefficient g of the chart, so
     # orbits taken under it skip non-clean points and give r_x 16
     f = poly("g*t1^-2*t2 + t1^2*t2^-3", field(2, 2))
@@ -549,35 +567,51 @@ def test_orbits_are_taken_under_the_frobenius_of_the_chart_field(monkeypatch):
     by_orbit = len(calls)
     monkeypatch.setattr(blowup, "_frobenius_orbits",
                         _every_point_its_own_orbit)
+    fresh_sweep_caches()
     resolve(f, 2, SimulationConfig(mode="sweep", sweep_degree=2))
     assert by_orbit < len(calls) - by_orbit
 
 
-def test_sweep_points_are_listed_once_per_call(monkeypatch):
-    # the points do not depend on the node, and their orbits depend only on
-    # the field order of the chart: F_2 pairs g with g + 1, F_4 does not
-    listed = []
-    original = blowup._minimal_points
+def test_sweep_points_are_listed_once_per_field_per_process(
+        monkeypatch, fresh_sweep_caches):
+    # the points depend only on the sweep field, and their orbits only on
+    # it and on the field order of the chart (F_2 pairs g with g + 1, F_4
+    # does not), so the process lists each once, whatever the calls
+    listed, orbits = [], []
+    original_points = blowup._minimal_points
+    original_orbits = blowup._frobenius_orbits
 
-    def counted(elements):
+    def counted_points(elements):
         elements = list(elements)
         listed.append(elements[-1].ctx)
-        return original(elements)
+        return original_points(elements)
 
-    monkeypatch.setattr(blowup, "_minimal_points", counted)
-    f4 = field(2, 2)
-    call = blowup._Call(32, f4, {})
+    def counted_orbits(points, q):
+        orbits.append((max(x.ctx.degree for x in points), q))
+        return original_orbits(points, q)
+
+    monkeypatch.setattr(blowup, "_minimal_points", counted_points)
+    monkeypatch.setattr(blowup, "_frobenius_orbits", counted_orbits)
+    f4, f8 = field(2, 2), field(2, 3)
     over_f2 = poly("t1^-1", F2)
-    for chart, orbits in [(over_f2, [0, 1, 1]),
-                          (over_f2.embed_into(f4), [0, 1, 2]),
-                          (over_f2, [0, 1, 1])]:
-        assert call.off_origin_points(chart)[1] == orbits
-    assert listed == [f4]
-    del listed[:]
-    result = resolve(poly("t1^-6*t2^3 + t2^-3", F2), 2,
-                     SimulationConfig(mode="sweep", sweep_degree=2))
-    assert sum(not n.clean for n in result.root.nodes()) > 1
-    assert listed == [f4]
+    for _ in range(2):
+        call = blowup._Call(32, f4, {})
+        for chart, expected in [(over_f2, (0, 1, 1)),
+                                (over_f2.embed_into(f4), (0, 1, 2)),
+                                (over_f2, (0, 1, 1))]:
+            assert call.off_origin_points(chart)[1] == expected
+    assert listed == [f4] and orbits == [(2, 2), (2, 4)]
+    f = poly("t1^-6*t2^3 + t2^-3", F2)
+    trees = {}
+    for _ in range(2):
+        for degree in (2, 3):
+            result = resolve(f, 2, SimulationConfig(mode="sweep",
+                                                    sweep_degree=degree))
+            assert sum(not n.clean for n in result.root.nodes()) > 1
+            trees.setdefault(degree, result.root.signature())
+            assert result.root.signature() == trees[degree]
+    assert listed == [f4, f8]
+    assert orbits == [(2, 2), (2, 4), (3, 2)]
 
 
 def test_frobenius_orbits_group_conjugates_under_the_first_point():

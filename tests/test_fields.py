@@ -544,6 +544,26 @@ def test_context_with_the_canonical_modulus_hashes_like_field(p, k):
     assert {canonical: "found"}[direct] == "found"
 
 
+@pytest.mark.parametrize("p,k", [(2, 4), (3, 2), (5, 1), (2, 13)])
+def test_an_element_keeps_its_hash_by_value(p, k):
+    # the hash is computed once per element object and kept; it is that of
+    # the value, so an interned element, the same element of a directly
+    # built context with the canonical modulus, and an element above the
+    # table cap (built anew by every lookup) hash and compare alike
+    canonical = field(p, k)
+    direct = FieldContext(p, k, modulus=canonical.modulus)
+    interned = canonical.order <= _EXHAUSTIVE_LIMIT
+    for enc in (0, 1, canonical.order // 3, canonical.order - 1):
+        a, b = canonical.from_encoding(enc), direct.from_encoding(enc)
+        assert (canonical.from_encoding(enc) is a) == interned
+        for x in (a, b):
+            assert hash(x) == hash(x) == hash((canonical, x.coeffs))
+        assert a == b and b == a and hash(a) == hash(b)
+        assert {a: enc}[b] == enc and {b: enc}[a] == enc
+        square = a * a
+        assert hash(square) == hash(canonical.from_encoding(square.encoding()))
+
+
 def test_tables_with_a_non_primitive_generator():
     # modulus x^2 + 1 over F_3: x has order 4, so the tables rest on
     # another primitive element w; every log must give back its element as

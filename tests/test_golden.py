@@ -32,11 +32,10 @@ CASES = {
     "simulate_f2": ["simulate", "t1^-2*t2 + t1^-4*t2^3", "--field", "2"],
     "simulate_f3_sweep": ["simulate", "t1^-4*t2 + t1^-5*t2^2", "--field", "3",
                           "--mode", "sweep"],
-    # its probes once needed a doubled series budget; translation is exact
-    # now, and the case keeps its name
-    "simulate_f2_escalates": ["simulate",
-                              "t1*t2^-4 + 1 + t1^-1*t2^-4 + t1^-3*t2^-2",
-                              "--field", "2"],
+    # its probes are local functions P / V^p, made by exact translation
+    "simulate_f2_translated": ["simulate",
+                               "t1*t2^-4 + 1 + t1^-1*t2^-4 + t1^-3*t2^-2",
+                               "--field", "2"],
     "simulate_f2_sweep_orbit": ["simulate", "t1^-6*t2^3 + t2^-3", "--field",
                                 "2", "--mode", "sweep", "--sweep-degree", "2"],
     "corpus_laurent_simulate": ["corpus", "--seed", "1", "--count", "60",

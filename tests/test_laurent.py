@@ -726,3 +726,37 @@ def test_hash_is_kept_and_matches_equal_polynomials(pair):
     total = f + g
     assert hash(total) == hash(LaurentPolynomial(
         total.ctx, dict(total.terms), total.denominator))
+
+
+@given(poly_pairs())
+def test_a_zero_operand_gives_the_other_operand(pair):
+    # a + 0, a - 0, 0 + a and 0 - a against the validating constructor,
+    # zero taken over no denominator and over a's; over another
+    # denominator W the general path still gives the joint one, a * W^p
+    # over V * W (over F_3 and F_5, 0 - a returned as a shows up as a sign)
+    a, b = pair
+    ctx = a.ctx
+    plain = LaurentPolynomial(ctx, dict(a.terms), a.denominator)
+    negated = LaurentPolynomial(ctx, {e: -c for e, c in a.terms.items()},
+                                a.denominator)
+    for zero in (LaurentPolynomial(ctx),
+                 LaurentPolynomial(ctx, {}, a.denominator)):
+        assert a + zero == plain and a - zero == plain
+        assert zero + a == plain and zero - a == negated
+    if b.denominator is None or b.denominator == a.denominator:
+        return
+    zero = LaurentPolynomial(ctx, {}, b.denominator)
+    one = {(0, 0): ctx.one()}
+    lifted = _times(ctx, a.terms, _pth_power(ctx, b.denominator.terms))
+    joint = LaurentPolynomial(ctx, _times(
+        ctx, a.denominator.terms if a.denominator else one,
+        b.denominator.terms))
+    assert a + zero == a - zero == zero + a == LaurentPolynomial(
+        ctx, lifted, joint)
+    assert zero - a == LaurentPolynomial(
+        ctx, {e: -c for e, c in lifted.items()}, joint)
+
+
+def test_zero_minus_a_polynomial_is_its_negative():
+    f = poly("t1^-2*t2 + 2*t2^-1", F3)
+    assert LaurentPolynomial.zero(F3) - f == poly("2*t1^-2*t2 + t2^-1", F3)

@@ -422,6 +422,30 @@ def test_exceptional_swan_chart_independent():
         assert via_first == via_second
 
 
+def test_exceptional_swan_matches_the_loop_on_the_chart_image():
+    # the first round reads the chart A exponents (m + n, n) off f's own
+    # terms and builds no image; on polynomials and on translated local
+    # functions it gives the t1-loop on the built image, and so do the
+    # inputs whose leading part along E is a p-th power (a Frobenius
+    # image added), where the round strips it and goes on
+    rng = random.Random(12)
+    stripped = 0
+    for index in range(400):
+        ctx = [F2, F3, F5, field(2, 2)][index % 4]
+        f = random_polynomial(rng, ctx, exp_bound=3)
+        if index % 3 == 0:
+            h = random_polynomial(rng, ctx, max_terms=2, exp_bound=3)
+            f = f + h.frobenius_power()
+        if index % 2:
+            f = translate(f, ctx.from_encoding(rng.randrange(1, ctx.order)))
+        image = blowup_substitute(f, "A")
+        v = min((m for m, _ in image.terms), default=0)
+        stripped += v < 0 and not v % ctx.p and all(
+            not n % ctx.p for m, n in image.terms if m == v)
+        assert exceptional_swan(f) == swan_conductor(image, "t1")
+    assert stripped >= 40
+
+
 def test_swan_class_invariance_randomized():
     rng = random.Random(8)
     for _ in range(200):
