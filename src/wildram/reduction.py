@@ -186,6 +186,7 @@ def good_representative(f):
         witness = witness + piece
         reductions += 1
 
+    # a nonzero g that keeps its constant has a corner in the quadrant
     quadrant_ok = bool(g)
     constant_added = quadrant_ok and not quadrant_shape(stair)
     if constant_added:

@@ -364,7 +364,8 @@ def test_the_formerly_escalating_input_resolves_in_one_round():
     assert result.precision_escalations == 0
     assert result.total == 9
     assert result.total <= ramification_bound(good_representative(f).staircase, 2)
-    golden = (GOLDEN / "simulate_f2_translated.txt").read_text(encoding="utf-8")
+    golden = (GOLDEN / "simulate_f2_translated.txt").read_text(
+        encoding="utf-8")
     assert simulation_as_dict(result) == json.loads(golden.split("\n", 1)[1])
     assert any(g.denominator is not None for g, _, _ in memo)
 
@@ -534,7 +535,8 @@ def _orbit_corpus(seed, count):
     return corpus
 
 
-def test_orbit_probes_match_probing_every_point(monkeypatch, fresh_sweep_caches):
+def test_orbit_probes_match_probing_every_point(
+        monkeypatch, fresh_sweep_caches):
     # the charts are defined over the node's field F_q, so the local
     # equation at v^q is the Frobenius image of the one at v: probing one
     # point per orbit of v -> v^q gives the tree and the flags of probing
@@ -556,7 +558,8 @@ def test_orbit_probes_match_probing_every_point(monkeypatch, fresh_sweep_caches)
     assert len(off_origin) >= 10 and set(off_origin) == {"candidates", "sweep"}
 
 
-def test_orbits_are_taken_under_the_frobenius_of_the_chart_field(monkeypatch, fresh_sweep_caches):
+def test_orbits_are_taken_under_the_frobenius_of_the_chart_field(
+        monkeypatch, fresh_sweep_caches):
     # over F_4 the map v -> v^2 moves the coefficient g of the chart, so
     # orbits taken under it skip non-clean points and give r_x 16
     f = poly("g*t1^-2*t2 + t1^2*t2^-3", field(2, 2))
