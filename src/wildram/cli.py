@@ -14,10 +14,11 @@ import sys
 
 from .blowup import (CrossCheckError, DepthCapError, SimulationConfig,
                      resolve, simulation_as_dict, tree_as_dot)
+from .checks import StageError
 from .corpus import run_corpus
 from .euler import SurfaceConfig, euler_delta
 from .parsing import ParseError, parse_field, parse_polynomial
-from .report import InputSpec, StageError, build_report
+from .report import InputSpec, build_report
 
 
 class _Parser(argparse.ArgumentParser):
@@ -94,8 +95,6 @@ def main(argv=None):
     cor.add_argument("--count", type=int, default=1000)
     cor.add_argument("--mode", default="staircase",
                      choices=["staircase", "laurent"])
-    cor.add_argument("--simulate", action="store_true",
-                     help="include simulator checks in laurent mode")
     cor.add_argument("--json", action="store_true")
 
     eul = subs.add_parser("euler", help="global Euler-characteristic delta")
@@ -147,8 +146,7 @@ def _dispatch(args):
         return 0
 
     if args.command == "corpus":
-        summary = run_corpus(args.seed, args.count, args.mode,
-                             simulate=args.simulate)
+        summary = run_corpus(args.seed, args.count, args.mode)
         if args.json:
             print(json.dumps(summary, indent=2, sort_keys=True))
         else:

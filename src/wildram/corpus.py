@@ -2,27 +2,27 @@
 
 Two corpus shapes drive the property suites: random valid staircases for
 the pure combinatorics, and random Laurent polynomials with bounded pole
-orders for the algebra and the simulator.  Runs are deterministic given
-the seed.  A failing staircase is greedily minimized (dropping points
-while the failure persists) before it is reported; a failing Laurent
-polynomial is reported as drawn.
+orders, of types II and I in turn, for the report's check table and the
+reduction's witness.  Runs are deterministic given the seed.  A failing
+staircase is greedily minimized (dropping points while the failure
+persists) before it is reported; a failing Laurent polynomial is
+reported as drawn, by the command line options that rerun it.
 """
 
 from __future__ import annotations
 
 import random
 
-from .blowup import resolve
+from .checks import StageError, evaluate, record
 from .laurent import LaurentPolynomial
 from .parsing import format_polynomial, parse_field
-from .reduction import artin_schreier_map, conductors, good_representative
-from .staircase import (Staircase, end_conductors, essential_vertices,
-                        max_diagonal, ramification_bound,
-                        ramification_closed_form, ramification_recursive,
-                        swan_drop)
+from .reduction import artin_schreier_map, good_representative
+from .staircase import (Staircase, essential_vertices, max_diagonal,
+                        ramification_bound, ramification_closed_form,
+                        ramification_recursive)
 
 # the coefficient fields of the laurent corpus, used in turn
-LAURENT_FIELDS = ("2^1", "3^1", "5^1")
+LAURENT_FIELDS = ("2", "3", "5")
 
 
 def random_staircase(rng, max_segments=6, coord_bound=40, shape="crossing"):
@@ -66,10 +66,6 @@ def random_polynomial(rng, ctx, max_terms=4, exp_bound=4, nonneg_t2=False):
     return LaurentPolynomial(ctx, terms)
 
 
-# ---------------------------------------------------------------------------
-# checks
-# ---------------------------------------------------------------------------
-
 def _staircase_checks(stair, branches):
     """Returns a dict of check name -> bool for one good-shaped staircase."""
     out = {}
@@ -107,23 +103,19 @@ def _minimize_staircase(stair, check, branches):
     while changed and len(points) > 1:
         changed = False
         for i in range(len(points)):
+            # a nonempty part of a staircase is a staircase
             trial = points[:i] + points[i + 1:]
-            try:
-                candidate = Staircase(trial)
-            except Exception:
-                continue
-            if len(candidate) == 0:
-                continue
-            if not _staircase_checks(candidate, branches).get(check, True):
+            results = _staircase_checks(Staircase(trial), branches)
+            if not results.get(check, True):
                 points = trial
                 changed = True
                 break
     return Staircase(points)
 
 
-def _poly_checks(f, rep, h):
-    """Checks on the input f, its good representative rep and the
-    perturbation f + (h^p - h)."""
+def _reduction_checks(f, rep):
+    """Checks on the reduction of f to its good representative rep,
+    which the report gives no verdict on."""
     out = {}
     # f - g = h^p - h with the constant's Artin-Schreier root materialized
     # in its own field, which GoodRepresentative.verify leaves out
@@ -136,64 +128,31 @@ def _poly_checks(f, rep, h):
     if rep.g != f:
         again = good_representative(rep.g)
         out["idempotent"] = again.g == rep.g
-
-    g2 = f + artin_schreier_map(h)
-    for axis, before, after in zip(("t1", "t2", "E"), conductors(f, 2),
-                                   conductors(g2, 2)):
-        out[f"swan_invariance_{axis}"] = before == after
-
-    stair = rep.staircase
-    if len(stair):
-        sw1, sw2, swe = conductors(rep.g, 2)
-        end1, end2 = end_conductors(stair)
-        out["swan_from_staircase_t1"] = sw1 == end1
-        out["swan_from_staircase_t2"] = sw2 == end2
-        out["drop_identity"] = swan_drop(stair) == sw1 + sw2 - swe
     return out
 
 
-def _simulation_checks(sim):
-    out = {}
-    stair = sim.representative.staircase
-    recursive = ramification_recursive(stair, 2).total
-    bound = ramification_bound(stair, 2)
-    out["bound_r_x"] = sim.total <= bound
-    out["bound_recursive"] = recursive <= bound
-    if sim.good_regime:
-        out["oracle_good_regime"] = sim.total == recursive
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the runner
-# ---------------------------------------------------------------------------
-
-def run_corpus(seed, count, mode, simulate=False):
+def run_corpus(seed, count, mode):
     """Run the differential suite over `count` random inputs.
 
     mode "staircase" exercises the pure combinatorics; mode "laurent" the
-    algebra, optionally including the simulator checks.  The summary is a
-    plain dict, deterministic for a given argument tuple.
+    algebra and the simulator.  The summary is a plain dict,
+    deterministic for a given argument tuple.
     """
     if mode not in ("staircase", "laurent"):
         raise ValueError(f"unknown corpus mode {mode!r}")
     rng = random.Random(seed)
     checks = {}
-    counterexamples = {}
 
-    def record(name, ok, witness):
-        passed, failed = checks.get(name, (0, 0))
-        if ok:
-            checks[name] = (passed + 1, failed)
-        else:
-            checks[name] = (passed, failed + 1)
-            counterexamples.setdefault(name, [])
-            if len(counterexamples[name]) < 3:
-                counterexamples[name].append(witness)
+    def tally(name, ok, witness):
+        entry = checks.setdefault(
+            name, {"pass": 0, "fail": 0, "counterexamples": []})
+        entry["pass" if ok else "fail"] += 1
+        if not ok and len(entry["counterexamples"]) < 3:
+            entry["counterexamples"].append(witness)
 
     for index in range(count):
+        branches = 2 if index % 2 == 0 else 1
         if mode == "staircase":
-            branches = 2 if index % 2 == 0 else 1
             shape = "crossing" if branches == 2 else "branch"
             stair = random_staircase(rng, shape=shape)
             results = _staircase_checks(stair, branches)
@@ -202,32 +161,37 @@ def run_corpus(seed, count, mode, simulate=False):
                 if not ok:
                     small = _minimize_staircase(stair, name, branches)
                     witness = list(small)
-                record(name, ok, witness)
+                tally(name, ok, witness)
         else:
-            ctx = parse_field(LAURENT_FIELDS[index % len(LAURENT_FIELDS)])
-            f = random_polynomial(rng, ctx)
-            h = random_polynomial(rng, ctx, max_terms=2, exp_bound=2)
+            fld = LAURENT_FIELDS[index % len(LAURENT_FIELDS)]
+            ctx = parse_field(fld)
+            f = random_polynomial(rng, ctx, nonneg_t2=branches == 1)
+            h = random_polynomial(rng, ctx, max_terms=2, exp_bound=2,
+                                  nonneg_t2=branches == 1)
+            # the command line that reruns the input
+            line = (f"{format_polynomial(f)} --field {fld}"
+                    f" --type {'I' if branches == 1 else 'II'}")
             try:
-                # the simulator's root reduction is the input's only one
-                sim = resolve(f, 2) if simulate else None
-                rep = sim.representative if simulate else good_representative(f)
-                results = _poly_checks(f, rep, h)
-                if simulate:
-                    results.update(_simulation_checks(sim))
+                rec = record(f, branches, h)
+                verdicts = evaluate(rec)
+                results = _reduction_checks(f, rec["sim"].representative)
             except Exception as err:
-                record("no_exception", False,
-                       f"{format_polynomial(f)}: {type(err).__name__}: {err}")
+                cause = err.original if isinstance(err, StageError) else err
+                tally("no_exception", False,
+                      f"{line}: {type(cause).__name__}: {cause}")
                 continue
-            record("no_exception", True, None)
+            tally("no_exception", True, None)
+            for name, verdict in verdicts.items():
+                tally(name, verdict["pass"],
+                      f"{line} with perturbation {verdict['perturbation']}"
+                      if "perturbation" in verdict else line)
             for name, ok in results.items():
-                record(name, ok, format_polynomial(f) if not ok else None)
+                tally(name, ok, line)
 
     return {
         "seed": seed,
         "count": count,
         "mode": mode,
-        "checks": {name: {"pass": p, "fail": fl,
-                          "counterexamples": counterexamples.get(name, [])}
-                   for name, (p, fl) in sorted(checks.items())},
-        "all_pass": all(fl == 0 for _, fl in checks.values()),
+        "checks": dict(sorted(checks.items())),
+        "all_pass": all(entry["fail"] == 0 for entry in checks.values()),
     }

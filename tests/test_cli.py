@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import max_tail_recursion
-from wildram import blowup, cli, corpus, reduction, report
+from wildram import blowup, checks, cli, corpus, reduction, report
 from wildram.blowup import CrossCheckError, resolve
 from wildram.cli import main
 from wildram.corpus import run_corpus
@@ -174,8 +174,8 @@ def test_report_refuses_a_bad_point_at_the_parse_stage(monkeypatch, branches,
         raise AssertionError("the input reached the reduction")
 
     monkeypatch.setattr(blowup, "good_representative", no_reduction)
-    monkeypatch.setattr(report, "conductors", no_reduction)
-    with pytest.raises(report.StageError) as caught:
+    monkeypatch.setattr(checks, "conductors", no_reduction)
+    with pytest.raises(checks.StageError) as caught:
         build_report(InputSpec(field="3", branches=branches, expr=expr))
     assert caught.value.stage == "parse"
     assert isinstance(caught.value.original, ValueError)
@@ -263,13 +263,13 @@ def test_report_reduces_the_input_and_the_perturbation_once(monkeypatch):
     # the report reads its reduction from the simulator's root analysis
     calls = _record_reductions(monkeypatch)
     simulated = []
-    original = report.resolve
+    original = checks.resolve
 
     def recorded(f, branches, config=None, *, memo=None):
         simulated.append(f)
         return original(f, branches, config, memo=memo)
 
-    monkeypatch.setattr(report, "resolve", recorded)
+    monkeypatch.setattr(checks, "resolve", recorded)
     result = build_report(InputSpec(field="2^1", branches=2, seed=3,
                                     expr="t1^-2*t2 + t1^-4*t2^3"))
     assert result.passed
@@ -282,8 +282,8 @@ def _record_report_work(monkeypatch):
     its nodes were analysed for, and the staircases the report ran the
     recursion on."""
     analysed, recursed = [], []
-    original_resolve, original_analyse = report.resolve, blowup._analyse
-    original_recursive = report.ramification_recursive
+    original_resolve, original_analyse = checks.resolve, blowup._analyse
+    original_recursive = checks.ramification_recursive
 
     def counted_resolve(*args, **kwargs):
         analysed.append([])
@@ -297,19 +297,19 @@ def _record_report_work(monkeypatch):
         recursed.append(stair)
         return original_recursive(stair, branches)
 
-    monkeypatch.setattr(report, "resolve", counted_resolve)
+    monkeypatch.setattr(checks, "resolve", counted_resolve)
     monkeypatch.setattr(blowup, "_analyse", counted_analyse)
-    monkeypatch.setattr(report, "ramification_recursive", counted_recursive)
+    monkeypatch.setattr(checks, "ramification_recursive", counted_recursive)
     return analysed, recursed
 
 
 def _separate_memos(monkeypatch):
-    original = report.resolve
+    original = checks.resolve
 
     def alone(f, branches, config=None, *, memo=None):
         return original(f, branches, config)
 
-    monkeypatch.setattr(report, "resolve", alone)
+    monkeypatch.setattr(checks, "resolve", alone)
 
 
 # inputs whose perturbation reduces to the input's good representative:
@@ -352,21 +352,32 @@ def test_perturbed_rerun_recurses_on_its_own_staircase(monkeypatch):
         [[0, 0], [4, 3]], [[0, 0], [1, 2], [4, 3]]]
 
 
-@pytest.mark.parametrize("simulate", [False, True])
-def test_corpus_reduces_each_input_once(monkeypatch, simulate):
+# the one failure of the seed-1 laurent corpus in its first 60 inputs:
+# input 10, a representative_independence failure of ROADMAP item 1
+ITEM_1_FAILURE = ("2*t1^2*t2^-1 + t1^2*t2^-4 + t1^-3 --field 3 --type II"
+                  " with perturbation t1*t2^-1")
+
+
+def _failures(summary):
+    return {name: entry["counterexamples"]
+            for name, entry in summary["checks"].items() if entry["fail"]}
+
+
+def test_corpus_reduces_each_input_once(monkeypatch):
     calls = _record_reductions(monkeypatch)
     inputs = []
     original = corpus.random_polynomial
 
     def recorded(rng, ctx, *args, **kwargs):
         f = original(rng, ctx, *args, **kwargs)
-        if not args and not kwargs:     # an input, not a perturbation
+        if "max_terms" not in kwargs:   # an input, not a perturbation
             inputs.append(f)
         return f
 
     monkeypatch.setattr(corpus, "random_polynomial", recorded)
-    summary = run_corpus(1, 30, "laurent", simulate=simulate)
-    assert summary["all_pass"]
+    summary = run_corpus(1, 30, "laurent")
+    assert _failures(summary) == {
+        "representative_independence": [ITEM_1_FAILURE]}
     assert len(inputs) == 30
     for f in inputs:
         # the idempotence check reduces the representative again only when
@@ -423,9 +434,10 @@ def test_corpus_idempotent_catches_a_partial_reduction(monkeypatch):
     summary = run_corpus(1, 30, "laurent")
     assert summary["checks"]["idempotent"]["pass"] < 30
     assert summary["checks"]["idempotent"]["fail"] == 0
-    real = reduction.good_representative
-    monkeypatch.setattr(corpus, "good_representative",
-                        lambda f: _first_corner_only(real(f)))
+    # the checks read the simulator's root reduction
+    real = corpus._reduction_checks
+    monkeypatch.setattr(corpus, "_reduction_checks",
+                        lambda f, rep: real(f, _first_corner_only(rep)))
     summary = run_corpus(1, 30, "laurent")
     assert summary["checks"]["idempotent"]["fail"] > 0
     assert summary["checks"]["witness_identity"]["fail"] == 0
@@ -441,21 +453,80 @@ def test_corpus_idempotent_catches_a_partial_reduction(monkeypatch):
 def test_corpus_checks_pass_on_two_corner_reductions(expr, fld):
     # the random corpus seldom draws an input that reduces two corners;
     # on each of these fixed ones the reduction removes two corners that
-    # are not powers of one another, every check passes, idempotence is
-    # checked, and keeping only the first reduction fails it
+    # are not powers of one another, both reduction checks pass,
+    # idempotence is checked, and keeping only the first reduction fails it
     ctx = parse_field(fld)
     f = parse_polynomial(expr, ctx)
-    h = parse_polynomial("t1^-2*t2 + t2^-1", ctx)
     rep = reduction.good_representative(f)
     assert rep.reductions == 2
     (m1, n1), (m2, n2) = rep.witness.terms
     assert m1 * n2 != m2 * n1
-    checks = corpus._poly_checks(f, rep, h)
-    assert "idempotent" in checks
-    assert all(checks.values()), checks
-    partial = corpus._poly_checks(f, _first_corner_only(rep), h)
+    results = corpus._reduction_checks(f, rep)
+    assert "idempotent" in results
+    assert all(results.values()), results
+    partial = corpus._reduction_checks(f, _first_corner_only(rep))
     assert partial["idempotent"] is False
     assert partial["witness_identity"] is True
+
+
+def test_laurent_corpus_finds_only_the_item_1_failure():
+    summary = run_corpus(1, 30, "laurent")
+    assert set(summary["checks"]) == {check.__name__ for check in checks.CHECKS} | {
+        "witness_identity", "idempotent", "no_exception"}
+    assert _failures(summary) == {
+        "representative_independence": [ITEM_1_FAILURE]}
+    assert summary["checks"]["no_exception"]["pass"] == 30
+    assert not summary["all_pass"]
+    # the counterexample names what reruns it
+    ctx = parse_field("3")
+    rec = checks.record(
+        parse_polynomial("2*t1^2*t2^-1 + t1^2*t2^-4 + t1^-3", ctx), 2,
+        parse_polynomial("t1*t2^-1", ctx))
+    assert not checks.evaluate(rec)["representative_independence"]["pass"]
+
+
+def test_a_patched_check_fails_in_report_and_corpus(monkeypatch):
+    # report and corpus evaluate the one table over the one record: a
+    # closed form one too high fails its check in both
+    real = checks.ramification_closed_form
+    monkeypatch.setattr(checks, "ramification_closed_form",
+                        lambda stair, branches: real(stair, branches) + 1)
+    result = build_report(InputSpec(field="3", branches=2, expr="t1^-2*t2"))
+    assert [name for name, verdict in result.verdicts.items()
+            if not verdict["pass"]] == ["recursion_equals_closed_form"]
+    summary = run_corpus(1, 30, "laurent")
+    assert set(_failures(summary)) == {"recursion_equals_closed_form",
+                                       "representative_independence"}
+    assert summary["checks"]["recursion_equals_closed_form"]["pass"] == 0
+
+
+def test_laurent_corpus_resolves_both_types(monkeypatch):
+    resolved = []
+    original = checks.resolve
+
+    def recorded(f, branches, config=None, *, memo=None):
+        resolved.append((f, branches))
+        return original(f, branches, config, memo=memo)
+
+    monkeypatch.setattr(checks, "resolve", recorded)
+    run_corpus(1, 30, "laurent")
+    # an input and its perturbation, of types II and I in turn
+    assert [branches for _, branches in resolved] == [2, 2, 1, 1] * 15
+    type_one = [f for f, branches in resolved if branches == 1]
+    assert all(n >= 0 for f in type_one for _, n in f.terms)
+
+
+def test_corpus_names_the_original_exception(monkeypatch):
+    def broken(f, branches, config=None, *, memo=None):
+        raise ZeroDivisionError("broken")
+
+    monkeypatch.setattr(checks, "resolve", broken)
+    summary = run_corpus(1, 2, "laurent")
+    entry = summary["checks"]["no_exception"]
+    assert entry["fail"] == 2
+    assert [text.split(" --field ")[1] for text in entry["counterexamples"]] == [
+        "2 --type II: ZeroDivisionError: broken",
+        "3 --type I: ZeroDivisionError: broken"]
 
 
 def test_corpus_mutant_finds_the_counterexample():
@@ -506,7 +577,7 @@ def test_failed_cross_check_raises_and_exits_two(monkeypatch, capsys):
 
 def test_report_verdicts_fail_when_the_conductors_disagree(monkeypatch,
                                                             capsys):
-    _conductors_off_by_one(monkeypatch, report)
+    _conductors_off_by_one(monkeypatch, checks)
     result = build_report(InputSpec(field="3^1", branches=2, expr="t1^-2*t2"))
     assert not result.verdicts["drop_identity"]["pass"]
     assert not result.verdicts["swan_matches_staircase_ends"]["pass"]
@@ -581,6 +652,13 @@ def test_cli_usage_errors_exit_one(capsys):
         main(["corpus", "--jset-rule", "max_tail"])
     assert removed.value.code == 1
     assert "unrecognized arguments" in capsys.readouterr().err
+    # the laurent corpus always simulates: the option is gone
+    with pytest.raises(SystemExit) as removed:
+        main(["corpus", "--mode", "laurent", "--simulate"])
+    assert removed.value.code == 1
+    usage, error = capsys.readouterr().err.splitlines()
+    assert usage.startswith("usage: wildram ")
+    assert error == "wildram: error: unrecognized arguments: --simulate"
     with pytest.raises(SystemExit) as helped:
         main(["corpus", "--help"])
     assert helped.value.code == 0

@@ -38,8 +38,8 @@ CASES = {
                                "--field", "2"],
     "simulate_f2_sweep_orbit": ["simulate", "t1^-6*t2^3 + t2^-3", "--field",
                                 "2", "--mode", "sweep", "--sweep-degree", "2"],
-    "corpus_laurent_simulate": ["corpus", "--seed", "1", "--count", "60",
-                                "--mode", "laurent", "--simulate"],
+    "corpus_laurent": ["corpus", "--seed", "1", "--count", "60",
+                       "--mode", "laurent"],
     "corpus_staircase": ["corpus", "--seed", "1", "--count", "200",
                          "--mode", "staircase"],
     "corpus_max_tail": ["corpus", "--seed", "1", "--count", "200"],
