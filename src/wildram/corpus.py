@@ -174,6 +174,7 @@ def run_corpus(seed, count, mode):
             try:
                 rec = record(f, branches, h)
                 verdicts = evaluate(rec)
+                # the simulator's root reduction is the input's only one
                 results = _reduction_checks(f, rec["sim"].representative)
             except Exception as err:
                 cause = err.original if isinstance(err, StageError) else err
