@@ -471,8 +471,9 @@ def test_corpus_checks_pass_on_two_corner_reductions(expr, fld):
 
 def test_laurent_corpus_finds_only_the_item_1_failure():
     summary = run_corpus(1, 30, "laurent")
-    assert set(summary["checks"]) == {check.__name__ for check in checks.CHECKS} | {
-        "witness_identity", "idempotent", "no_exception"}
+    table = {check.__name__ for check in checks.CHECKS}
+    assert set(summary["checks"]) == table | {"witness_identity",
+                                              "idempotent", "no_exception"}
     assert _failures(summary) == {
         "representative_independence": [ITEM_1_FAILURE]}
     assert summary["checks"]["no_exception"]["pass"] == 30
@@ -524,9 +525,10 @@ def test_corpus_names_the_original_exception(monkeypatch):
     summary = run_corpus(1, 2, "laurent")
     entry = summary["checks"]["no_exception"]
     assert entry["fail"] == 2
-    assert [text.split(" --field ")[1] for text in entry["counterexamples"]] == [
-        "2 --type II: ZeroDivisionError: broken",
-        "3 --type I: ZeroDivisionError: broken"]
+    fields_and_types = [text.split(" --field ")[1]
+                        for text in entry["counterexamples"]]
+    assert fields_and_types == ["2 --type II: ZeroDivisionError: broken",
+                                "3 --type I: ZeroDivisionError: broken"]
 
 
 def test_corpus_mutant_finds_the_counterexample():
