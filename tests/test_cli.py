@@ -363,7 +363,9 @@ def _failures(summary):
             for name, entry in summary["checks"].items() if entry["fail"]}
 
 
-def test_corpus_reduces_each_input_once(monkeypatch):
+@pytest.mark.parametrize("via_cli", [False, True])
+def test_corpus_reduces_each_input_once(monkeypatch, capsys, via_cli):
+    # the corpus command reduces exactly as run_corpus does
     calls = _record_reductions(monkeypatch)
     inputs = []
     original = corpus.random_polynomial
@@ -375,7 +377,13 @@ def test_corpus_reduces_each_input_once(monkeypatch):
         return f
 
     monkeypatch.setattr(corpus, "random_polynomial", recorded)
-    summary = run_corpus(1, 30, "laurent")
+    if via_cli:
+        code = main(["corpus", "--seed", "1", "--count", "30",
+                     "--mode", "laurent", "--json"])
+        summary = json.loads(capsys.readouterr().out)
+        assert code == 2
+    else:
+        summary = run_corpus(1, 30, "laurent")
     assert _failures(summary) == {
         "representative_independence": [ITEM_1_FAILURE]}
     assert len(inputs) == 30
