@@ -20,38 +20,35 @@ leading column, rsw = u^-A (c'(v) dv - A c(v) du/u), and a point of E is
 clean iff rsw does not vanish there.  Every term of c comes from a
 corner of the good representative, and no such corner lies in
 pZ x pZ, so when p divides A no exponent of c is divisible by p, and c'
-is not zero.  Two policies are implemented:
+is not zero.  The zeros of rsw are the nonzero common roots of c and c'
+when p does not divide A and the nonzero roots of c' when it does, in
+whatever extension they lie.
 
-* candidates: probe the zeros of rsw, the nonzero common roots of c and
-  c' when p does not divide A and the nonzero roots of c' when it does,
-  in whatever extension they lie.  Complete over the algebraic closure.
-  Every zero is built in full (translate, reduce, staircase shape, drop
-  cross-check), and one that comes out clean raises ``CrossCheckError``:
-  the probe is a check of the locator, not a filter.
+Both point-location policies build the same children: chart B's origin,
+chart A's origin, then the zeros of rsw, each translated to the origin
+of chart A and built in full (translate, reduce, staircase shape, drop
+cross-check).  A zero that comes out clean raises ``CrossCheckError``:
+the build is a check of the locator, not a filter.
 
-* sweep: test directly the points of the exceptional curve with
-  coordinate in one field per run, F_{p^(k*sweep_degree)} for the input's
-  field F_{p^k}, one per Frobenius orbit (below), and drop the clean
-  ones.  Complete on that field only.  At every non-clean node the
-  non-clean points found must be the zeros of rsw in the sweep field, or
-  ``CrossCheckError`` is raised.
+* candidates: build every zero.  Complete over the algebraic closure.
 
-Both policies feed one child enumeration: chart B's origin, chart A's
-origin, then the off-origin points.  The points are grouped into orbits
-of v -> v^q, where F_q is the field of the node's chart, and an orbit is
-probed through its first point in enumeration order: in sweep mode, when
-that point comes out clean, its conjugates are skipped; when not, every
-conjugate is built in full, so the tree, its labels and the order of its
-exceptions are those of probing every point.  The skip is exact, not a
-heuristic.  The chart has its coefficients in F_q, so the Frobenius
-x -> x^q, applied to the coefficients, carries the local function at v
-(numerator and denominator, see the laurent module) to the one at v^q.
-Reduction, staircase and conductors read a coefficient only through
-field operations (p-th roots included) and through whether it vanishes,
-so they commute with that automorphism: the two points get the same node
-fields, the same clean verdict and the same drop cross-check.  The zeros
-the candidates policy finds are roots of polynomials over F_q, which
-come in whole orbits already, and are all non-clean.
+* sweep: build the zeros that lie in one field per run,
+  F_{p^(k*sweep_degree)} for the input's field F_{p^k}, and so be
+  complete on that field only.  After a node's subtrees, a check that
+  does not recurse probes every other point of that field and raises
+  ``CrossCheckError`` unless it comes out clean, so the non-clean points
+  of the field are exactly the zeros in it.  The probes are analysed,
+  not built, and taken one per orbit of v -> v^q, F_q the field of the
+  node's chart.  The skip is exact, not a heuristic.  The chart has its
+  coefficients in F_q, so the Frobenius x -> x^q, applied to the
+  coefficients, carries the local function at v (numerator and
+  denominator, see the laurent module) to the one at v^q.  Reduction,
+  staircase and conductors read a coefficient only through field
+  operations (p-th roots included) and through whether it vanishes, so
+  they commute with that automorphism: the two points get the same node
+  fields and the same clean verdict.  The zeros are roots of
+  polynomials over F_q, so they come in whole orbits, and an orbit is
+  probed through its first point that is no zero.
 
 Translations at off-origin points are exact: ``translate`` returns the
 local function as P / V^p, and every node below is built from exact
@@ -59,28 +56,28 @@ data, so one round gives the tree and there is no series budget.
 
 A ``resolve`` call analyses each node polynomial once: its reduced
 representative and its node fields (drop cross-check passed), its two
-chart images, and, once the enumeration first reaches them, its
-off-origin points and their Frobenius orbits.  The zeros the sweep check
-compares with are kept on the analysis too.  One enumeration of a node's
-children embeds chart A once per field its points lie in, and keeps the
-images only while it runs.  In sweep mode the points are those of the
-sweep field at every node, and they, their labels and their orbits
-depend on the fields alone: the process lists a sweep field's points
-and labels once, and takes their orbits once per field order of the
-charts, for every call (``_sweep_points``, ``_sweep_labels``,
-``_sweep_orbits``).  Nothing that depends on an input polynomial
-outlives the call, or the memo its caller passed.
+chart images, and, once the enumeration first reaches them, the zeros
+of rsw in every field.  One enumeration of a node's children, and one
+sweep check, embeds chart A once per field its points lie in, and keeps
+the images only while it runs.  The sweep field's points and their
+labels depend on the field alone, and their orbits on it and on the
+field order of the chart: the process lists them once per field, and
+takes the orbits once per field order of the charts, for every call
+(``_sweep_points``, ``_sweep_orbits``); candidates mode takes no orbits.
+Nothing that depends on an input polynomial outlives the call, or the
+memo its caller passed.
 
-The analyses live in a memo keyed by (polynomial, branches, sweep field
-or None), with polynomials compared by value (field, terms and
-denominator).  A call keeps its own memo unless the caller passes one,
-and a caller may pass one memo to several calls: a report does so for
-its input and its perturbation, whose trees often share nodes.  An
-analysis depends only on its key, so a hit gives what analysing again
-would give, and each call still builds its own tree from it; without a
-shared memo, two calls on the same input compute everything twice.  The
-result keeps the root's representative, so that callers read the
-input's reduction there instead of computing it again.
+The analyses live in a memo keyed by (polynomial, branches), with
+polynomials compared by value (field, terms and denominator).  An
+analysis does not depend on the policy, which filters the zeros when it
+enumerates them.  A call keeps its own memo unless the caller passes
+one, and a caller may pass one memo to several calls, in either policy:
+a report does so for its input and its perturbation, whose trees often
+share nodes.  An analysis depends only on its key, so a hit gives what
+analysing again would give, and each call still builds its own tree from
+it; without a shared memo, two calls on the same input compute
+everything twice.  The result keeps the root's representative, so that
+callers read the input's reduction there instead of computing it again.
 
 The run flags of a result (``good_regime`` and the flags behind it) are
 read from the finished tree, so they depend only on the input, never on
@@ -238,72 +235,61 @@ def resolve(f, branches, config=None, *, memo=None):
 class _NodeAnalysis:
     """What a node's polynomial determines: the node's fields but its
     path, its good representative, the chart B and chart A images of that
-    representative when the node is not clean, the off-origin points with
-    their Frobenius orbits and labels, once searched, and in sweep mode
-    the refined Swan zeros in the sweep field, by field degree and
-    encoding, once the sweep check has computed them."""
+    representative when the node is not clean, and the refined Swan zeros
+    below the chart A image, in every field, once the enumeration of the
+    node's children first reaches them."""
     fields: dict
     representative: object
     charts: tuple = ()
-    points: tuple = None
-    sweep_zeros: frozenset = None
+    zeros: list = None
 
 
 class _Call:
     """What one ``resolve`` call keeps: the depth cap, the sweep field
     (None in candidates mode) and the memo of node analyses.  The sweep
-    field's points, their Frobenius orbits and their labels are not the
+    field's points, their labels and their Frobenius orbits are not the
     call's: the process keeps them per field (``_sweep_points``,
-    ``_sweep_orbits``, ``_sweep_labels``)."""
+    ``_sweep_orbits``)."""
 
     def __init__(self, depth_cap, sweep, memo):
         self.depth_cap = depth_cap
         self.sweep = sweep
-        self.memo = memo    # (polynomial, branches, sweep) -> analysis
+        self.memo = memo    # (polynomial, branches) -> analysis
 
     def analysis(self, poly, branches, path):
         """The analysis of a node polynomial, analysed once per memo.
-        The key holds the sweep field because the points searched depend
-        on it, and the branches because the node fields do."""
-        key = (poly, branches, self.sweep)
+        The key holds the branches because the node fields depend on
+        them; nothing in it depends on the mode."""
+        key = (poly, branches)
         info = self.memo.get(key)
         if info is None:
             info = self.memo[key] = _analyse(poly, branches, path)
         return info
 
-    def off_origin_points(self, chart_first):
-        """The off-origin points to probe below a chart A image, with
-        their Frobenius orbits under x -> x^q, F_q the chart's field, and
-        their labels: the refined Swan zeros of the image, or every
-        nonzero point of the sweep field, which holds every node field."""
-        q = chart_first.ctx.order
-        if self.sweep is None:
-            points = exceptional_candidates(chart_first)
-            return points, _frobenius_orbits(points, q), _labels(points)
-        return (_sweep_points(self.sweep), _sweep_orbits(self.sweep, q),
-                _sweep_labels(self.sweep))
-
-    def check_sweep(self, info, clean_orbits, kept, path):
-        """CrossCheckError unless the off-origin points that a node in
-        sweep mode kept are exactly the refined Swan zeros in the sweep
-        field.  The kept points are those of the orbits whose first point
-        was not clean, and there must be `kept` of them, one child each.
-        Points are compared by field and encoding, not by label: labels
-        omit the field, so g of F_4 and g of F_16 print alike.  The zeros
-        are computed once per analysis."""
-        zeros = info.sweep_zeros
-        if zeros is None:
-            zeros = info.sweep_zeros = frozenset(
-                _point_key(x) for x in exceptional_candidates(info.charts[1])
-                if self.sweep.degree % x.ctx.degree == 0)
-        points, orbits, _ = info.points
-        found = {_point_key(x) for x, orbit in zip(points, orbits)
-                 if orbit not in clean_orbits}
-        if found != zeros or len(found) != kept:
-            raise CrossCheckError(
-                f"at {path}: {kept} children for the non-clean points "
-                f"{sorted(found)}, refined Swan zeros {sorted(zeros)} in "
-                f"{self.sweep} (field degree, encoding)")
+    def check_sweep(self, info, path):
+        """CrossCheckError unless every point of the sweep field that is
+        no refined Swan zero comes out clean below a node in sweep mode.
+        The points are probed one per Frobenius orbit under x -> x^q, F_q
+        the chart's field, among the points that are no zero, and are
+        analysed, not built: a clean point has no children.  The error
+        names the point by field degree and encoding as well as by label,
+        since labels omit the field: g of F_4 and g of F_16 print alike."""
+        first = info.charts[1]
+        points, labels = _sweep_points(self.sweep)
+        orbits = _sweep_orbits(self.sweep, first.ctx.order)
+        probed = set()
+        images = {}
+        for point, label, orbit in zip(points, labels, orbits):
+            if point in info.zeros or orbit in probed:
+                continue
+            probed.add(orbit)
+            child = f"{path}/{label}"
+            moved = _translate_to(images, first, point)
+            if not self.analysis(moved, 1, child).fields["clean"]:
+                raise CrossCheckError(
+                    f"at {child}: not clean, but {_point_key(point)} "
+                    f"(field degree, encoding) is no refined Swan zero "
+                    f"in {self.sweep}")
 
 
 def _build_node(poly, branches, path, depth, call):
@@ -315,27 +301,22 @@ def _build_node(poly, branches, path, depth, call):
         return node
 
     children = []
-    clean_orbits = set()    # sweep mode: orbits whose first point is clean
     try:
-        for child_poly, child_branches, label, orbit in _blowup_children(
-                info, call, clean_orbits):
+        for child_poly, child_branches, label in _blowup_children(info, call):
             child = _build_node(child_poly, child_branches, f"{path}/{label}",
                                 depth + 1, call)
-            # the chart origins stay in the tree even when clean
-            if orbit is None or not child.clean:
-                children.append(child)
-            elif call.sweep is None:
+            # the chart origins come first and stay in the tree even when
+            # clean; a point is a refined Swan zero, and must not be
+            if child.clean and len(children) >= 2:
                 raise CrossCheckError(
                     f"at {child.path}: a refined Swan zero is clean")
-            else:
-                clean_orbits.add(orbit)
+            children.append(child)
     except DepthCapError as err:
         if err.partial is None:
             err.partial = node
         raise
     if call.sweep is not None:
-        # the chart origins come first and are always kept
-        call.check_sweep(info, clean_orbits, len(children) - 2, path)
+        call.check_sweep(info, path)
     node.children = children
     return node
 
@@ -367,32 +348,34 @@ def _analyse(poly, branches, path):
     return info
 
 
-def _blowup_children(info, call, clean_orbits):
+def _blowup_children(info, call):
     """Every point that one blow-up of a non-clean node can leave
-    non-clean, as (local polynomial, branch count, label, orbit): the
-    origin of chart B, the origin of chart A (orbit None), then each
-    off-origin point of the exceptional curve, translated to the origin of
-    chart A, unless the caller has put its Frobenius orbit into
-    clean_orbits.  Lazy, so that a failure while the caller handles one
-    child stops the enumeration there, and so that a point sees every
-    orbit found clean before it; the points and their orbits are searched
-    once per analysis (in sweep mode listed once per process), and chart A
-    is embedded once per point field and enumeration."""
+    non-clean, as (local polynomial, branch count, label): the origin of
+    chart B, the origin of chart A, then each refined Swan zero on the
+    exceptional curve (in sweep mode, each in the sweep field), translated
+    to the origin of chart A.  Lazy, so that a failure while the caller
+    handles one child stops the enumeration there; the zeros are searched
+    once per analysis, and chart A is embedded once per point field and
+    enumeration."""
     second, first = info.charts
-    yield second, 2, "B", None
-    yield first, info.fields["branches"], "A", None
-    if info.points is None:
-        info.points = call.off_origin_points(first)
+    yield second, 2, "B"
+    yield first, info.fields["branches"], "A"
+    if info.zeros is None:
+        info.zeros = exceptional_candidates(first)
     images = {}
-    for point, orbit, label in zip(*info.points):
-        if orbit in clean_orbits:
-            continue
-        ctx = join_context(first.ctx, point.ctx)
-        image = images.get(ctx)
-        if image is None:
-            image = images[ctx] = first.embed_into(ctx)
-        moved = translate(image, embed(point, ctx))
-        yield moved, 1, label, orbit
+    for point in info.zeros:
+        if call.sweep is None or call.sweep.degree % point.ctx.degree == 0:
+            yield _translate_to(images, first, point), 1, f"A@v={point}"
+
+
+def _translate_to(images, first, point):
+    """The chart A image `first` translated to `point`, through its
+    embedding into the point's field, kept in `images` per field."""
+    ctx = join_context(first.ctx, point.ctx)
+    image = images.get(ctx)
+    if image is None:
+        image = images[ctx] = first.embed_into(ctx)
+    return translate(image, embed(point, ctx))
 
 
 # ---------------------------------------------------------------------------
@@ -451,36 +434,21 @@ def _point_key(x):
     return x.ctx.degree, x.encoding()
 
 
-def _minimal_points(elements):
-    """The nonzero elements of a field, each in its minimal field, ordered
-    by that field's degree, then by encoding."""
-    return sorted((minimal_form(x) for x in elements if x), key=_point_key)
-
-
 @functools.lru_cache(maxsize=None)
 def _sweep_points(sweep):
-    """The points a sweep over the field probes, ``_minimal_points`` of its
-    elements as a tuple; a pure function of the field, kept for the
-    process."""
-    return tuple(_minimal_points(sweep.elements()))
+    """The nonzero points of the sweep field, each in its minimal field and
+    ordered by field degree, then by encoding, and their labels: two
+    tuples, a pure function of the field, kept for the process."""
+    points = tuple(sorted((minimal_form(x) for x in sweep.elements() if x),
+                          key=_point_key))
+    return points, tuple(f"A@v={x}" for x in points)
 
 
 @functools.lru_cache(maxsize=None)
 def _sweep_orbits(sweep, q):
     """The Frobenius orbits under x -> x^q of the sweep field's points,
     as a tuple; kept for the process per field and chart-field order."""
-    return tuple(_frobenius_orbits(_sweep_points(sweep), q))
-
-
-@functools.lru_cache(maxsize=None)
-def _sweep_labels(sweep):
-    """The labels of the sweep field's points; kept for the process."""
-    return _labels(_sweep_points(sweep))
-
-
-def _labels(points):
-    """The path label of the chart A child at each point."""
-    return tuple(f"A@v={x}" for x in points)
+    return tuple(_frobenius_orbits(_sweep_points(sweep)[0], q))
 
 
 def _frobenius_orbits(points, q):

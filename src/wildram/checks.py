@@ -26,6 +26,9 @@ class StageError(RuntimeError):
 
 
 class _stage:
+    """Tags an ``Exception`` raised inside with the stage's name; a
+    ``KeyboardInterrupt`` or ``SystemExit`` passes through untouched."""
+
     def __init__(self, name):
         self.name = name
 
@@ -33,7 +36,7 @@ class _stage:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        if exc is not None and not isinstance(exc, StageError):
+        if isinstance(exc, Exception) and not isinstance(exc, StageError):
             raise StageError(self.name, exc) from exc
         return False
 

@@ -140,6 +140,9 @@ def run_corpus(seed, count, mode):
     """
     if mode not in ("staircase", "laurent"):
         raise ValueError(f"unknown corpus mode {mode!r}")
+    # a run of no inputs checks nothing, so it could not fail
+    if count < 1:
+        raise ValueError(f"count must be >= 1, got {count}")
     rng = random.Random(seed)
     checks = {}
 

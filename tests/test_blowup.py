@@ -12,7 +12,7 @@ from wildram.blowup import (CrossCheckError, DepthCapError, SimulationConfig,
                             leading_exceptional_column, resolve,
                             simulation_as_dict, tree_as_dict, tree_as_dot)
 from wildram.corpus import random_polynomial
-from wildram.fields import field, find_roots
+from wildram.fields import field, find_roots, minimal_form
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
                              blowup_substitute, pole_staircase, translate)
 from wildram.parsing import parse_polynomial
@@ -33,8 +33,7 @@ def poly(text, ctx):
 
 
 def _clear_sweep_caches():
-    for cache in (blowup._sweep_points, blowup._sweep_orbits,
-                  blowup._sweep_labels):
+    for cache in (blowup._sweep_points, blowup._sweep_orbits):
         cache.cache_clear()
 
 
@@ -162,7 +161,8 @@ def _with_simple_roots(real):
         for n, c in column.items():
             coeffs[n - low] = c
         roots = find_roots(coeffs).roots if len(column) > 1 else []
-        return blowup._minimal_points(roots + real(chart))
+        return sorted((minimal_form(x) for x in roots + real(chart) if x),
+                      key=blowup._point_key)
     return candidates
 
 
@@ -174,9 +174,10 @@ def test_a_clean_candidate_fails_the_refined_swan_check(monkeypatch):
                         _with_simple_roots(exceptional_candidates))
     with pytest.raises(CrossCheckError, match="x/A@v=1: a refined Swan"):
         resolve(f, 2)
-    # sweep mode drops the clean probe v = 1, then finds it among the zeros
-    with pytest.raises(CrossCheckError, match=r"points \[\], refined Swan "
-                                              r"zeros \[\(1, 1\)\]"):
+    # sweep mode builds the zero v = 1 of its field as well, and so fails
+    # in the same way
+    with pytest.raises(CrossCheckError, match="x/A@v=1: a refined Swan zero "
+                                              "is clean"):
         resolve(f, 2, SimulationConfig(mode="sweep"))
 
 
@@ -184,7 +185,7 @@ def test_sweep_mode_checks_its_points_against_the_refined_swan_zeros(
         monkeypatch):
     # over F_3 the pole order 3 is divisible by p and c = v + v^2, so the
     # only zero is the root v = 1 of c' = 1 + 2v; a locator that drops
-    # the roots of c' leaves a non-clean sweep point unexplained
+    # the roots of c' leaves a non-clean sweep point that is no zero
     f = poly("t1^-4*t2 + t1^-5*t2^2", F3)
     real = exceptional_candidates
 
@@ -194,14 +195,16 @@ def test_sweep_mode_checks_its_points_against_the_refined_swan_zeros(
 
     monkeypatch.setattr(blowup, "exceptional_candidates",
                         without_derivative_roots)
-    with pytest.raises(CrossCheckError, match=r"points \[\(1, 1\)\], "
-                                              r"refined Swan zeros \[\]"):
+    with pytest.raises(CrossCheckError, match=r"at x/A@v=1: not clean, but "
+                                              r"\(1, 1\) .* is no refined "
+                                              r"Swan zero"):
         resolve(f, 2, SimulationConfig(mode="sweep"))
 
 
 def test_the_sweep_check_tells_points_of_different_fields_apart(monkeypatch):
     # the zeros g and g + 1 of F_4 print like g and g + 1 of F_16, the
-    # sweep field here; a locator that names the F_16 points must fail
+    # sweep field here; a locator that names the F_16 points must fail:
+    # sweep mode builds the F_16 point g, which is clean
     f = poly("t1^-1 + t1^-3*t2^2 + t1^-5*t2^4", F2)
     sweep = SimulationConfig(mode="sweep", sweep_degree=4)
     assert resolve(f, 2, sweep).total == 18
@@ -211,7 +214,8 @@ def test_the_sweep_check_tells_points_of_different_fields_apart(monkeypatch):
         return [f16.from_encoding(x.encoding()) for x in real(chart)]
 
     monkeypatch.setattr(blowup, "exceptional_candidates", in_f16)
-    with pytest.raises(CrossCheckError, match=r"zeros \[\(4, 2\), \(4, 3\)\]"):
+    with pytest.raises(CrossCheckError, match="at x/A@v=g: a refined Swan "
+                                              "zero is clean"):
         resolve(f, 2, sweep)
 
 
@@ -367,7 +371,7 @@ def test_the_formerly_escalating_input_resolves_in_one_round():
     golden = (GOLDEN / "simulate_f2_translated.txt").read_text(
         encoding="utf-8")
     assert simulation_as_dict(result) == json.loads(golden.split("\n", 1)[1])
-    assert any(g.denominator is not None for g, _, _ in memo)
+    assert any(g.denominator is not None for g, _ in memo)
 
 
 def test_one_round_reduces_each_exact_polynomial_once(monkeypatch):
@@ -406,8 +410,9 @@ SHARED_MEMO_CALLS = [
 
 @pytest.mark.parametrize("calls", SHARED_MEMO_CALLS)
 def test_a_shared_memo_gives_each_call_its_solo_tree(calls):
-    # the memo is keyed by the sweep field and the branches as well as the
-    # polynomial, so neither call reads an analysis made for the other
+    # the memo is keyed by the polynomial and the branches, and an
+    # analysis holds the refined Swan zeros in every field, so a call in
+    # either mode may read an analysis that the other made
     solo = [simulation_as_dict(resolve(poly(text, F2), branches, config))
             for text, branches, config in calls]
     assert solo[0] != solo[1]
@@ -419,9 +424,8 @@ def test_a_shared_memo_gives_each_call_its_solo_tree(calls):
         assert shared == (solo if order is calls else solo[::-1])
 
 
-def test_a_shared_memo_analyses_each_exact_polynomial_once(monkeypatch):
-    # every node polynomial is a memo key, the translated probes too, so a
-    # second call on one memo analyses nothing
+def _recording_analyse(monkeypatch):
+    """A list of the (polynomial, branches) of each analysis run so far."""
     analysed = []
     original = blowup._analyse
 
@@ -430,6 +434,29 @@ def test_a_shared_memo_analyses_each_exact_polynomial_once(monkeypatch):
         return original(g, branches, path)
 
     monkeypatch.setattr(blowup, "_analyse", recorded)
+    return analysed
+
+
+def test_one_memo_serves_both_modes(monkeypatch):
+    # an analysis does not depend on the mode: a sweep-mode call after a
+    # candidates-mode call on one memo analyses only what the first did
+    # not, and each call gives its solo tree (r_x 45 and 39)
+    f = poly("t1^-6*t2^3 + t2^-3", F2)
+    sweep = SimulationConfig(mode="sweep")
+    solo = [simulation_as_dict(resolve(f, 2, config))
+            for config in (None, sweep)]
+    analysed = _recording_analyse(monkeypatch)
+    memo = {}
+    shared = [simulation_as_dict(resolve(f, 2, config, memo=memo))
+              for config in (None, sweep)]
+    assert shared == solo and [t["r_x"] for t in shared] == [45, 39]
+    assert len(analysed) == len(set(analysed)) == len(memo)
+
+
+def test_a_shared_memo_analyses_each_exact_polynomial_once(monkeypatch):
+    # every node polynomial is a memo key, the translated probes too, so a
+    # second call on one memo analyses nothing
+    analysed = _recording_analyse(monkeypatch)
     f = poly(ESCALATING, F2)
     memo = {}
     first = resolve(f, 2, memo=memo)
@@ -577,33 +604,22 @@ def test_orbits_are_taken_under_the_frobenius_of_the_chart_field(
 
 def test_sweep_points_are_listed_once_per_field_per_process(
         monkeypatch, fresh_sweep_caches):
-    # the points depend only on the sweep field, and their orbits only on
-    # it and on the field order of the chart (F_2 pairs g with g + 1, F_4
-    # does not), so the process lists each once, whatever the calls
-    listed, orbits = [], []
-    original_points = blowup._minimal_points
+    # the points and their labels depend only on the sweep field, and their
+    # orbits only on it and on the field order of the chart (F_2 pairs g
+    # with g + 1, F_4 does not), so the process lists each once, whatever
+    # the calls, and the sweep check of every non-clean node reads them
+    orbits = []
     original_orbits = blowup._frobenius_orbits
-
-    def counted_points(elements):
-        elements = list(elements)
-        listed.append(elements[-1].ctx)
-        return original_points(elements)
 
     def counted_orbits(points, q):
         orbits.append((max(x.ctx.degree for x in points), q))
         return original_orbits(points, q)
 
-    monkeypatch.setattr(blowup, "_minimal_points", counted_points)
     monkeypatch.setattr(blowup, "_frobenius_orbits", counted_orbits)
     f4, f8 = field(2, 2), field(2, 3)
-    over_f2 = poly("t1^-1", F2)
-    for _ in range(2):
-        call = blowup._Call(32, f4, {})
-        for chart, expected in [(over_f2, (0, 1, 1)),
-                                (over_f2.embed_into(f4), (0, 1, 2)),
-                                (over_f2, (0, 1, 1))]:
-            assert call.off_origin_points(chart)[1] == expected
-    assert listed == [f4] and orbits == [(2, 2), (2, 4)]
+    assert blowup._sweep_points(f4)[1] == ("A@v=1", "A@v=g", "A@v=g + 1")
+    assert blowup._sweep_orbits(f4, 2) == (0, 1, 1)
+    assert blowup._sweep_orbits(f4, 4) == (0, 1, 2)
     f = poly("t1^-6*t2^3 + t2^-3", F2)
     trees = {}
     for _ in range(2):
@@ -613,7 +629,8 @@ def test_sweep_points_are_listed_once_per_field_per_process(
             assert sum(not n.clean for n in result.root.nodes()) > 1
             trees.setdefault(degree, result.root.signature())
             assert result.root.signature() == trees[degree]
-    assert listed == [f4, f8]
+    listed = blowup._sweep_points.cache_info()
+    assert listed.misses == 2 and listed.currsize == 2    # F_4 and F_8
     assert orbits == [(2, 2), (2, 4), (3, 2)]
 
 
@@ -793,7 +810,7 @@ def test_clean_shape_agrees_with_kato_at_the_origin():
         f = random_polynomial(rng, ctx, nonneg_t2=branches == 1)
         resolve(f, branches, memo=memo)
     seen = Counter()
-    for (g, branches, _), info in memo.items():
+    for (g, branches), info in memo.items():
         if branches != 1:
             continue
         rep = info.representative
@@ -807,8 +824,8 @@ def test_clean_shape_agrees_with_kato_at_the_origin():
 
 def test_sweep_mode_is_complete_on_its_field_only():
     # the refined Swan zeros below the root are 1, g and g + 1: candidates
-    # mode finds all three, sweep mode over F_2 only the one in F_2, and
-    # its check compares with the zeros in F_2 alone
+    # mode finds all three, sweep mode over F_2 builds only the one in F_2,
+    # which is the only point of F_2, so its check probes nothing
     f = poly("t1^-6*t2^3 + t2^-3", F2)
     assert _zeros(f) == [(1, 1), (2, 2), (2, 3)]
     direct = resolve(f, 2)

@@ -539,6 +539,34 @@ def test_corpus_names_the_original_exception(monkeypatch):
                                 "3 --type I: ZeroDivisionError: broken"]
 
 
+def _interrupted(*args, **kwargs):
+    raise KeyboardInterrupt
+
+
+@pytest.mark.parametrize("run", [
+    lambda: main(["report", "t1^-2*t2", "--field", "3"]),
+    lambda: run_corpus(1, 4, "laurent"),
+], ids=["report", "corpus"])
+def test_an_interrupt_stops_report_and_corpus(monkeypatch, run):
+    # only an Exception is a stage's failure: an interrupt is neither an
+    # operational error of the report nor a failed corpus input
+    monkeypatch.setattr(checks, "conductors", _interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run()
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_a_corpus_of_no_inputs_is_refused(capsys, count):
+    # a run that checks nothing cannot fail, so it must not read "all pass"
+    for mode in ("staircase", "laurent"):
+        with pytest.raises(ValueError, match="count"):
+            run_corpus(1, count, mode)
+    assert main(["corpus", "--count", str(count)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: count must be >= 1, got {count}\n"
+
+
 def test_corpus_mutant_finds_the_counterexample():
     with max_tail_recursion():
         summary = run_corpus(1, 300, "staircase")
