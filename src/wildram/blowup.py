@@ -39,7 +39,7 @@ the build is a check of the locator, not a filter.
   ``CrossCheckError`` unless it comes out clean, so the non-clean points
   of the field are exactly the zeros in it.  The probes are analysed,
   not built, and taken one per orbit of v -> v^q, F_q the field of the
-  node's chart.  The skip is exact, not a heuristic.  The chart has its
+  node's chart.  This is exact, not a heuristic.  The chart has its
   coefficients in F_q, so the Frobenius x -> x^q, applied to the
   coefficients, carries the local function at v (numerator and
   denominator, see the laurent module) to the one at v^q.  Reduction,
@@ -306,7 +306,8 @@ def _build_node(poly, branches, path, depth, call):
             child = _build_node(child_poly, child_branches, f"{path}/{label}",
                                 depth + 1, call)
             # the chart origins come first and stay in the tree even when
-            # clean; a point is a refined Swan zero, and must not be
+            # clean; the points after them are refined Swan zeros, which
+            # are never clean
             if child.clean and len(children) >= 2:
                 raise CrossCheckError(
                     f"at {child.path}: a refined Swan zero is clean")
