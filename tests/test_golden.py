@@ -38,6 +38,10 @@ CASES = {
                                "--field", "2"],
     "simulate_f2_sweep_orbit": ["simulate", "t1^-6*t2^3 + t2^-3", "--field",
                                 "2", "--mode", "sweep", "--sweep-degree", "2"],
+    # a report in sweep mode: its input and its perturbation share one memo
+    "report_f2_sweep": ["report", "t1^-6*t2^3 + t2^-3", "--field", "2",
+                        "--mode", "sweep", "--sweep-degree", "2",
+                        "--seed", "1"],
     "corpus_laurent": ["corpus", "--seed", "1", "--count", "60",
                        "--mode", "laurent"],
     "corpus_staircase": ["corpus", "--seed", "1", "--count", "200",
