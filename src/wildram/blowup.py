@@ -37,7 +37,7 @@ the build is a check of the locator, not a filter.
   complete on that field only.  After a node's subtrees, a check that
   does not recurse probes every other point of that field and raises
   ``CrossCheckError`` unless it comes out clean, so the non-clean points
-  of the field are exactly the zeros in it.  The probes are analysed,
+  of the field are exactly the zeros in it.  The probes are examined,
   not built, and taken one per orbit of v -> v^q, F_q the field of the
   node's chart.  This is exact, not a heuristic.  The chart has its
   coefficients in F_q, so the Frobenius x -> x^q, applied to the
@@ -57,9 +57,12 @@ data, so one round gives the tree and there is no series budget.
 A ``resolve`` call analyses each node polynomial once: its reduced
 representative and its node fields (drop cross-check passed), its two
 chart images, and, once the enumeration first reaches them, the zeros
-of rsw in every field.  One enumeration of a node's children, and one
-sweep check, embeds chart A once per field its points lie in, and keeps
-the images only while it runs.  The sweep field's points and their
+of rsw in every field.  One enumeration of a node's children embeds
+chart A once per field its points lie in.  One sweep check embeds it
+once, into the join of the chart's field and the sweep field, and
+translates every probe there, so that all its probes share one image
+and that image's translation plan (see ``laurent.translate``).  Both
+keep the images only while they run.  The sweep field's points and their
 labels depend on the field alone, and their orbits on it and on the
 field order of the chart: the process lists them once per field, and
 takes the orbits once per field order of the charts, for every call
@@ -79,9 +82,18 @@ it; without a shared memo, two calls on the same input compute
 everything twice.  The result keeps the root's representative, so that
 callers read the input's reduction there instead of computing it again.
 
+The memo holds the analyses of built nodes only.  A probe of the sweep
+check is examined (reduction, shape, drop and clean-term cross-checks)
+and dropped: no memo key is a probe, since a probe's polynomial is
+almost never met again.  The check itself depends only on the analysis
+and the sweep field, so an analysis records the sweep fields whose check
+has passed below it, and the check runs once per analysis and sweep
+field: a node built again from the memo (a report's perturbed rerun)
+skips a check that has passed.
+
 The run flags of a result (``good_regime`` and the flags behind it) are
-read from the finished tree, so they depend only on the input, never on
-the policy.
+read from the finished tree, in one walk kept on the result, so they
+depend only on the input, never on the policy.
 """
 
 from __future__ import annotations
@@ -149,7 +161,7 @@ class BlowupNode:
     reductions: int = 0
 
     def total(self):
-        return self.term + sum(c.total() for c in self.children)
+        return sum(n.term for n in self.nodes())
 
     def blowup_depth(self):
         if self.clean:
@@ -157,9 +169,14 @@ class BlowupNode:
         return 1 + max((c.blowup_depth() for c in self.children), default=0)
 
     def nodes(self):
-        yield self
-        for c in self.children:
-            yield from c.nodes()
+        """Every node of the tree in preorder (a node, then each child's
+        subtree in turn), by an explicit stack, so that the depth of the
+        tree is not bounded by the recursion limit."""
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            yield node
+            stack.extend(reversed(node.children))
 
     def signature(self):
         return (self.path, self.branches, self.staircase, self.drop,
@@ -176,18 +193,30 @@ class ResolutionResult:
     partial_roots = False
     precision_escalations = 0
 
+    @functools.cached_property
+    def _flags(self):
+        """(constant_added_anywhere, off_origin_nonclean, nonroot_repair),
+        from one walk of the finished tree, kept on the result."""
+        constant = off_origin = repair = False
+        root = self.root
+        for node in root.nodes():
+            constant = constant or node.constant_added
+            # the tree keeps an off-origin point only when it is non-clean
+            off_origin = off_origin or "@v=" in node.path
+            repair = repair or (node.repair and node is not root)
+        return constant, off_origin, repair
+
     @property
     def constant_added_anywhere(self):
-        return any(n.constant_added for n in self.root.nodes())
+        return self._flags[0]
 
     @property
     def off_origin_nonclean(self):
-        # the tree keeps an off-origin point only when it is non-clean
-        return any("@v=" in n.path for n in self.root.nodes())
+        return self._flags[1]
 
     @property
     def nonroot_repair(self):
-        return any(n.repair for n in self.root.nodes() if n is not self.root)
+        return self._flags[2]
 
     @property
     def good_regime(self):
@@ -235,13 +264,15 @@ def resolve(f, branches, config=None, *, memo=None):
 class _NodeAnalysis:
     """What a node's polynomial determines: the node's fields but its
     path, its good representative, the chart B and chart A images of that
-    representative when the node is not clean, and the refined Swan zeros
+    representative when the node is not clean, the refined Swan zeros
     below the chart A image, in every field, once the enumeration of the
-    node's children first reaches them."""
+    node's children first reaches them, and the sweep fields whose check
+    (``_Call.check_sweep``) has passed below it."""
     fields: dict
     representative: object
     charts: tuple = ()
     zeros: list = None
+    swept: tuple = ()
 
 
 class _Call:
@@ -270,26 +301,38 @@ class _Call:
         """CrossCheckError unless every point of the sweep field that is
         no refined Swan zero comes out clean below a node in sweep mode.
         The points are probed one per Frobenius orbit under x -> x^q, F_q
-        the chart's field, among the points that are no zero, and are
-        analysed, not built: a clean point has no children.  The error
-        names the point by field degree and encoding as well as by label,
-        since labels omit the field: g of F_4 and g of F_16 print alike."""
+        the chart's field, among the points that are no zero.  A probe is
+        examined (``_examine``: reduction, shape, both cross-checks), not
+        built and not stored: a clean point has no children, and no memo
+        key is a probe.  Every probe is translated in one field, the join
+        of the chart's and the sweep field, so that all of them share one
+        image of chart A and its translation plan.  The check depends only
+        on the analysis and the sweep field, so it runs once per pair.
+        The error names the point by field degree and encoding as well as
+        by label, since labels omit the field: g of F_4 and g of F_16
+        print alike."""
+        sweep = self.sweep
+        if sweep in info.swept:
+            return
         first = info.charts[1]
-        points, labels = _sweep_points(self.sweep)
-        orbits = _sweep_orbits(self.sweep, first.ctx.order)
+        ctx = join_context(first.ctx, sweep)
+        image = first.embed_into(ctx)
+        points, labels, elements = _sweep_points(sweep)
+        orbits = _sweep_orbits(sweep, first.ctx.order)
         probed = set()
-        images = {}
-        for point, label, orbit in zip(points, labels, orbits):
+        for point, label, element, orbit in zip(points, labels, elements,
+                                                orbits):
             if point in info.zeros or orbit in probed:
                 continue
             probed.add(orbit)
             child = f"{path}/{label}"
-            moved = _translate_to(images, first, point)
-            if not self.analysis(moved, 1, child).fields["clean"]:
+            moved = translate(image, embed(element, ctx))
+            if not _examine(moved, 1, child)[1]:
                 raise CrossCheckError(
                     f"at {child}: not clean, but {_point_key(point)} "
                     f"(field degree, encoding) is no refined Swan zero "
-                    f"in {self.sweep}")
+                    f"in {sweep}")
+        info.swept += (sweep,)
 
 
 def _build_node(poly, branches, path, depth, call):
@@ -322,7 +365,12 @@ def _build_node(poly, branches, path, depth, call):
     return node
 
 
-def _analyse(poly, branches, path):
+def _examine(poly, branches, path):
+    """(good representative, clean, drop, term) of a node polynomial,
+    with the checks that every node and every sweep probe runs: the
+    reduction (which verifies its witness), the staircase shape, the drop
+    from the staircase against the conductor loops, and a zero term on a
+    clean node.  CrossCheckError names `path` when a check fails."""
     rep = good_representative(poly)
     stair = rep.staircase
     clean = is_clean_shape(stair, branches)
@@ -335,7 +383,15 @@ def _analyse(poly, branches, path):
     term = blowup_term(drop, branches)
     if clean and term != 0:
         raise CrossCheckError(f"clean node {path} with nonzero term")
+    return rep, clean, drop, term
 
+
+def _analyse(poly, branches, path):
+    """The analysis of a node polynomial: ``_examine``'s fields and
+    checks, whether the reduction repaired the staircase, and the chart
+    images of a non-clean node."""
+    rep, clean, drop, term = _examine(poly, branches, path)
+    stair = rep.staircase
     # below the root, a repair means the chart image alone no longer
     # describes the node, so the staircase recursion stops being exact
     info = _NodeAnalysis(dict(
@@ -438,11 +494,14 @@ def _point_key(x):
 @functools.lru_cache(maxsize=None)
 def _sweep_points(sweep):
     """The nonzero points of the sweep field, each in its minimal field and
-    ordered by field degree, then by encoding, and their labels: two
-    tuples, a pure function of the field, kept for the process."""
-    points = tuple(sorted((minimal_form(x) for x in sweep.elements() if x),
-                          key=_point_key))
-    return points, tuple(f"A@v={x}" for x in points)
+    ordered by field degree, then by encoding, their labels, and the same
+    points as elements of the sweep field: three tuples, a pure function
+    of the field, kept for the process."""
+    pairs = sorted(((minimal_form(x), x) for x in sweep.elements() if x),
+                   key=lambda pair: _point_key(pair[0]))
+    points = tuple(point for point, _ in pairs)
+    return (points, tuple(f"A@v={x}" for x in points),
+            tuple(x for _, x in pairs))
 
 
 @functools.lru_cache(maxsize=None)

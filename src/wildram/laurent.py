@@ -10,7 +10,9 @@ The public constructor checks and canonicalizes its input; operations
 whose results are canonical by construction build them through a private
 constructor that checks nothing.  A polynomial keeps, once computed, its
 corners (the minimal points of its support, as a tuple sorted by m), its
-staircase and its hash.
+staircase, its hash and its translation plan: what ``translate`` reads of
+it whatever the shift, so that translating one polynomial to many points
+builds only the powers of each shift and the products.
 
 Pole staircases read the support in (a, b) = (-m, n) coordinates: a is the
 pole order along {t1 = 0} and b the t2-exponent.  The staircase of f is
@@ -108,7 +110,7 @@ class LaurentPolynomial:
     P / V^p with the polynomial V as its denominator."""
 
     __slots__ = ("ctx", "terms", "denominator", "_corners", "_staircase",
-                 "_frobenius", "_hash")
+                 "_frobenius", "_hash", "_plan")
 
     def __init__(self, ctx, terms=None, denominator=None):
         """Zero coefficients are dropped.  An exponent that is not an
@@ -138,6 +140,7 @@ class LaurentPolynomial:
         self._staircase = None      # pole_staircase(), once asked for
         self._frobenius = None      # the terms of a denominator's p-th power
         self._hash = None           # hash(self), once asked for
+        self._plan = None           # _translation_plan(self), once translated
 
     @classmethod
     def _trusted(cls, ctx, terms, denominator=None):
@@ -152,6 +155,7 @@ class LaurentPolynomial:
         poly._staircase = None
         poly._frobenius = None
         poly._hash = None
+        poly._plan = None
         return poly
 
     # -- constructors -------------------------------------------------------
@@ -455,31 +459,72 @@ def _binomial_row(n, p):
     return tuple(row)
 
 
-def _shifted(terms, lift, powers, prime_field):
-    """The sum of c * t1^m * (t2 + shift)^(n + lift) over the terms
-    c * t1^m * t2^n, with powers[k] = shift^k.  A term's binomials mod p
-    are its cached Lucas row, added in ascending t2-order; a binomial of
-    -1 negates, any other but 1 multiplies as a prime field element."""
-    minus_one = len(prime_field) - 1
-    out = {}
+def _lucas_terms(terms, lift, prime_field):
+    """The plan of one term map for ``_shifted``: for each term
+    c * t1^m * t2^n and each j with C(n + lift, j) nonzero mod p (its
+    cached Lucas row), the output exponent (m, j), the power n + lift - j
+    of the shift, and c times the binomial as a coefficient and a factor.
+    A binomial of 1 leaves c with no factor, one of -1 negates c, any
+    other keeps c with the binomial as a prime field element.  In the
+    order of the terms, then of the rows, and plain tuples throughout."""
+    p = len(prime_field)
+    minus_one = p - 1
+    plan = []
     for (m, n), c in terms.items():
         n += lift
-        for j, binom in _binomial_row(n, len(prime_field)):
-            coeff = c * powers[n - j]
-            if binom != 1:
-                coeff = (-coeff if binom == minus_one
-                         else coeff * prime_field[binom])
-            # coeff is nonzero, so only a sum can cancel
-            s = out.get((m, j))
-            if s is None:
-                out[(m, j)] = coeff
+        negated = None
+        for j, binom in _binomial_row(n, p):
+            if binom == 1:
+                plan.append(((m, j), n - j, c, None))
+            elif binom == minus_one:
+                if negated is None:
+                    negated = -c
+                plan.append(((m, j), n - j, negated, None))
             else:
-                s = s + coeff
-                if s:
-                    out[(m, j)] = s
-                else:
-                    del out[(m, j)]
+                plan.append(((m, j), n - j, c, prime_field[binom]))
+    return tuple(plan)
+
+
+def _shifted(plan, powers):
+    """The term map of a ``_lucas_terms`` plan at a shift, powers[k] being
+    shift^k: each planned coefficient times its power of the shift and its
+    factor, added in the planned order."""
+    out = {}
+    for e, k, c, factor in plan:
+        coeff = c * powers[k]
+        if factor is not None:
+            coeff = coeff * factor
+        # coeff is nonzero, so only a sum can cancel
+        s = out.get(e)
+        if s is None:
+            out[e] = coeff
+        else:
+            s = s + coeff
+            if s:
+                out[e] = s
+            else:
+                del out[e]
     return out
+
+
+def _translation_plan(poly):
+    """What ``translate`` reads of poly whatever the shift: the largest
+    power of the shift it needs, and the ``_lucas_terms`` plans of P lifted
+    by pK and of V lifted by K (None for a denominator that stays 1)."""
+    ctx = poly.ctx
+    p = ctx.p
+    prime_field = ctx.prime_elements()
+    exponents = [n for _, n in poly.terms]
+    k = max(0, -(min(exponents, default=0) // p))
+    denominator = poly.denominator
+    if denominator is None and k:
+        denominator = LaurentPolynomial._trusted(ctx, {(0, 0): ctx.one()})
+    top = max(exponents, default=0) + p * k
+    if denominator is not None:
+        top = max(top, max(n for _, n in denominator.terms) + k)
+    return (top, _lucas_terms(poly.terms, p * k, prime_field),
+            None if denominator is None
+            else _lucas_terms(denominator.terms, k, prime_field))
 
 
 def translate(poly, shift):
@@ -497,6 +542,10 @@ def translate(poly, shift):
     chart A image (see ``blowup_substitute``); a ValueError is raised when
     it vanishes.  The polynomial and the shift must share one context: as
     everywhere, embed explicitly first.
+
+    What does not read the shift (K, the largest power of the shift, and
+    each term's Lucas row with its binomials) is the polynomial's
+    translation plan, built on its first translation and kept on it.
     """
     if not shift:
         raise ValueError("translation by zero; the origin needs no shift")
@@ -504,24 +553,18 @@ def translate(poly, shift):
     if shift.ctx is not ctx and shift.ctx != ctx:
         raise ContextMismatchError(f"shift from {shift.ctx}, polynomial over "
                                    f"{ctx}; embed explicitly first")
-    p = ctx.p
-    prime_field = ctx.prime_elements()
-    exponents = [n for _, n in poly.terms]
-    k = max(0, -(min(exponents, default=0) // p))
-    denominator = poly.denominator
-    if denominator is None and k:
-        denominator = LaurentPolynomial._trusted(ctx, {(0, 0): ctx.one()})
-    top = max(exponents, default=0) + p * k
-    if denominator is not None:
-        top = max(top, max(n for _, n in denominator.terms) + k)
+    plan = poly._plan
+    if plan is None:
+        plan = poly._plan = _translation_plan(poly)
+    top, numerator, denominator = plan
     powers = [ctx.one(), shift]
     while len(powers) <= top:
         powers.append(powers[-1] * shift)
 
-    terms = _shifted(poly.terms, p * k, powers, prime_field)
+    terms = _shifted(numerator, powers)
     if denominator is None:
         return LaurentPolynomial._trusted(ctx, terms)
-    moved = _shifted(denominator.terms, k, powers, prime_field)
+    moved = _shifted(denominator, powers)
     if not moved.get((0, 0)):
         raise ValueError("the denominator vanishes at the new origin")
     return LaurentPolynomial._trusted(

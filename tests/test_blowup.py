@@ -1,13 +1,15 @@
 import json
 import pathlib
 import random
+import sys
 from collections import Counter
 
 import pytest
 
 import series_reference as ref
 from wildram import blowup, laurent
-from wildram.blowup import (CrossCheckError, DepthCapError, SimulationConfig,
+from wildram.blowup import (BlowupNode, CrossCheckError, DepthCapError,
+                            ResolutionResult, SimulationConfig,
                             exceptional_candidates,
                             leading_exceptional_column, resolve,
                             simulation_as_dict, tree_as_dict, tree_as_dot)
@@ -454,7 +456,7 @@ def test_one_memo_serves_both_modes(monkeypatch):
 
 
 def test_a_shared_memo_analyses_each_exact_polynomial_once(monkeypatch):
-    # every node polynomial is a memo key, the translated probes too, so a
+    # every node polynomial is a memo key, the translated zeros too, so a
     # second call on one memo analyses nothing
     analysed = _recording_analyse(monkeypatch)
     f = poly(ESCALATING, F2)
@@ -465,6 +467,204 @@ def test_a_shared_memo_analyses_each_exact_polynomial_once(monkeypatch):
     again = resolve(f, 2, memo=memo)
     assert again.root.signature() == first.root.signature()
     assert len(analysed) == count
+
+
+class _CountingMemo(dict):
+    """A memo that counts its lookups."""
+    lookups = 0
+
+    def get(self, key, default=None):
+        self.lookups += 1
+        return super().get(key, default)
+
+
+def _recording(monkeypatch, name):
+    """A list of the arguments of each call of the blowup function `name`
+    from now on."""
+    calls = []
+    original = getattr(blowup, name)
+
+    def recorded(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(blowup, name, recorded)
+    return calls
+
+
+# sweeps of F_8, F_9 and F_16, as the sweep-ext benchmark runs them
+SWEEP_EXT_LIKE = [("t1^-6*t2^3 + t2^-3", F2, 3),
+                  ("t1^-4*t2 + t1^-5*t2^2", F3, 2),
+                  ("t1^-2*t2 + t1^-4*t2^3", F2, 4)]
+
+
+@pytest.mark.parametrize("text, ctx, degree", SWEEP_EXT_LIKE)
+def test_sweep_probes_leave_the_memo_alone(monkeypatch, text, ctx, degree):
+    # the memo ends with the analyses of the built nodes and nothing else,
+    # and is read once per built node and once for the root's
+    # representative: the probes of the sweep checks, many more, are
+    # examined without a memo key
+    built = _recording(monkeypatch, "_build_node")
+    examined = _recording(monkeypatch, "_examine")
+    memo = _CountingMemo()
+    result = resolve(poly(text, ctx), 2,
+                     SimulationConfig(mode="sweep", sweep_degree=degree),
+                     memo=memo)
+    assert len(built) == sum(1 for _ in result.root.nodes())
+    assert set(memo) == {args[:2] for args in built}
+    assert memo.lookups == len(built) + 1
+    assert len(examined) > 2 * len(memo)
+
+
+def test_a_sweep_check_runs_once_per_analysis_and_sweep_field(monkeypatch):
+    # a second sweep-mode call on one memo reads every node from it and
+    # probes nothing, since each check already passed on the same analysis
+    # and field; a call with another sweep degree probes its own field
+    f = poly("t1^-6*t2^3 + t2^-3", F2)
+    configs = [SimulationConfig(mode="sweep", sweep_degree=degree)
+               for degree in (2, 2, 3)]
+    solo = [simulation_as_dict(resolve(f, 2, config)) for config in configs]
+    examined = _recording(monkeypatch, "_examine")
+    memo = {}
+    probes = []
+    for config, expected in zip(configs, solo):
+        del examined[:]
+        result = resolve(f, 2, config, memo=memo)
+        assert simulation_as_dict(result) == expected
+        nodes = {n.path for n in result.root.nodes()}
+        probes.append([path for _, _, path in examined if path not in nodes])
+    assert probes[0] and not probes[1] and probes[2]
+
+
+def test_a_drop_mismatch_on_a_sweep_probe_names_the_probe(monkeypatch):
+    # the zeros of this input lie in F_2, so only the probes of the F_4
+    # sweep are translated over F_4; conductors that misread just those
+    # must fail the drop cross-check at a probe, which is no tree node
+    f = poly("t1^-2*t2 + t1^-4*t2^3", F2)
+    sweep = SimulationConfig(mode="sweep", sweep_degree=2)
+    nodes = {n.path for n in resolve(f, 2, sweep).root.nodes()}
+    assert "x/A/A@v=1" not in nodes
+    real, f4 = blowup.conductors, field(2, 2)
+
+    def misread_over_f4(g, branches):
+        sw1, sw2, swe = real(g, branches)
+        return (sw1 + (g.ctx == f4), sw2, swe)
+
+    monkeypatch.setattr(blowup, "conductors", misread_over_f4)
+    with pytest.raises(CrossCheckError, match=r"^at x/A/A@v=1: staircase "
+                                              r"gives drop 0, conductors "
+                                              r"give 1 \+ 0 - 0$"):
+        resolve(f, 2, sweep)
+
+
+@pytest.mark.parametrize("mode", ["candidates", "sweep"])
+def test_the_callers_input_keeps_no_translation_plan(mode):
+    # a translation plan lives on the chart images the call built (and
+    # on their embeddings), never on the polynomial the caller passed
+    for text in ("t1^-2*t2 + t1^-4*t2^3", ESCALATING):
+        f = poly(text, F2)
+        memo = {}
+        resolve(f, 2, SimulationConfig(mode=mode, sweep_degree=2), memo=memo)
+        assert f._plan is None
+        assert any(g._plan is not None for g, _ in memo)
+
+
+def _recursive_preorder(node):
+    """The preorder that ``BlowupNode.nodes`` gave as a recursive
+    generator."""
+    yield node
+    for child in node.children:
+        yield from _recursive_preorder(child)
+
+
+def _flags_by_definition(result):
+    nodes = list(_recursive_preorder(result.root))
+    return (any(n.constant_added for n in nodes),
+            any("@v=" in n.path for n in nodes),
+            any(n.repair for n in nodes if n is not result.root))
+
+
+def test_run_flags_match_their_definitions_in_both_modes():
+    # the flags of one walk against one definition each, on a seeded
+    # corpus with the constant-repair cases, in candidates mode and in
+    # sweep mode
+    rng = random.Random(14)
+    inputs = [(poly(text, F2), 2) for text, _ in CONSTANT_REPAIR_CASES]
+    inputs.append((poly("t1^-2*t2 + t1^-4*t2^3", F2), 2))
+    for index in range(80):
+        ctx = (F2, F3, field(2, 2), F5)[index % 4]
+        branches = 1 + index // 4 % 2
+        inputs.append((random_polynomial(rng, ctx,
+                                         nonneg_t2=branches == 1), branches))
+    seen = Counter()
+    for f, branches in inputs:
+        for config in (SimulationConfig(),
+                       SimulationConfig(mode="sweep", sweep_degree=2)):
+            result = resolve(f, branches, config)
+            flags = _flags_by_definition(result)
+            assert (result.constant_added_anywhere, result.off_origin_nonclean,
+                    result.nonroot_repair) == flags
+            assert result.good_regime == (not (flags[1] or flags[2]))
+            seen[flags + (result.root.repair,)] += 1
+    for index in range(3):
+        assert {flags[index] for flags in seen} == {False, True}
+    # an off-origin point without a repair below the root, and a repair
+    # at the root only
+    assert any(flags[1] and not flags[2] for flags in seen)
+    assert any(flags[3] and not flags[2] for flags in seen)
+
+
+def _node_from_dict(tree):
+    return BlowupNode(
+        path=tree["path"], branches=tree["branches"],
+        staircase=tuple(map(tuple, tree["staircase"])), drop=tree["drop"],
+        term=tree["term"], clean=tree["clean"],
+        children=[_node_from_dict(child) for child in tree["children"]],
+        constant_added=tree["constant_added"],
+        reductions=tree["reductions"])
+
+
+def _trees_in(data):
+    """Every blow-up tree in a golden file's JSON."""
+    if isinstance(data, dict):
+        if "children" in data and "path" in data:
+            yield data
+            return
+        data = data.values()
+    if isinstance(data, (list, type({}.values()))):
+        for value in data:
+            yield from _trees_in(value)
+
+
+def test_nodes_walks_every_golden_tree_in_recursive_preorder():
+    trees = 0
+    for path in sorted(GOLDEN.glob("*.txt")):
+        data = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[1])
+        for tree in _trees_in(data):
+            root = _node_from_dict(tree)
+            assert (list(map(id, root.nodes()))
+                    == list(map(id, _recursive_preorder(root)))), path.name
+            trees += 1
+    assert trees >= 8
+
+
+def test_a_3000_deep_chain_is_walked_at_the_default_recursion_limit():
+    # the walk of nodes(), the total and the run flags use no recursion
+    assert sys.getrecursionlimit() < 3000
+    chain = [BlowupNode(path=f"n{depth}", branches=2, staircase=(), drop=2,
+                        term=1, clean=False) for depth in range(3000)]
+    for parent, child in zip(chain, chain[1:]):
+        parent.children.append(child)
+    chain[-1].path += "/A@v=1"
+    chain[-2].repair = True
+    chain[1500].constant_added = True
+    root = chain[0]
+    assert list(map(id, root.nodes())) == list(map(id, chain))
+    assert root.total() == 3000
+    result = ResolutionResult(total=3000, root=root, representative=None)
+    assert (result.constant_added_anywhere, result.off_origin_nonclean,
+            result.nonroot_repair, result.good_regime) == (True, True, True,
+                                                           False)
 
 
 @pytest.mark.parametrize("expr, ctx", [("t1^-3*t2 + t2^-2", F3),

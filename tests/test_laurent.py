@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 import random
 
 import pytest
@@ -760,3 +762,49 @@ def test_a_zero_operand_gives_the_other_operand(pair):
 def test_zero_minus_a_polynomial_is_its_negative():
     f = poly("t1^-2*t2 + 2*t2^-1", F3)
     assert LaurentPolynomial.zero(F3) - f == poly("2*t1^-2*t2 + t2^-1", F3)
+
+
+def _translated(f, shift):
+    """translate(f, shift), or the ValueError of a denominator that
+    vanishes at the new origin."""
+    try:
+        return translate(f, shift)
+    except ValueError:
+        return ValueError
+
+
+def _fresh(f):
+    """An equal polynomial that keeps nothing: no plan, staircase or
+    hash."""
+    denominator = f.denominator and LaurentPolynomial(
+        f.ctx, dict(f.denominator.terms))
+    return LaurentPolynomial(f.ctx, dict(f.terms), denominator)
+
+
+@given(poly_pairs(), st.lists(st.integers(1, 24), min_size=2, max_size=4),
+       st.booleans())
+def test_a_kept_translation_plan_translates_like_a_fresh_polynomial(
+        pair, encodings, extend):
+    # two polynomials, with and without a denominator, each translated to
+    # several shifts, in the coefficient field or in an extension of it:
+    # every translation after the first reads the plan that the first
+    # kept, and must give what the same polynomial without a plan gives;
+    # so must its copies and pickles, which carry the plan along
+    if extend:
+        pair = tuple(f.embed_into(EXTENDED[f.ctx]) for f in pair)
+    ctx = pair[0].ctx
+    shifts = [ctx.from_encoding(enc % (ctx.order - 1) + 1)
+              for enc in encodings]
+    for f in pair + tuple(map(_fresh, pair)):
+        for shift in shifts:
+            assert _translated(f, shift) == _translated(_fresh(f), shift)
+        assert f._plan is not None
+    for f in pair:
+        copies = [copy.copy(f), copy.deepcopy(f)] + [
+            pickle.loads(pickle.dumps(f, protocol))
+            for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for copied in copies:
+            assert copied == f and copied._plan is not None
+            for shift in shifts:
+                assert (_translated(copied, shift)
+                        == _translated(_fresh(f), shift))
