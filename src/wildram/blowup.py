@@ -419,20 +419,14 @@ def _blowup_children(info, call):
     yield first, info.fields["branches"], "A"
     if info.zeros is None:
         info.zeros = exceptional_candidates(first)
-    images = {}
+    images = {}     # chart A embedded into each point field
     for point in info.zeros:
         if call.sweep is None or call.sweep.degree % point.ctx.degree == 0:
-            yield _translate_to(images, first, point), 1, f"A@v={point}"
-
-
-def _translate_to(images, first, point):
-    """The chart A image `first` translated to `point`, through its
-    embedding into the point's field, kept in `images` per field."""
-    ctx = join_context(first.ctx, point.ctx)
-    image = images.get(ctx)
-    if image is None:
-        image = images[ctx] = first.embed_into(ctx)
-    return translate(image, embed(point, ctx))
+            ctx = join_context(first.ctx, point.ctx)
+            image = images.get(ctx)
+            if image is None:
+                image = images[ctx] = first.embed_into(ctx)
+            yield translate(image, embed(point, ctx)), 1, f"A@v={point}"
 
 
 # ---------------------------------------------------------------------------
