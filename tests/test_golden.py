@@ -42,6 +42,10 @@ CASES = {
     "report_f2_sweep": ["report", "t1^-6*t2^3 + t2^-3", "--field", "2",
                         "--mode", "sweep", "--sweep-degree", "2",
                         "--seed", "1"],
+    # a field above the table cap: elements are built anew by every
+    # lookup and compare by value, and the off-origin zero lies in F_2^13
+    "report_f2e13_offorigin": ["report", "g^2*t1^-1 + t1^-3*t2^2",
+                               "--field", "2^13"],
     "corpus_laurent": ["corpus", "--seed", "1", "--count", "60",
                        "--mode", "laurent"],
     "corpus_staircase": ["corpus", "--seed", "1", "--count", "200",
