@@ -115,7 +115,9 @@ class CrossCheckError(RuntimeError):
 
 
 class DepthCapError(RuntimeError):
-    """The blow-up tree exceeded the configured depth cap."""
+    """The blow-up tree exceeded the configured depth cap.  ``partial`` is
+    the tree built up to the cap, rooted at the input's node; its deepest
+    node is the one whose child at ``path`` was cut."""
 
     def __init__(self, path, partial):
         self.path = path
@@ -343,7 +345,7 @@ def _build_node(poly, branches, path, depth, call):
     if node.clean:
         return node
 
-    children = []
+    children = node.children
     try:
         for child_poly, child_branches, label in _blowup_children(info, call):
             child = _build_node(child_poly, child_branches, f"{path}/{label}",
@@ -356,12 +358,15 @@ def _build_node(poly, branches, path, depth, call):
                     f"at {child.path}: a refined Swan zero is clean")
             children.append(child)
     except DepthCapError as err:
-        if err.partial is None:
-            err.partial = node
+        # the tree built so far: this node, with the finished children and
+        # the partial subtree below it, so the outermost frame leaves the
+        # input's node as the root
+        if err.partial is not None:
+            children.append(err.partial)
+        err.partial = node
         raise
     if call.sweep is not None:
         call.check_sweep(info, path)
-    node.children = children
     return node
 
 

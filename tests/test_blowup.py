@@ -853,11 +853,25 @@ def test_exports():
 
 
 def test_depth_cap_error_carries_partial_tree():
+    # the tree built up to the cap, rooted at the input's node: finished
+    # children stay, and the branch that hit the cap ends at the node
+    # whose child was cut
     with pytest.raises(DepthCapError) as err:
         resolve(poly("t1^-2*t2", F3), 2, SimulationConfig(depth_cap=1))
-    # the deepest node whose children were being explored when the cap hit
-    assert err.value.partial is not None
-    assert err.value.partial.path == "x/A"
+    partial = err.value.partial
+    assert err.value.path == "x/A/B"
+    assert partial.path == "x"
+    assert [c.path for c in partial.children] == ["x/B", "x/A"]
+    assert partial.children[1].children == []
+    # the depth-32 cut of ROADMAP item 2's reproducer
+    with pytest.raises(DepthCapError) as err:
+        resolve(poly("t1^-200*t2 + t2^-3", F2), 2)
+    partial = err.value.partial
+    nodes = {node.path: node for node in partial.nodes()}
+    cut = err.value.path.rpartition("/")[0]
+    assert partial.path == "x" and len(nodes) == 65
+    assert max(path.count("/") for path in nodes) == cut.count("/") == 32
+    assert nodes[cut].children == []
 
 
 def test_children_order_is_chart_then_points():
