@@ -7,6 +7,12 @@ degree k whose non-leading coefficient vector (c_0, ..., c_{k-1}) minimizes
 sum(c_i * p**i), so a given (p, k) names the same field in every run
 without external tables.
 
+One context per field: :func:`field` builds the context of F_{p^k} on
+first use and keeps it for the process (``field(p)`` is ``field(p, 1)``).
+Contexts compare and hash by identity, and ``__reduce__`` makes every
+copy and pickle of a context that one context again.  Elements compare
+by context and value, and hash by value.
+
 Arithmetic.  A field of order at most ``_EXHAUSTIVE_LIMIT`` (4096) is
 tabulated on first use: the first element asked of the context (through
 ``element``, ``from_encoding``, ``elements``, ``zero``, ``one`` or ``gen``),
@@ -19,15 +25,14 @@ the Zech logarithms Z with 1 + w^k = w^Z(k) (Huber, IEEE Trans. IT 36(4),
 1990), and the log of -1.  Then +, -, unary -, *, **, inverse and p-th
 root are index arithmetic and one list lookup that returns an interned
 element: w^i + w^j = w^(i + Z(j - i)).  No tuple is built, and truth is a
-comparison of the log.  Equality and hashing stay by value, so a context
-built directly mixes with the canonical one of the same field.  The tables
-of F_4096 hold about 1.1 MB (the interned elements with their coefficient
-tuples, and the three lists).  Larger fields, whose elements carry no
-log, add and negate coefficient tuples componentwise and multiply them by
-``_pmulmod`` (a product followed by reduction against the modulus); the
-table build itself runs on that path, walking the powers of w with
-ordinary element arithmetic.  Elements keep their coefficient tuples on
-either path, so printing, parsing and encodings do not depend on it.
+comparison of the log.  The tables of F_4096 hold about 1.1 MB (the
+interned elements with their coefficient tuples, and the three lists).
+Larger fields, whose elements carry no log, add and negate coefficient
+tuples componentwise and multiply them by ``_pmulmod`` (a product
+followed by reduction against the modulus); the table build itself runs
+on that path, walking the powers of w with ordinary element arithmetic.
+Elements keep their coefficient tuples on either path, so printing,
+parsing and encodings do not depend on it.
 
 Polynomials over a field are dense lists of its elements (the ``_f*``
 functions).  One distinct-degree factorization loop runs on them
@@ -69,13 +74,6 @@ class ContextMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 # prime-field helpers
 # ---------------------------------------------------------------------------
-
-def _trim(coeffs):
-    n = len(coeffs)
-    while n > 0 and coeffs[n - 1] == 0:
-        n -= 1
-    return tuple(coeffs[:n])
-
 
 def _pmulmod(a, b, modulus, p):
     """The product of two coefficient tuples reduced by a monic modulus of
@@ -163,28 +161,22 @@ def _encode(coeffs, p):
 
 
 class FieldContext:
-    """The field F_{p^k} presented as F_p[x] / (modulus)."""
+    """The field F_{p^k} presented as F_p[x] / (modulus), for the least
+    irreducible modulus.  Built through :func:`field`, which keeps one
+    context per field; a context compares and hashes by identity, and its
+    copies and pickles are that context again."""
 
-    __slots__ = ("p", "degree", "modulus", "_hash", "_elems", "_exp",
-                 "_zech", "_neg", "_zero_log", "_prime")
+    __slots__ = ("p", "degree", "modulus", "_elems", "_exp", "_zech",
+                 "_neg", "_zero_log", "_prime")
 
-    def __init__(self, p, degree, modulus=None):
+    def __init__(self, p, degree):
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if degree < 1:
             raise ValueError("extension degree must be >= 1")
-        if modulus is None:
-            modulus = _least_irreducible(p, degree)
-        else:
-            modulus = _trim(tuple(c % p for c in modulus))
-            if len(modulus) - 1 != degree or modulus[-1] != 1:
-                raise ValueError("modulus must be monic of the context degree")
-            if not _is_irreducible(modulus, p):
-                raise ValueError(f"modulus {modulus} is reducible over F_{p}")
         self.p = p
         self.degree = degree
-        self.modulus = modulus
-        self._hash = hash((p, degree, modulus))
+        self.modulus = _least_irreducible(p, degree)
         self._elems = None
         self._prime = None
 
@@ -242,15 +234,8 @@ class FieldContext:
         self._zero_log = 2 * group
         return elems
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, FieldContext)
-                and (self.p, self.degree, self.modulus)
-                == (other.p, other.degree, other.modulus))
-
-    def __hash__(self):
-        return self._hash
+    def __reduce__(self):
+        return field, (self.p, self.degree)
 
     def __repr__(self):
         return f"GF({self.p}^{self.degree})"
@@ -308,9 +293,14 @@ class FieldContext:
         return self._prime
 
 
-@functools.lru_cache(maxsize=None)
 def field(p, degree=1):
-    """Interned context for F_{p^degree} with the canonical modulus."""
+    """The one context for F_{p^degree}, built on first use and kept for
+    the process; field(p) is field(p, 1)."""
+    return _field(p, degree)
+
+
+@functools.lru_cache(maxsize=None)
+def _field(p, degree):
     return FieldContext(p, degree)
 
 
@@ -320,9 +310,11 @@ class FieldElement:
     Elements come from their context (``element``, ``from_encoding`` and
     the like), which hands out its interned elements within the table cap.
     ``_log`` is then the element's log in the context's tables (2(q - 1)
-    for zero); above the cap it is None.  The hash is by value, computed
-    once per element object: an interned element, which every lookup
-    returns, computes it once per context.
+    for zero); above the cap it is None.  Equality is by context object
+    and value.  The hash is that of the coefficients alone, so it reads no
+    object address and a pickle that carries it holds in any process; it
+    is computed once per element object, and an interned element, which
+    every lookup returns, computes it once per process.
     """
 
     __slots__ = ("ctx", "coeffs", "_log", "_hash")
@@ -336,7 +328,7 @@ class FieldElement:
     def _check(self, other):
         if not isinstance(other, FieldElement):
             raise TypeError(f"expected FieldElement, got {type(other).__name__}")
-        if self.ctx is not other.ctx and self.ctx != other.ctx:
+        if self.ctx is not other.ctx:
             raise ContextMismatchError(f"{self.ctx} vs {other.ctx}")
 
     def __add__(self, other):
@@ -445,12 +437,12 @@ class FieldElement:
         if self is other:
             return True
         return (isinstance(other, FieldElement)
-                and self.ctx == other.ctx and self.coeffs == other.coeffs)
+                and self.ctx is other.ctx and self.coeffs == other.coeffs)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.ctx, self.coeffs))
+            h = self._hash = hash(self.coeffs)
         return h
 
     def __str__(self):
@@ -502,7 +494,7 @@ def embed(a, target):
     product of logs and one table lookup.  Otherwise the coefficient
     polynomial is evaluated at the image of the source generator."""
     src = a.ctx
-    if src == target:
+    if src is target:
         return a
     if src.p != target.p:
         raise ContextMismatchError("different characteristics")
@@ -527,19 +519,11 @@ def _evaluate_embedding(a, target):
     return acc
 
 
-@functools.lru_cache(maxsize=None)
 def join_context(ctx1, ctx2):
-    """Smallest canonical context admitting embeddings of both arguments;
-    a pure function of the two fields, kept for the process."""
+    """The smallest context admitting embeddings of both arguments."""
     if ctx1.p != ctx2.p:
         raise ContextMismatchError("different characteristics")
-    d1, d2 = ctx1.degree, ctx2.degree
-    lcm = d1 * d2 // math.gcd(d1, d2)
-    if ctx1.degree == lcm and ctx1 == field(ctx1.p, lcm):
-        return ctx1
-    if ctx2.degree == lcm and ctx2 == field(ctx2.p, lcm):
-        return ctx2
-    return field(ctx1.p, lcm)
+    return field(ctx1.p, math.lcm(ctx1.degree, ctx2.degree))
 
 
 def _solve_mod_p(columns, target, p):
@@ -589,7 +573,7 @@ def _embedding_columns(src, dst):
 def subfield_preimage(a, sub):
     """The element of `sub` mapping to `a` under the fixed embedding, or
     None; solved linearly over the prime field."""
-    if sub == a.ctx:
+    if sub is a.ctx:
         return a
     if a.ctx.degree % sub.degree != 0 or a.ctx.p != sub.p:
         return None

@@ -9,10 +9,10 @@ zeros).  Values are immutable; every operation returns a new polynomial.
 The public constructor checks and canonicalizes its input; operations
 whose results are canonical by construction build them through a private
 constructor that checks nothing.  A polynomial keeps, once computed, its
-corners (the minimal points of its support, as a tuple sorted by m), its
 staircase, its hash and its translation plan: what ``translate`` reads of
 it whatever the shift, so that translating one polynomial to many points
-builds only the powers of each shift and the products.
+builds only the powers of each shift and the products.  Polynomials over
+two context objects never mix.
 
 Pole staircases read the support in (a, b) = (-m, n) coordinates: a is the
 pole order along {t1 = 0} and b the t2-exponent.  The staircase of f is
@@ -109,8 +109,8 @@ class LaurentPolynomial:
     """Canonical sparse Laurent polynomial P, or the local function
     P / V^p with the polynomial V as its denominator."""
 
-    __slots__ = ("ctx", "terms", "denominator", "_corners", "_staircase",
-                 "_frobenius", "_hash", "_plan")
+    __slots__ = ("ctx", "terms", "denominator", "_staircase", "_frobenius",
+                 "_hash", "_plan")
 
     def __init__(self, ctx, terms=None, denominator=None):
         """Zero coefficients are dropped.  An exponent that is not an
@@ -120,12 +120,12 @@ class LaurentPolynomial:
         index = operator.index
         clean = {}
         for (m, n), c in (terms or {}).items():
-            if c.ctx is not ctx and c.ctx != ctx:
+            if c.ctx is not ctx:
                 raise ContextMismatchError("coefficient from a foreign context")
             if c:
                 clean[(index(m), index(n))] = c
         if denominator is not None:
-            if denominator.ctx != ctx:
+            if denominator.ctx is not ctx:
                 raise ContextMismatchError("denominator from a foreign context")
             if (denominator.denominator is not None
                     or any(m < 0 or n < 0 for m, n in denominator.terms)
@@ -136,7 +136,6 @@ class LaurentPolynomial:
         self.ctx = ctx
         self.terms = clean
         self.denominator = denominator
-        self._corners = None        # _sorted_corners(terms), once asked for
         self._staircase = None      # pole_staircase(), once asked for
         self._frobenius = None      # the terms of a denominator's p-th power
         self._hash = None           # hash(self), once asked for
@@ -151,7 +150,6 @@ class LaurentPolynomial:
         poly.ctx = ctx
         poly.terms = terms
         poly.denominator = denominator
-        poly._corners = None
         poly._staircase = None
         poly._frobenius = None
         poly._hash = None
@@ -200,14 +198,17 @@ class LaurentPolynomial:
         if self is other:
             return True
         return (isinstance(other, LaurentPolynomial)
-                and self.ctx == other.ctx
+                and self.ctx is other.ctx
                 and self.terms == other.terms
                 and self.denominator == other.denominator)
 
     def __hash__(self):
+        # no context and no None (whose hash is its address before Python
+        # 3.12), so that a kept hash holds in any process
         if self._hash is None:
-            self._hash = hash((self.ctx, frozenset(self.terms.items()),
-                               self.denominator))
+            terms = frozenset(self.terms.items())
+            self._hash = hash(terms if self.denominator is None
+                              else (terms, self.denominator))
         return self._hash
 
     def __repr__(self):
@@ -223,7 +224,7 @@ class LaurentPolynomial:
     def _check(self, other):
         if not isinstance(other, LaurentPolynomial):
             raise TypeError(f"expected LaurentPolynomial, got {type(other).__name__}")
-        if self.ctx != other.ctx:
+        if self.ctx is not other.ctx:
             raise ContextMismatchError("polynomials from different contexts; "
                                        "embed explicitly first")
 
@@ -300,7 +301,7 @@ class LaurentPolynomial:
             self.denominator and self.denominator.frobenius_power())
 
     def embed_into(self, target):
-        if target == self.ctx:
+        if target is self.ctx:
             return self
         return LaurentPolynomial._trusted(
             target, {e: embed(c, target) for e, c in self.terms.items()},
@@ -352,14 +353,6 @@ def _inverse_series(denominator, points):
 # staircase extraction and valuations
 # ---------------------------------------------------------------------------
 
-def _corners(poly):
-    """The minimal points of the support of P, sorted by m; kept on the
-    polynomial."""
-    if poly._corners is None:
-        poly._corners = _sorted_corners(poly.terms)
-    return poly._corners
-
-
 def pole_staircase(poly):
     """Minimal support corners in (a, b) = (-m, n) coordinates, sorted by a.
 
@@ -370,7 +363,7 @@ def pole_staircase(poly):
     """
     if poly._staircase is None:
         poly._staircase = Staircase._from_ints(
-            [(-m, n) for m, n in reversed(_corners(poly))])
+            [(-m, n) for m, n in reversed(_sorted_corners(poly.terms))])
     return poly._staircase
 
 
@@ -550,7 +543,7 @@ def translate(poly, shift):
     if not shift:
         raise ValueError("translation by zero; the origin needs no shift")
     ctx = poly.ctx
-    if shift.ctx is not ctx and shift.ctx != ctx:
+    if shift.ctx is not ctx:
         raise ContextMismatchError(f"shift from {shift.ctx}, polynomial over "
                                    f"{ctx}; embed explicitly first")
     plan = poly._plan

@@ -677,12 +677,12 @@ def test_a_corrupt_corner_summary_fails_the_drop_cross_check(monkeypatch,
     # summary that loses its leftmost corner (largest t1 pole) must make
     # the two routes disagree
     assert resolve(poly(expr, ctx), 2).total >= 1
-    real = laurent._corners
+    real = laurent._sorted_corners
 
-    def without_leftmost(f):
-        return sorted(real(f))[1:]
+    def without_leftmost(points):
+        return sorted(real(points))[1:]
 
-    monkeypatch.setattr(laurent, "_corners", without_leftmost)
+    monkeypatch.setattr(laurent, "_sorted_corners", without_leftmost)
     with pytest.raises(CrossCheckError):
         resolve(poly(expr, ctx), 2)
 

@@ -1,14 +1,41 @@
+import copy
 import itertools
+import os
+import pathlib
+import pickle
 import random
+import subprocess
+import sys
 
 import pytest
 
 from wildram import fields
 from wildram.fields import (_EXHAUSTIVE_LIMIT, ContextMismatchError,
                             FieldContext, FieldElement, _is_irreducible,
-                            _roots_in_field, _trim, embed, field, find_roots,
+                            _roots_in_field, embed, field, find_roots,
                             join_context, minimal_form, poly_eval,
                             subfield_preimage)
+from wildram.laurent import LaurentPolynomial, translate
+
+SRC = pathlib.Path(fields.__file__).parents[1]
+
+
+def _trim(coeffs):
+    """A coefficient tuple without its trailing zeros."""
+    n = len(coeffs)
+    while n > 0 and coeffs[n - 1] == 0:
+        n -= 1
+    return tuple(coeffs[:n])
+
+
+def _run_python(code, *args):
+    """stdout of `code` run in a fresh interpreter that imports wildram
+    from this checkout, as bytes."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(SRC)] + [path for path in [env.get("PYTHONPATH")] if path])
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, check=True).stdout
 
 
 def test_char2_addition():
@@ -48,9 +75,112 @@ def test_modulus_is_deterministic_least():
 
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
-        FieldContext(2, 2, modulus=(0, 0, 1))    # x^2 = x * x
-    with pytest.raises(ValueError):
         FieldContext(4, 1)                        # 4 is not prime
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_field_of_p_is_field_of_p_and_1(p):
+    assert field(p) is field(p, 1)
+    assert field(p, degree=1) is field(p)
+
+
+def test_a_report_builds_each_context_once():
+    # a fresh interpreter, so that no earlier call has filled the cache:
+    # every context that a report over F_5 asks for is built once, F_5
+    # itself too, which the search for the modulus of F_5^5 (the field of
+    # an Artin-Schreier root) asks for as field(5)
+    counts = _run_python("""
+import collections, contextlib, io
+from wildram import fields
+from wildram.cli import main
+builds = collections.Counter()
+real = fields.FieldContext.__init__
+def counted(self, p, degree):
+    builds[p, degree] += 1
+    real(self, p, degree)
+fields.FieldContext.__init__ = counted
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["report", "t1^-2*t2 + t1^-4*t2^3", "--field", "5"]) == 0
+print(dict(builds))
+""")
+    builds = eval(counts)
+    assert {(5, 1), (5, 5)} <= set(builds)
+    assert set(builds.values()) == {1}, builds
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 2), (2, 13)])
+def test_copies_and_pickles_give_back_the_one_context(p, k):
+    ctx = field(p, k)
+    a = ctx.from_encoding(ctx.order - 1)
+    f = LaurentPolynomial(ctx, {(-2, 1): a, (0, -1): ctx.one()})
+    assert copy.copy(ctx) is copy.deepcopy(ctx) is ctx
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(ctx, protocol)) is ctx
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        for x in (a, f):
+            copies = [copy.copy(x), copy.deepcopy(x),
+                      pickle.loads(pickle.dumps(x, protocol))]
+            for copied in copies:
+                assert copied.ctx is ctx and copied == x and x == copied
+
+
+@pytest.mark.parametrize("p,k", [(2, 2), (3, 2), (2, 13)])
+def test_a_pickle_from_another_process_hashes_like_its_value(p, k):
+    # an element, a polynomial and its translate (which has a
+    # denominator), hashed before they are pickled in a fresh interpreter,
+    # so that each pickle carries its kept hash: that hash must be the one
+    # an equal value has in this process
+    make = """
+from wildram.fields import field
+from wildram.laurent import LaurentPolynomial, translate
+def values(p, k):
+    ctx = field(p, k)
+    a = ctx.from_encoding(ctx.order - 1)
+    f = LaurentPolynomial(ctx, {(-2, 1): a, (0, -1): ctx.one()})
+    return ctx, (a, f, translate(f, a))
+"""
+    dumped = _run_python(make + """
+import pickle, sys
+_, kept = values(*map(int, sys.argv[1:]))
+[hash(x) for x in kept]
+sys.stdout.buffer.write(pickle.dumps(kept, 2))
+""", str(p), str(k))
+    scope = {}
+    exec(make, scope)
+    ctx, here = scope["values"](p, k)
+    assert here[2].denominator is not None
+    for loaded, value in zip(pickle.loads(dumped), here):
+        assert loaded.ctx is ctx and loaded == value
+        assert hash(loaded) == hash(value) and {value: 1}[loaded] == 1
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 2), (5, 1), (7, 2),
+                                 (2, 12), (2, 13)])
+def test_a_directly_built_context_does_not_mix_with_field(p, k):
+    # field(p, k) is the one context of its field: a second context object
+    # for the same (p, k) is another field, whose elements and polynomials
+    # never combine with the canonical ones
+    direct, canonical = FieldContext(p, k), field(p, k)
+    assert direct is not canonical and direct != canonical
+    a, b = direct.one(), canonical.one()
+    assert a != b and b != a
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y,
+               lambda x, y: x / y):
+        with pytest.raises(ContextMismatchError):
+            op(a, b)
+        with pytest.raises(ContextMismatchError):
+            op(b, a)
+    # no two terms meet, so only the polynomial's own check can raise
+    f = LaurentPolynomial.monomial(a, -1, 1)
+    g = LaurentPolynomial.monomial(b, -2, 1)
+    assert LaurentPolynomial.zero(direct) != LaurentPolynomial.zero(canonical)
+    for op in (lambda x, y: x + y, lambda x, y: x - y, lambda x, y: x * y):
+        with pytest.raises(ContextMismatchError):
+            op(f, g)
+    with pytest.raises(ContextMismatchError):
+        LaurentPolynomial(canonical, {(-1, 1): a})
+    with pytest.raises(ContextMismatchError, match="shift from"):
+        translate(g, a)
 
 
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 2), (3, 1), (5, 1), (2, 3), (3, 2)])
@@ -129,8 +259,12 @@ def test_embed_requires_divisible_degree():
 
 
 def test_join_context():
-    assert join_context(field(2, 2), field(2, 3)) == field(2, 6)
-    assert join_context(field(3, 1), field(3, 2)) == field(3, 2)
+    assert join_context(field(2, 2), field(2, 3)) is field(2, 6)
+    assert join_context(field(3, 1), field(3, 2)) is field(3, 2)
+    assert join_context(field(3, 2), field(3)) is field(3, 2)
+    assert join_context(field(2, 4), field(2, 2)) is field(2, 4)
+    with pytest.raises(ContextMismatchError):
+        join_context(field(2), field(3))
 
 
 def test_subfield_preimage_round_trip():
@@ -428,30 +562,6 @@ def test_elements_are_interned(p, k):
     assert ctx.zero() is ctx.element(0) and ctx.one() is ctx.element(1)
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 2), (5, 1), (7, 2),
-                                 (2, 12), (2, 13)])
-def test_directly_built_context_mixes_with_field(p, k):
-    # a second context object for the same field keeps its own elements,
-    # which compare, hash and compute like the canonical ones
-    direct, canonical = FieldContext(p, k), field(p, k)
-    assert direct is not canonical and direct == canonical
-    rng = random.Random(p * 100 + k)
-    encodings = [0, 1, direct.order - 1] + [rng.randrange(direct.order)
-                                            for _ in range(20)]
-    for e in encodings:
-        a, a0 = direct.from_encoding(e), canonical.from_encoding(e)
-        assert a == a0 and a0 == a and hash(a) == hash(a0)
-        assert bool(a) == bool(a0)
-        assert -a == -a0
-        for f in encodings[:8]:
-            b, b0 = direct.from_encoding(f), canonical.from_encoding(f)
-            assert a + b0 == a0 + b == a0 + b0
-            assert a - b0 == a0 - b == a0 - b0
-            assert a * b0 == b0 * a == a0 * b0
-            if f:
-                assert a / b0 == a0 / b == a0 / b0
-
-
 def test_field_above_the_cap_keeps_the_polynomial_path():
     ctx = field(2, 13)
     assert ctx.order > _EXHAUSTIVE_LIMIT and ctx._tables() is None
@@ -490,9 +600,6 @@ def test_rabin_matches_trial_division(p, top):
                 _ref_rem(poly, d, p) for e in range(1, degree // 2 + 1)
                 for d in _monic(p, e))
             assert _is_irreducible(poly, p) == irreducible, poly
-            if degree >= 1 and not irreducible:
-                with pytest.raises(ValueError):
-                    FieldContext(p, degree, modulus=poly)
 
 
 def test_canonical_context_skips_the_repeated_rabin_test(monkeypatch):
@@ -507,10 +614,8 @@ def test_canonical_context_skips_the_repeated_rabin_test(monkeypatch):
         return original(poly, p)
 
     monkeypatch.setattr(fields, "_is_irreducible", counted)
-    assert FieldContext(2, 8) == field(2, 8)
+    assert FieldContext(2, 8).modulus == field(2, 8).modulus
     assert calls == []
-    FieldContext(2, 8, modulus=field(2, 8).modulus)
-    assert len(calls) == 1
 
 
 # the encoding of the non-leading coefficients of field(p, k).modulus for
@@ -533,42 +638,31 @@ def test_canonical_moduli_are_pinned():
                for p, encodings in CANONICAL_MODULI.items())
 
 
-@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 2), (5, 1), (2, 13)])
-def test_context_with_the_canonical_modulus_hashes_like_field(p, k):
-    # the kept hash is taken from the reduced modulus, so a context built
-    # from the canonical modulus in any form is the same dict key
-    canonical = field(p, k)
-    direct = FieldContext(p, k, modulus=[c + p for c in canonical.modulus])
-    assert direct is not canonical
-    assert direct == canonical and hash(direct) == hash(canonical)
-    assert {canonical: "found"}[direct] == "found"
-
-
 @pytest.mark.parametrize("p,k", [(2, 4), (3, 2), (5, 1), (2, 13)])
 def test_an_element_keeps_its_hash_by_value(p, k):
     # the hash is computed once per element object and kept; it is that of
-    # the value, so an interned element, the same element of a directly
-    # built context with the canonical modulus, and an element above the
-    # table cap (built anew by every lookup) hash and compare alike
-    canonical = field(p, k)
-    direct = FieldContext(p, k, modulus=canonical.modulus)
-    interned = canonical.order <= _EXHAUSTIVE_LIMIT
-    for enc in (0, 1, canonical.order // 3, canonical.order - 1):
-        a, b = canonical.from_encoding(enc), direct.from_encoding(enc)
-        assert (canonical.from_encoding(enc) is a) == interned
+    # the value, so an interned element, which every lookup returns, and
+    # an element above the table cap, built anew by every lookup, hash and
+    # compare alike with any element of the same value
+    ctx = field(p, k)
+    interned = ctx.order <= _EXHAUSTIVE_LIMIT
+    for enc in (0, 1, ctx.order // 3, ctx.order - 1):
+        a, b = ctx.from_encoding(enc), ctx.from_encoding(enc)
+        assert (a is b) == interned
         for x in (a, b):
-            assert hash(x) == hash(x) == hash((canonical, x.coeffs))
+            assert hash(x) == hash(x) == hash(x.coeffs)
         assert a == b and b == a and hash(a) == hash(b)
         assert {a: enc}[b] == enc and {b: enc}[a] == enc
         square = a * a
-        assert hash(square) == hash(canonical.from_encoding(square.encoding()))
+        assert hash(square) == hash(ctx.from_encoding(square.encoding()))
 
 
 def test_tables_with_a_non_primitive_generator():
     # modulus x^2 + 1 over F_3: x has order 4, so the tables rest on
     # another primitive element w; every log must give back its element as
     # w^log, with powers taken by the reference product
-    ctx = FieldContext(3, 2, modulus=(1, 0, 1))
+    ctx = field(3, 2)
+    assert ctx.modulus == (1, 0, 1)
     _, _, mul, _ = _oracle(ctx)
     x = ctx.gen()
     assert mul(x, x) == (2, 0) and x._log % 2 == 0

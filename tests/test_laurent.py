@@ -501,14 +501,6 @@ def test_chart_diagonal_evaluation_identity():
                 == {m: c for m, c in diagonal.items() if c})
 
 
-def test_equal_contexts_are_interchangeable():
-    from wildram.fields import FieldContext
-    fresh = FieldContext(2, 2)
-    interned = field(2, 2)
-    assert fresh == interned
-    assert fresh.gen() * interned.gen() == interned.gen() * fresh.gen()
-
-
 def test_translated_inverse_multiplies_back_to_one():
     # (t2 + a)^k times the translated t2^-k is 1 exactly
     for ctx, enc in ((F3, 2), (F5, 3), (field(2, 2), 2)):
@@ -720,8 +712,9 @@ def test_hash_is_kept_and_matches_equal_polynomials(pair):
     for f in pair:
         first = hash(f)
         assert hash(f) == first
-        assert first == hash((f.ctx, frozenset(f.terms.items()),
-                              f.denominator))
+        terms = frozenset(f.terms.items())
+        assert first == hash(terms if f.denominator is None
+                             else (terms, f.denominator))
         rebuilt = LaurentPolynomial(f.ctx, dict(f.terms), f.denominator)
         assert rebuilt == f and hash(rebuilt) == first
     f, g = pair
