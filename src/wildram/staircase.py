@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass, field
-from itertools import pairwise
 
 
 class StaircaseError(ValueError):
@@ -64,10 +63,17 @@ class Staircase(tuple):
     def _from_ints(cls, pts):
         """A staircase from a sequence of (int, int) tuples: the order is
         checked, the points are taken as they are."""
-        for (a0, b0), (a1, b1) in pairwise(pts):
-            if not (a0 < a1 and b0 < b1):
-                raise StaircaseError(
-                    f"coordinates must strictly increase: {(a0, b0)} !< {(a1, b1)}")
+        rest = iter(pts)
+        for a0, b0 in rest:
+            # the first point; the inner loop takes every later one, with
+            # the point before it kept in (a0, b0)
+            for a1, b1 in rest:
+                if not (a0 < a1 and b0 < b1):
+                    raise StaircaseError(
+                        "coordinates must strictly increase: "
+                        f"{(a0, b0)} !< {(a1, b1)}")
+                a0 = a1
+                b0 = b1
         return tuple.__new__(cls, pts)
 
     def __repr__(self):
@@ -161,16 +167,24 @@ def swan_drop(stair):
         max(a_k, 0) + max(-b_0, 0) - max(max_i (a_i - b_i), 0).
 
     The recursion reads it at every step, so it is one expression over
-    a_k, b_0 and the diagonals, with no helper calls; end_conductors and
-    max_diagonal stay its definition, and the tests' oracle for it.  The
-    value is 0 for the empty staircase and >= 0 for every valid
-    staircase; a negative result would indicate corrupted input and
-    raises.
+    a_k, b_0 and the diagonals, with no helper calls; on two points, where
+    most steps of a deep recursion are, it compares the two diagonals
+    directly and builds no list.  end_conductors and max_diagonal stay its
+    definition, and the tests' oracle for it.  The value is 0 for the
+    empty staircase and >= 0 for every valid staircase; a negative result
+    would indicate corrupted input and raises.
     """
-    if not stair:
+    if len(stair) == 2:
+        (a0, b0), (a1, b1) = stair
+        d0 = a0 - b0
+        d1 = a1 - b1
+        value = ((a1 if a1 > 0 else 0) + (-b0 if b0 < 0 else 0)
+                 - (d0 if d0 > d1 and d0 > 0 else d1 if d1 > 0 else 0))
+    elif not stair:
         return 0
-    value = (max(stair[-1][0], 0) + max(-stair[0][1], 0)
-             - max(max([a - b for a, b in stair]), 0))
+    else:
+        value = (max(stair[-1][0], 0) + max(-stair[0][1], 0)
+                 - max(max([a - b for a, b in stair]), 0))
     if value < 0:
         raise StaircaseError(f"negative conductor drop {value} for {stair!r}")
     return value
@@ -193,6 +207,8 @@ def blowup_term(drop, branches):
 _BOTH = (0, 1)
 _HEAD = (0,)
 _TAIL = (1,)
+# a Staircase from points whose order is already checked
+_new_staircase = tuple.__new__
 
 
 def split(stair):
@@ -229,17 +245,25 @@ def split(stair):
         (a0, b0), (a1, b1) = stair
         d0 = b0 - a0
         d1 = b1 - a1
+        # the branch condition orders one coordinate of the two-point
+        # child, and the other is compared here, as `_from_ints` would
         if d0 < d1:
+            if not a0 < a1:
+                raise StaircaseError("coordinates must strictly increase: "
+                                     f"{(a0, d0)} !< {(a1, d1)}")
             return (_BOTH, _HEAD,
-                    Staircase._from_ints(((a0, d0), (a1, d1))),
-                    Staircase._from_ints(((-d0, b0),)))
+                    _new_staircase(Staircase, ((a0, d0), (a1, d1))),
+                    _new_staircase(Staircase, ((-d0, b0),)))
         if d0 > d1:
+            if not b0 < b1:
+                raise StaircaseError("coordinates must strictly increase: "
+                                     f"{(-d0, b0)} !< {(-d1, b1)}")
             return (_TAIL, _BOTH,
-                    Staircase._from_ints(((a1, d1),)),
-                    Staircase._from_ints(((-d0, b0), (-d1, b1))))
+                    _new_staircase(Staircase, ((a1, d1),)),
+                    _new_staircase(Staircase, ((-d0, b0), (-d1, b1))))
         return (_TAIL, _HEAD,
-                Staircase._from_ints(((a1, d1),)),
-                Staircase._from_ints(((-d0, b0),)))
+                _new_staircase(Staircase, ((a1, d1),)),
+                _new_staircase(Staircase, ((-d0, b0),)))
     _require_nonempty(stair, "split")
     # one pass from the right: `tail` is the min of b_i - a_i over i > j
     last = len(stair) - 1
@@ -312,15 +336,15 @@ def ramification_recursive(stair, branches):
 def _recurse(stair, branches, trace):
     # an explicit depth-first stack: the continuation child is pushed
     # first, so the crossing child's subtree is traced before it, as in
-    # the recursive definition
-    stack = [(stair, branches)]
+    # the recursive definition.  A staircase of 0 or 1 points, the root
+    # included, records no step and adds 0, so it is never pushed
+    stack = [(stair, branches)] if len(stair) > 1 else []
+    push = stack.append
     record = trace.steps.append
     total = trace.total
     while stack:
         stair, branches = stack.pop()
         size = len(stair)
-        if size <= 1:
-            continue
         drop = swan_drop(stair)
         term = blowup_term(drop, branches)
         # looked up at each step, so that a test can replace it
@@ -328,15 +352,23 @@ def _recurse(stair, branches, trace):
         total += term
         record(RecursionStep(stair, branches, drop, term, first, second))
         for child in (crossing, continuation):
-            # a shorter child descends whatever its depth, so the depths
-            # are read only for a child that is not shorter; of a valid
-            # staircase's two children at most one is
-            if len(child) >= size and not (
-                    (len(child), depth(child)) < (size, depth(stair))):
+            # the measure (length, depth) must fall; a shorter child
+            # descends whatever its depth, so the depths, a_k - a_0 +
+            # b_k - b_0, are read off the end points only for a child
+            # that is not shorter (of a valid staircase's two children at
+            # most one is)
+            length = len(child)
+            if length >= size and (
+                    length > size
+                    or (child[-1][0] - child[0][0] + child[-1][1] - child[0][1]
+                        >= stair[-1][0] - stair[0][0]
+                        + stair[-1][1] - stair[0][1])):
                 raise StaircaseError(
                     f"recursion measure failed to decrease: {stair!r} -> {child!r}")
-        stack.append((continuation, branches))
-        stack.append((crossing, 2))
+        if len(continuation) > 1:
+            push((continuation, branches))
+        if len(crossing) > 1:
+            push((crossing, 2))
     trace.total = total
 
 

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import pickle
 import random
+import re
 import sys
 
 import pytest
@@ -195,10 +196,16 @@ def test_children_are_valid_staircases():
 
 def test_split_checks_the_order_of_its_children():
     # on a sequence that is not a staircase a child comes out of order,
-    # and its order check raises: here the continuation
+    # and its order check raises.  On two points the branch condition
+    # orders one coordinate of the two-point child and the other is
+    # compared inline: a_0 > a_1 in the crossing child ((5, -5), (1, 9))
+    # of ((5, 0), (1, 10)), and b_0 > b_1 in the continuation child
     # ((-5, 5), (1, 0)) of ((0, 5), (1, 0))
-    with pytest.raises(StaircaseError, match="strictly increase"):
-        split(((0, 5), (1, 0)))
+    for points, shown in ((((5, 0), (1, 10)), "(5, -5) !< (1, 9)"),
+                          (((0, 5), (1, 0)), "(-5, 5) !< (1, 0)")):
+        with pytest.raises(StaircaseError,
+                           match=re.escape(f"strictly increase: {shown}")):
+            split(points)
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +443,13 @@ def test_two_point_split_matches_quadratic_filters(stair):
 
 @given(long_staircases())
 def test_swan_drop_is_its_definition(stair):
+    sw1, sw2 = end_conductors(stair)
+    assert swan_drop(stair) == sw1 + sw2 - max(max_diagonal(stair), 0)
+
+
+@given(two_point_staircases())
+def test_two_point_swan_drop_is_its_definition(stair):
+    # the two-point case compares the two diagonals without max_diagonal
     sw1, sw2 = end_conductors(stair)
     assert swan_drop(stair) == sw1 + sw2 - max(max_diagonal(stair), 0)
 
