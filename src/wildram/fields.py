@@ -707,8 +707,9 @@ def _roots_in_field(coeffs, ctx, q=None):
     Small fields are scanned exhaustively.  Larger ones use the standard
     split: gcd with X^(order) - X isolates the product of the linear
     factors over ctx, which is then separated by deterministic
-    equal-degree splitting (quadratic-character gcds for odd p, trace gcds
-    for p = 2, shift parameters tried in encoding order).  When the
+    equal-degree splitting (quadratic-character gcds for odd p, with shift
+    parameters tried in encoding order; trace gcds for p = 2, with the
+    shifts running over a basis of ctx over F_2).  When the
     coefficients lie in the subfield F_q, the roots come in orbits under
     x -> x^q, so the split only runs until one root of each orbit is known
     (see ``_root_orbits``).
@@ -767,8 +768,19 @@ def _root_orbits(coeffs, ctx, q):
 
 def _equal_degree_split(part, ctx):
     """Split a monic product of distinct linear factors into two proper
-    monic factors, deterministically."""
-    for shift in ctx.elements():
+    monic factors, deterministically.
+
+    For p = 2 the shifts are the basis elements g^0, ..., g^(k-1) of
+    F_2^k: for two distinct roots r, s the map x -> Tr(x*(r - s)) is a
+    nonzero linear form, as the trace form is nondegenerate, so it is 1
+    on some basis element, and that shift puts r and s on different sides
+    of the trace gcd.  For odd p the shifts run in encoding order.
+    """
+    if ctx.p == 2:
+        shifts = (ctx.from_encoding(1 << i) for i in range(ctx.degree))
+    else:
+        shifts = ctx.elements()
+    for shift in shifts:
         if not shift:
             continue
         if ctx.p == 2:

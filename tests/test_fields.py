@@ -446,6 +446,54 @@ def test_roots_above_the_cap_split_one_per_orbit():
     assert all(not poly_eval(coeffs, r) for r in by_orbit)
 
 
+def _encoding_order_trace_split(part, ctx, shift):
+    """One shift of the p = 2 equal-degree split as it was when the shifts
+    ran in encoding order: the gcd of part with the trace of shift*X, or
+    None when it is not a proper factor."""
+    acc = fields._fdivmod([ctx.zero(), shift], part, ctx)[1]
+    trace = acc
+    for _ in range(ctx.degree - 1):
+        acc = fields._fdivmod(fields._fmul(acc, acc, ctx), part, ctx)[1]
+        trace = fields._fsub(trace, acc, ctx)
+    g = fields._fgcd(trace, part, ctx)
+    return g if 0 < fields.poly_degree(g) < fields.poly_degree(part) else None
+
+
+def test_characteristic_two_split_tries_only_a_basis(monkeypatch):
+    # X^2 + X + 1 over F_2^26: its roots are the primitive cube roots of
+    # unity, in F_4 and not in F_2^13, so they are conjugate over F_2^13.
+    # A shift s separates them iff Tr(s) = 1, and Tr(g^i) = 0 for every
+    # i < 23, so the split must reach the basis element g^23
+    ctx = field(2, 26)
+    one = ctx.one()
+    part = [one, one, one]
+    tried = 0
+    real_gcd = fields._fgcd
+
+    def one_gcd_per_shift(a, b, c):
+        # fail at once rather than run through the encodings below 2^23
+        nonlocal tried
+        tried += 1
+        assert tried <= ctx.degree, "more shifts than a basis"
+        return real_gcd(a, b, c)
+
+    monkeypatch.setattr(fields, "_fgcd", one_gcd_per_shift)
+    factors = fields._equal_degree_split(part, ctx)
+    monkeypatch.undo()
+    assert [fields.poly_degree(f) for f in factors] == [1, 1]
+    assert fields._fmul(*factors, ctx) == part
+    # the encoding-order loop fails on g^0, ..., g^22, and the shifts on
+    # which it fails form an F_2-subspace (the trace is additive), so it
+    # fails on all 2^23 - 1 nonzero encodings below 2^23, which it tries
+    # first; the first fifteen are tried here as they come
+    basis = [ctx.from_encoding(1 << i) for i in range(ctx.degree)]
+    assert all(_encoding_order_trace_split(part, ctx, s) is None
+               for s in basis[:23])
+    assert _encoding_order_trace_split(part, ctx, basis[23]) is not None
+    assert not any(_encoding_order_trace_split(part, ctx, s)
+                   for s in itertools.islice(ctx.elements(), 1, 16))
+
+
 TABLE_FIELDS = [(p, k) for p in (2, 3, 5, 7, 11, 13)
                 for k in range(1, 13) if p ** k <= _EXHAUSTIVE_LIMIT]
 
