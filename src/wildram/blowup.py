@@ -166,9 +166,19 @@ class BlowupNode:
         return sum(n.term for n in self.nodes())
 
     def blowup_depth(self):
-        if self.clean:
-            return 0
-        return 1 + max((c.blowup_depth() for c in self.children), default=0)
+        """The most non-clean nodes on a path down from this node, a clean
+        node ending its path (0 when this node is clean), by an explicit
+        stack."""
+        deepest = 0
+        stack = [(self, 1)]
+        while stack:
+            node, level = stack.pop()
+            if node.clean:
+                continue
+            if level > deepest:
+                deepest = level
+            stack.extend((child, level + 1) for child in node.children)
+        return deepest
 
     def nodes(self):
         """Every node of the tree in preorder (a node, then each child's
@@ -181,8 +191,15 @@ class BlowupNode:
             stack.extend(reversed(node.children))
 
     def signature(self):
-        return (self.path, self.branches, self.staircase, self.drop,
-                self.clean, tuple(c.signature() for c in self.children))
+        """(path, branches, staircase, drop, clean, the children's
+        signatures), built from the leaves up: in reversed preorder every
+        node comes after its descendants, so no recursion is needed."""
+        built = {}
+        for node in reversed(list(self.nodes())):
+            built[id(node)] = (node.path, node.branches, node.staircase,
+                               node.drop, node.clean,
+                               tuple(built[id(c)] for c in node.children))
+        return built[id(self)]
 
 
 @dataclass
@@ -536,17 +553,26 @@ def _frobenius_orbits(points, q):
 # ---------------------------------------------------------------------------
 
 def tree_as_dict(node):
-    return {
-        "path": node.path,
-        "branches": node.branches,
-        "staircase": [list(pt) for pt in node.staircase],
-        "drop": node.drop,
-        "term": node.term,
-        "clean": node.clean,
-        "constant_added": node.constant_added,
-        "reductions": node.reductions,
-        "children": [tree_as_dict(c) for c in node.children],
-    }
+    """The JSON form of a tree, by an explicit stack in preorder: each
+    node's dict is appended to its parent's children as it is reached."""
+    out = []
+    stack = [(node, out)]
+    while stack:
+        node, siblings = stack.pop()
+        children = []
+        siblings.append({
+            "path": node.path,
+            "branches": node.branches,
+            "staircase": [list(pt) for pt in node.staircase],
+            "drop": node.drop,
+            "term": node.term,
+            "clean": node.clean,
+            "constant_added": node.constant_added,
+            "reductions": node.reductions,
+            "children": children,
+        })
+        stack.extend((child, children) for child in reversed(node.children))
+    return out[0]
 
 
 def simulation_as_dict(result):
@@ -565,22 +591,28 @@ def simulation_as_dict(result):
 
 
 def tree_as_dot(node):
+    """The Graphviz form of a tree: nodes numbered in preorder, and each
+    edge listed after the subtree below it.  The explicit stack holds the
+    nodes still to draw, with their parents' ids, and the edge lines due
+    once a subtree is drawn."""
     lines = ["digraph blowups {", '  node [shape=box, fontname="monospace"];']
-    counter = [0]
-
-    def walk(n):
-        my_id = f"n{counter[0]}"
-        counter[0] += 1
+    stack = [(node, None)]
+    count = 0
+    while stack:
+        entry = stack.pop()
+        if type(entry) is str:
+            lines.append(entry)
+            continue
+        n, parent_id = entry
+        my_id = f"n{count}"
+        count += 1
         shape = "I" if n.branches == 1 else "II"
         stair = ",".join(f"({a},{b})" for a, b in n.staircase)
         status = "clean" if n.clean else f"e={n.drop} mu={n.term}"
         lines.append(f'  {my_id} [label="{n.path}\\ntype {shape}  '
                      f'[{stair}]\\n{status}"];')
-        for c in n.children:
-            child_id = walk(c)
-            lines.append(f"  {my_id} -> {child_id};")
-        return my_id
-
-    walk(node)
+        if parent_id is not None:
+            stack.append(f"  {parent_id} -> {my_id};")
+        stack.extend((c, my_id) for c in reversed(n.children))
     lines.append("}")
     return "\n".join(lines)

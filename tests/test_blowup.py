@@ -649,7 +649,8 @@ def test_nodes_walks_every_golden_tree_in_recursive_preorder():
 
 
 def test_a_3000_deep_chain_is_walked_at_the_default_recursion_limit():
-    # the walk of nodes(), the total and the run flags use no recursion
+    # the walk of nodes(), the total, the run flags, the depth, the
+    # signature and both exports use no recursion
     assert sys.getrecursionlimit() < 3000
     chain = [BlowupNode(path=f"n{depth}", branches=2, staircase=(), drop=2,
                         term=1, clean=False) for depth in range(3000)]
@@ -665,6 +666,23 @@ def test_a_3000_deep_chain_is_walked_at_the_default_recursion_limit():
     assert (result.constant_added_anywhere, result.off_origin_nonclean,
             result.nonroot_repair, result.good_regime) == (True, True, True,
                                                            False)
+    assert root.blowup_depth() == result.depth == 3000
+    # the nested signatures and dicts are read level by level, as comparing
+    # or printing them whole would recurse
+    signature, tree = root.signature(), tree_as_dict(root)
+    for node in chain:
+        assert signature[:5] == (node.path, 2, (), 2, False)
+        assert tree["path"] == node.path and tree["term"] == 1
+        assert len(signature[5]) == len(tree["children"]) == len(node.children)
+        signature = signature[5][0] if node.children else None
+        tree = tree["children"][0] if node.children else None
+    lines = tree_as_dot(root).splitlines()
+    assert len(lines) == 2 + 3000 + 2999 + 1
+    # the labels in preorder, then each edge after the subtree below it
+    assert [line.split()[0] for line in lines[2:3002]] == [
+        f"n{i}" for i in range(3000)]
+    assert lines[3002:-1] == [f"  n{i} -> n{i + 1};"
+                              for i in reversed(range(2999))]
 
 
 @pytest.mark.parametrize("expr, ctx", [("t1^-3*t2 + t2^-2", F3),
