@@ -19,10 +19,14 @@ conductor sum across the blow-up.  Most steps of a deep recursion are on
 two points, where one comparison of b_0 - a_0 with b_1 - a_1 decides
 both filters; ``split`` takes that case without its passes, and it is
 the definition read for two points, so the children are the same.  The
-recursion admits a closed form: twice the area between the essential
-hull of the staircase and its baseline, corrected by (t-2)*(a_k-a_0)
-for a point on t boundary branches.  Both routes are implemented and cross-checked, along with a
-proven upper bound for the blow-up total.
+comparison orders one coordinate of the two-point child and ``split``
+compares the other inline, so every child is order-checked as before.
+A child of 0 or 1 points records no step and adds 0, so the recursion
+never pushes it.  The recursion admits a closed form: twice the area
+between the essential hull of the staircase and its baseline, corrected
+by (t-2)*(a_k-a_0) for a point on t boundary branches.  Both routes are
+implemented and cross-checked, along with a proven upper bound for the
+blow-up total.
 
 Slope comparisons are exact (cross multiplication); no rationals, no
 floats.
@@ -207,7 +211,8 @@ def blowup_term(drop, branches):
 _BOTH = (0, 1)
 _HEAD = (0,)
 _TAIL = (1,)
-# a Staircase from points whose order is already checked
+# a Staircase from points whose order is already checked; bound once, as
+# split calls it twice per step
 _new_staircase = tuple.__new__
 
 
@@ -235,7 +240,13 @@ def split(stair):
     d_0 < d_1 keeps both points in the crossing child, d_0 > d_1 keeps
     both in the continuation child, and d_0 = d_1 leaves one point in
     each: (a_1, d_1) and (-d_0, b_0).  This is the definition read for
-    k = 1, so the case is exact.
+    k = 1, so the case is exact.  The branch condition is the order of
+    one coordinate of the two-point child (d_0 < d_1 for the crossing
+    child, -d_0 < -d_1 for the continuation child); the other, a_0 < a_1
+    or b_0 < b_1, is compared inline with `_from_ints`'s error, and the
+    children are built without a second check.  A single-point child
+    needs no order check.  `_recurse` never pushes a child of fewer than
+    two points.
 
     `_recurse` looks this function up at each step, so a test can replace
     it with a wrong filter and check that the closed form and the corpus
