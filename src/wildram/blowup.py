@@ -149,7 +149,7 @@ class SimulationConfig:
             raise ValueError("caps and degrees must be >= 1")
 
 
-@dataclass
+@dataclass(slots=True)
 class BlowupNode:
     path: str                     # chart letters and translation points from the root
     branches: int
@@ -358,7 +358,11 @@ def _build_node(poly, branches, path, depth, call):
     if depth > call.depth_cap:
         raise DepthCapError(path, None)
     info = call.analysis(poly, branches, path)
-    node = BlowupNode(path=path, **info.fields)
+    fields = info.fields
+    node = BlowupNode(path, branches, fields["staircase"], fields["drop"],
+                      fields["term"], fields["clean"], [],
+                      fields["constant_added"], fields["repair"],
+                      fields["reductions"])
     if node.clean:
         return node
 

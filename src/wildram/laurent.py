@@ -371,9 +371,8 @@ def valuation(poly, axis):
     """Minimum exponent along the axis ("t1" or "t2"); +inf for zero.
 
     That of P, which is that of P / V^p.  The minimum is taken in its own
-    pass over the exponents, not from the corners, so that the conductor
-    loops, which read valuations, stay a route independent of the
-    staircase.
+    pass over the exponents, not from the corners, as the conductor loops
+    take theirs, so that they stay a route independent of the staircase.
     """
     idx = _axis_index(axis)
     return min(map(operator.itemgetter(idx), poly.terms), default=math.inf)
@@ -395,17 +394,12 @@ def _axis_index(axis):
     raise ValueError(f"axis must be 't1' or 't2', got {axis!r}")
 
 
-def _exponent_map(poly, move):
-    """P and V with every exponent pair e replaced by move(e); `move` must
-    be injective and keep V's exponents nonnegative with (0, 0) fixed."""
-    return LaurentPolynomial._trusted(
-        poly.ctx, {move(e): c for e, c in poly.terms.items()},
-        poly.denominator and _exponent_map(poly.denominator, move))
-
-
 def transpose(poly):
-    """Swap the two coordinates."""
-    return _exponent_map(poly, lambda e: (e[1], e[0]))
+    """Swap the two coordinates, of P and V alike."""
+    denominator = poly.denominator
+    return LaurentPolynomial._trusted(
+        poly.ctx, {(n, m): c for (m, n), c in poly.terms.items()},
+        denominator and transpose(denominator))
 
 
 # ---------------------------------------------------------------------------
@@ -425,10 +419,15 @@ def blowup_substitute(poly, chart):
     V in the column u^0, so V_A(0, v) = V(0, 0).
     """
     if chart == CHART_FIRST:
-        return _exponent_map(poly, lambda e: (e[0] + e[1], e[1]))
-    if chart == CHART_SECOND:
-        return _exponent_map(poly, lambda e: (e[0], e[0] + e[1]))
-    raise ValueError(f"chart must be 'A' or 'B', got {chart!r}")
+        terms = {(m + n, n): c for (m, n), c in poly.terms.items()}
+    elif chart == CHART_SECOND:
+        terms = {(m, m + n): c for (m, n), c in poly.terms.items()}
+    else:
+        raise ValueError(f"chart must be 'A' or 'B', got {chart!r}")
+    denominator = poly.denominator
+    return LaurentPolynomial._trusted(
+        poly.ctx, terms,
+        denominator and blowup_substitute(denominator, chart))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,10 @@ t2 within one term add up, so factor order is free.  Like terms combine
 in the field.  Exponent magnitudes above 10**6 are refused, in one
 exponent and in the sum of a term's exponents of t1 or of t2.
 
+One ``findall`` splits an expression into tokens, plain strings without
+positions; a ParseError still names the position of its token, which is
+recovered from the token's index only when the error is raised.
+
 Field specs are "p" or "p^k", e.g. "3", "2^1", "3^2".
 """
 
@@ -28,14 +32,25 @@ from .laurent import LaurentPolynomial
 
 EXPONENT_CAP = 10 ** 6
 
-_TOKEN = re.compile(
-    r"\s*(?:(?P<int>\d+)|(?P<name>t1|t2|g)|(?P<op>[-+*^])|(?P<bad>\S))")
+# a token is an integer, a name or an operator; any other non-space
+# character, which _BAD finds first, would be a token no rule accepts
+_TOKEN = re.compile(r"\d+|t1|t2|g|[-+*^]|\S")
+# where such a character stands: not a digit, an operator or g, and no t
+# that starts t1 or t2
+_BAD = re.compile(r"[^\s\d+\-*^gt]|t(?![12])")
+_NAMES = frozenset(("t1", "t2", "g"))
+_END = ""       # closes the token list; no token is empty
 
 
 class ParseError(ValueError):
     def __init__(self, message, position):
         self.position = position
         super().__init__(f"{message} (at position {position})")
+
+
+class _TokenError(Exception):
+    """(message, token index) of a parse error; ``parse_polynomial``
+    recovers the token's position in the text from the index."""
 
 
 def parse_field(spec):
@@ -47,66 +62,79 @@ def parse_field(spec):
     return field(p, k)
 
 
-def _tokens(text):
-    """(kind, value, position) triples, closed by an "end" token at the
-    length of the text."""
-    out = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m.group(kind)!r}",
-                             m.start(kind))
-        out.append((kind, m.group(kind), m.start(kind)))
-    out.append(("end", "", len(text)))
-    return out
+def _position(text, index):
+    """Where the token with the given index starts; the closing token
+    stands at the length of the text."""
+    for i, match in enumerate(_TOKEN.finditer(text)):
+        if i == index:
+            return match.start()
+    return len(text)
 
 
-def _unexpected(wanted, token):
-    kind, value, pos = token
-    got = "the end of input" if kind == "end" else repr(value)
-    return ParseError(f"expected {wanted}, got {got}", pos)
+def _unexpected(wanted, tokens, index):
+    value = tokens[index]
+    got = "the end of input" if value == _END else repr(value)
+    return _TokenError(f"expected {wanted}, got {got}", index)
 
 
 def parse_polynomial(text, ctx):
     """Parse an expression into a LaurentPolynomial over the context.
 
-    Like terms add up in one dict as they are read: a zero term adds no
-    key and a sum that cancels deletes its key."""
-    tokens = _tokens(text)
+    The text is split into tokens by one ``findall``, after one search
+    for a character that no token rule accepts, which is the error when
+    there is one.  Tokens are plain strings: the position of a token in
+    the text is recovered only for the error it raises."""
+    bad = _BAD.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}",
+                         bad.start())
+    tokens = _TOKEN.findall(text)
+    tokens.append(_END)
+    try:
+        return _parse(tokens, ctx)
+    except _TokenError as err:
+        message, index = err.args
+        raise ParseError(message, _position(text, index)) from None
+
+
+def _parse(tokens, ctx):
+    """The polynomial of a token list.  Like terms add up in one dict as
+    they are read: a zero term adds no key and a sum that cancels deletes
+    its key."""
     terms = {}
     i = 0
     while True:
-        negate = tokens[i][1] == "-"
-        if tokens[i][1] in ("+", "-"):      # required between terms, below
+        negate = tokens[i] == "-"
+        if negate or tokens[i] == "+":      # required between terms, below
             i += 1
         coeff, m, n = ctx.one(), 0, 0
         while True:                         # one factor, then "*" or stop
-            token = tokens[i]
-            kind, value, pos = token
+            at = i
+            value = tokens[i]
             i += 1
-            if kind == "int":
-                coeff = coeff * ctx.element(int(value))
-            elif kind == "name":
+            if value in _NAMES:
                 exponent = 1
-                if tokens[i][1] == "^":
+                if tokens[i] == "^":
                     exponent, i = _exponent(tokens, i + 1)
                 if value == "t1":
                     m += exponent
                 elif value == "t2":
                     n += exponent
                 elif ctx.degree == 1:
-                    raise ParseError("generator g is not available over a "
-                                     "prime field", pos)
+                    raise _TokenError("generator g is not available over a "
+                                      "prime field", at)
                 else:
                     coeff = coeff * ctx.gen() ** exponent
                 if abs(m) > EXPONENT_CAP or abs(n) > EXPONENT_CAP:
                     total = m if value == "t1" else n
-                    raise ParseError(f"the {value} exponents of a term add up "
-                                     f"to {total}, beyond the cap "
-                                     f"{EXPONENT_CAP}", pos)
+                    raise _TokenError(f"the {value} exponents of a term add "
+                                      f"up to {total}, beyond the cap "
+                                      f"{EXPONENT_CAP}", at)
+            elif value.isdecimal():
+                coeff = coeff * ctx.element(int(value))
             else:
-                raise _unexpected("a factor", token)
-            if tokens[i][1] != "*":
+                raise _unexpected("a factor", tokens, at)
+            if tokens[i] != "*":
                 break
             i += 1
         if negate:
@@ -117,27 +145,27 @@ def parse_polynomial(text, ctx):
             terms[(m, n)] = coeff
         else:
             terms.pop((m, n), None)
-        if tokens[i][0] == "end":
+        if tokens[i] == _END:
             return LaurentPolynomial(ctx, terms)
-        if tokens[i][1] not in ("+", "-"):
-            raise _unexpected("*, + or - after a factor", tokens[i])
+        if tokens[i] not in ("+", "-"):
+            raise _unexpected("*, + or - after a factor", tokens, i)
 
 
 def _exponent(tokens, i):
     """The signed integer exponent that starts at tokens[i], and the index
     after it."""
     sign = 1
-    if tokens[i][1] in ("+", "-"):
-        sign = -1 if tokens[i][1] == "-" else 1
+    if tokens[i] in ("+", "-"):
+        sign = -1 if tokens[i] == "-" else 1
         i += 1
-    kind, value, pos = tokens[i]
-    if kind != "int":
-        raise _unexpected("an integer exponent", tokens[i])
-    value = int(value)
-    if value > EXPONENT_CAP:
-        raise ParseError(f"exponent {value} exceeds the cap {EXPONENT_CAP}",
-                         pos)
-    return sign * value, i + 1
+    value = tokens[i]
+    if not value.isdecimal():
+        raise _unexpected("an integer exponent", tokens, i)
+    number = int(value)
+    if number > EXPONENT_CAP:
+        raise _TokenError(f"exponent {number} exceeds the cap "
+                          f"{EXPONENT_CAP}", i)
+    return sign * number, i + 1
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,9 @@ reducing f to a normal form inside its class:
   algebraic closure, so they are stripped; the constant 1 is re-added
   exactly when no remaining corner sits in the quadrant a >= 0, b <= 0.
   A witness h with f - g = h^p - h is part of the result; its constant
-  part may live in a small extension field and is materialized lazily,
-  but the identity itself is verified exactly on construction.  On a
+  part may live in a small extension field and is materialized lazily
+  (``artin_schreier_root``, by the elimination kept per field), but the
+  identity itself is verified exactly on construction.  On a
   local function P / V^p (see the laurent module) every step is exact:
   the pieces are the same monomials, read from P's corners, and each
   Artin-Schreier image and each constant is multiplied through V^p
@@ -26,9 +27,13 @@ reducing f to a normal form inside its class:
   and one reduction strips it.  The loop is the second, independent route
   to the conductors; for a good representative they can also be read off
   the staircase ends (``staircase.end_conductors``), and the simulator,
-  the report and the corpus pin the two routes together.  On P / V^p the
-  stripped part is the p-th power of t1^(v/p) * P_v^(1/p) / V, so the
-  denominator stays V.
+  the report and the corpus pin the two routes together.  Each round
+  reads its valuation and its leading column (t1) or row (t2) in place,
+  off the function's own exponents and never off its staircase, and a
+  round that strips subtracts the image in the same coordinates, so no
+  transpose is built on either axis.  On P / V^p the stripped part is
+  the p-th power of t1^(v/p) * P_v^(1/p) / V, so the denominator stays
+  V.
 
 * ``exceptional_swan`` is the conductor along the exceptional curve of
   one blow-up, computed in the first chart; by symmetry the second chart
@@ -41,11 +46,12 @@ reducing f to a normal form inside its class:
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass
 
-from .fields import _fdivmod, _solve_mod_p, embed, field, join_context
-from .laurent import (LaurentPolynomial, blowup_substitute, leading_column,
-                      pole_staircase, transpose, valuation)
+from .fields import _fdivmod, embed, field, join_context
+from .laurent import (LaurentPolynomial, _axis_index, blowup_substitute,
+                      leading_column, pole_staircase, transpose, valuation)
 from .staircase import Staircase, quadrant_shape
 
 
@@ -65,14 +71,57 @@ def _artin_schreier_columns(ctx):
     return tuple(columns)
 
 
+@functools.lru_cache(maxsize=None)
+def _artin_schreier_elimination(ctx):
+    """(pivot columns, row operations) of the Gauss-Jordan elimination that
+    ``fields._solve_mod_p`` runs on the matrix of
+    ``_artin_schreier_columns(ctx)``.
+
+    That elimination picks its pivots and row operations from the matrix
+    alone, and they act linearly on the right-hand side.  So they are run
+    once per context on the identity, whose rows become the k x k matrix
+    M: the reduced right-hand side of any target b is M b, and the
+    solution that ``_solve_mod_p`` returns puts its rows on the pivot
+    columns."""
+    p, k = ctx.p, ctx.degree
+    columns = _artin_schreier_columns(ctx)
+    mat = [[columns[j][i] % p for j in range(k)]
+           + [int(i == r) for r in range(k)] for i in range(k)]
+    pivots = []
+    row = 0
+    for col in range(k):
+        pivot = next((r for r in range(row, k) if mat[r][col]), None)
+        if pivot is None:
+            continue
+        mat[row], mat[pivot] = mat[pivot], mat[row]
+        inv = pow(mat[row][col], p - 2, p)
+        mat[row] = [(x * inv) % p for x in mat[row]]
+        for r in range(k):
+            if r != row and mat[r][col]:
+                factor = mat[r][col]
+                mat[r] = [(x - factor * y) % p
+                          for x, y in zip(mat[r], mat[row])]
+        pivots.append(col)
+        row += 1
+    return tuple(pivots), tuple(tuple(r[k:]) for r in mat)
+
+
 def _solve_artin_schreier_in(value, ctx):
     """Solve r^p - r = value inside ctx, or return None.
 
     The map r -> r^p - r is linear over the prime field, so this is a
-    k x k linear system mod p."""
-    solution = _solve_mod_p(_artin_schreier_columns(ctx), value.coeffs, ctx.p)
-    if solution is None:
+    k x k linear system mod p, solved by the kept elimination of the
+    context in one product with the target: the same particular solution
+    as ``fields._solve_mod_p`` on the same system."""
+    p = ctx.p
+    pivots, operations = _artin_schreier_elimination(ctx)
+    target = value.coeffs
+    reduced = [sum(map(operator.mul, op, target)) % p for op in operations]
+    if any(reduced[len(pivots):]):
         return None
+    solution = [0] * ctx.degree
+    for col, x in zip(pivots, reduced):
+        solution[col] = x
     return ctx.element(solution)
 
 
@@ -96,7 +145,7 @@ def artin_schreier_root(value):
     return root
 
 
-@dataclass
+@dataclass(slots=True)
 class GoodRepresentative:
     """A reduced representative g of the class of f, with its witness.
 
@@ -161,8 +210,15 @@ def good_representative(f):
     ctx = f.ctx
     one = ctx.one()
     c0 = f.coefficient(0, 0)
-    g = f - LaurentPolynomial._trusted(ctx, {(0, 0): c0}) if c0 else f
-    witness = LaurentPolynomial._trusted(ctx, {})
+    g = f
+    if c0:
+        if f.denominator is None:
+            terms = dict(f.terms)
+            del terms[(0, 0)]
+            g = LaurentPolynomial._trusted(ctx, terms)
+        else:
+            g = f - LaurentPolynomial._trusted(ctx, {(0, 0): c0})
+    witness = None
     reductions = 0
     p = ctx.p
     while True:
@@ -183,22 +239,30 @@ def good_representative(f):
         # target it forever
         if g.coefficient(-a, b):
             raise RuntimeError(f"the reduction at {(a, b)} left its corner")
-        witness = witness + piece
+        witness = piece if witness is None else witness + piece
         reductions += 1
 
     # a nonzero g that keeps its constant has a corner in the quadrant
     quadrant_ok = bool(g)
     constant_added = quadrant_ok and not quadrant_shape(stair)
     if constant_added:
-        # with no reduction in between, f - 1 + 1 is f, views and all
-        g = (f if c0 == one and not reductions
-             else g + LaurentPolynomial._trusted(ctx, {(0, 0): one}))
+        if c0 == one and not reductions:
+            # with no reduction in between, f - 1 + 1 is f, views and all
+            g = f
+        elif g.denominator is None:
+            # no image of a reduction has a constant term, so g has none
+            terms = dict(g.terms)
+            terms[(0, 0)] = one
+            g = LaurentPolynomial._trusted(ctx, terms)
+        else:
+            g = g + LaurentPolynomial._trusted(ctx, {(0, 0): one})
         stair = pole_staircase(g)
         quadrant_ok = quadrant_shape(stair)
 
     rep = GoodRepresentative(
         g=g,
-        witness=witness,
+        witness=(LaurentPolynomial._trusted(ctx, {}) if witness is None
+                 else witness),
         constant_delta=c0 - one if constant_added else c0,
         staircase=stair,
         quadrant_ok=quadrant_ok,
@@ -213,6 +277,9 @@ def good_representative(f):
 # Swan conductors
 # ---------------------------------------------------------------------------
 
+_COORDINATES = (operator.itemgetter(0), operator.itemgetter(1))
+
+
 def swan_conductor(f, axis):
     """Minimal pole order along the axis over the class of f.
 
@@ -221,25 +288,37 @@ def swan_conductor(f, axis):
     coordinate, has all exponents divisible by p; then the leading part is
     the p-th power of an explicit half-order part, whose Artin-Schreier
     image is subtracted.  The final max(A, 0) is the conductor, an int.
+
+    Every round reads its valuation and its leading column (axis t1) or
+    row (axis t2) off the function's own exponents, and a round that
+    strips subtracts the image in the function's own coordinates: the
+    loop along t2 is the loop along t1 conjugated by the transposition, a
+    ring automorphism, so nothing is transposed on either axis.
     """
-    if axis not in ("t1", "t2"):
-        raise ValueError(f"axis must be 't1' or 't2', got {axis!r}")
-    work = f if axis == "t1" else transpose(f)
-    p = work.ctx.p
+    index = _axis_index(axis)
+    other = 1 - index
+    coordinate = _COORDINATES[index]
+    p = f.ctx.p
+    work = f
+    stripped = None     # the valuation of the last round that stripped
     while True:
-        v = valuation(work, "t1")
+        terms = work.terms
+        v = min(map(coordinate, terms), default=0)
         if v >= 0:
             return 0
-        pole = -v
-        if pole % p != 0:
-            return pole
-        column = leading_column(work, v)
-        if any(n % p != 0 for n in column):
-            return pole
-        half = LaurentPolynomial(
-            work.ctx,
-            {(v // p, n // p): c.pth_root() for n, c in column.items()})
+        # a strip cancels its whole line and adds terms above it only, or
+        # the loop would strip for ever
+        if stripped is not None and v <= stripped:
+            raise RuntimeError(f"the {axis} round at {stripped} left its line")
+        if v % p:
+            return -v
+        line = [(e, c) for e, c in terms.items() if e[index] == v]
+        if any(e[other] % p for e, _ in line):
+            return -v
+        half = LaurentPolynomial._trusted(
+            work.ctx, {(m // p, n // p): c.pth_root() for (m, n), c in line})
         work = work - _artin_schreier_over(half, work.denominator)
+        stripped = v
 
 
 def _divided(h, denominator):

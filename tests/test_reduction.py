@@ -1,19 +1,21 @@
 import dataclasses
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
 
 import series_reference as ref
+from wildram import reduction
 from wildram.corpus import random_polynomial
-from wildram.fields import field
+from wildram.fields import _solve_mod_p, embed, field
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
-                             blowup_substitute, pole_staircase, translate,
-                             transpose)
+                             blowup_substitute, leading_column,
+                             pole_staircase, translate, transpose, valuation)
 from wildram.parsing import parse_polynomial
 from wildram.reduction import (artin_schreier_map, artin_schreier_root,
-                               exceptional_swan, good_representative,
-                               swan_conductor)
+                               conductors, exceptional_swan,
+                               good_representative, swan_conductor)
 from wildram.staircase import Staircase, is_clean_shape, quadrant_shape
 
 F2 = field(2)
@@ -444,6 +446,120 @@ def test_exceptional_swan_matches_the_loop_on_the_chart_image():
             not n % ctx.p for m, n in image.terms if m == v)
         assert exceptional_swan(f) == swan_conductor(image, "t1")
     assert stripped >= 40
+
+
+def _swan_by_transposing(f, axis):
+    """The t1-loop on f, or on the whole transpose of f for the axis t2:
+    the loop with no in-place rounds, as an oracle."""
+    work = f if axis == "t1" else transpose(f)
+    p = work.ctx.p
+    while True:
+        v = valuation(work, "t1")
+        if v >= 0:
+            return 0
+        column = leading_column(work, v)
+        if v % p or any(n % p for n in column):
+            return -v
+        half = LaurentPolynomial(work.ctx, {(v // p, n // p): c.pth_root()
+                                            for n, c in column.items()})
+        work = work - reduction._artin_schreier_over(half, work.denominator)
+
+
+def _strips_first(f, axis):
+    """Whether the first round of the loop along the axis strips."""
+    index = 0 if axis == "t1" else 1
+    v = min((e[index] for e in f.terms), default=0)
+    return v < 0 and not v % f.ctx.p and all(
+        not e[1 - index] % f.ctx.p for e in f.terms if e[index] == v)
+
+
+@pytest.mark.parametrize("ctx", [F2, F3, field(2, 2), field(3, 2)],
+                         ids=["F2", "F3", "F4", "F9"])
+def test_conductors_match_the_loops_that_transpose(ctx):
+    # both types, polynomials and translated local functions (some of
+    # them transposed), and a Frobenius image added to half of them, so
+    # that first rounds strip on either axis, over 1 and over a
+    # denominator
+    rng = random.Random(34 + ctx.order)
+    stripped = Counter()
+    for index in range(240):
+        branches = 1 + index % 2
+        f = random_polynomial(rng, ctx, exp_bound=3,
+                              nonneg_t2=branches == 1)
+        if index % 3 == 0:
+            f = translate(f, ctx.from_encoding(rng.randrange(1, ctx.order)))
+        if index % 12 == 3:
+            # a type II local function, with its denominator, transposed
+            f = transpose(f)
+        if index % 4 < 2 or index % 12 == 3:
+            h = random_polynomial(rng, ctx, max_terms=2, exp_bound=3,
+                                  nonneg_t2=branches == 1)
+            f = f + h.frobenius_power()
+        for axis in ("t1", "t2"):
+            stripped[axis, f.denominator is None] += _strips_first(f, axis)
+        expected = (_swan_by_transposing(f, "t1"),
+                    _swan_by_transposing(f, "t2") if branches == 2 else 0,
+                    _swan_by_transposing(blowup_substitute(f, "A"), "t1"))
+        assert conductors(f, branches) == expected, (f, branches)
+        assert swan_conductor(f, "t2") == _swan_by_transposing(f, "t2")
+    assert len(stripped) == 4 and min(stripped.values()) >= 5, stripped
+
+
+@pytest.mark.parametrize("text, ctx, raw", [
+    ("t2^-2 + t1^-1", F2, (1, 2)),              # t2 strips
+    ("t1^-2 + t2^-1", F2, (2, 1)),              # t1 strips
+    ("t2^-3 + t1^3*t2^-3 + t1^-1", F3, (1, 3))])  # t2 strips
+def test_a_first_round_strips_on_either_axis(text, ctx, raw):
+    f = poly(text, ctx)
+    assert (-valuation(f, "t1"), -valuation(f, "t2")) == raw
+    assert conductors(f, 2) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("text, axis", [("t2^-2 + t1^-1", "t2"),
+                                        ("t1^-2 + t2^-1", "t1")])
+def test_a_strip_that_leaves_its_line_raises(monkeypatch, text, axis):
+    # an image that cancels nothing would be stripped for ever
+    monkeypatch.setattr(reduction, "_artin_schreier_over",
+                        lambda h, denominator: LaurentPolynomial.zero(h.ctx))
+    with pytest.raises(RuntimeError, match=f"the {axis} round at -2 left"):
+        swan_conductor(poly(text, F2), axis)
+
+
+def _artin_schreier_cases(ctx, values):
+    """Each value of ctx against the plain elimination, in ctx and in its
+    degree-p extension, and the root that artin_schreier_root gives."""
+    p = ctx.p
+    extension = field(p, ctx.degree * p)
+    in_base = 0
+    for value in values:
+        for c, target in ((ctx, value), (extension, embed(value, extension))):
+            solved = reduction._solve_artin_schreier_in(target, c)
+            plain = _solve_mod_p(reduction._artin_schreier_columns(c),
+                                 target.coeffs, p)
+            assert (None if solved is None
+                    else list(solved.coeffs)) == plain, (value, c)
+        root = artin_schreier_root(value)
+        assert root.ctx in (ctx, extension)
+        assert root ** p - root == embed(value, root.ctx)
+        in_base += root.ctx is ctx
+    return in_base
+
+
+@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
+def test_artin_schreier_roots_are_the_plain_eliminations_solution(p, k):
+    # the kept elimination gives the particular solution of
+    # fields._solve_mod_p on the same system; over F_q the map r^p - r
+    # has image of size q / p, so the rest of the roots lie in the
+    # degree-p extension
+    ctx = field(p, k)
+    assert _artin_schreier_cases(ctx, ctx.elements()) == ctx.order // p
+
+
+def test_artin_schreier_roots_over_f_2_13_are_the_plain_solution():
+    ctx = field(2, 13)
+    rng = random.Random(13)
+    values = [ctx.from_encoding(rng.randrange(ctx.order)) for _ in range(40)]
+    assert 0 < _artin_schreier_cases(ctx, values) < 40
 
 
 def test_swan_class_invariance_randomized():
