@@ -91,9 +91,15 @@ has passed below it, and the check runs once per analysis and sweep
 field: a node built again from the memo (a report's perturbed rerun)
 skips a check that has passed.
 
-The run flags of a result (``good_regime`` and the flags behind it) are
-read from the finished tree, in one walk kept on the result, so they
-depend only on the input, never on the policy.
+The tree is one preorder table, built by a loop over a work stack of
+frames, with no recursion: a row (``BlowupNode``) holds its parent's
+index, its label (the last segment of its path), its depth and its node
+fields, and no list of children.  A path is rebuilt from the parents
+only where an error message, the DOT export or a caller reads it.  The
+total, the depth and the run flags of a result (``good_regime`` and the
+flags behind it) are loops over the finished table, so they depend only
+on the input, never on the policy, and no walk meets the recursion
+limit, whatever the depth.
 """
 
 from __future__ import annotations
@@ -116,8 +122,9 @@ class CrossCheckError(RuntimeError):
 
 class DepthCapError(RuntimeError):
     """The blow-up tree exceeded the configured depth cap.  ``partial`` is
-    the tree built up to the cap, rooted at the input's node; its deepest
-    node is the one whose child at ``path`` was cut."""
+    the preorder table of the tree built up to the cap (rows as in
+    ``BlowupNode``, the input's node first); the child at ``path`` that
+    was cut would have been its next row."""
 
     def __init__(self, path, partial):
         self.path = path
@@ -149,93 +156,69 @@ class SimulationConfig:
             raise ValueError("caps and degrees must be >= 1")
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class BlowupNode:
-    path: str                     # chart letters and translation points from the root
+    """One row of a tree's preorder table ``tree``, whose row 0 is the
+    root: a node comes before its children, and each child's subtree
+    follows the one before it."""
+    tree: list = dataclass_field(repr=False)
+    parent: int | None            # the parent's row in tree, None at the root
+    label: str                    # "x" at the root, else B, A or A@v=<point>
+    depth: int                    # 0 at the root
     branches: int
     staircase: object
     drop: int
     term: int
     clean: bool
-    children: list = dataclass_field(default_factory=list)
     constant_added: bool = False
     repair: bool = False          # reduced staircase != raw input staircase
     reductions: int = 0
 
-    def total(self):
-        return sum(n.term for n in self.nodes())
-
-    def blowup_depth(self):
-        """The most non-clean nodes on a path down from this node, a clean
-        node ending its path (0 when this node is clean), by an explicit
-        stack."""
-        deepest = 0
-        stack = [(self, 1)]
-        while stack:
-            node, level = stack.pop()
-            if node.clean:
-                continue
-            if level > deepest:
-                deepest = level
-            stack.extend((child, level + 1) for child in node.children)
-        return deepest
+    @property
+    def path(self):
+        """The labels from the root down to this node, joined by "/",
+        rebuilt from the parents."""
+        labels = [self.label]
+        node = self
+        while node.parent is not None:
+            node = self.tree[node.parent]
+            labels.append(node.label)
+        return "/".join(reversed(labels))
 
     def nodes(self):
-        """Every node of the tree in preorder (a node, then each child's
-        subtree in turn), by an explicit stack, so that the depth of the
-        tree is not bounded by the recursion limit."""
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            yield node
-            stack.extend(reversed(node.children))
+        """Every row of this node's tree, in preorder: its table."""
+        return self.tree
 
-    def signature(self):
-        """(path, branches, staircase, drop, clean, the children's
-        signatures), built from the leaves up: in reversed preorder every
-        node comes after its descendants, so no recursion is needed."""
-        built = {}
-        for node in reversed(list(self.nodes())):
-            built[id(node)] = (node.path, node.branches, node.staircase,
-                               node.drop, node.clean,
-                               tuple(built[id(c)] for c in node.children))
-        return built[id(self)]
+
+def _path(parent, label):
+    """The path of the node with this label below the row `parent` (None
+    for the root)."""
+    return label if parent is None else f"{parent.path}/{label}"
 
 
 @dataclass
 class ResolutionResult:
     total: int
-    root: BlowupNode
+    root: BlowupNode              # row 0 of the tree's table, root.tree
     representative: object        # the input's, which the root was built from
     # read by perfbench/workloads.py until ROADMAP item 4: root search is
     # complete and translation exact, so these never change
     partial_roots = False
     precision_escalations = 0
 
-    @functools.cached_property
-    def _flags(self):
-        """(constant_added_anywhere, off_origin_nonclean, nonroot_repair),
-        from one walk of the finished tree, kept on the result."""
-        constant = off_origin = repair = False
-        root = self.root
-        for node in root.nodes():
-            constant = constant or node.constant_added
-            # the tree keeps an off-origin point only when it is non-clean
-            off_origin = off_origin or "@v=" in node.path
-            repair = repair or (node.repair and node is not root)
-        return constant, off_origin, repair
-
     @property
     def constant_added_anywhere(self):
-        return self._flags[0]
+        return any(node.constant_added for node in self.root.tree)
 
     @property
     def off_origin_nonclean(self):
-        return self._flags[1]
+        # the tree keeps an off-origin point only when it is non-clean
+        return any(node.label.startswith("A@v=") for node in self.root.tree)
 
     @property
     def nonroot_repair(self):
-        return self._flags[2]
+        return any(node.repair for node in self.root.tree
+                   if node.parent is not None)
 
     @property
     def good_regime(self):
@@ -248,7 +231,11 @@ class ResolutionResult:
 
     @property
     def depth(self):
-        return self.root.blowup_depth()
+        """The most non-clean nodes on a path down from the root, 0 when
+        the root is clean: a clean node has no children, so every
+        ancestor of a non-clean node is non-clean."""
+        return max((node.depth + 1 for node in self.root.tree
+                    if not node.clean), default=0)
 
 
 def check_point(f, branches):
@@ -273,20 +260,20 @@ def resolve(f, branches, config=None, *, memo=None):
     sweep = (field(f.ctx.p, f.ctx.degree * config.sweep_degree)
              if config.mode == "sweep" else None)
     call = _Call(config.depth_cap, sweep, {} if memo is None else memo)
-    root = _build_node(f, branches, "x", 0, call)
+    tree = _build_tree(f, branches, call)
     return ResolutionResult(
-        total=root.total(), root=root,
-        representative=call.analysis(f, branches, "x").representative)
+        total=sum(node.term for node in tree), root=tree[0],
+        representative=call.analysis(f, branches, None, "x").representative)
 
 
 @dataclass
 class _NodeAnalysis:
     """What a node's polynomial determines: the node's fields but its
-    path, its good representative, the chart B and chart A images of that
-    representative when the node is not clean, the refined Swan zeros
-    below the chart A image, in every field, once the enumeration of the
-    node's children first reaches them, and the sweep fields whose check
-    (``_Call.check_sweep``) has passed below it."""
+    place in the tree, its good representative, the chart B and chart A
+    images of that representative when the node is not clean, the refined
+    Swan zeros below the chart A image, in every field, once the
+    enumeration of the node's children first reaches them, and the sweep
+    fields whose check (``_Call.check_sweep``) has passed below it."""
     fields: dict
     representative: object
     charts: tuple = ()
@@ -306,19 +293,22 @@ class _Call:
         self.sweep = sweep
         self.memo = memo    # (polynomial, branches) -> analysis
 
-    def analysis(self, poly, branches, path):
+    def analysis(self, poly, branches, parent, label):
         """The analysis of a node polynomial, analysed once per memo.
         The key holds the branches because the node fields depend on
-        them; nothing in it depends on the mode."""
+        them; nothing in it depends on the mode.  `parent` (the row
+        above, None at the root) and `label` name the node in the error
+        of a failed check."""
         key = (poly, branches)
         info = self.memo.get(key)
         if info is None:
-            info = self.memo[key] = _analyse(poly, branches, path)
+            info = self.memo[key] = _analyse(poly, branches, parent, label)
         return info
 
-    def check_sweep(self, info, path):
+    def check_sweep(self, info, node):
         """CrossCheckError unless every point of the sweep field that is
-        no refined Swan zero comes out clean below a node in sweep mode.
+        no refined Swan zero comes out clean below the row `node` in sweep
+        mode.
         The points are probed one per Frobenius orbit under x -> x^q, F_q
         the chart's field, among the points that are no zero.  A probe is
         examined (``_examine``: reduction, shape, both cross-checks), not
@@ -344,59 +334,63 @@ class _Call:
             if point in info.zeros or orbit in probed:
                 continue
             probed.add(orbit)
-            child = f"{path}/{label}"
             moved = translate(image, embed(element, ctx))
-            if not _examine(moved, 1, child)[1]:
+            if not _examine(moved, 1, node, label)[1]:
                 raise CrossCheckError(
-                    f"at {child}: not clean, but {_point_key(point)} "
-                    f"(field degree, encoding) is no refined Swan zero "
-                    f"in {sweep}")
+                    f"at {_path(node, label)}: not clean, but "
+                    f"{_point_key(point)} (field degree, encoding) is no "
+                    f"refined Swan zero in {sweep}")
         info.swept += (sweep,)
 
 
-def _build_node(poly, branches, path, depth, call):
-    if depth > call.depth_cap:
-        raise DepthCapError(path, None)
-    info = call.analysis(poly, branches, path)
-    fields = info.fields
-    node = BlowupNode(path, branches, fields["staircase"], fields["drop"],
-                      fields["term"], fields["clean"], [],
-                      fields["constant_added"], fields["repair"],
-                      fields["reductions"])
-    if node.clean:
-        return node
+def _build_tree(f, branches, call):
+    """The preorder table of f's tree, built by a loop.  Each non-clean
+    row has a frame on the work stack while its children are built: its
+    analysis, the iterator of its children and its row index.  A row
+    enters the table when it is reached, so a child's subtree follows it
+    and the table built so far is the tree up to the current row."""
+    tree = []
+    frames = []
 
-    children = node.children
-    try:
-        for child_poly, child_branches, label in _blowup_children(info, call):
-            child = _build_node(child_poly, child_branches, f"{path}/{label}",
-                                depth + 1, call)
-            # the chart origins come first and stay in the tree even when
-            # clean; the points after them are refined Swan zeros, which
-            # are never clean
-            if child.clean and len(children) >= 2:
-                raise CrossCheckError(
-                    f"at {child.path}: a refined Swan zero is clean")
-            children.append(child)
-    except DepthCapError as err:
-        # the tree built so far: this node, with the finished children and
-        # the partial subtree below it, so the outermost frame leaves the
-        # input's node as the root
-        if err.partial is not None:
-            children.append(err.partial)
-        err.partial = node
-        raise
-    if call.sweep is not None:
-        call.check_sweep(info, path)
-    return node
+    def add(poly, node_branches, parent, label):
+        above = None if parent is None else tree[parent]
+        depth = 0 if above is None else above.depth + 1
+        if depth > call.depth_cap:
+            raise DepthCapError(_path(above, label), tree)
+        info = call.analysis(poly, node_branches, above, label)
+        row = BlowupNode(tree, parent, label, depth, **info.fields)
+        tree.append(row)
+        if not row.clean:
+            frames.append((info, _blowup_children(info, call), len(tree) - 1))
+        return row
+
+    add(f, branches, None, "x")
+    while frames:
+        info, children, index = frames[-1]
+        child = next(children, None)
+        if child is None:
+            frames.pop()
+            if call.sweep is not None:
+                call.check_sweep(info, tree[index])
+            continue
+        poly, child_branches, label = child
+        row = add(poly, child_branches, index, label)
+        # the chart origins come first and stay in the tree even when
+        # clean; the points after them are refined Swan zeros, which are
+        # never clean
+        if row.clean and row.label.startswith("A@v="):
+            raise CrossCheckError(
+                f"at {row.path}: a refined Swan zero is clean")
+    return tree
 
 
-def _examine(poly, branches, path):
+def _examine(poly, branches, parent, label):
     """(good representative, clean, drop, term) of a node polynomial,
     with the checks that every node and every sweep probe runs: the
     reduction (which verifies its witness), the staircase shape, the drop
     from the staircase against the conductor loops, and a zero term on a
-    clean node.  CrossCheckError names `path` when a check fails."""
+    clean node.  CrossCheckError names the point by its path, rebuilt
+    from `parent` and `label` only then."""
     rep = good_representative(poly)
     stair = rep.staircase
     clean = is_clean_shape(stair, branches)
@@ -404,19 +398,20 @@ def _examine(poly, branches, path):
     sw1, sw2, swe = conductors(rep.g, branches)
     if drop != sw1 + sw2 - swe:
         raise CrossCheckError(
-            f"at {path}: staircase gives drop {drop}, conductors give "
-            f"{sw1} + {sw2} - {swe}")
+            f"at {_path(parent, label)}: staircase gives drop {drop}, "
+            f"conductors give {sw1} + {sw2} - {swe}")
     term = blowup_term(drop, branches)
     if clean and term != 0:
-        raise CrossCheckError(f"clean node {path} with nonzero term")
+        raise CrossCheckError(
+            f"clean node {_path(parent, label)} with nonzero term")
     return rep, clean, drop, term
 
 
-def _analyse(poly, branches, path):
+def _analyse(poly, branches, parent, label):
     """The analysis of a node polynomial: ``_examine``'s fields and
     checks, whether the reduction repaired the staircase, and the chart
     images of a non-clean node."""
-    rep, clean, drop, term = _examine(poly, branches, path)
+    rep, clean, drop, term = _examine(poly, branches, parent, label)
     stair = rep.staircase
     # below the root, a repair means the chart image alone no longer
     # describes the node, so the staircase recursion stops being exact
@@ -556,27 +551,22 @@ def _frobenius_orbits(points, q):
 # exports
 # ---------------------------------------------------------------------------
 
-def tree_as_dict(node):
-    """The JSON form of a tree, by an explicit stack in preorder: each
-    node's dict is appended to its parent's children as it is reached."""
-    out = []
-    stack = [(node, out)]
-    while stack:
-        node, siblings = stack.pop()
-        children = []
-        siblings.append({
-            "path": node.path,
-            "branches": node.branches,
-            "staircase": [list(pt) for pt in node.staircase],
-            "drop": node.drop,
-            "term": node.term,
-            "clean": node.clean,
-            "constant_added": node.constant_added,
-            "reductions": node.reductions,
-            "children": children,
-        })
-        stack.extend((child, children) for child in reversed(node.children))
-    return out[0]
+def tree_as_dict(root):
+    """The JSON form of root's tree: its table, one dict per row in
+    preorder, with the parent's index (None at the root), the label and
+    the depth in place of a path and children."""
+    return [{
+        "parent": node.parent,
+        "label": node.label,
+        "depth": node.depth,
+        "branches": node.branches,
+        "staircase": [list(pt) for pt in node.staircase],
+        "drop": node.drop,
+        "term": node.term,
+        "clean": node.clean,
+        "constant_added": node.constant_added,
+        "reductions": node.reductions,
+    } for node in root.tree]
 
 
 def simulation_as_dict(result):
@@ -594,29 +584,21 @@ def simulation_as_dict(result):
     }
 
 
-def tree_as_dot(node):
-    """The Graphviz form of a tree: nodes numbered in preorder, and each
-    edge listed after the subtree below it.  The explicit stack holds the
-    nodes still to draw, with their parents' ids, and the edge lines due
-    once a subtree is drawn."""
+def tree_as_dot(root):
+    """The Graphviz form of root's tree: node i is row i of its table,
+    and the edge from its parent follows its line.  Each path extends
+    its parent's, so the paths cost their length only."""
     lines = ["digraph blowups {", '  node [shape=box, fontname="monospace"];']
-    stack = [(node, None)]
-    count = 0
-    while stack:
-        entry = stack.pop()
-        if type(entry) is str:
-            lines.append(entry)
-            continue
-        n, parent_id = entry
-        my_id = f"n{count}"
-        count += 1
+    paths = []
+    for i, n in enumerate(root.tree):
+        path = n.label if n.parent is None else f"{paths[n.parent]}/{n.label}"
+        paths.append(path)
         shape = "I" if n.branches == 1 else "II"
         stair = ",".join(f"({a},{b})" for a, b in n.staircase)
         status = "clean" if n.clean else f"e={n.drop} mu={n.term}"
-        lines.append(f'  {my_id} [label="{n.path}\\ntype {shape}  '
+        lines.append(f'  n{i} [label="{path}\\ntype {shape}  '
                      f'[{stair}]\\n{status}"];')
-        if parent_id is not None:
-            stack.append(f"  {parent_id} -> {my_id};")
-        stack.extend((c, my_id) for c in reversed(n.children))
+        if n.parent is not None:
+            lines.append(f"  n{n.parent} -> n{i};")
     lines.append("}")
     return "\n".join(lines)

@@ -77,69 +77,6 @@ def _print_report(report):
         print(f"  {mark}  {name}  {extra}")
 
 
-def _json_key(key):
-    """The JSON text of a dict key, which ``json.dumps`` makes a string."""
-    if not isinstance(key, str):
-        if key is not None and not isinstance(key, (int, float)):
-            raise TypeError(f"keys must be str, int, float, bool or None, "
-                            f"not {type(key).__name__}")
-        key = json.dumps(key)
-    return json.dumps(key)
-
-
-def _json_chunks(obj):
-    """The text of ``json.dumps(obj, indent=2, sort_keys=True)``, in
-    pieces, by an explicit stack of open containers, so that no nesting
-    depth meets the recursion limit: a blow-up tree's dict nests two
-    levels per node."""
-    stack = []      # [items, closing bracket, items written, id] per container
-    open_ids = set()
-    value = obj
-    while True:
-        if isinstance(value, (dict, list, tuple)):
-            is_dict = isinstance(value, dict)
-            if not value:
-                yield "{}" if is_dict else "[]"
-            elif id(value) in open_ids:
-                raise ValueError("Circular reference detected")
-            else:
-                open_ids.add(id(value))
-                yield "{" if is_dict else "["
-                stack.append([iter(sorted(value.items())) if is_dict
-                              else iter(value), "}" if is_dict else "]", 0,
-                              id(value)])
-        else:
-            yield json.dumps(value)     # no container: no recursion
-        while stack:
-            top = stack[-1]
-            item = next(top[0], _DONE)
-            if item is _DONE:
-                stack.pop()
-                open_ids.discard(top[3])
-                yield "\n" + "  " * len(stack) + top[1]
-                continue
-            indent = "\n" + "  " * len(stack)
-            yield "," + indent if top[2] else indent
-            top[2] += 1
-            if top[1] == "}":
-                key, item = item
-                yield _json_key(key) + ": "
-            value = item
-            break
-        else:
-            return
-
-
-_DONE = object()    # the end of a container's items
-
-
-def _print_json(obj):
-    """Print obj as ``print(json.dumps(obj, indent=2, sort_keys=True))``
-    would, a piece at a time."""
-    sys.stdout.writelines(_json_chunks(obj))
-    sys.stdout.write("\n")
-
-
 def main(argv=None):
     parser = _Parser(
         prog="wildram",
@@ -187,7 +124,7 @@ def _dispatch(args):
     if args.command == "report":
         report = build_report(_spec_from_args(args))
         if args.json:
-            _print_json(report.to_dict())
+            print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
         else:
             _print_report(report)
         return 0 if report.passed else 2
@@ -201,7 +138,8 @@ def _dispatch(args):
             with open(args.dot, "w", encoding="utf-8") as handle:
                 handle.write(tree_as_dot(result.root))
         if args.json:
-            _print_json(simulation_as_dict(result))
+            print(json.dumps(simulation_as_dict(result), indent=2,
+                             sort_keys=True))
         else:
             print(f"r_x = {result.total}  depth = {result.depth}  "
                   f"good regime = {result.good_regime}")
@@ -210,7 +148,7 @@ def _dispatch(args):
     if args.command == "corpus":
         summary = run_corpus(args.seed, args.count, args.mode)
         if args.json:
-            _print_json(summary)
+            print(json.dumps(summary, indent=2, sort_keys=True))
         else:
             for name, entry in summary["checks"].items():
                 line = f"{name}: {entry['pass']} pass, {entry['fail']} fail"
@@ -225,7 +163,7 @@ def _dispatch(args):
             config = SurfaceConfig.from_dict(json.load(handle))
         result = euler_delta(config)
         if args.json:
-            _print_json(result.to_dict())
+            print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
         else:
             print(f"(Sw,Sw) = {result.sw_self}   (Sw,Klog) = {result.sw_klog}"
                   f"   delta = {result.delta}")

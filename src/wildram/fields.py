@@ -95,14 +95,35 @@ def _pmulmod(a, b, modulus, p):
     return tuple([c % p for c in prod[:k]])
 
 
+# Miller-Rabin to the first 13 primes as bases is exact below psi_13
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).  The first 12 are not enough below it:
+# psi_12 = 318665857834031151167461 passes all of them and is composite.
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_BOUND = 3317044064679887385961981      # psi_13
+
+
 def _is_prime(n):
+    """Whether n is prime, for n below ``_PRIME_BOUND``: a strong
+    probable-prime test to every base of ``_PRIME_BASES``."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for a in _PRIME_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -170,6 +191,10 @@ class FieldContext:
                  "_neg", "_zero_log", "_prime")
 
     def __init__(self, p, degree):
+        if p >= _PRIME_BOUND:
+            raise ValueError(f"characteristic {p} is not below "
+                             f"{_PRIME_BOUND}, where primality is decided "
+                             f"exactly")
         if not _is_prime(p):
             raise ValueError(f"characteristic {p} is not prime")
         if degree < 1:

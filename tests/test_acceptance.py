@@ -9,7 +9,7 @@ from a hand-checked regression, or recomputed through a second route.
 import random
 import time
 
-from wildram.blowup import SimulationConfig, resolve
+from wildram.blowup import SimulationConfig, resolve, tree_as_dict
 from wildram.corpus import random_polynomial, random_staircase
 from wildram.euler import SurfaceConfig, euler_delta
 from wildram.fields import field
@@ -209,7 +209,7 @@ def test_criterion_9_candidates_and_sweep_agree():
         direct = resolve(f, 2, SimulationConfig(mode="candidates"))
         swept = resolve(f, 2, SimulationConfig(mode="sweep",
                                                sweep_degree=sweep_degree))
-        if (direct.root.signature() != swept.root.signature()
+        if (tree_as_dict(direct.root) != tree_as_dict(swept.root)
                 or any(getattr(direct, flag) != getattr(swept, flag)
                        for flag in RUN_FLAGS)):
             failures.append(format_polynomial(f))

@@ -99,11 +99,17 @@ def test_simulation_config_refuses_floats_and_bools(name, value):
         SimulationConfig(**{name: value})
 
 
+def _children(node):
+    """The rows of node's table whose parent is node, in order."""
+    index = node.tree.index(node)
+    return [n for n in node.tree if n.parent == index]
+
+
 def _nonclean_children(f):
     """(label, branches) of each non-clean point that the first blow-up
     of f leaves, read off the first level of its resolution tree."""
-    return [(c.path.rsplit("/", 1)[-1], c.branches)
-            for c in resolve(f, 2).root.children if not c.clean]
+    return [(c.label, c.branches)
+            for c in _children(resolve(f, 2).root) if not c.clean]
 
 
 def test_children_only_first_chart_origin():
@@ -150,7 +156,7 @@ def test_candidate_points_from_leading_coefficient():
     assert _off_origin_labels(f) == []
     # sweep mode probes v = 1 and finds it clean
     swept = resolve(f, 2, SimulationConfig(mode="sweep"))
-    assert swept.root.signature() == resolve(f, 2).root.signature()
+    assert tree_as_dict(swept.root) == tree_as_dict(resolve(f, 2).root)
 
 
 def _with_simple_roots(real):
@@ -269,7 +275,7 @@ def _resolve_in_both_modes(f):
         mode="sweep", sweep_degree=3 if f.ctx.p == 2 else 2))
     direct = resolve(f, 2, SimulationConfig())
     assert direct.total == swept.total
-    assert direct.root.signature() == swept.root.signature()
+    assert tree_as_dict(direct.root) == tree_as_dict(swept.root)
     for flag in RUN_FLAGS:
         assert getattr(direct, flag) == getattr(swept, flag), flag
     return direct, swept
@@ -302,7 +308,7 @@ def test_constant_repair_after_a_reduction_agrees_across_modes(text, total):
         swept = resolve(f, 2, SimulationConfig(mode="sweep",
                                                sweep_degree=degree))
         assert swept.total == direct.total
-        assert swept.root.signature() == direct.root.signature()
+        assert tree_as_dict(swept.root) == tree_as_dict(direct.root)
         for flag in RUN_FLAGS:
             assert getattr(swept, flag) == getattr(direct, flag), flag
 
@@ -394,7 +400,7 @@ def test_one_round_reduces_each_exact_polynomial_once(monkeypatch):
     assert any(g.denominator is not None for g in first)
     del reduced[:]
     again = resolve(f, 2)
-    assert again.root.signature() == result.root.signature()
+    assert tree_as_dict(again.root) == tree_as_dict(result.root)
     assert Counter(reduced) == Counter(first)
 
 
@@ -431,9 +437,9 @@ def _recording_analyse(monkeypatch):
     analysed = []
     original = blowup._analyse
 
-    def recorded(g, branches, path):
+    def recorded(g, branches, parent, label):
         analysed.append((g, branches))
-        return original(g, branches, path)
+        return original(g, branches, parent, label)
 
     monkeypatch.setattr(blowup, "_analyse", recorded)
     return analysed
@@ -465,7 +471,7 @@ def test_a_shared_memo_analyses_each_exact_polynomial_once(monkeypatch):
     count = len(analysed)
     assert count == len(set(analysed)) == len(memo)
     again = resolve(f, 2, memo=memo)
-    assert again.root.signature() == first.root.signature()
+    assert tree_as_dict(again.root) == tree_as_dict(first.root)
     assert len(analysed) == count
 
 
@@ -504,15 +510,22 @@ def test_sweep_probes_leave_the_memo_alone(monkeypatch, text, ctx, degree):
     # and is read once per built node and once for the root's
     # representative: the probes of the sweep checks, many more, are
     # examined without a memo key
-    built = _recording(monkeypatch, "_build_node")
+    looked_up = []
+    original = blowup._Call.analysis
+
+    def recorded(call, *args):
+        looked_up.append(args)
+        return original(call, *args)
+
+    monkeypatch.setattr(blowup._Call, "analysis", recorded)
     examined = _recording(monkeypatch, "_examine")
     memo = _CountingMemo()
     result = resolve(poly(text, ctx), 2,
                      SimulationConfig(mode="sweep", sweep_degree=degree),
                      memo=memo)
-    assert len(built) == sum(1 for _ in result.root.nodes())
-    assert set(memo) == {args[:2] for args in built}
-    assert memo.lookups == len(built) + 1
+    assert len(looked_up) == len(result.root.nodes()) + 1
+    assert set(memo) == {args[:2] for args in looked_up}
+    assert memo.lookups == len(looked_up)
     assert len(examined) > 2 * len(memo)
 
 
@@ -532,8 +545,33 @@ def test_a_sweep_check_runs_once_per_analysis_and_sweep_field(monkeypatch):
         result = resolve(f, 2, config, memo=memo)
         assert simulation_as_dict(result) == expected
         nodes = {n.path for n in result.root.nodes()}
-        probes.append([path for _, _, path in examined if path not in nodes])
+        paths = (blowup._path(parent, label) for *_, parent, label in examined)
+        probes.append([path for path in paths if path not in nodes])
     assert probes[0] and not probes[1] and probes[2]
+
+
+def test_the_sweep_check_follows_each_non_clean_subtree(monkeypatch):
+    # the check runs once per non-clean row, right after the last row of
+    # its subtree has entered the table and before any other row does
+    calls = []
+    original = blowup._Call.check_sweep
+
+    def recorded(call, info, node):
+        calls.append((node, len(node.tree)))
+        return original(call, info, node)
+
+    monkeypatch.setattr(blowup._Call, "check_sweep", recorded)
+    result = resolve(poly("t1^-6*t2^3 + t2^-3", F2), 2,
+                     SimulationConfig(mode="sweep", sweep_degree=2))
+    tree = result.root.tree
+    nonclean = [node for node in tree if not node.clean]
+    assert len(nonclean) > 2
+    assert sorted(map(id, nonclean)) == sorted(id(node) for node, _ in calls)
+    for node, size in calls:
+        i = tree.index(node)
+        end = next((j for j in range(i + 1, len(tree))
+                    if tree[j].depth <= node.depth), len(tree))
+        assert size == end, node.path
 
 
 def test_a_drop_mismatch_on_a_sweep_probe_names_the_probe(monkeypatch):
@@ -569,19 +607,11 @@ def test_the_callers_input_keeps_no_translation_plan(mode):
         assert any(g._plan is not None for g, _ in memo)
 
 
-def _recursive_preorder(node):
-    """The preorder that ``BlowupNode.nodes`` gave as a recursive
-    generator."""
-    yield node
-    for child in node.children:
-        yield from _recursive_preorder(child)
-
-
 def _flags_by_definition(result):
-    nodes = list(_recursive_preorder(result.root))
+    nodes = result.root.nodes()
     return (any(n.constant_added for n in nodes),
             any("@v=" in n.path for n in nodes),
-            any(n.repair for n in nodes if n is not result.root))
+            any(n.repair for n in nodes[1:]))
 
 
 def test_run_flags_match_their_definitions_in_both_modes():
@@ -614,75 +644,90 @@ def test_run_flags_match_their_definitions_in_both_modes():
     assert any(flags[3] and not flags[2] for flags in seen)
 
 
-def _node_from_dict(tree):
-    return BlowupNode(
-        path=tree["path"], branches=tree["branches"],
-        staircase=tuple(map(tuple, tree["staircase"])), drop=tree["drop"],
-        term=tree["term"], clean=tree["clean"],
-        children=[_node_from_dict(child) for child in tree["children"]],
-        constant_added=tree["constant_added"],
-        reductions=tree["reductions"])
-
-
 def _trees_in(data):
-    """Every blow-up tree in a golden file's JSON."""
+    """Every blow-up tree in a golden file's JSON: each "tree" value."""
     if isinstance(data, dict):
-        if "children" in data and "path" in data:
-            yield data
-            return
-        data = data.values()
-    if isinstance(data, (list, type({}.values()))):
+        for key, value in data.items():
+            if key == "tree":
+                yield value
+            else:
+                yield from _trees_in(value)
+    elif isinstance(data, list):
         for value in data:
             yield from _trees_in(value)
 
 
-def test_nodes_walks_every_golden_tree_in_recursive_preorder():
+def _check_preorder(tree):
+    """The rows of a tree_as_dict list form a preorder table: the root
+    first with no parent, every other row one level below its parent, an
+    earlier row, which is the nearest earlier row one level up."""
+    assert tree[0]["parent"] is None and tree[0]["depth"] == 0
+    assert tree[0]["label"] == "x"
+    for index, row in enumerate(tree[1:], 1):
+        parent = row["parent"]
+        assert parent is not None and parent < index
+        assert row["depth"] == tree[parent]["depth"] + 1
+        assert parent == max(i for i in range(index)
+                             if tree[i]["depth"] == row["depth"] - 1)
+
+
+def test_every_golden_tree_is_a_preorder_table():
     trees = 0
     for path in sorted(GOLDEN.glob("*.txt")):
         data = json.loads(path.read_text(encoding="utf-8").split("\n", 1)[1])
         for tree in _trees_in(data):
-            root = _node_from_dict(tree)
-            assert (list(map(id, root.nodes()))
-                    == list(map(id, _recursive_preorder(root)))), path.name
+            _check_preorder(tree)
             trees += 1
     assert trees >= 8
 
 
-def test_a_3000_deep_chain_is_walked_at_the_default_recursion_limit():
-    # the walk of nodes(), the total, the run flags, the depth, the
-    # signature and both exports use no recursion
+def _chain_result(depth):
+    """A result whose tree is a chain of `depth` non-clean rows: the last
+    an off-origin point, the one above it repaired, and one with a
+    constant added."""
+    tree = []
+    for level in range(depth):
+        label = "x" if level == 0 else "A@v=1" if level == depth - 1 else "A"
+        tree.append(BlowupNode(tree, level - 1 if level else None, label,
+                               level, branches=2, staircase=((0, 1), (2, 0)),
+                               drop=2, term=1, clean=False))
+    tree[-2].repair = True
+    tree[depth // 2].constant_added = True
+    return ResolutionResult(total=depth, root=tree[0], representative=None)
+
+
+def test_a_3000_deep_table_is_walked_exported_and_printed():
+    # the total, the run flags, the depth, a path, both exports and
+    # json.dumps all run at the default recursion limit, and the JSON
+    # text grows linearly with the rows
     assert sys.getrecursionlimit() < 3000
-    chain = [BlowupNode(path=f"n{depth}", branches=2, staircase=(), drop=2,
-                        term=1, clean=False) for depth in range(3000)]
-    for parent, child in zip(chain, chain[1:]):
-        parent.children.append(child)
-    chain[-1].path += "/A@v=1"
-    chain[-2].repair = True
-    chain[1500].constant_added = True
-    root = chain[0]
-    assert list(map(id, root.nodes())) == list(map(id, chain))
-    assert root.total() == 3000
-    result = ResolutionResult(total=3000, root=root, representative=None)
+    result = _chain_result(3000)
+    root = result.root
+    assert root.nodes() is root.tree and len(root.tree) == 3000
+    assert sum(n.term for n in root.nodes()) == result.total == 3000
     assert (result.constant_added_anywhere, result.off_origin_nonclean,
             result.nonroot_repair, result.good_regime) == (True, True, True,
                                                            False)
-    assert root.blowup_depth() == result.depth == 3000
-    # the nested signatures and dicts are read level by level, as comparing
-    # or printing them whole would recurse
-    signature, tree = root.signature(), tree_as_dict(root)
-    for node in chain:
-        assert signature[:5] == (node.path, 2, (), 2, False)
-        assert tree["path"] == node.path and tree["term"] == 1
-        assert len(signature[5]) == len(tree["children"]) == len(node.children)
-        signature = signature[5][0] if node.children else None
-        tree = tree["children"][0] if node.children else None
+    assert result.depth == 3000
+    assert root.tree[-1].path == "x" + "/A" * 2998 + "/A@v=1"
+    tree = tree_as_dict(root)
+    _check_preorder(tree)
+    assert [row["parent"] for row in tree] == [None, *range(2999)]
+    sizes = []
+    for depth in (1000, 2000, 3000):
+        obj = simulation_as_dict(_chain_result(depth))
+        text = json.dumps(obj, indent=2, sort_keys=True)
+        assert json.loads(text) == obj
+        sizes.append(len(text))
+    assert json.loads(text)["tree"] == tree
+    assert abs((sizes[2] - sizes[1]) - (sizes[1] - sizes[0])) <= 10, sizes
     lines = tree_as_dot(root).splitlines()
     assert len(lines) == 2 + 3000 + 2999 + 1
-    # the labels in preorder, then each edge after the subtree below it
-    assert [line.split()[0] for line in lines[2:3002]] == [
-        f"n{i}" for i in range(3000)]
-    assert lines[3002:-1] == [f"  n{i} -> n{i + 1};"
-                              for i in reversed(range(2999))]
+    # each node's line, then the edge from its parent
+    assert [line.split()[0] for line in lines[2:-1]] == ["n0"] + [
+        name for i in range(1, 3000) for name in (f"n{i}", f"n{i - 1}")]
+    assert lines[-2] == "  n2998 -> n2999;"
+    assert lines[-3].startswith(f'  n2999 [label="{root.tree[-1].path}\\n')
 
 
 @pytest.mark.parametrize("expr, ctx", [("t1^-3*t2 + t2^-2", F3),
@@ -845,8 +890,8 @@ def test_sweep_points_are_listed_once_per_field_per_process(
             result = resolve(f, 2, SimulationConfig(mode="sweep",
                                                     sweep_degree=degree))
             assert sum(not n.clean for n in result.root.nodes()) > 1
-            trees.setdefault(degree, result.root.signature())
-            assert result.root.signature() == trees[degree]
+            trees.setdefault(degree, tree_as_dict(result.root))
+            assert tree_as_dict(result.root) == trees[degree]
     listed = blowup._sweep_points.cache_info()
     assert listed.misses == 2 and listed.currsize == 2    # F_4 and F_8
     assert orbits == [(2, 2), (2, 4), (3, 2)]
@@ -865,37 +910,42 @@ def test_frobenius_orbits_group_conjugates_under_the_first_point():
 def test_exports():
     result = resolve(poly("t1^-2*t2", F2), 2)
     tree = tree_as_dict(result.root)
-    assert tree["path"] == "x" and tree["children"]
+    assert tree[0]["label"] == "x" and tree[0]["parent"] is None
+    assert [row["parent"] for row in tree[1:3]] == [0, 0]
     dot = tree_as_dot(result.root)
     assert dot.startswith("digraph") and "type II" in dot
 
 
 def test_depth_cap_error_carries_partial_tree():
-    # the tree built up to the cap, rooted at the input's node: finished
-    # children stay, and the branch that hit the cap ends at the node
-    # whose child was cut
+    # the table of the tree built up to the cap, the input's node first:
+    # finished children stay, and the branch that hit the cap ends at the
+    # node whose child was cut
     with pytest.raises(DepthCapError) as err:
         resolve(poly("t1^-2*t2", F3), 2, SimulationConfig(depth_cap=1))
     partial = err.value.partial
     assert err.value.path == "x/A/B"
-    assert partial.path == "x"
-    assert [c.path for c in partial.children] == ["x/B", "x/A"]
-    assert partial.children[1].children == []
-    # the depth-32 cut of ROADMAP item 2's reproducer
+    assert [n.path for n in partial] == ["x", "x/B", "x/A"]
+    assert _children(partial[2]) == []
+    # the depth-32 cut of ROADMAP item 2's reproducer: 65 rows, chart B's
+    # origin and chart A's at each level, the last cut below chart A
     with pytest.raises(DepthCapError) as err:
         resolve(poly("t1^-200*t2 + t2^-3", F2), 2)
     partial = err.value.partial
-    nodes = {node.path: node for node in partial.nodes()}
+    _check_preorder(tree_as_dict(partial[0]))
+    nodes = {node.path: node for node in partial}
     cut = err.value.path.rpartition("/")[0]
-    assert partial.path == "x" and len(nodes) == 65
-    assert max(path.count("/") for path in nodes) == cut.count("/") == 32
-    assert nodes[cut].children == []
+    assert partial[0].path == "x" and len(partial) == len(nodes) == 65
+    assert [n.label for n in partial] == ["x"] + ["B", "A"] * 32
+    assert (sum(n.term for n in partial), sum(n.clean for n in partial)) == (
+        528, 32)
+    assert max(n.depth for n in partial) == nodes[cut].depth == 32
+    assert _children(nodes[cut]) == []
 
 
 def test_children_order_is_chart_then_points():
     f = poly("t1^-2*t2 + t1^-4*t2^3", F2)
     result = resolve(f, 2)
-    labels = [c.path for c in result.root.children]
+    labels = [c.path for c in _children(result.root)]
     assert labels[0].endswith("/B")
     assert labels[1].endswith("/A")
     assert all("@v=" in rest for rest in labels[2:])
@@ -913,7 +963,7 @@ def test_candidates_include_roots_in_an_extension():
         assert _off_origin_labels(f) == ["A@v=g", "A@v=g + 1"]
         direct = resolve(f, 2)
         swept = resolve(f, 2, SimulationConfig(mode="sweep", sweep_degree=2))
-        assert direct.root.signature() == swept.root.signature()
+        assert tree_as_dict(direct.root) == tree_as_dict(swept.root)
     # a simple root of a column is no zero: v^2 + v + 1 itself gives none
     assert _zeros(poly("t1^-1 + t1^-2*t2 + t1^-3*t2^2", F2)) == []
 
@@ -998,7 +1048,7 @@ def test_derivative_rule_finds_cascade_point():
     direct = resolve(f, 2, SimulationConfig())
     swept = resolve(f, 2, SimulationConfig(mode="sweep", sweep_degree=1))
     assert direct.total == swept.total == 9
-    assert direct.root.signature() == swept.root.signature()
+    assert tree_as_dict(direct.root) == tree_as_dict(swept.root)
     assert not direct.good_regime
 
 
@@ -1064,9 +1114,9 @@ def test_sweep_mode_is_complete_on_its_field_only():
     over_f2 = resolve(f, 2, SimulationConfig(mode="sweep"))
     over_f4 = resolve(f, 2, SimulationConfig(mode="sweep", sweep_degree=2))
     assert (direct.total, over_f2.total, over_f4.total) == (45, 39, 45)
-    assert [c.path for c in over_f2.root.children] == ["x/B", "x/A",
+    assert [c.path for c in _children(over_f2.root)] == ["x/B", "x/A",
                                                        "x/A@v=1"]
-    assert over_f4.root.signature() == direct.root.signature()
+    assert tree_as_dict(over_f4.root) == tree_as_dict(direct.root)
 
 
 # ---------------------------------------------------------------------------
@@ -1120,7 +1170,7 @@ def test_exact_translation_matches_the_series_reference():
                 except PrecisionLossError:
                     compared["raised"] += 1
                     continue
-                info = blowup._analyse(exact, branches, "x")
+                info = blowup._analyse(exact, branches, None, "x")
                 assert pole_staircase(exact) == ref.pole_staircase(series)
                 assert info.fields == fields, (f, shift, budget)
                 assert blowup.conductors(info.representative.g,

@@ -289,9 +289,9 @@ def _record_report_work(monkeypatch):
         analysed.append([])
         return original_resolve(*args, **kwargs)
 
-    def counted_analyse(g, branches, path):
+    def counted_analyse(g, branches, parent, label):
         analysed[-1].append((g, branches))
-        return original_analyse(g, branches, path)
+        return original_analyse(g, branches, parent, label)
 
     def counted_recursive(stair, branches):
         recursed.append(stair)
@@ -782,125 +782,16 @@ def test_cli_euler_json(tmp_path, capsys):
 # JSON output
 # ---------------------------------------------------------------------------
 
-def _dumps(obj):
-    return json.dumps(obj, indent=2, sort_keys=True)
-
-
-def _written(obj):
-    return "".join(cli._json_chunks(obj))
-
-
-def test_the_json_writer_gives_the_text_of_json_dumps():
-    # every golden case's object, whose text is json.dumps's, and values
-    # that the cases do not hold: tuples, other key types, escapes,
-    # non-finite floats and empty containers at every level
-    from test_golden import GOLDEN
-    cases = 0
-    for path in sorted(GOLDEN.glob("*.txt")):
-        text = path.read_text(encoding="utf-8").split("\n", 1)[1]
-        obj = json.loads(text)
-        assert _written(obj) + "\n" == _dumps(obj) + "\n" == text, path.name
-        cases += 1
-    assert cases >= 12
-    assorted = {"b": (1, [], {}, (), [{}]), "a": {"x": "é\"\\\n\U0001f600"},
-                "": [float("nan"), float("inf"), -float("inf"), -0.0, 1e300,
-                     10 ** 30, True, False, None],
-                "n": [{1: "int", -2: "int"}, {2.5: "float", -1.0: "float"},
-                      {True: "bool", False: "bool"}, {None: "null"}]}
-    for obj in (assorted, [], {}, (), "top", 7, 0.1, None, [[[[]]]]):
-        assert _written(obj) == _dumps(obj)
-    for bad, error in (({"a": {1, 2}}, TypeError), ({(1, 2): 3}, TypeError),
-                       ({"a": 1, 2: 3}, TypeError)):
-        with pytest.raises(error):
-            _dumps(bad)
-        with pytest.raises(error):
-            _written(bad)
-    circular = [1]
-    circular.append({"self": circular})
-    with pytest.raises(ValueError, match="Circular reference"):
-        _written(circular)
-
-
-def _chain_result(depth):
-    chain = [blowup.BlowupNode(path=f"n{level}", branches=2,
-                               staircase=((0, 1), (2, 0)), drop=2, term=1,
-                               clean=False) for level in range(depth)]
-    for parent, child in zip(chain, chain[1:]):
-        parent.children.append(child)
-    return blowup.ResolutionResult(total=depth, root=chain[0],
-                                   representative=None)
-
-
-def _at_raised_limit(function, *args):
-    """function(*args) in a thread with a large stack and a raised
-    recursion limit, for json.dumps on trees the default limit refuses."""
-    import threading
-    out = {}
-    limit = sys.getrecursionlimit()
-
-    def run():
-        sys.setrecursionlimit(20000)
-        try:
-            out["value"] = function(*args)
-        finally:
-            sys.setrecursionlimit(limit)
-
-    size = threading.stack_size(256 * 1024 * 1024)
-    try:
-        thread = threading.Thread(target=run)
-        thread.start()
-        thread.join()
-    finally:
-        threading.stack_size(size)
-    return out["value"]
-
-
-def test_simulate_prints_a_tree_deeper_than_json_dumps_reaches(monkeypatch,
-                                                               capsys):
-    # json.dumps with an indent recurses, two levels per tree node, and
-    # raises past ~497 nodes at the default limit; the writer prints a
-    # 520-deep tree there, with the text json.dumps gives at a raised limit
-    result = _chain_result(520)
-    expected = blowup.simulation_as_dict(result)
-    with pytest.raises(RecursionError):
-        _dumps(expected)
-    monkeypatch.setattr(cli, "resolve", lambda *args: result)
-    assert main(["simulate", "t1^-1", "--field", "2", "--json"]) == 0
-    assert capsys.readouterr().out == _at_raised_limit(_dumps, expected) + "\n"
-
-
-def _chain(depth):
-    """A chain of dicts in a tree's shape: {"children": [the next one]}."""
-    root = node = {"children": []}
-    for _ in range(depth - 1):
-        child = {"children": []}
-        node["children"].append(child)
-        node = child
-    return root
-
-
-def _chain_pieces(depth):
-    """The text of json.dumps(_chain(depth), indent=2) in pieces, by its
-    pattern: the node at level i opens at indentation 2i and its list at
-    2i + 1."""
-    pad = "  "
-    for i in range(depth):
-        yield (("\n" + pad * 2 * i if i else "") + "{\n" + pad * (2 * i + 1)
-               + '"children": [')
-    yield "]\n" + pad * 2 * (depth - 1) + "}"
-    for i in reversed(range(depth - 1)):
-        yield "\n" + pad * (2 * i + 1) + "]\n" + pad * 2 * i + "}"
-
-
-def test_a_3000_deep_chain_prints_at_the_default_recursion_limit():
-    assert sys.getrecursionlimit() < 3000
-    for depth in range(1, 40):
-        assert "".join(_chain_pieces(depth)) == _dumps(_chain(depth))
-    # 72 MB of text, compared by digest, a piece at a time
-    import hashlib
-    written, expected = hashlib.sha256(), hashlib.sha256()
-    for chunk in cli._json_chunks(_chain(3000)):
-        written.update(chunk.encode())
-    for chunk in _chain_pieces(3000):
-        expected.update(chunk.encode())
-    assert written.digest() == expected.digest()
+def test_simulate_prints_a_depth_2001_tree_at_the_default_recursion_limit(
+        capsys):
+    # the flat tree nests to a fixed depth, so json.dumps prints it at the
+    # default limit, in under 2 MB for its 4,003 rows
+    assert sys.getrecursionlimit() < 2001
+    code = main(["simulate", "t1^-2001*t2^2000 + 1", "--field", "3",
+                 "--type", "I", "--depth-cap", "3000", "--json"])
+    text = capsys.readouterr().out
+    payload = json.loads(text)
+    assert code == 0
+    assert (payload["r_x"], payload["depth"], len(payload["tree"])) == (
+        3999999, 2001, 4003)
+    assert len(text) < 2_000_000

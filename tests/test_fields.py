@@ -7,6 +7,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -77,6 +78,40 @@ def test_modulus_is_deterministic_least():
 def test_reducible_modulus_rejected():
     with pytest.raises(ValueError):
         FieldContext(4, 1)                        # 4 is not prime
+
+
+def _is_prime_by_trial_division(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def test_primality_agrees_with_trial_division_below_10_5():
+    assert [n for n in range(10 ** 5) if fields._is_prime(n)] == [
+        n for n in range(10 ** 5) if _is_prime_by_trial_division(n)]
+
+
+def test_a_61_bit_characteristic_is_accepted_at_once():
+    p = 2 ** 61 - 1
+    start = time.perf_counter()
+    assert field(p).p == p
+    assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("n", [
+    3215031751,                   # strong pseudoprime to 2, 3, 5 and 7
+    318665857834031151167461,     # psi_12: to every prime up to 37
+])
+def test_strong_pseudoprimes_are_refused(n):
+    with pytest.raises(ValueError, match=f"^characteristic {n} is not prime$"):
+        field(n)
+
+
+def test_a_characteristic_past_the_exact_bound_is_refused():
+    # psi_13, the first strong pseudoprime to the 13 bases, and a prime
+    # above it: neither can be decided by the test, so both are refused
+    for n in (fields._PRIME_BOUND, 2 ** 89 - 1):
+        with pytest.raises(ValueError, match=f"^characteristic {n} is not "
+                                             f"below {fields._PRIME_BOUND}"):
+            field(n)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
