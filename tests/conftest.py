@@ -1,5 +1,6 @@
 """Shared test helpers: the quadratic definition of the recursion's
-index-set filters, the split built from it, and the max_tail mutant.
+index-set filters, the split built from it, the max_tail mutant, and a
+resolution result whose tree is a deep chain.
 
 The max_tail filter keeps { j : b_j - a_j < max over i > j of (b_i - a_i) }
 as the first index set, which drops the last index.  It breaks the closed
@@ -11,6 +12,7 @@ the corpus and its exit status catch a wrong recursion.
 from unittest import mock
 
 from wildram import staircase
+from wildram.blowup import BlowupNode, ResolutionResult
 
 
 def reference_index_sets(stair, rule="minimal"):
@@ -54,3 +56,18 @@ def max_tail_recursion():
     no mutant code lives in the program."""
     return mock.patch.object(
         staircase, "split", lambda stair: reference_split(stair, "max_tail"))
+
+
+def chain_result(depth):
+    """A result whose tree is a chain of `depth` non-clean rows: the last
+    an off-origin point, the one above it repaired, and one with a
+    constant added."""
+    tree = []
+    for level in range(depth):
+        label = "x" if level == 0 else "A@v=1" if level == depth - 1 else "A"
+        tree.append(BlowupNode(tree, level - 1 if level else None, label,
+                               level, branches=2, staircase=((0, 1), (2, 0)),
+                               drop=2, term=1, clean=False))
+    tree[-2].repair = True
+    tree[depth // 2].constant_added = True
+    return ResolutionResult(total=depth, root=tree[0], representative=None)

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from conftest import max_tail_recursion
+from conftest import chain_result, max_tail_recursion
 from wildram import blowup, checks, cli, corpus, reduction, report
 from wildram.blowup import CrossCheckError, resolve
 from wildram.cli import main
@@ -795,3 +795,22 @@ def test_simulate_prints_a_depth_2001_tree_at_the_default_recursion_limit(
     assert (payload["r_x"], payload["depth"], len(payload["tree"])) == (
         3999999, 2001, 4003)
     assert len(text) < 2_000_000
+
+
+def test_a_3000_deep_chain_prints_at_the_default_recursion_limit(
+        monkeypatch, capsys):
+    # simulate --json prints a 3,000-deep chain at the default limit; its
+    # text is that of json.dumps and grows linearly with the rows
+    assert sys.getrecursionlimit() < 3000
+    sizes = []
+    for depth in (1000, 2000, 3000):
+        result = chain_result(depth)
+        monkeypatch.setattr(cli, "resolve", lambda f, b, c: result)
+        code = main(["simulate", "t1^-1", "--field", "3", "--json"])
+        text = capsys.readouterr().out
+        assert code == 0
+        assert text == json.dumps(blowup.simulation_as_dict(result),
+                                  indent=2, sort_keys=True) + "\n"
+        assert len(json.loads(text)["tree"]) == depth
+        sizes.append(len(text))
+    assert abs((sizes[2] - sizes[1]) - (sizes[1] - sizes[0])) <= 10, sizes
