@@ -117,12 +117,12 @@ def _reduction_checks(f, rep):
     """Checks on the reduction of f to its good representative rep,
     which the report gives no verdict on."""
     out = {}
-    # f - g = h^p - h with the constant's Artin-Schreier root materialized
-    # in its own field, which GoodRepresentative.verify leaves out
-    witness = rep.full_witness()
+    # f - g = h^p - h for h = witness + r, r^p - r = constant_delta, read
+    # over f's own field from the record alone, apart from
+    # GoodRepresentative.verify
     out["witness_identity"] = (
-        f.embed_into(witness.ctx) - rep.g.embed_into(witness.ctx)
-        == artin_schreier_map(witness))
+        f - rep.g - artin_schreier_map(rep.witness)
+        == LaurentPolynomial.constant(rep.constant_delta))
     # when the reduction left f as it was, reducing g reruns the same
     # computation on the same input, which cannot fail
     if rep.g != f:

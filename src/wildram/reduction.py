@@ -10,10 +10,12 @@ reducing f to a normal form inside its class:
   constant term.  Pure constants lie in the image of the map over the
   algebraic closure, so they are stripped; the constant 1 is re-added
   exactly when no remaining corner sits in the quadrant a >= 0, b <= 0.
-  A witness h with f - g = h^p - h is part of the result; its constant
-  part may live in a small extension field and is materialized lazily
-  (``artin_schreier_root``, by the elimination kept per field), but the
-  identity itself is verified exactly on construction.  On a
+  The result records the witness of f - g = h^p - h as its nonconstant
+  part and the constant it moved, ``constant_delta``: h = witness + r
+  with r^p - r = constant_delta.  The root r is never built (it may lie
+  only in the degree-p extension, and no invariant reads it), and the
+  identity f - g = (witness^p - witness) + constant_delta is verified
+  exactly over the input's field on construction.  On a
   local function P / V^p (see the laurent module) every step is exact:
   the pieces are the same monomials, read from P's corners, and each
   Artin-Schreier image and each constant is multiplied through V^p
@@ -45,11 +47,10 @@ reducing f to a normal form inside its class:
 
 from __future__ import annotations
 
-import functools
 import operator
 from dataclasses import dataclass
 
-from .fields import _fdivmod, embed, field, join_context
+from .fields import _fdivmod
 from .laurent import (LaurentPolynomial, _axis_index, blowup_substitute,
                       leading_column, pole_staircase, transpose, valuation)
 from .staircase import Staircase, quadrant_shape
@@ -60,101 +61,17 @@ def artin_schreier_map(h):
     return h.frobenius_power() - h
 
 
-@functools.lru_cache(maxsize=None)
-def _artin_schreier_columns(ctx):
-    """Coordinates of r^p - r for the power basis r = 1, x, ..., x^(k-1)
-    of ctx, as matrix columns."""
-    columns = []
-    for i in range(ctx.degree):
-        basis = ctx.element([0] * i + [1])
-        columns.append((basis ** ctx.p - basis).coeffs)
-    return tuple(columns)
-
-
-@functools.lru_cache(maxsize=None)
-def _artin_schreier_elimination(ctx):
-    """(pivot columns, row operations) of the Gauss-Jordan elimination that
-    ``fields._solve_mod_p`` runs on the matrix of
-    ``_artin_schreier_columns(ctx)``.
-
-    That elimination picks its pivots and row operations from the matrix
-    alone, and they act linearly on the right-hand side.  So they are run
-    once per context on the identity, whose rows become the k x k matrix
-    M: the reduced right-hand side of any target b is M b, and the
-    solution that ``_solve_mod_p`` returns puts its rows on the pivot
-    columns."""
-    p, k = ctx.p, ctx.degree
-    columns = _artin_schreier_columns(ctx)
-    mat = [[columns[j][i] % p for j in range(k)]
-           + [int(i == r) for r in range(k)] for i in range(k)]
-    pivots = []
-    row = 0
-    for col in range(k):
-        pivot = next((r for r in range(row, k) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = pow(mat[row][col], p - 2, p)
-        mat[row] = [(x * inv) % p for x in mat[row]]
-        for r in range(k):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [(x - factor * y) % p
-                          for x, y in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-    return tuple(pivots), tuple(tuple(r[k:]) for r in mat)
-
-
-def _solve_artin_schreier_in(value, ctx):
-    """Solve r^p - r = value inside ctx, or return None.
-
-    The map r -> r^p - r is linear over the prime field, so this is a
-    k x k linear system mod p, solved by the kept elimination of the
-    context in one product with the target: the same particular solution
-    as ``fields._solve_mod_p`` on the same system."""
-    p = ctx.p
-    pivots, operations = _artin_schreier_elimination(ctx)
-    target = value.coeffs
-    reduced = [sum(map(operator.mul, op, target)) % p for op in operations]
-    if any(reduced[len(pivots):]):
-        return None
-    solution = [0] * ctx.degree
-    for col, x in zip(pivots, reduced):
-        solution[col] = x
-    return ctx.element(solution)
-
-
-def artin_schreier_root(value):
-    """Some r with r^p - r = value, in the smallest canonical extension.
-
-    Either the equation solves over the coefficient field, or its roots
-    live exactly in the degree-p extension (all roots differ by prime
-    field constants, and the absolute trace of a ground-field element
-    vanishes there), so only those two fields need to be searched.
-    """
-    ctx = value.ctx
-    root = _solve_artin_schreier_in(value, ctx)
-    if root is not None:
-        return root
-    target = field(ctx.p, ctx.degree * ctx.p)
-    root = _solve_artin_schreier_in(embed(value, target), target)
-    if root is None:
-        raise RuntimeError(f"no Artin-Schreier root of {value} within "
-                           f"degree {ctx.p}")
-    return root
-
-
 @dataclass(slots=True)
 class GoodRepresentative:
     """A reduced representative g of the class of f, with its witness.
 
-    f - g == h^p - h identically for h = full_witness().  The
-    nonconstant part of h is kept explicitly (monomials, and a whole line
-    over its own denominator after a line step); the constant part (an Artin-Schreier
-    root of `constant_delta`, which may live in the degree-p extension)
-    is only materialized on demand, since the identity can be verified
-    without it.  `verify`, run on construction, requires
+    f - g == h^p - h identically for h = witness + r, where r is any
+    root of r^p - r = `constant_delta`.  The nonconstant part `witness`
+    of h is kept explicitly (monomials, and a whole line over its own
+    denominator after a line step); the constant part is kept as the
+    value `constant_delta` of the input's field, since the identity needs
+    only r^p - r and the root itself may lie only in the degree-p
+    extension.  `verify`, run on construction, requires
     g + (witness^p - witness) + constant_delta - f to be zero: over a
     denominator V that g shares with f, the polynomial identity
     P_f - P_g = V^p * ((witness^p - witness) + constant_delta).
@@ -169,16 +86,6 @@ class GoodRepresentative:
     quadrant_ok: bool
     constant_added: bool
     reductions: int
-
-    def full_witness(self):
-        """The complete witness h with f - g = h^p - h, materializing the
-        Artin-Schreier root of the constant part if one was recorded."""
-        if not self.constant_delta:
-            return self.witness
-        root = artin_schreier_root(self.constant_delta)
-        ctx = join_context(self.witness.ctx, root.ctx)
-        return (self.witness.embed_into(ctx)
-                + LaurentPolynomial.constant(embed(root, ctx)))
 
     def verify(self, f):
         """RuntimeError unless g + (witness^p - witness) + constant_delta

@@ -56,15 +56,14 @@ def build_report(spec):
     stair, sim = inv["staircase"], inv["sim"]
     rep = sim.representative
 
-    witness = rep.full_witness()
     data = {
         "input": {"field": spec.field, "type": "I" if spec.branches == 1 else "II",
                   "expr": spec.expr, "mode": spec.config.mode},
         "parsed": polynomial_as_triples(f),
         "good_representative": {
             "g": format_polynomial(rep.g),
-            "witness": format_polynomial(witness),
-            "witness_field": repr(witness.ctx),
+            "witness": format_polynomial(rep.witness),
+            "constant_delta": str(rep.constant_delta),
             "constant_added": rep.constant_added,
             "reductions": rep.reductions,
             "quadrant_ok": rep.quadrant_ok,

@@ -5,7 +5,7 @@ import sys
 import pytest
 
 from conftest import chain_result, max_tail_recursion
-from wildram import blowup, checks, cli, corpus, reduction, report
+from wildram import blowup, checks, cli, corpus, fields, reduction, report
 from wildram.blowup import CrossCheckError, resolve
 from wildram.cli import main
 from wildram.corpus import run_corpus
@@ -226,19 +226,24 @@ def test_bound_holds_on_the_bound_family(expr):
     assert _bound_verdict(expr)["pass"]
 
 
-def test_report_materializes_the_witness_once(monkeypatch):
-    calls = []
-    original = reduction.artin_schreier_root
+@pytest.mark.parametrize("fld", ["101", "10007", "65537"])
+def test_report_prints_the_constant_without_an_extension(monkeypatch, fld):
+    # the constant repair moves -1, whose Artin-Schreier roots lie only in
+    # F_{p^p}: the report prints the value and never builds that field
+    p = int(fld)
+    original = fields._field
 
-    def counted(value):
-        calls.append(value)
-        return original(value)
+    def spy(q, degree):
+        if (q, degree) == (p, p):
+            raise AssertionError(f"a degree-{p} extension of F_{p}")
+        return original(q, degree)
 
-    monkeypatch.setattr(reduction, "artin_schreier_root", counted)
-    report = build_report(InputSpec(field="2^1", branches=2, expr="t1^-2*t2"))
-    assert len(calls) == 1
+    monkeypatch.setattr(fields, "_field", spy)
+    report = build_report(InputSpec(field=fld, branches=2, expr="t1^-3*t2^2"))
     rep = report.data["good_representative"]
-    assert (rep["witness"], rep["witness_field"]) == ("g", "GF(2^2)")
+    assert rep["constant_added"]
+    assert (rep["witness"], rep["constant_delta"]) == ("0", str(p - 1))
+    assert report.passed
 
 
 def _record_reductions(monkeypatch):
@@ -410,13 +415,27 @@ def test_corpus_deterministic():
     assert a == b
 
 
-def test_corpus_witness_identity_uses_the_constant_root(monkeypatch):
-    # the check materializes the Artin-Schreier root of the constant part,
-    # which GoodRepresentative.verify never sees: a wrong root must fail it
+def test_corpus_witness_identity_holds_without_verify(monkeypatch):
+    # the check reads f - g - (witness^p - witness) against the recorded
+    # constant by itself: with GoodRepresentative.verify a no-op, a
+    # reduction whose constant is off by one must fail it
     summary = run_corpus(1, 30, "laurent")
     assert summary["checks"]["witness_identity"]["fail"] == 0
-    monkeypatch.setattr(reduction, "artin_schreier_root",
-                        lambda value: value.ctx.zero())
+    monkeypatch.setattr(reduction.GoodRepresentative, "verify",
+                        lambda self, f: None)
+    original = reduction.good_representative
+
+    def shifted(f):
+        rep = original(f)
+        rep = dataclasses.replace(
+            rep, constant_delta=rep.constant_delta + f.ctx.one())
+        rep.verify(f)       # as the reduction checks its result
+        return rep
+
+    for name, module in sorted(sys.modules.items()):
+        if (name.startswith("wildram")
+                and getattr(module, "good_representative", None) is original):
+            monkeypatch.setattr(module, "good_representative", shifted)
     summary = run_corpus(1, 30, "laurent")
     assert summary["checks"]["witness_identity"]["fail"] > 0
     assert summary["checks"]["no_exception"]["fail"] == 0

@@ -8,14 +8,14 @@ from hypothesis import given, strategies as st
 import series_reference as ref
 from wildram import reduction
 from wildram.corpus import random_polynomial
-from wildram.fields import _solve_mod_p, embed, field
+from wildram.fields import field
 from wildram.laurent import (LaurentPolynomial, PrecisionLossError,
                              blowup_substitute, leading_column,
                              pole_staircase, translate, transpose, valuation)
 from wildram.parsing import parse_polynomial
-from wildram.reduction import (artin_schreier_map, artin_schreier_root,
-                               conductors, exceptional_swan,
-                               good_representative, swan_conductor)
+from wildram.reduction import (artin_schreier_map, conductors,
+                               exceptional_swan, good_representative,
+                               swan_conductor)
 from wildram.staircase import Staircase, is_clean_shape, quadrant_shape
 
 F2 = field(2)
@@ -40,26 +40,17 @@ def test_map_of_zero():
     assert not artin_schreier_map(LaurentPolynomial.zero(F3))
 
 
-def test_artin_schreier_root_in_base():
-    # x^2 - x = x^2 + x over F_2: beta(1) = 0, so 0 has roots in F_2
-    r = artin_schreier_root(F3.element(0))
-    assert r ** 3 - r == F3.zero()
-
-
-def test_artin_schreier_root_needs_extension():
-    r = artin_schreier_root(F2.one())       # x^2 + x + 1 is irreducible
-    assert r.ctx == field(2, 2)
-    assert r ** 2 - r == field(2, 2).one()
-
-
 # ---------------------------------------------------------------------------
 # reduction to a good representative
 # ---------------------------------------------------------------------------
 
 def test_reduce_double_pole_char2():
-    rep = good_representative(poly("t1^-2", F2))
+    f = poly("t1^-2", F2)
+    rep = good_representative(f)
     assert rep.g == poly("t1^-1", F2)
-    assert rep.full_witness() == poly("t1^-1", F2)
+    assert rep.witness == poly("t1^-1", F2) and not rep.constant_delta
+    assert (f - rep.g - artin_schreier_map(rep.witness)
+            == LaurentPolynomial.constant(rep.constant_delta))
     assert rep.staircase == Staircase([(1, 0)])
     assert rep.reductions == 1 and not rep.constant_added
 
@@ -79,21 +70,26 @@ def test_constant_repair():
 
 
 def test_witness_identity_with_constant():
+    # the constant repair moves -1 = 1, whose Artin-Schreier roots lie
+    # only in F_4 (x^2 + x + 1 is irreducible over F_2); the identity
+    # needs only the value, over F_2
     f = poly("t1^-2*t2", F2)
     rep = good_representative(f)
-    h = rep.full_witness()
-    lhs = f.embed_into(h.ctx) - rep.g.embed_into(h.ctx)
-    assert lhs == artin_schreier_map(h)
+    assert rep.constant_added and rep.constant_delta == F2.one()
+    assert (f - rep.g - artin_schreier_map(rep.witness)
+            == LaurentPolynomial.constant(rep.constant_delta))
 
 
 def test_trivial_inputs():
     rep = good_representative(LaurentPolynomial.zero(F3))
     assert not rep.g and len(rep.staircase) == 0 and not rep.constant_added
     # a pure constant defines the trivial cover up to the reduction class
-    rep = good_representative(poly("2", F3))
-    assert not rep.g
-    h = rep.full_witness()
-    assert artin_schreier_map(h) == poly("2", F3).embed_into(h.ctx)
+    f = poly("2", F3)
+    rep = good_representative(f)
+    assert not rep.g and not rep.witness
+    assert rep.constant_delta == F3.element(2)
+    assert (f - rep.g - artin_schreier_map(rep.witness)
+            == LaurentPolynomial.constant(rep.constant_delta))
 
 
 def test_idempotence_randomized():
@@ -523,43 +519,6 @@ def test_a_strip_that_leaves_its_line_raises(monkeypatch, text, axis):
                         lambda h, denominator: LaurentPolynomial.zero(h.ctx))
     with pytest.raises(RuntimeError, match=f"the {axis} round at -2 left"):
         swan_conductor(poly(text, F2), axis)
-
-
-def _artin_schreier_cases(ctx, values):
-    """Each value of ctx against the plain elimination, in ctx and in its
-    degree-p extension, and the root that artin_schreier_root gives."""
-    p = ctx.p
-    extension = field(p, ctx.degree * p)
-    in_base = 0
-    for value in values:
-        for c, target in ((ctx, value), (extension, embed(value, extension))):
-            solved = reduction._solve_artin_schreier_in(target, c)
-            plain = _solve_mod_p(reduction._artin_schreier_columns(c),
-                                 target.coeffs, p)
-            assert (None if solved is None
-                    else list(solved.coeffs)) == plain, (value, c)
-        root = artin_schreier_root(value)
-        assert root.ctx in (ctx, extension)
-        assert root ** p - root == embed(value, root.ctx)
-        in_base += root.ctx is ctx
-    return in_base
-
-
-@pytest.mark.parametrize("p, k", [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2)])
-def test_artin_schreier_roots_are_the_plain_eliminations_solution(p, k):
-    # the kept elimination gives the particular solution of
-    # fields._solve_mod_p on the same system; over F_q the map r^p - r
-    # has image of size q / p, so the rest of the roots lie in the
-    # degree-p extension
-    ctx = field(p, k)
-    assert _artin_schreier_cases(ctx, ctx.elements()) == ctx.order // p
-
-
-def test_artin_schreier_roots_over_f_2_13_are_the_plain_solution():
-    ctx = field(2, 13)
-    rng = random.Random(13)
-    values = [ctx.from_encoding(rng.randrange(ctx.order)) for _ in range(40)]
-    assert 0 < _artin_schreier_cases(ctx, values) < 40
 
 
 def test_swan_class_invariance_randomized():
