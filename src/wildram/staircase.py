@@ -15,18 +15,17 @@ splits into the two corner profiles seen at the two crossing points on the
 exceptional curve (the images under the exponent maps (a,b) -> (a, b-a)
 and (a,b) -> (a-b, b), filtered back to minimal corners, by ``split``),
 and the step contributes e*(e-1) or e**2 where e is the drop of the Swan
-conductor sum across the blow-up.  Most steps of a deep recursion are on
-two points, where one comparison of b_0 - a_0 with b_1 - a_1 decides
-both filters; ``split`` takes that case without its passes, and it is
-the definition read for two points, so the children are the same.  The
-comparison orders one coordinate of the two-point child and ``split``
-compares the other inline, so every child is order-checked as before.
-A child of 0 or 1 points records no step and adds 0, so the recursion
-never pushes it.  The recursion admits a closed form: twice the area
-between the essential hull of the staircase and its baseline, corrected
-by (t-2)*(a_k-a_0) for a point on t boundary branches.  Both routes are
-implemented and cross-checked, along with a proven upper bound for the
-blow-up total.
+conductor sum across the blow-up.  ``split`` builds each child with its
+order check inline: a filter orders one coordinate, the other is
+compared as the child is built.  On two points, where most steps of a
+deep recursion are, one comparison of b_0 - a_0 with b_1 - a_1 decides
+both filters.  A child of 0 or 1 points adds 0; the recursion goes on
+with a child of two or more points and keeps a stack entry only when
+both children have two or more.  The recursion admits a closed form:
+twice the area between the essential hull of the staircase and its
+baseline, corrected by (t-2)*(a_k-a_0) for a point on t boundary
+branches.  Both routes are implemented and cross-checked, along with a
+proven upper bound for the blow-up total.
 
 Slope comparisons are exact (cross multiplication); no rationals, no
 floats.
@@ -35,6 +34,7 @@ floats.
 from __future__ import annotations
 
 import operator
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 
@@ -211,9 +211,8 @@ def blowup_term(drop, branches):
 _BOTH = (0, 1)
 _HEAD = (0,)
 _TAIL = (1,)
-# a Staircase from points whose order is already checked; bound once, as
-# split calls it twice per step
-_new_staircase = tuple.__new__
+# a Staircase or RecursionStep from checked fields, without a second check
+_new_tuple = tuple.__new__
 
 
 def split(stair):
@@ -230,8 +229,10 @@ def split(stair):
     belongs to the first set and index 0 to the second; each pass starts
     from that end point and compares integers only.  The crossing child
     (a_j, b_j - a_j) over `first` and the continuation child
-    (a_j - b_j, b_j) over `second` are built in the same passes, and
-    `Staircase._from_ints` checks their order.
+    (a_j - b_j, b_j) over `second` are built in the same passes.  The
+    filter orders one coordinate of each child and the pass compares the
+    other with the point kept before; a child out of order raises
+    `Staircase._from_ints`'s error.
 
     Most steps of a deep recursion are on two points, and there the two
     differences d_0 = b_0 - a_0 and d_1 = b_1 - a_1 decide both filters
@@ -240,13 +241,9 @@ def split(stair):
     d_0 < d_1 keeps both points in the crossing child, d_0 > d_1 keeps
     both in the continuation child, and d_0 = d_1 leaves one point in
     each: (a_1, d_1) and (-d_0, b_0).  This is the definition read for
-    k = 1, so the case is exact.  The branch condition is the order of
-    one coordinate of the two-point child (d_0 < d_1 for the crossing
-    child, -d_0 < -d_1 for the continuation child); the other, a_0 < a_1
-    or b_0 < b_1, is compared inline with `_from_ints`'s error, and the
-    children are built without a second check.  A single-point child
-    needs no order check.  `_recurse` never pushes a child of fewer than
-    two points.
+    k = 1, so the case is exact.  The branch condition orders one
+    coordinate of a two-point child, and the other, a_0 < a_1 or
+    b_0 < b_1, is compared inline; a single point needs no check.
 
     `_recurse` looks this function up at each step, so a test can replace
     it with a wrong filter and check that the closed form and the corpus
@@ -263,61 +260,70 @@ def split(stair):
                 raise StaircaseError("coordinates must strictly increase: "
                                      f"{(a0, d0)} !< {(a1, d1)}")
             return (_BOTH, _HEAD,
-                    _new_staircase(Staircase, ((a0, d0), (a1, d1))),
-                    _new_staircase(Staircase, ((-d0, b0),)))
+                    _new_tuple(Staircase, ((a0, d0), (a1, d1))),
+                    _new_tuple(Staircase, ((-d0, b0),)))
         if d0 > d1:
             if not b0 < b1:
                 raise StaircaseError("coordinates must strictly increase: "
                                      f"{(-d0, b0)} !< {(-d1, b1)}")
             return (_TAIL, _BOTH,
-                    _new_staircase(Staircase, ((a1, d1),)),
-                    _new_staircase(Staircase, ((-d0, b0), (-d1, b1))))
+                    _new_tuple(Staircase, ((a1, d1),)),
+                    _new_tuple(Staircase, ((-d0, b0), (-d1, b1))))
         return (_TAIL, _HEAD,
-                _new_staircase(Staircase, ((a1, d1),)),
-                _new_staircase(Staircase, ((-d0, b0),)))
+                _new_tuple(Staircase, ((a1, d1),)),
+                _new_tuple(Staircase, ((-d0, b0),)))
     _require_nonempty(stair, "split")
-    # one pass from the right: `tail` is the min of b_i - a_i over i > j
+    # one pass from the right: `tail` is the min of b_i - a_i over i > j.
+    # The filter orders the crossing child's second coordinate, and its
+    # first is compared with `kept`, the a of the point kept before
     last = len(stair) - 1
     a, b = stair[last]
     tail = b - a
-    first, crossing = [last], [(a, tail)]
+    first, crossing, kept, ordered = [last], [(a, tail)], a, True
     for j in range(last - 1, -1, -1):
         a, b = stair[j]
         here = b - a
         if here < tail:
-            tail = here
+            if not a < kept:
+                ordered = False
+            tail, kept = here, a
             first.append(j)
             crossing.append((a, here))
     first.reverse()
     crossing.reverse()
-    # one pass from the left: `head` is the max of a_i - b_i over i < j
+    # one pass from the left: `head` is the max of a_i - b_i over i < j,
+    # and the continuation child's b is compared with the b kept before
     a, b = stair[0]
     head = a - b
-    second, continuation = [0], [(head, b)]
+    second, continuation, kept = [0], [(head, b)], b
     for j in range(1, last + 1):
         a, b = stair[j]
         here = a - b
         if here > head:
-            head = here
+            if not kept < b:
+                ordered = False
+            head, kept = here, b
             second.append(j)
             continuation.append((here, b))
-    return (tuple(first), tuple(second),
-            Staircase._from_ints(crossing),
-            Staircase._from_ints(continuation))
+    if not ordered:
+        # a child is out of order: `_from_ints` raises on its first such pair
+        Staircase._from_ints(crossing)
+        Staircase._from_ints(continuation)
+    return (tuple(first), tuple(second), _new_tuple(Staircase, crossing),
+            _new_tuple(Staircase, continuation))
 
 
 # ---------------------------------------------------------------------------
 # the recursive total, its closed form, and the upper bound
 # ---------------------------------------------------------------------------
 
-@dataclass(slots=True)
-class RecursionStep:
-    staircase: Staircase
-    branches: int
-    drop: int
-    term: int
-    first_indices: tuple
-    second_indices: tuple
+class RecursionStep(namedtuple("RecursionStep", "staircase branches drop "
+                               "term first_indices second_indices")):
+    """One step of the recursion: the staircase, its branch count, the
+    drop, the term blowup_term(drop, branches) and split's index sets.
+    A named tuple, so the recursion builds it with no __init__ call."""
+
+    __slots__ = ()
 
 
 @dataclass
@@ -334,7 +340,7 @@ def ramification_recursive(stair, branches):
     branches, the continuation child inherits the branch count.  Single
     points (and the empty staircase) contribute 0.  Termination is by the
     strict lexicographic descent of (length, depth), which is asserted.
-    The steps run on an explicit stack, so the number of steps is not
+    The steps run in a loop, not by Python calls, so their number is not
     limited by Python's recursion limit.  `stair` may be any sequence of
     pairs; it is validated as a Staircase first, unless it is one.
     """
@@ -345,41 +351,50 @@ def ramification_recursive(stair, branches):
 
 
 def _recurse(stair, branches, trace):
-    # an explicit depth-first stack: the continuation child is pushed
-    # first, so the crossing child's subtree is traced before it, as in
-    # the recursive definition.  A staircase of 0 or 1 points, the root
-    # included, records no step and adds 0, so it is never pushed
-    stack = [(stair, branches)] if len(stair) > 1 else []
-    push = stack.append
+    # a walk in preorder, the crossing child's subtree first; the
+    # continuation is pushed only when both children have two or more
+    # points.  A staircase of fewer points records no step and adds 0
+    if len(stair) < 2:
+        return
+    stack = []
     record = trace.steps.append
     total = trace.total
-    while stack:
-        stair, branches = stack.pop()
+    while True:
         size = len(stair)
         drop = swan_drop(stair)
-        term = blowup_term(drop, branches)
+        # blowup_term, inline: branches is 1 or 2 (checked on entry), and
+        # swan_drop refuses a negative drop
+        term = drop * drop if branches == 2 else drop * (drop - 1)
         # looked up at each step, so that a test can replace it
         first, second, crossing, continuation = split(stair)
         total += term
-        record(RecursionStep(stair, branches, drop, term, first, second))
-        for child in (crossing, continuation):
+        record(_new_tuple(RecursionStep,
+                          (stair, branches, drop, term, first, second)))
+        n_crossing = len(crossing)
+        n_continuation = len(continuation)
+        if n_crossing >= size or n_continuation >= size:
             # the measure (length, depth) must fall; a shorter child
-            # descends whatever its depth, so the depths, a_k - a_0 +
-            # b_k - b_0, are read off the end points only for a child
-            # that is not shorter (of a valid staircase's two children at
-            # most one is)
-            length = len(child)
-            if length >= size and (
-                    length > size
-                    or (child[-1][0] - child[0][0] + child[-1][1] - child[0][1]
-                        >= stair[-1][0] - stair[0][0]
-                        + stair[-1][1] - stair[0][1])):
-                raise StaircaseError(
-                    f"recursion measure failed to decrease: {stair!r} -> {child!r}")
-        if len(continuation) > 1:
-            push((continuation, branches))
-        if len(crossing) > 1:
-            push((crossing, 2))
+            # descends whatever its depth, so the depths are read off the
+            # end points only for a child that is not shorter
+            (a0, b0), (ak, bk) = stair[0], stair[-1]
+            for child in (crossing, continuation):
+                length = len(child)
+                if length >= size and (
+                        length > size
+                        or (child[-1][0] - child[0][0] + child[-1][1]
+                            - child[0][1] >= ak - a0 + bk - b0)):
+                    raise StaircaseError("recursion measure failed to "
+                                         f"decrease: {stair!r} -> {child!r}")
+        if n_crossing > 1:
+            if n_continuation > 1:
+                stack.append((continuation, branches))
+            stair, branches = crossing, 2
+        elif n_continuation > 1:
+            stair = continuation
+        elif stack:
+            stair, branches = stack.pop()
+        else:
+            break
     trace.total = total
 
 

@@ -208,6 +208,27 @@ def test_split_checks_the_order_of_its_children():
             split(points)
 
 
+def test_split_checks_the_order_of_long_children():
+    # past two points each pass compares the coordinate its filter does
+    # not order, and a child out of order raises Staircase._from_ints's
+    # error, on its first pair out of order.  Every point of
+    # ((5, 0), (1, 10), (7, 20), (3, 30)) is kept in the crossing child,
+    # whose a coordinates fall twice; every point of
+    # ((0, 10), (5, 0), (20, 5), (30, 1)) in the continuation child, whose
+    # b coordinates fall twice, while its crossing child is one point
+    for points, shown in (
+            ([(5, 0), (1, 10), (7, 20), (3, 30)], "(5, -5) !< (1, 9)"),
+            ([(0, 10), (5, 0), (20, 5), (30, 1)], "(-10, 10) !< (5, 0)")):
+        with pytest.raises(StaircaseError) as raised:
+            split(points)
+        assert str(raised.value) == \
+            f"coordinates must strictly increase: {shown}"
+        # the message is the one the definition's split gives
+        with pytest.raises(StaircaseError) as definition:
+            reference_split(points)
+        assert str(raised.value) == str(definition.value)
+
+
 # ---------------------------------------------------------------------------
 # the recursion, its closed form, the bound
 # ---------------------------------------------------------------------------
@@ -243,6 +264,46 @@ def test_recursion_stops_on_a_child_that_does_not_descend(monkeypatch, grown):
     monkeypatch.setattr(staircase, "split", stuck_once)
     with pytest.raises(StaircaseError, match="failed to decrease"):
         ramification_recursive(S((0, 0), (1, 4), (2, 5)), 2)
+
+
+@pytest.mark.parametrize("stuck_child", ["crossing", "continuation"])
+def test_recursion_stops_when_one_of_two_children_does_not_descend(
+        monkeypatch, stuck_child):
+    # both children of ((0, 0), (2, 1), (3, 5)) have two points, so the
+    # recursion goes on with the crossing child and pushes the
+    # continuation; the first step's crossing or continuation child is
+    # replaced by its parent, which has the same length and depth
+    stair = S((0, 0), (2, 1), (3, 5))
+    _, _, crossing, continuation = split(stair)
+    assert len(crossing) == len(continuation) == 2
+    stuck = iter([True])
+
+    def stuck_once(points):
+        children = dict(zip(("first", "second", "crossing", "continuation"),
+                            split(points)))
+        if next(stuck, False):
+            children[stuck_child] = points
+        return tuple(children.values())
+
+    monkeypatch.setattr(staircase, "split", stuck_once)
+    with pytest.raises(StaircaseError) as raised:
+        ramification_recursive(stair, 2)
+    assert str(raised.value) == ("recursion measure failed to decrease: "
+                                 f"{stair!r} -> {stair!r}")
+
+
+def test_recursion_step_is_a_tuple_of_six_named_fields():
+    stair = S((0, 0), (1, 4), (2, 5))
+    step = RecursionStep(stair, 1, 3, 6, (0, 2), (1,))
+    assert (step.staircase, step.branches, step.drop, step.term,
+            step.first_indices, step.second_indices) == (
+                stair, 1, 3, 6, (0, 2), (1,))
+    assert tuple(step) == (stair, 1, 3, 6, (0, 2), (1,))
+    # the recursion's records read back by name
+    first = ramification_recursive(stair, 2).steps[0]
+    assert (first.staircase, first.branches, first.drop, first.term,
+            first.first_indices, first.second_indices) == (
+                stair, 2, 2, 4, (0, 2), (0,))
 
 
 def test_closed_form_examples():
@@ -504,6 +565,53 @@ def test_recursion_steps_match_recursive_definition_on_long_chains(
             _reference_recurse(stair, branches, expected, "minimal")
             trace = ramification_recursive(stair, branches)
             assert _step_record(trace) == _step_record(expected)
+
+
+def _long_staircase(rng, shape, spread=400):
+    """20 to 80 points with coordinates within `spread` of each other:
+    unit steps in b and wide steps in a ("thin"), some point in the
+    quadrant a >= 0, b <= 0 ("crossing"), or b_0 = 0 ("branch")."""
+    count = rng.randint(20, 80)
+    if shape == "thin":
+        aa = sorted(rng.sample(range(spread + 1), count))
+        return Staircase(list(zip(aa, range(count))))
+    aa = sorted(rng.sample(range(spread + 1), count))
+    bb = sorted(rng.sample(range(spread + 1), count))
+    if shape == "branch":
+        return Staircase([(a, b - bb[0]) for a, b in zip(aa, bb)])
+    pivot = rng.randrange(count)
+    return Staircase([(a - aa[pivot], b - bb[pivot]) for a, b in zip(aa, bb)])
+
+
+def test_recursion_steps_match_recursive_definition_on_long_staircases():
+    # the reference takes one Python call per step, and coordinates within
+    # 400 keep it under the default recursion limit.  With the max_tail
+    # mutant in place of the program's filter both routes must record the
+    # same steps too, or fail on the same child
+    rng = random.Random(38)
+    pushed = 0
+    for index in range(200):
+        stair = _long_staircase(rng, ("thin", "crossing", "branch")[index % 3])
+        for rule, patch in (("minimal", contextlib.nullcontext),
+                            ("max_tail", max_tail_recursion)):
+            for branches in (1, 2):
+                expected = RecursionTrace()
+                try:
+                    _reference_recurse(stair, branches, expected, rule)
+                except StaircaseError as exc:
+                    with patch(), pytest.raises(StaircaseError) as raised:
+                        ramification_recursive(stair, branches)
+                    assert str(raised.value) == str(exc)
+                    continue
+                with patch():
+                    trace = ramification_recursive(stair, branches)
+                assert _step_record(trace) == _step_record(expected)
+                # a step with two children of two or more points pushes
+                # its continuation
+                pushed += sum(len(step.first_indices) > 1
+                              and len(step.second_indices) > 1
+                              for step in trace.steps)
+    assert pushed > 0
 
 
 @pytest.fixture
