@@ -43,11 +43,14 @@ Cross-field coercion is never implicit: operations on elements of
 different contexts raise, and :func:`embed` moves an element along a fixed
 embedding F_{p^k} -> F_{p^(k*m)}.  The embedding for a context pair sends
 the source generator to the root of the source modulus with the smallest
-encoding in the target field, which makes it deterministic across runs.
-Between two tabulated fields it is a lookup: the image of w^i is the
-image of w to the i-th power, and the log of the image of w is kept per
-context pair.  An untabulated field evaluates the coefficient polynomial
-at the image of the generator.
+encoding in the target field, which makes it deterministic across runs;
+that root is kept per context pair, and an element's image is its
+coefficient polynomial evaluated there.  The way back runs the root
+finder: an element a with d distinct conjugates a, a^p, ...,
+a^(p^(d-1)) has the minimal polynomial prod (X - a^(p^i)) over F_p,
+whose roots in F_{p^d} are those conjugates (Lidl and Niederreiter,
+*Finite Fields*, Thm 2.14), and :func:`subfield_preimage` returns the
+one that embeds to a.
 
 Root finding is complete: the same loop, over the coefficient field F_q,
 gives the degrees d of the irreducible factors, and only those F_{q^d}
@@ -504,20 +507,10 @@ def _generator_image(src, dst):
     return roots[0]
 
 
-@functools.lru_cache(maxsize=None)
-def _primitive_image_log(src, dst):
-    """The log in dst's tables of the image of src's primitive element, for
-    two tabulated contexts."""
-    return _evaluate_embedding(src._exp[1], dst)._log
-
-
 def embed(a, target):
-    """Map an element along the fixed embedding into a larger context.
-
-    Between two tabulated fields the embedding is a group map, so
-    embed(w^i) = embed(w)^i for the primitive element w of the source: one
-    product of logs and one table lookup.  Otherwise the coefficient
-    polynomial is evaluated at the image of the source generator."""
+    """Map an element along the fixed embedding into a larger context: its
+    coefficient polynomial evaluated at the image of the source
+    generator."""
     src = a.ctx
     if src is target:
         return a
@@ -527,17 +520,7 @@ def embed(a, target):
         raise ContextMismatchError(
             f"no embedding {src} -> {target}: degree {src.degree} "
             f"does not divide {target.degree}")
-    i = a._log
-    if i is None or not target._tables():
-        return _evaluate_embedding(a, target)
-    if i == src._zero_log:
-        return target._exp[target._zero_log]
-    return target._exp[i * _primitive_image_log(src, target)
-                       % (target._zero_log // 2)]
-
-
-def _evaluate_embedding(a, target):
-    img = _generator_image(a.ctx, target)
+    img = _generator_image(src, target)
     acc = target.zero()
     for c in reversed(a.coeffs):
         acc = acc * img + target.element(c)
@@ -551,81 +534,51 @@ def join_context(ctx1, ctx2):
     return field(ctx1.p, math.lcm(ctx1.degree, ctx2.degree))
 
 
-def _solve_mod_p(columns, target, p):
-    """One solution v of (columns as matrix) v = target over F_p, or None."""
-    rows = len(target)
-    cols = len(columns)
-    mat = [[columns[j][i] % p for j in range(cols)] + [target[i] % p]
-           for i in range(rows)]
-    pivots = []
-    row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(row, rows) if mat[r][col]), None)
-        if pivot is None:
-            continue
-        mat[row], mat[pivot] = mat[pivot], mat[row]
-        inv = pow(mat[row][col], p - 2, p)
-        mat[row] = [(x * inv) % p for x in mat[row]]
-        for r in range(rows):
-            if r != row and mat[r][col]:
-                factor = mat[r][col]
-                mat[r] = [(x - factor * y) % p for x, y in zip(mat[r], mat[row])]
-        pivots.append(col)
-        row += 1
-        if row == rows:
-            break
-    for r in range(row, rows):
-        if mat[r][cols]:
-            return None
-    solution = [0] * cols
-    for r, col in enumerate(pivots):
-        solution[col] = mat[r][cols]
-    return solution
-
-
-@functools.lru_cache(maxsize=None)
-def _embedding_columns(src, dst):
-    """Coordinates of the embedded source basis, as matrix columns."""
-    img = _generator_image(src, dst)
-    cols = []
-    acc = dst.one()
-    for i in range(src.degree):
-        cols.append(acc.coeffs)
-        acc = acc * img
-    return tuple(cols)
+def _conjugates(a):
+    """a, a^p, a^(p^2), ...: the distinct images of a under x -> x^p."""
+    p = a.ctx.p
+    out = [a]
+    c = a ** p
+    while c != a:
+        out.append(c)
+        c = c ** p
+    return out
 
 
 def subfield_preimage(a, sub):
     """The element of `sub` mapping to `a` under the fixed embedding, or
-    None; solved linearly over the prime field."""
-    if sub is a.ctx:
+    None when `a` is not in the image.
+
+    The product of X - c over the conjugates c of a is the minimal
+    polynomial of a over the prime field, and its roots in sub are the
+    preimages of those conjugates: the root that embeds to a is returned.
+    That comparison certifies the result; a root search that misses it
+    raises RuntimeError."""
+    src = a.ctx
+    if sub is src:
         return a
-    if a.ctx.degree % sub.degree != 0 or a.ctx.p != sub.p:
+    if (src.p != sub.p or src.degree % sub.degree != 0
+            or a ** sub.order != a):
         return None
-    solution = _solve_mod_p(_embedding_columns(sub, a.ctx), a.coeffs, a.ctx.p)
-    if solution is None:
-        return None
-    return sub.element(solution)
+    minimal = [src.one()]
+    for c in _conjugates(a):
+        minimal = _fmul(minimal, [-c, src.one()], src)
+    for root in _roots_in_field([sub.element(c.coeffs[0]) for c in minimal],
+                                sub, sub.p):
+        if embed(root, src) == a:
+            return root
+    raise RuntimeError(f"no root in {sub} of the minimal polynomial of "
+                       f"{a!r} embeds to it")
 
 
 def minimal_form(a):
-    """Rewrite an element in the smallest subfield that contains it, using
-    the canonical contexts and embeddings."""
-    k = a.ctx.degree
-    for d in _divisors(k):
-        if a ** (a.ctx.p ** d) == a:
-            if d == k:
-                return a
-            pre = subfield_preimage(a, field(a.ctx.p, d))
-            if pre is None:
-                raise RuntimeError("element fixed by Frobenius but not "
-                                   "matched in the canonical subfield")
-            return pre
-    return a
-
-
-def _divisors(n):
-    return [d for d in range(1, n + 1) if n % d == 0]
+    """Rewrite an element in the smallest subfield that contains it, F_{p^d}
+    for d the number of its conjugates, using the canonical contexts and
+    embeddings."""
+    d = len(_conjugates(a))
+    if d == a.ctx.degree:
+        return a
+    return subfield_preimage(a, field(a.ctx.p, d))
 
 
 # ---------------------------------------------------------------------------

@@ -240,9 +240,7 @@ class LaurentPolynomial:
     def _merge(self, other, negate):
         """self + other, or self - other when negate is set, over the
         product of the two denominators (one of them, when the other is
-        1 or they are equal).  A zero operand over 1 or over the other's
-        denominator leaves the other operand, which is returned itself
-        (negated for 0 - other): polynomials are never changed in place."""
+        1 or they are equal)."""
         if (other.__class__ is not LaurentPolynomial
                 or other.ctx is not self.ctx):
             self._check(other)
@@ -251,10 +249,6 @@ class LaurentPolynomial:
         same = (other_denominator is denominator
                 or (other_denominator is not None and denominator is not None
                     and other_denominator == denominator))
-        if not theirs and (same or other_denominator is None):
-            return self
-        if not mine and (same or denominator is None):
-            return -other if negate else other
         if not same:
             if other_denominator is not None:
                 mine = other._lifted_by(mine)

@@ -8,7 +8,7 @@ import pytest
 
 import series_reference as ref
 from conftest import chain_result
-from wildram import blowup, laurent
+from wildram import blowup, fields, laurent
 from wildram.blowup import (CrossCheckError, DepthCapError, SimulationConfig,
                             exceptional_candidates,
                             leading_exceptional_column, resolve,
@@ -982,6 +982,68 @@ def test_candidates_search_a_column_whose_roots_need_f_8192(monkeypatch):
     assert result.total == 689
     assert probed[:13] == [field(2, 13)] * 13
     assert len(_off_origin_labels(f)) == 13
+
+
+def test_a_failed_pull_back_stops_the_candidate_search(monkeypatch):
+    # over F_16 the zeros g and g + 1 of v^2 + v + 1 are found in F_16 and
+    # pulled back into F_4 by minimal_form; a root search in F_4 that
+    # drops a root fails that pull-back, and the failure reaches the
+    # caller instead of ending the map over the points early
+    f = poly("t1^-1 + t1^-3*t2^2 + t1^-5*t2^4", field(2, 4))
+    points = exceptional_candidates(_chart_a(f))
+    assert [(c.ctx, c.encoding()) for c in points] == [(field(2, 2), 2),
+                                                        (field(2, 2), 3)]
+    original = fields._roots_in_field
+
+    def dropping(coeffs, ctx, q=None):
+        roots = original(coeffs, ctx, q)
+        return roots[:-1] if ctx is field(2, 2) else roots
+
+    monkeypatch.setattr(fields, "_roots_in_field", dropping)
+    with pytest.raises(RuntimeError, match="minimal polynomial"):
+        exceptional_candidates(_chart_a(f))
+
+
+TWO_FIELD_COLUMN = ("t1^-1 + t1^-7*t2^6 + t1^-9*t2^8 + t1^-11*t2^10 "
+                    "+ t1^-13*t2^12")
+
+
+@pytest.mark.parametrize("config", [
+    SimulationConfig(), SimulationConfig(mode="sweep", sweep_degree=4)],
+    ids=["candidates", "sweep"])
+def test_a_column_with_zeros_in_f_4_and_f_16(config):
+    # the chart A column along E is ((v^2 + v + 1)(v^4 + v + 1))^2: its
+    # zeros are g and g + 1 of F_4 and four points of F_16, and each is a
+    # non-clean child.  Labels print the point without its field, so the
+    # F_4 and F_16 points g and g + 1 share their paths (ROADMAP item 17);
+    # the sweep over F_16 pulls its F_4 points back through minimal_form
+    f = poly(TWO_FIELD_COLUMN, F2)
+    points = exceptional_candidates(_chart_a(f))
+    assert [(c.ctx.degree, str(c)) for c in points] == [
+        (2, "g"), (2, "g + 1"), (4, "g"), (4, "g + 1"), (4, "g^2"),
+        (4, "g^2 + 1")]
+    result = resolve(f, 2, config)
+    assert result.total == 150
+    assert len(tree_as_dict(result.root)) == 33
+    expected = Counter({"x": 1, "x/B": 1, "x/A": 1})
+    for point, count in [("g", 2), ("g + 1", 2), ("g^2", 1), ("g^2 + 1", 1)]:
+        for below in ("", "/B", "/B/B", "/B/A", "/A"):
+            expected[f"x/A@v={point}{below}"] = count
+    paths = Counter(node.path for node in result.root.nodes())
+    assert paths == expected
+    assert len(paths) == 23 and sum(n == 2 for n in paths.values()) == 10
+
+
+def test_a_deep_non_good_tree_below_an_off_origin_point():
+    # the deep path runs below the point v = 1 of chart A, so a cap read
+    # off the root's recursion is too small (ROADMAP item 2)
+    f = poly("t1^-50*t2^-50 + t1^-49*t2^-51 + t1^-51*t2^-49", F5)
+    result = resolve(f, 2, SimulationConfig(depth_cap=100))
+    assert (result.total, result.depth) == (196, 49)
+    assert len(tree_as_dict(result.root)) == 197
+    assert not result.good_regime
+    assert max(result.root.nodes(), key=lambda n: n.depth).path.startswith(
+        "x/A@v=1/A/")
 
 
 def test_candidates_search_no_constant(monkeypatch):

@@ -277,16 +277,20 @@ def test_embed_is_multiplicative_and_injective():
 @pytest.mark.parametrize("src, dst", [((2, 2), (2, 4)), ((2, 3), (2, 6)),
                                       ((3, 2), (3, 4)), ((3, 1), (3, 3))])
 def test_embed_by_table_lookup_matches_evaluation(src, dst):
-    # oracle: the coefficient polynomial evaluated at the generator image
+    # embed evaluates the coefficient polynomial at the generator image;
+    # oracle: between tabulated fields the embedding is a group map, so
+    # the image of w^i is the image of w to the i-th power, one lookup by
+    # logs.  Every image is the target's interned element.
     src, dst = field(*src), field(*dst)
-    img = fields._generator_image(src, dst)
+    primitive = next(a for a in src.elements() if a._log == 1)
+    image_log = embed(primitive, dst)._log
     for a in src.elements():
-        assert a._log is not None
-        expected = dst.zero()
-        for c in reversed(a.coeffs):
-            expected = expected * img + dst.element(c)
         got = embed(a, dst)
-        assert got == expected and got is expected
+        assert got is dst.from_encoding(got.encoding())
+        if a:
+            assert got is dst._exp[a._log * image_log % (dst.order - 1)]
+        else:
+            assert not got
 
 
 def test_embed_requires_divisible_degree():
@@ -318,6 +322,77 @@ def test_minimal_form():
     g4 = embed(field(2, 2).gen(), big)
     assert minimal_form(g4).ctx == field(2, 2)
     assert minimal_form(big.gen()).ctx == big
+
+
+def _pull_back_sample(p, k):
+    """Every nonzero element of a tabulated F_{p^k}; for F_2^26, a seeded
+    sample of random elements and of elements of its subfields F_2^13,
+    F_4 and F_2, reached by norms rather than by embed."""
+    ctx = field(p, k)
+    if ctx.order <= _EXHAUSTIVE_LIMIT:
+        return list(ctx.elements())[1:]
+    rng = random.Random(26)
+    sample = [ctx.from_encoding(rng.randrange(1, ctx.order))
+              for _ in range(8)]
+    for d in (13, 2):
+        # x -> x^((p^k - 1) / (p^d - 1)) maps onto the nonzero elements
+        # of F_{p^d}
+        sample += [x ** ((ctx.order - 1) // (p ** d - 1)) for x in sample[:4]]
+    return sample + [ctx.one()]
+
+
+@pytest.mark.parametrize("p, k", [(2, 12), (3, 4), (5, 2), (2, 26)])
+def test_pull_back_against_frobenius_powers(p, k):
+    # oracle: a lies in F_{p^d} exactly when a^(p^d) = a, computed by **
+    # alone; the pull-back is certified by embedding it back.  F_2^26 is
+    # untabulated, and its pull-backs into F_2^13 run the equal-degree
+    # split.
+    ctx = field(p, k)
+    subs = [field(p, d) for d in range(1, k + 1) if k % d == 0]
+    fields_seen = set()
+    for a in _pull_back_sample(p, k):
+        d, power = 1, a ** p
+        while power != a:
+            d, power = d + 1, power ** p
+        form = minimal_form(a)
+        assert form.ctx is field(p, d)
+        assert embed(form, ctx) == a
+        fields_seen.add(d)
+        for sub in subs:
+            pre = subfield_preimage(a, sub)
+            assert (pre is None) == (a ** sub.order != a)
+            if pre is not None:
+                assert pre.ctx is sub and embed(pre, ctx) == a
+    assert fields_seen == {d for d in range(1, k + 1) if k % d == 0}
+
+
+@pytest.mark.parametrize("p, k, exponent", [(2, 4, 0), (2, 4, 5), (3, 4, 10),
+                                             (2, 26, 2 ** 13 + 1)])
+def test_a_pull_back_that_misses_its_root_raises(monkeypatch, p, k, exponent):
+    # a root search that drops the right root makes the pull-back fail
+    # loudly (a StopIteration would silently end a map over points); one
+    # that lists every element as a root still gives the right element.
+    # The powers of the generator lie in F_2, F_4, F_9 and F_2^13.
+    a = field(p, k).gen() ** exponent
+    expected = minimal_form(a)
+    assert expected.ctx.degree < a.ctx.degree
+    original = fields._roots_in_field
+
+    def every_element(coeffs, ctx, q=None):
+        return list(ctx.elements())[::-1]
+
+    if expected.ctx.order <= _EXHAUSTIVE_LIMIT:
+        monkeypatch.setattr(fields, "_roots_in_field", every_element)
+        assert minimal_form(a) == expected
+
+    def dropping(coeffs, ctx, q=None):
+        return [r for r in original(coeffs, ctx, q) if embed(r, a.ctx) != a]
+
+    monkeypatch.setattr(fields, "_roots_in_field", dropping)
+    with pytest.raises(RuntimeError, match="minimal polynomial"):
+        minimal_form(a)
+    with pytest.raises(RuntimeError, match="minimal polynomial"):
+        subfield_preimage(a, expected.ctx)
 
 
 # ---------------------------------------------------------------------------
