@@ -15,17 +15,16 @@ splits into the two corner profiles seen at the two crossing points on the
 exceptional curve (the images under the exponent maps (a,b) -> (a, b-a)
 and (a,b) -> (a-b, b), filtered back to minimal corners, by ``split``),
 and the step contributes e*(e-1) or e**2 where e is the drop of the Swan
-conductor sum across the blow-up.  ``split`` builds each child with its
-order check inline: a filter orders one coordinate, the other is
-compared as the child is built.  On two points, where most steps of a
-deep recursion are, one comparison of b_0 - a_0 with b_1 - a_1 decides
-both filters.  A child of 0 or 1 points adds 0; the recursion goes on
-with a child of two or more points and keeps a stack entry only when
-both children have two or more.  The recursion admits a closed form:
-twice the area between the essential hull of the staircase and its
-baseline, corrected by (t-2)*(a_k-a_0) for a point on t boundary
-branches.  Both routes are implemented and cross-checked, along with a
-proven upper bound for the blow-up total.
+conductor sum across the blow-up.  The recursion reads e off the ends and
+the continuation child, whose last point carries the conductor along the
+exceptional curve; ``swan_drop`` reads it off the staircase alone, for
+the blow-up simulator and as the recursion's oracle.  A child of 0 or 1
+points adds 0; the recursion goes on with a child of two or more points
+and keeps a stack entry only when both children have two or more.  The
+recursion admits a closed form: twice the area between the essential hull
+of the staircase and its baseline, corrected by (t-2)*(a_k-a_0) for a
+point on t boundary branches.  Both routes are implemented and
+cross-checked, along with a proven upper bound for the blow-up total.
 
 Slope comparisons are exact (cross multiplication); no rationals, no
 floats.
@@ -170,13 +169,12 @@ def swan_drop(stair):
 
         max(a_k, 0) + max(-b_0, 0) - max(max_i (a_i - b_i), 0).
 
-    The recursion reads it at every step, so it is one expression over
-    a_k, b_0 and the diagonals, with no helper calls; on two points, where
-    most steps of a deep recursion are, it compares the two diagonals
-    directly and builds no list.  end_conductors and max_diagonal stay its
-    definition, and the tests' oracle for it.  The value is 0 for the
-    empty staircase and >= 0 for every valid staircase; a negative result
-    would indicate corrupted input and raises.
+    The blow-up simulator reads a node's drop with it, and the recursion,
+    which reads the same value off split's continuation child, is checked
+    against it.  On two points it compares the two diagonals and builds no
+    list; end_conductors and max_diagonal are the tests' oracle for it.
+    The value is 0 for the empty staircase and >= 0 for every valid
+    staircase; a negative result means corrupted input and raises.
     """
     if len(stair) == 2:
         (a0, b0), (a1, b1) = stair
@@ -229,10 +227,11 @@ def split(stair):
     belongs to the first set and index 0 to the second; each pass starts
     from that end point and compares integers only.  The crossing child
     (a_j, b_j - a_j) over `first` and the continuation child
-    (a_j - b_j, b_j) over `second` are built in the same passes.  The
-    filter orders one coordinate of each child and the pass compares the
-    other with the point kept before; a child out of order raises
-    `Staircase._from_ints`'s error.
+    (a_j - b_j, b_j) over `second` are built in the same passes, so the
+    continuation's last point has a = max_i (a_i - b_i), whose positive
+    part is the conductor along the exceptional curve.  The filter orders
+    one coordinate of each child and the pass compares the other with the
+    point kept before; a child out of order raises `_from_ints`'s error.
 
     Most steps of a deep recursion are on two points, and there the two
     differences d_0 = b_0 - a_0 and d_1 = b_1 - a_1 decide both filters
@@ -335,8 +334,9 @@ class RecursionTrace:
 def ramification_recursive(stair, branches):
     """The local ramification total, by the staircase recursion.
 
-    Each step contributes blowup_term(swan_drop(.), branches) and recurses
-    into the two child profiles; the crossing child always sits on two
+    Each step contributes blowup_term(e, branches), with e swan_drop's
+    value read off the ends and the continuation child, and recurses into
+    the two child profiles; the crossing child always sits on two
     branches, the continuation child inherits the branch count.  Single
     points (and the empty staircase) contribute 0.  Termination is by the
     strict lexicographic descent of (length, depth), which is asserted.
@@ -361,12 +361,18 @@ def _recurse(stair, branches, trace):
     total = trace.total
     while True:
         size = len(stair)
-        drop = swan_drop(stair)
-        # blowup_term, inline: branches is 1 or 2 (checked on entry), and
-        # swan_drop refuses a negative drop
-        term = drop * drop if branches == 2 else drop * (drop - 1)
         # looked up at each step, so that a test can replace it
         first, second, crossing, continuation = split(stair)
+        # swan_drop's value: the continuation's last a is max_i (a_i - b_i)
+        (a0, b0), (ak, bk) = stair[0], stair[-1]
+        c = continuation[-1][0]
+        drop = ((ak if ak > 0 else 0) + (-b0 if b0 < 0 else 0)
+                - (c if c > 0 else 0))
+        if drop < 0:
+            raise StaircaseError(
+                f"negative conductor drop {drop} for {stair!r}")
+        # blowup_term, inline: branches is 1 or 2 (checked on entry)
+        term = drop * drop if branches == 2 else drop * (drop - 1)
         total += term
         record(_new_tuple(RecursionStep,
                           (stair, branches, drop, term, first, second)))
@@ -374,9 +380,8 @@ def _recurse(stair, branches, trace):
         n_continuation = len(continuation)
         if n_crossing >= size or n_continuation >= size:
             # the measure (length, depth) must fall; a shorter child
-            # descends whatever its depth, so the depths are read off the
-            # end points only for a child that is not shorter
-            (a0, b0), (ak, bk) = stair[0], stair[-1]
+            # descends whatever its depth, so a child's depth is read off
+            # its end points only when it is not shorter
             for child in (crossing, continuation):
                 length = len(child)
                 if length >= size and (

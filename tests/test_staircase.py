@@ -306,6 +306,41 @@ def test_recursion_step_is_a_tuple_of_six_named_fields():
                 stair, 2, 2, 4, (0, 2), (0,))
 
 
+def test_recursion_reads_the_clamped_conductor_along_e():
+    # every diagonal of ((0, 1), (1, 3)) is negative, so the conductor
+    # along the exceptional curve is 0, not max_diagonal = -1; reading
+    # the continuation's last a without its clamp gives totals 6 and 8
+    stair = S((0, 1), (1, 3))
+    assert max_diagonal(stair) == -1
+    for branches, drops_and_terms, total in ((1, [(1, 0), (1, 1)], 1),
+                                             (2, [(1, 1), (1, 1)], 2)):
+        trace = ramification_recursive(stair, branches)
+        assert [(s.drop, s.term) for s in trace.steps] == drops_and_terms
+        assert trace.total == total == ramification_closed_form(
+            stair, branches)
+        assert all(s.drop == swan_drop(s.staircase) for s in trace.steps)
+
+
+def test_recursion_refuses_a_negative_drop_from_its_split(monkeypatch):
+    # the first step's continuation child is replaced by a single point
+    # at a = 3, above the ends' conductors 2 + 0: the drop read off it is
+    # -1, which no valid staircase gives, and raises swan_drop's error
+    stair = S((0, 0), (1, 4), (2, 5))
+    wrong = iter([True])
+
+    def wrong_once(points):
+        first, second, crossing, continuation = split(points)
+        if next(wrong, False):
+            continuation = Staircase([(3, 0)])
+        return first, second, crossing, continuation
+
+    monkeypatch.setattr(staircase, "split", wrong_once)
+    with pytest.raises(StaircaseError) as raised:
+        ramification_recursive(stair, 2)
+    assert str(raised.value) == (
+        "negative conductor drop -1 for Staircase([(0, 0), (1, 4), (2, 5)])")
+
+
 def test_closed_form_examples():
     assert ramification_closed_form(S((0, 0), (1, 1)), 1) == 0
     assert ramification_closed_form(S((0, 0), (2, 1)), 2) == 2
@@ -513,6 +548,15 @@ def test_two_point_swan_drop_is_its_definition(stair):
     # the two-point case compares the two diagonals without max_diagonal
     sw1, sw2 = end_conductors(stair)
     assert swan_drop(stair) == sw1 + sw2 - max(max_diagonal(stair), 0)
+
+
+@given(st.one_of(long_staircases(), two_point_staircases()))
+def test_children_carry_the_conductor_along_e(stair):
+    # the recursion reads the conductor along the exceptional curve off
+    # the continuation child; the crossing child carries it at its start
+    crossing, continuation = split(stair)[2:]
+    assert (end_conductors(continuation)[0] == max(max_diagonal(stair), 0)
+            == end_conductors(crossing)[1])
 
 
 def _step_record(trace):
